@@ -1,41 +1,40 @@
-"""The three long-running node roles, wired over TCP through the link emulator.
+"""Socket drivers: the three node roles, wired over TCP through the link emulator.
 
-UE agents push timed topology/forecast reports to an edge and await acks. An
-edge server aggregates its region's view, and on a run opening computes the
-region partial (plus scenario set in DSA mode), uploads to the store and
-notifies the cloud. The cloud coordinator opens runs, waits on the store
-barrier, merges, simulates, stores the result and pushes RunResult back to
-every region.
+UE agents push timed topology/forecast reports to an edge and await acks.
+``EdgeNode`` and ``CloudNode`` run the edge and cloud logic of ``core``, which
+makes every protocol decision; they read frames, perform the core's actions
+and keep its work on the right thread: an edge computes on one compute
+thread, the cloud on the thread that calls ``execute_run``.
 
 Outbound frames pass through the sender's link emulator: the frame is
 scheduled (serialization + delay + jitter, FIFO per direction) and the writer
-sleeps until its delivery instant before the socket write. Direction 'up'
-points toward the cloud (UE->edge, edge->cloud), 'down' back out.
+sleeps until its delivery instant before the socket write, so a driver sends
+only after releasing its core's lock. Direction 'up' points toward the cloud
+(UE->edge, edge->cloud), 'down' back out.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import socket
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import pipeline, wire
+from . import wire
+from .core import CLOUD, CloudCore, Compute, Done, EdgeCore, Log, Send, Timer
 from .eventlog import EventLog
 from .linkem import DOWN, DROPPED, LinkEmulator, LinkProfile, RealClock, UP, \
     zero_impairment_profile
 from .model import GridCase
 from .pipeline import RunManifest
-from .sampling import ForecastSpec
-from .store import AlreadyExistsError, FileStore, partial_key, result_key, scenarios_key
+from .store import FileStore
 from .wire import Envelope, MessageKind, StreamDecoder
 
 ACK_TIMEOUT_S = 2.0
-RESULT_ACK_TIMEOUT_S = 15.0
 RECV_CHUNK = 65536
 
 
@@ -229,389 +228,165 @@ def ue_agent(node_id: str, script: list[UeScriptItem], edge_addr: tuple[str, int
 
 
 # ----------------------------------------------------------------------
-# Edge server
+# Edge server and cloud coordinator
 
-class EdgeNode:
-    """Region aggregation point: UE-facing server plus a client link to the cloud."""
+class _SocketDriver:
+    """What both socket drivers share: a listening server whose links are each
+    read on their own thread, one lock around every call into the core, and
+    Sends and Logs performed after that lock is released; ``_defer`` places
+    the other actions."""
 
-    def __init__(self, region: str, base_case: GridCase, store: FileStore,
-                 cloud_addr: tuple[str, int], listen: tuple[str, int] = ("127.0.0.1", 0),
-                 profile: LinkProfile | None = None, log: EventLog | None = None,
-                 clock=None):
-        self.region = region
-        self.base = base_case
-        self.view = base_case
-        self.store = store
-        self.cloud_addr = cloud_addr
+    def __init__(self, name: str, core, listen: tuple[str, int],
+                 profile: LinkProfile | None, log: EventLog | None, clock):
+        self.name = name
+        self.core = core
         self.listen_addr = listen
-        self.profile = profile or zero_impairment_profile()
-        self.log = log or EventLog(f"edge-{region}")
+        self.log = log or EventLog(name)
         self.clock = clock or RealClock()
-        self.emulator = LinkEmulator(self.profile)
-        self.forecast: ForecastSpec | None = None
-        self.runs: dict[str, str] = {}
-        self._state_lock = threading.Lock()
-        self._seq = itertools.count(1)
-        self._compute = ThreadPoolExecutor(max_workers=1,
-                                           thread_name_prefix=f"edge-{region}-compute")
+        self.emulator = LinkEmulator(profile or zero_impairment_profile())
+        self._cond = threading.Condition()
         self._server: socket.socket | None = None
-        self.cloud: ShapedConnection | None = None
+        self.cloud: ShapedConnection | None = None     # an edge's uplink
         self.bound_addr: tuple[str, int] | None = None
         self._closing = False
 
-    # -- lifecycle ------------------------------------------------------
-
-    def start(self) -> tuple[str, int]:
+    def _listen(self) -> None:
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._server.bind(self.listen_addr)
         self._server.listen(32)
         self.bound_addr = self._server.getsockname()
-
-        sock = socket.create_connection(self.cloud_addr, timeout=10.0)
-        self.cloud = ShapedConnection(sock, self.emulator, UP, self.clock,
-                                      peer=format_addr(self.cloud_addr))
-        self.cloud.send(wire.hello(f"edge-{self.region}", "edge",
-                                   next(self._seq), region=self.region))
-        threading.Thread(target=self._cloud_reader, daemon=True,
-                         name=f"edge-{self.region}-cloud").start()
         threading.Thread(target=self._accept_loop, daemon=True,
-                         name=f"edge-{self.region}-accept").start()
-        self.log.log("edge_up", listen=format_addr(self.bound_addr),
-                     cloud=format_addr(self.cloud_addr))
-        return self.bound_addr
+                         name=f"{self.name}-accept").start()
+
+    def _accept_loop(self):
+        while not self._closing:
+            try:
+                sock, addr = self._server.accept()
+            except OSError:
+                return
+            conn = ShapedConnection(sock, self.emulator, DOWN, self.clock,
+                                    peer=format_addr(addr))
+            threading.Thread(target=self._serve, args=(conn, conn), daemon=True,
+                             name=f"{self.name}-peer").start()
+
+    def _serve(self, peer, conn: ShapedConnection):
+        """Reader thread of one link; ``peer`` is how the core knows it."""
+        for env in conn.envelopes():
+            with self._cond:
+                actions = self.core.handle(self.clock.now(), peer, env)
+            self._perform(actions)
+
+    def _perform(self, actions: list) -> None:
+        for a in actions:
+            if isinstance(a, Send):
+                (self.cloud if a.peer is CLOUD else a.peer).send(a.env)
+            elif isinstance(a, Log):
+                self.log.log(a.event, **a.fields)
+            else:
+                self._defer(a)
 
     def close(self) -> None:
         self._closing = True
-        self._compute.shutdown(wait=True)
         if self._server:
             self._server.close()
         if self.cloud:
             self.cloud.close()
 
-    # -- UE side --------------------------------------------------------
 
-    def _accept_loop(self):
-        while not self._closing:
-            try:
-                sock, addr = self._server.accept()
-            except OSError:
-                return
-            conn = ShapedConnection(sock, self.emulator, DOWN, self.clock,
-                                    peer=format_addr(addr))
-            threading.Thread(target=self._serve_ue, args=(conn,), daemon=True,
-                             name=f"edge-{self.region}-ue").start()
+class EdgeNode(_SocketDriver):
+    """Socket driver for one region's ``EdgeCore``: a UE-facing server plus a
+    client link to the cloud. Compute steps run on one compute thread."""
 
-    def _serve_ue(self, conn: ShapedConnection):
-        for env in conn.envelopes():
-            try:
-                self._handle_ue(conn, env)
-            except Exception as exc:            # malformed input must not kill the node
-                conn.send(wire.error_msg("bad_report", str(exc)))
-                self.log.log("edge_reject", reason=type(exc).__name__)
+    def __init__(self, region: str, base_case: GridCase, store: FileStore,
+                 cloud_addr: tuple[str, int], listen: tuple[str, int] = ("127.0.0.1", 0),
+                 profile: LinkProfile | None = None, log: EventLog | None = None,
+                 clock=None):
+        super().__init__(f"edge-{region}", EdgeCore(region, base_case, store), listen,
+                         profile, log, clock)
+        self.region = region
+        self.cloud_addr = cloud_addr
+        self._compute = ThreadPoolExecutor(max_workers=1,
+                                           thread_name_prefix=f"{self.name}-compute")
 
-    def _handle_ue(self, conn: ShapedConnection, env: Envelope):
-        obj = env.obj()
-        seq = int(obj.get("seq", 0))
-        if env.msg_type == MessageKind.HELLO:
-            self.log.log("edge_recv", kind="hello", seq=seq, node=obj.get("node_id", "?"))
-            conn.send(wire.ack(seq))
-        elif env.msg_type == MessageKind.TOPOLOGY_REPORT:
-            self.log.log("edge_recv", kind="topology", seq=seq)
-            with self._state_lock:
-                self.view = _apply_topology(self.view, obj)   # validates before commit
-            for br in obj.get("branches", []):
-                self.log.log("delta_applied", branch=int(br["id"]), status=br["status"])
-            conn.send(wire.ack(seq))
-        elif env.msg_type == MessageKind.FORECAST_REPORT:
-            self.log.log("edge_recv", kind="forecast", seq=seq)
-            spec = ForecastSpec.from_dict(obj["spec"])
-            with self._state_lock:
-                self.forecast = spec
-            conn.send(wire.ack(seq))
-        else:
-            conn.send(wire.error_msg("unexpected_kind", f"msg_type {int(env.msg_type)}"))
+    view = property(lambda self: self.core.view)
+    forecast = property(lambda self: self.core.forecast)
+    runs = property(lambda self: self.core.runs)
 
-    # -- cloud side -----------------------------------------------------
+    def start(self) -> tuple[str, int]:
+        sock = socket.create_connection(self.cloud_addr, timeout=10.0)
+        self.cloud = ShapedConnection(sock, self.emulator, UP, self.clock,
+                                      peer=format_addr(self.cloud_addr))
+        self._perform(self.core.hello())           # before any reader thread starts
+        self._listen()
+        threading.Thread(target=self._serve, args=(CLOUD, self.cloud), daemon=True,
+                         name=f"{self.name}-cloud").start()
+        self.log.log("edge_up", listen=format_addr(self.bound_addr),
+                     cloud=format_addr(self.cloud_addr))
+        return self.bound_addr
 
-    def _cloud_reader(self):
-        for env in self.cloud.envelopes():
-            try:
-                self._handle_cloud(env)
-            except Exception as exc:
-                self.cloud.send(wire.error_msg("edge_failure", str(exc), env.run_id))
-                self.log.log("edge_error", reason=type(exc).__name__, detail=str(exc))
+    def close(self) -> None:
+        self._compute.shutdown(wait=True)
+        super().close()
 
-    def _handle_cloud(self, env: Envelope):
-        if env.msg_type == MessageKind.RUN_OPEN:
-            manifest = RunManifest.from_payload(env.obj())
-            with self._state_lock:
-                if manifest.run_id in self.runs:
-                    self.cloud.send(wire.error_msg(
-                        "duplicate_run", f"run {manifest.run_id} already processed",
-                        env.run_id))
-                    self.log.log("run_open_duplicate", run=manifest.run_id)
-                    return
-                self.runs[manifest.run_id] = "computing"
-                snapshot = self.view
-            self.log.log("run_open_recv", run=manifest.run_id, mode=manifest.mode)
-            self._compute.submit(self._compute_run, manifest, snapshot)
-        elif env.msg_type == MessageKind.RUN_RESULT:
-            obj = env.obj()
-            blob = self.store.get(obj["store_key"])
-            parsed = json.loads(blob.decode())
-            self.log.log("result_recv", run=env.run_id.hex(),
-                         verdict=obj.get("verdict_summary", "?"),
-                         bytes=len(blob), mode=parsed.get("mode", "?"))
-            self.cloud.send(wire.ack(int(obj.get("seq", 0))))
-        elif env.msg_type == MessageKind.RUN_CLOSE:
-            with self._state_lock:
-                self.runs.pop(env.obj().get("run_id", ""), None)
-        elif env.msg_type == MessageKind.ACK:
-            pass
-        elif env.msg_type == MessageKind.ERROR:
-            obj = env.obj()
-            self.log.log("cloud_error", code=obj.get("code", "?"), text=obj.get("text", ""))
+    def _defer(self, step: Compute) -> None:
+        self._compute.submit(self._run_compute, step)
 
-    def _compute_run(self, manifest: RunManifest, snapshot: GridCase):
-        rid = manifest.run_id
-        try:
-            blob = pipeline.edge_topology_blob(snapshot, self.base, self.region)
-            self.log.log("edge_compute_done", run=rid, artifact="partial_y")
-            key = partial_key(rid, self.region)
-            self.store.put(key, blob)
-            self.log.log("store_put_done", run=rid, key=key)
-            self.cloud.send(wire.partial_ready(self.region, key, next(self._seq),
-                                               manifest.run_id_bytes))
-            if manifest.mode == pipeline.MODE_DSA:
-                with self._state_lock:
-                    forecast = self.forecast
-                sblob = pipeline.edge_scenarios_blob(snapshot, self.region,
-                                                     manifest.dsa, forecast)
-                self.log.log("edge_compute_done", run=rid, artifact="scenarios")
-                skey = scenarios_key(rid, self.region)
-                self.store.put(skey, sblob)
-                self.log.log("store_put_done", run=rid, key=skey)
-                self.cloud.send(wire.scenario_ready(self.region, skey, next(self._seq),
-                                                    manifest.run_id_bytes))
-            with self._state_lock:
-                self.runs[rid] = "uploaded"
-        except AlreadyExistsError as exc:
-            self.cloud.send(wire.error_msg("upload_conflict", str(exc),
-                                           manifest.run_id_bytes))
-            self.log.log("upload_conflict", run=rid)
-        except Exception as exc:
-            self.cloud.send(wire.error_msg("compute_failure", str(exc),
-                                           manifest.run_id_bytes))
-            self.log.log("compute_failure", run=rid, detail=str(exc))
+    def _run_compute(self, step: Compute | None) -> None:
+        """Compute thread: run a step, then each step that follows it."""
+        while step is not None:
+            with self._cond:
+                actions = self.core.run_compute(self.clock.now(), step)
+            step = next((a for a in actions if isinstance(a, Compute)), None)
+            self._perform([a for a in actions if not isinstance(a, Compute)])
 
 
-def _apply_topology(view: GridCase, obj: dict) -> GridCase:
-    """Apply a topology report's absolute assignments; raises before mutating."""
-    assignments = {int(br["id"]): str(br["status"]) for br in obj.get("branches", [])}
-    loads = {int(b["id"]): (float(b["p_load"]), float(b["q_load"]))
-             for b in obj.get("buses", [])}
-    out = view
-    if assignments:
-        out = out.with_branch_status(assignments)
-    if loads:
-        out = out.with_bus_loads(loads)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Cloud coordinator
-
-class CloudNode:
-    """Opens runs, enforces the upload barrier, merges, simulates and replies."""
+class CloudNode(_SocketDriver):
+    """Socket driver for the ``CloudCore``. A run's compute and timers run on
+    the thread that calls ``execute_run``."""
 
     def __init__(self, base_case: GridCase, store: FileStore,
                  listen: tuple[str, int] = ("127.0.0.1", 0),
                  profile: LinkProfile | None = None, log: EventLog | None = None,
                  clock=None, sim_workers: int = 4):
-        self.base = base_case
-        self.store = store
-        self.listen_addr = listen
-        self.profile = profile or zero_impairment_profile()
-        self.log = log or EventLog("cloud")
-        self.clock = clock or RealClock()
-        self.emulator = LinkEmulator(self.profile)
-        self.sim_workers = sim_workers
-        self.edges: dict[str, ShapedConnection] = {}
-        self.received: set[tuple[str, str, str]] = set()    # (run, region, artifact)
-        self._acks = _AckTable()
-        self._lock = threading.Lock()
-        self._seq = itertools.count(1)
-        self._server: socket.socket | None = None
-        self.bound_addr: tuple[str, int] | None = None
-        self._open_manifest: RunManifest | None = None
-        self._run_open_sent: set[str] = set()
-        self._closing = False
+        super().__init__("cloud", CloudCore(base_case, store, sim_workers), listen,
+                         profile, log, clock)
+        self.edges: dict[str, ShapedConnection] = self.core.edges
+        self._agenda: list = []            # heap of (due, tick, Timer | Compute | Done)
+        self._tick = itertools.count()
 
     def start(self) -> tuple[str, int]:
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind(self.listen_addr)
-        self._server.listen(32)
-        self.bound_addr = self._server.getsockname()
-        threading.Thread(target=self._accept_loop, daemon=True, name="cloud-accept").start()
+        self._listen()
         self.log.log("cloud_up", listen=format_addr(self.bound_addr))
         return self.bound_addr
 
     def close(self) -> None:
-        self._closing = True
-        if self._server:
-            self._server.close()
-        with self._lock:
+        super().close()
+        with self._cond:
             conns = list(self.edges.values())
         for c in conns:
             c.close()
 
-    def _accept_loop(self):
-        while not self._closing:
-            try:
-                sock, addr = self._server.accept()
-            except OSError:
-                return
-            conn = ShapedConnection(sock, self.emulator, DOWN, self.clock,
-                                    peer=format_addr(addr))
-            threading.Thread(target=self._serve_edge, args=(conn,), daemon=True,
-                             name="cloud-edge").start()
-
-    def _serve_edge(self, conn: ShapedConnection):
-        for env in conn.envelopes():
-            try:
-                self._handle_edge(conn, env)
-            except Exception as exc:
-                conn.send(wire.error_msg("bad_message", str(exc)))
-                self.log.log("cloud_reject", reason=type(exc).__name__)
-
-    def _handle_edge(self, conn: ShapedConnection, env: Envelope):
-        obj = env.obj()
-        if env.msg_type == MessageKind.HELLO:
-            region = obj.get("region")
-            if obj.get("role") != "edge" or not region:
-                conn.send(wire.error_msg("bad_hello", "expected role=edge with region"))
-                return
-            late_open = None
-            with self._lock:
-                self.edges[region] = conn
-                m = self._open_manifest
-                if (m and region in m.expected_regions
-                        and region not in self._run_open_sent):
-                    self._run_open_sent.add(region)
-                    late_open = m
-            self.log.log("hello", region=region)
-            conn.send(wire.ack(int(obj.get("seq", 0))))
-            if late_open:
-                conn.send(wire.run_open(late_open.to_payload(), late_open.run_id_bytes))
-        elif env.msg_type in (MessageKind.PARTIAL_READY, MessageKind.SCENARIO_READY):
-            artifact = ("partial_y" if env.msg_type == MessageKind.PARTIAL_READY
-                        else "scenarios")
-            region = obj["region"]
-            rid = env.run_id.hex()
-            with self._lock:
-                dup = (rid, region, artifact) in self.received
-                if not dup:
-                    self.received.add((rid, region, artifact))
-            if dup:
-                conn.send(wire.error_msg(
-                    "duplicate_upload",
-                    f"{artifact} for region {region} already received", env.run_id))
-                self.log.log("duplicate_upload", run=rid, region=region,
-                             artifact=artifact)
-                return
-            self.log.log("ready_recv", run=rid, region=region, artifact=artifact,
-                         key=obj["store_key"])
-            conn.send(wire.ack(int(obj.get("seq", 0))))
-        elif env.msg_type == MessageKind.ACK:
-            self._acks.resolve(int(obj["of"]))
-        elif env.msg_type == MessageKind.ERROR:
-            self.log.log("edge_error_recv", code=obj.get("code", "?"),
-                         text=obj.get("text", ""))
-
-    # -- run execution ----------------------------------------------------
-
-    def _broadcast(self, regions, env: Envelope) -> None:
-        with self._lock:
-            targets = [(r, self.edges[r]) for r in regions if r in self.edges]
-        for region, conn in targets:
-            conn.send(env)
+    def _defer(self, action) -> None:
+        """Hand a timer, the compute or the run's end to ``execute_run``."""
+        due = self.clock.now() + action.delay if isinstance(action, Timer) else 0.0
+        with self._cond:
+            heapq.heappush(self._agenda, (due, next(self._tick), action))
+            self._cond.notify()
 
     def execute_run(self, manifest: RunManifest) -> int:
         """Drive one run to completion; returns the process exit code (0/2/3)."""
-        rid = manifest.run_id
-        self.log.log("run_open", run=rid, mode=manifest.mode,
-                     regions=",".join(manifest.expected_regions))
-        with self._lock:
-            self._open_manifest = manifest
-            self._run_open_sent = {r for r in manifest.expected_regions
-                                   if r in self.edges}
-        self._broadcast(self._run_open_sent,
-                        wire.run_open(manifest.to_payload(), manifest.run_id_bytes))
-
-        keys = [partial_key(rid, r) for r in manifest.expected_regions]
-        if manifest.mode == pipeline.MODE_DSA:
-            keys += [scenarios_key(rid, r) for r in manifest.expected_regions]
-        waited = self.store.wait_for(keys, time.time() + manifest.deadline_s)
-        if not waited.complete:
-            missing_regions = sorted({k.split("/")[3] for k in waited.missing})
-            self.log.log("run_aborted", run=rid, missing=",".join(missing_regions))
-            self._broadcast(manifest.expected_regions, wire.error_msg(
-                "barrier_timeout",
-                f"missing regions: {','.join(missing_regions)}", manifest.run_id_bytes))
-            return 3
-        self.log.log("barrier_done", run=rid)
-
-        try:
-            if manifest.mode == pipeline.MODE_TOPOLOGY:
-                blobs = {r: self.store.get(partial_key(rid, r))
-                         for r in manifest.expected_regions}
-                view, y = pipeline.cloud_merge(self.base, blobs)
-                result = pipeline.topology_compute(view, y, manifest.fault,
-                                                   manifest.sim_cfg)
-                blob = pipeline.topology_result_blob(result)
-                summary = result.verdict
-            else:
-                blobs = {r: self.store.get(partial_key(rid, r))
-                         for r in manifest.expected_regions}
-                view, y = pipeline.cloud_merge(self.base, blobs)
-                region_sets = {}
-                for r in manifest.expected_regions:
-                    parsed = pipeline.parse_scenarios_blob(
-                        self.store.get(scenarios_key(rid, r)))
-                    region_sets[r] = (parsed["scenario_set"], parsed["load_bus_ids"])
-                report = pipeline.dsa_compute(view, y, region_sets, manifest.fault,
-                                              manifest.sim_cfg,
-                                              max_workers=self.sim_workers)
-                blob = pipeline.dsa_result_blob(report)
-                summary = f"insecurity_probability={report.insecurity_probability!r}"
-        except Exception as exc:
-            self.log.log("run_failed", run=rid, reason=type(exc).__name__,
-                         detail=str(exc))
-            self._broadcast(manifest.expected_regions, wire.error_msg(
-                "compute_failure", str(exc), manifest.run_id_bytes))
-            return 2
-
-        key = result_key(rid)
-        self.store.put(key, blob)
-        self.log.log("sim_done", run=rid)
-        self.log.log("result_put", run=rid, key=key, summary=summary)
-
-        pending = []
-        with self._lock:
-            targets = [(r, self.edges[r]) for r in manifest.expected_regions
-                       if r in self.edges]
-        for region, conn in targets:
-            n = next(self._seq)
-            ev = self._acks.expect(n)
-            conn.send(wire.run_result(key, summary, n, manifest.run_id_bytes))
-            self.log.log("result_sent", run=rid, region=region)
-            pending.append((region, n, ev))
-        deadline = time.time() + RESULT_ACK_TIMEOUT_S
-        for region, n, ev in pending:
-            if not ev.wait(max(0.0, deadline - time.time())):
-                self.log.log("result_unacked", run=rid, region=region)
-                self._acks.forget(n)
-        self.log.log("run_complete", run=rid)
-        return 0
+        with self._cond:
+            self._agenda.clear()
+            actions = self.core.open_run(self.clock.now(), manifest)
+        while True:
+            self._perform(actions)
+            with self._cond:
+                while not self._agenda or self._agenda[0][0] > self.clock.now():
+                    self._cond.wait(self._agenda[0][0] - self.clock.now()
+                                    if self._agenda else None)
+                _, _, a = heapq.heappop(self._agenda)
+                if isinstance(a, Done):
+                    return a.code
+                entry = self.core.run_compute if isinstance(a, Compute) else self.core.on_timer
+                actions = entry(self.clock.now(), a)

@@ -1,25 +1,29 @@
 """Deterministic virtual-time execution of a whole demo on one event loop.
 
-Every hop still produces real wire frames, passes through the per-node link
-emulator and decodes on arrival; only the clock is simulated, so two runs with
-the same seeds give identical verdicts and identical stage timings. Compute is
-instantaneous in virtual time (timings describe the transport).
+A second driver of the edge and cloud logic in ``core``, beside ``nodes``: a
+heap scheduler stands in for the clock, a core's Timer becomes a scheduler
+entry and its Compute runs inline. Every hop still produces real wire frames,
+passes through the sender's link emulator and decodes on arrival, so two runs
+with the same seeds give identical verdicts and stage timings. Compute is
+instantaneous in virtual time (timings describe the transport). The UE fires
+its reports at their scripted times, without waiting for acks.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import json
 from dataclasses import dataclass
+from pathlib import Path
 
-from . import pipeline, wire
+from . import wire
+from .core import CLOUD, CloudCore, Compute, EdgeCore, Log, Send, Timer
 from .eventlog import EventLog
 from .linkem import DOWN, DROPPED, LinkEmulator, LinkProfile, UP
 from .model import GridCase
-from .nodes import UeScriptItem, _apply_topology
+from .nodes import UeScriptItem
 from .pipeline import RunManifest
-from .store import FileStore, partial_key, result_key, scenarios_key
+from .store import FileStore, result_key
 from .wire import Envelope, MessageKind
 
 
@@ -62,12 +66,9 @@ class _Node:
             return
         self.sched.at(delivery, dst.handle, self, wire.decode(frame))
 
-    def handle(self, src: "_Node", env: Envelope) -> None:
-        raise NotImplementedError
-
 
 class _VirtualUe(_Node):
-    def __init__(self, name, sched, profile, log_dir, edge: "_VirtualEdge",
+    def __init__(self, name, sched, profile, log_dir, edge: _Node,
                  script: list[UeScriptItem]):
         super().__init__(name, sched, profile, log_dir)
         self.edge = edge
@@ -89,181 +90,39 @@ class _VirtualUe(_Node):
     def handle(self, src, env: Envelope) -> None:
         if env.msg_type == MessageKind.ACK:
             self.log.log("ack_recv", ts=self.sched.now, seq=int(env.obj()["of"]))
-
-
-class _VirtualEdge(_Node):
-    def __init__(self, name, sched, profile, log_dir, region: str, base: GridCase,
-                 store: FileStore):
-        super().__init__(name, sched, profile, log_dir)
-        self.region = region
-        self.base = base
-        self.view = base
-        self.store = store
-        self.cloud: "_VirtualCloud | None" = None
-        self.runs: set[str] = set()
-        self._seq = itertools.count(1)
-
-    def hello(self) -> None:
-        self.send(self.cloud, wire.hello(self.name, "edge", next(self._seq),
-                                         region=self.region), UP)
-
-    def handle(self, src, env: Envelope) -> None:
-        kind = env.msg_type
-        obj = env.obj()
-        if kind in (MessageKind.HELLO, MessageKind.TOPOLOGY_REPORT,
-                    MessageKind.FORECAST_REPORT):
-            seq = int(obj.get("seq", 0))
-            label = {MessageKind.HELLO: "hello", MessageKind.TOPOLOGY_REPORT: "topology",
-                     MessageKind.FORECAST_REPORT: "forecast"}[kind]
-            self.log.log("edge_recv", ts=self.sched.now, kind=label, seq=seq)
-            if kind == MessageKind.TOPOLOGY_REPORT:
-                self.view = _apply_topology(self.view, obj)
-            self.send(src, wire.ack(seq), DOWN)
-        elif kind == MessageKind.RUN_OPEN:
-            manifest = RunManifest.from_payload(obj)
-            rid = manifest.run_id
-            if rid in self.runs:
-                self.send(src, wire.error_msg("duplicate_run", rid, env.run_id), UP)
-                return
-            self.runs.add(rid)
-            self.log.log("run_open_recv", ts=self.sched.now, run=rid, mode=manifest.mode)
-            blob = pipeline.edge_topology_blob(self.view, self.base, self.region)
-            self.log.log("edge_compute_done", ts=self.sched.now, run=rid,
-                         artifact="partial_y")
-            key = partial_key(rid, self.region)
-            self.store.put(key, blob)
-            self.log.log("store_put_done", ts=self.sched.now, run=rid, key=key)
-            self.send(self.cloud, wire.partial_ready(self.region, key,
-                                                     next(self._seq), env.run_id), UP)
-            if manifest.mode == pipeline.MODE_DSA:
-                sblob = pipeline.edge_scenarios_blob(self.view, self.region, manifest.dsa)
-                self.log.log("edge_compute_done", ts=self.sched.now, run=rid,
-                             artifact="scenarios")
-                skey = scenarios_key(rid, self.region)
-                self.store.put(skey, sblob)
-                self.log.log("store_put_done", ts=self.sched.now, run=rid, key=skey)
-                self.send(self.cloud, wire.scenario_ready(
-                    self.region, skey, next(self._seq), env.run_id), UP)
-        elif kind == MessageKind.RUN_RESULT:
-            blob = self.store.get(obj["store_key"])
-            parsed = json.loads(blob.decode())
-            self.log.log("result_recv", ts=self.sched.now, run=env.run_id.hex(),
-                         verdict=obj.get("verdict_summary", "?"),
-                         bytes=len(blob), mode=parsed.get("mode", "?"))
-            self.send(src, wire.ack(int(obj.get("seq", 0))), UP)
-        elif kind == MessageKind.ERROR:
-            self.log.log("cloud_error", ts=self.sched.now, code=obj.get("code", "?"))
-
-
-class _VirtualCloud(_Node):
-    def __init__(self, name, sched, profile, log_dir, base: GridCase, store: FileStore,
-                 manifest: RunManifest, sim_workers: int = 1):
-        super().__init__(name, sched, profile, log_dir)
-        self.base = base
-        self.store = store
-        self.manifest = manifest
-        self.sim_workers = sim_workers
-        self.edges: dict[str, _VirtualEdge] = {}
-        self.received: set[tuple[str, str, str]] = set()
-        self.barrier_done = False
-        self.exit_code: int | None = None
-        self._seq = itertools.count(1)
-
-    def open_run(self) -> None:
-        m = self.manifest
-        self.log.log("run_open", ts=self.sched.now, run=m.run_id, mode=m.mode,
-                     regions=",".join(m.expected_regions))
-        for r in m.expected_regions:
-            if r in self.edges:
-                self.send(self.edges[r], wire.run_open(m.to_payload(), m.run_id_bytes),
-                          DOWN)
-        self.sched.at(self.sched.now + m.deadline_s, self._deadline)
-
-    def _barrier_keys(self) -> list[str]:
-        m = self.manifest
-        keys = [partial_key(m.run_id, r) for r in m.expected_regions]
-        if m.mode == pipeline.MODE_DSA:
-            keys += [scenarios_key(m.run_id, r) for r in m.expected_regions]
-        return keys
-
-    def _deadline(self) -> None:
-        if self.barrier_done or self.exit_code is not None:
-            return
-        missing = sorted({k.split("/")[3] for k in self._barrier_keys()
-                          if not self.store.exists(k)})
-        self.log.log("run_aborted", ts=self.sched.now, run=self.manifest.run_id,
-                     missing=",".join(missing))
-        for r in self.manifest.expected_regions:
-            if r in self.edges:
-                self.send(self.edges[r], wire.error_msg(
-                    "barrier_timeout", f"missing regions: {','.join(missing)}",
-                    self.manifest.run_id_bytes), DOWN)
-        self.exit_code = 3
-
-    def handle(self, src, env: Envelope) -> None:
-        obj = env.obj()
-        if env.msg_type == MessageKind.HELLO:
-            self.edges[obj["region"]] = src
-            self.log.log("hello", ts=self.sched.now, region=obj["region"])
-            self.send(src, wire.ack(int(obj.get("seq", 0))), DOWN)
-        elif env.msg_type in (MessageKind.PARTIAL_READY, MessageKind.SCENARIO_READY):
-            artifact = ("partial_y" if env.msg_type == MessageKind.PARTIAL_READY
-                        else "scenarios")
-            rid, region = env.run_id.hex(), obj["region"]
-            if (rid, region, artifact) in self.received:
-                self.send(src, wire.error_msg("duplicate_upload", region, env.run_id),
-                          DOWN)
-                return
-            self.received.add((rid, region, artifact))
-            self.log.log("ready_recv", ts=self.sched.now, run=rid, region=region,
-                         artifact=artifact, key=obj["store_key"])
-            self.send(src, wire.ack(int(obj.get("seq", 0))), DOWN)
-            if not self.barrier_done and all(self.store.exists(k)
-                                             for k in self._barrier_keys()):
-                self.barrier_done = True
-                self.log.log("barrier_done", ts=self.sched.now, run=rid)
-                self._compute()
-        elif env.msg_type == MessageKind.ACK:
-            pass
         elif env.msg_type == MessageKind.ERROR:
-            self.log.log("edge_error_recv", ts=self.sched.now, code=obj.get("code", "?"))
+            self.log.log("edge_error", ts=self.sched.now, code=env.obj().get("code", "?"))
 
-    def _compute(self) -> None:
-        m = self.manifest
-        rid = m.run_id
-        try:
-            blobs = {r: self.store.get(partial_key(rid, r)) for r in m.expected_regions}
-            view, y = pipeline.cloud_merge(self.base, blobs)
-            if m.mode == pipeline.MODE_TOPOLOGY:
-                result = pipeline.topology_compute(view, y, m.fault, m.sim_cfg)
-                blob = pipeline.topology_result_blob(result)
-                summary = result.verdict
+
+class _CoreNode(_Node):
+    """An edge or the cloud: performs its core's actions in virtual time.
+    ``cloud`` is an edge's uplink, the node its ``CLOUD`` peer stands for."""
+
+    def __init__(self, name, sched, profile, log_dir, core, cloud: _Node | None = None):
+        super().__init__(name, sched, profile, log_dir)
+        self.core = core
+        self.cloud = cloud
+        self.exit_code: int | None = None
+
+    def call(self, entry, *args) -> None:
+        self.perform(entry(self.sched.now, *args))
+
+    def handle(self, src, env: Envelope) -> None:
+        self.call(self.core.handle, CLOUD if src is self.cloud else src, env)
+
+    def perform(self, actions: list) -> None:
+        for a in actions:
+            if isinstance(a, Send):
+                dst, direction = (self.cloud, UP) if a.peer is CLOUD else (a.peer, DOWN)
+                self.send(dst, a.env, direction)
+            elif isinstance(a, Log):
+                self.log.log(a.event, ts=self.sched.now, **a.fields)
+            elif isinstance(a, Timer):
+                self.sched.at(self.sched.now + a.delay, self.call, self.core.on_timer, a)
+            elif isinstance(a, Compute):
+                self.call(self.core.run_compute, a)
             else:
-                region_sets = {}
-                for r in m.expected_regions:
-                    parsed = pipeline.parse_scenarios_blob(
-                        self.store.get(scenarios_key(rid, r)))
-                    region_sets[r] = (parsed["scenario_set"], parsed["load_bus_ids"])
-                report = pipeline.dsa_compute(view, y, region_sets, m.fault, m.sim_cfg,
-                                              max_workers=self.sim_workers)
-                blob = pipeline.dsa_result_blob(report)
-                summary = f"insecurity_probability={report.insecurity_probability!r}"
-        except Exception as exc:
-            self.log.log("run_failed", ts=self.sched.now, run=rid,
-                         reason=type(exc).__name__, detail=str(exc))
-            self.exit_code = 2
-            return
-        key = result_key(rid)
-        self.store.put(key, blob)
-        self.log.log("sim_done", ts=self.sched.now, run=rid)
-        self.log.log("result_put", ts=self.sched.now, run=rid, key=key, summary=summary)
-        for r in m.expected_regions:
-            if r in self.edges:
-                n = next(self._seq)
-                self.send(self.edges[r], wire.run_result(key, summary, n, m.run_id_bytes),
-                          DOWN)
-                self.log.log("result_sent", ts=self.sched.now, run=rid, region=r)
-        self.exit_code = 0
+                self.exit_code = a.code
 
 
 def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
@@ -278,20 +137,15 @@ def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
     spawn no edge (for exercising the barrier timeout). The run opens at
     ``open_at_s`` (default: after the last scripted report plus one second).
     """
-    from pathlib import Path
     log_dir = Path(log_dir)
     log_dir.mkdir(parents=True, exist_ok=True)
     sched = _Scheduler()
-    cloud = _VirtualCloud("cloud", sched, profile, log_dir, base, store, manifest,
-                          sim_workers=sim_workers)
-    edges: dict[str, _VirtualEdge] = {}
-    for r in manifest.expected_regions:
-        if r in withhold_regions:
-            continue
-        edge = _VirtualEdge(f"edge-{r}", sched, profile, log_dir, r, base, store)
-        edge.cloud = cloud
-        edges[r] = edge
-        sched.at(0.0, edge.hello)
+    cloud = _CoreNode("cloud", sched, profile, log_dir, CloudCore(base, store, sim_workers))
+    edges = {r: _CoreNode(f"edge-{r}", sched, profile, log_dir, EdgeCore(r, base, store),
+                          cloud)
+             for r in manifest.expected_regions if r not in withhold_regions}
+    for edge in edges.values():
+        sched.at(0.0, edge.perform, edge.core.hello())
     for ue_name, (region, script) in sorted(ue_scripts.items()):
         if region in edges:
             _VirtualUe(ue_name, sched, profile, log_dir, edges[region], script)
@@ -300,12 +154,11 @@ def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
         latest = max([it.at_s for _, (_, s) in ue_scripts.items() for it in s],
                      default=0.0)
         open_at_s = latest + 1.0
-    sched.at(open_at_s, cloud.open_run)
+    sched.at(open_at_s, cloud.call, cloud.core.open_run, manifest)
     sched.run()
 
-    blob = None
-    if store.exists(result_key(manifest.run_id)):
-        blob = store.get(result_key(manifest.run_id))
+    key = result_key(manifest.run_id)
+    blob = store.get(key) if store.exists(key) else None
     code = cloud.exit_code if cloud.exit_code is not None else 2
     return DemoOutcome(exit_code=code, run_id=manifest.run_id, result_blob=blob,
                        log_paths=sorted(log_dir.glob("*.log")))

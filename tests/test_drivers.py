@@ -1,0 +1,129 @@
+"""The socket and virtual-time drivers run the same cores, so the same inputs
+must leave the same store bytes and the same node events in both modes; the
+socket driver serialises its threads' calls into a core."""
+
+import sys
+import threading
+import time
+from collections import Counter
+
+import pytest
+
+from gridmesh.dynamics import SimulationConfig
+from gridmesh.eventlog import EventLog, read_events
+from gridmesh.linkem import zero_impairment_profile
+from gridmesh.model import FaultSpec, load_bundled_case
+from gridmesh.nodes import CloudNode, EdgeNode, UeScriptItem, ue_agent
+from gridmesh.pipeline import DsaParams, RunManifest
+from gridmesh.store import FileStore
+from gridmesh.virtualdemo import run_virtual_demo
+
+ZERO = zero_impairment_profile()
+FAULT = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=6)
+CFG = SimulationConfig(t_end=2.0, dt=0.005)
+REGIONS = ("R1", "R2", "R3")
+NODES = ("cloud",) + tuple(f"edge-{r}" for r in REGIONS)
+DRIVER_ONLY = {"cloud_up", "edge_up"}
+
+
+def socket_run(case, manifest, scripts, root):
+    store = FileStore(root / "store")
+    logs = root / "logs"
+    cloud = CloudNode(case, store, profile=ZERO, log=EventLog("cloud", path=logs / "cloud.log"))
+    cloud_addr = cloud.start()
+    edges = {r: EdgeNode(r, case, store, cloud_addr, profile=ZERO,
+                         log=EventLog(f"edge-{r}", path=logs / f"edge-{r}.log"))
+             for r in REGIONS}
+    try:
+        for e in edges.values():
+            e.start()
+        deadline = time.time() + 5
+        while time.time() < deadline and len(cloud.edges) < len(edges):
+            time.sleep(0.01)
+        for name, (region, script) in sorted(scripts.items()):
+            assert ue_agent(name, script, edges[region].bound_addr, profile=ZERO).clean
+        code = cloud.execute_run(manifest)
+    finally:
+        for e in edges.values():
+            e.close()
+        cloud.close()
+    return code, store, logs
+
+
+def artifacts(store, run_id):
+    return {k: store.get(k) for k in store.list(f"runs/{run_id}/")}
+
+
+def events(logs, node):
+    return Counter((ev, tuple(sorted(f.items())))
+                   for _, _, ev, f in read_events(logs / f"{node}.log")
+                   if ev not in DRIVER_ONLY)
+
+
+@pytest.mark.parametrize("mode", ["Topology", "DSA"])
+def test_socket_and_virtual_runs_are_identical(mode, tmp_path):
+    case = load_bundled_case("case9")
+    dsa = DsaParams(n_raw=20, k=2, seed=11) if mode == "DSA" else None
+    manifest = RunManifest(run_id="ab" * 16, expected_regions=REGIONS, mode=mode,
+                           fault=FAULT, sim_cfg=CFG, deadline_s=15.0, dsa=dsa)
+    scripts = {}
+    if mode == "Topology":
+        scripts["ue-2"] = ("R2", [UeScriptItem(at_s=0.0, kind="topology",
+                                               branches=({"id": 9, "status": "Open"},))])
+
+    code, store, logs = socket_run(case, manifest, scripts, tmp_path / "socket")
+    vstore = FileStore(tmp_path / "virtual" / "store")
+    out = run_virtual_demo(case, manifest, vstore, tmp_path / "virtual" / "logs", ZERO,
+                           scripts)
+
+    assert code == out.exit_code == 0
+    stored = artifacts(store, manifest.run_id)
+    assert len(stored) == len(REGIONS) * (2 if dsa else 1) + 1
+    assert stored == artifacts(vstore, manifest.run_id)
+    for node in NODES:
+        assert events(logs, node) == events(tmp_path / "virtual" / "logs", node), node
+
+
+def test_concurrent_reports_under_fast_thread_switching(tmp_path):
+    # every call into a core holds its driver's lock: 24 UE threads on two
+    # cores, switching every 10 us, each set a different bus load at their
+    # edge; a lost update would drop one from the edge's view
+    case = load_bundled_case("case9")
+    manifest = RunManifest(run_id="cd" * 16, expected_regions=REGIONS, mode="Topology",
+                           fault=FAULT, sim_cfg=CFG, deadline_s=15.0)
+    store = FileStore(tmp_path / "store")
+    cloud = CloudNode(case, store, profile=ZERO)
+    cloud_addr = cloud.start()
+    edges = {r: EdgeNode(r, case, store, cloud_addr, profile=ZERO) for r in REGIONS}
+    load = {bus: (0.5 + bus / 100, 0.1) for bus in range(1, 9)}
+
+    def script(region, bus):
+        branches = ({"id": 9, "status": "Open"},) if region == "R2" else ()
+        return [UeScriptItem(at_s=0.0, kind="topology", branches=branches, buses=(
+            {"id": bus, "p_load": load[bus][0], "q_load": load[bus][1]},))]
+
+    results = []
+    threads = [threading.Thread(target=lambda r=r, b=b: results.append(ue_agent(
+                   f"ue-{r}-{b}", script(r, b), edges[r].bound_addr, profile=ZERO)))
+               for r in REGIONS for b in load]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for e in edges.values():
+            e.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        code = cloud.execute_run(manifest)
+    finally:
+        sys.setswitchinterval(switch)
+        for e in edges.values():
+            e.close()
+        cloud.close()
+    assert len(results) == 24 and all(r.clean for r in results)
+    for e in edges.values():
+        assert {b.id: (b.p_load, b.q_load) for b in e.view.buses if b.id in load} == load
+    assert edges["R2"].view.branch(9).status == "Open"
+    assert code == 0

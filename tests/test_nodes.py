@@ -5,7 +5,9 @@ import time
 import pytest
 
 import gridmesh.wire as wire
-from gridmesh import pipeline
+from gridmesh import pipeline, virtualdemo
+from gridmesh.core import CLOUD, RESULT_ACK_TIMEOUT_S, CloudCore, Compute, EdgeCore, Send
+from gridmesh.eventlog import read_events
 from gridmesh.linkem import LinkEmulator, UP, default_5g_sa_profile, \
     zero_impairment_profile
 from gridmesh.model import load_bundled_case
@@ -128,10 +130,13 @@ class TestTopologyRun:
         m = manifest()
         assert cloud.execute_run(m) == 0
         edge = edges["R1"]
-        # replay the same RunOpen straight at one edge
-        edge._handle_cloud(wire.run_open(m.to_payload(), m.run_id_bytes))
-        time.sleep(0.2)
-        assert edge.runs[m.run_id] == "uploaded"   # state unchanged, no second upload
+        # replay the same RunOpen at one edge's core
+        actions = edge.core.handle(0.0, CLOUD,
+                                   wire.run_open(m.to_payload(), m.run_id_bytes))
+        assert not any(isinstance(a, Compute) for a in actions)    # no second upload
+        assert [a.env.obj()["code"] for a in actions if isinstance(a, Send)] == \
+            ["duplicate_run"]
+        assert edge.runs[m.run_id] == "uploaded"   # state unchanged
 
     def test_barrier_timeout_names_missing_region(self, case9, tmp_path):
         store = FileStore(tmp_path / "store")
@@ -236,50 +241,53 @@ class TestEdgeArtifacts:
             assert all(0.98 <= v <= 1.02 for v in rep.multipliers)
 
 
+class _Recorder(virtualdemo._Node):
+    """A virtual peer that keeps every frame it receives and answers none."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.inbox = []
+
+    def handle(self, src, env):
+        self.inbox.append(env)
+
+
 class TestDuplicateUpload:
     def test_second_ready_rejected_first_wins(self, case9, tmp_path):
+        # R1 and R2 are virtual edges; a hand-rolled R3 uploads once, reports
+        # readiness twice and never acks RunResult, so the result-ack timer
+        # fires, in virtual time
+        logs = tmp_path / "logs"
         store = FileStore(tmp_path / "store")
-        cloud = CloudNode(case9, store, profile=ZERO)
-        cloud_addr = cloud.start()
-        edges = [EdgeNode(r, case9, store, cloud_addr, profile=ZERO)
-                 for r in ("R1", "R2")]
-        for e in edges:
-            e.start()
+        sched = virtualdemo._Scheduler()
+        cloud = virtualdemo._CoreNode("cloud", sched, ZERO, logs,
+                                      CloudCore(case9, store, 1))
+        for r in ("R1", "R2"):
+            edge = virtualdemo._CoreNode(f"edge-{r}", sched, ZERO, logs,
+                                         EdgeCore(r, case9, store), cloud)
+            sched.at(0.0, edge.perform, edge.core.hello())
+        r3 = _Recorder("edge-R3", sched, ZERO, logs)
+        sched.at(0.0, r3.send, cloud, wire.hello("edge-R3", "edge", 1, region="R3"), UP)
 
-        # hand-rolled R3 peer that uploads once but reports readiness twice
         m = manifest()
-        sock = socket.create_connection(cloud_addr)
-        conn = ShapedConnection(sock, LinkEmulator(ZERO), UP)
-        inbox = []
-
-        def reader():
-            for env in conn.envelopes():
-                inbox.append(env)
-
-        threading.Thread(target=reader, daemon=True).start()
-        conn.send(wire.hello("edge-R3", "edge", 1, region="R3"))
-        deadline = time.time() + 5
-        while time.time() < deadline and len(cloud.edges) < 3:
-            time.sleep(0.01)
-
-        blob = pipeline.edge_topology_blob(case9, case9, "R3")
         key = partial_key(m.run_id, "R3")
-        store.put(key, blob)
-        conn.send(wire.partial_ready("R3", key, 2, m.run_id_bytes))
-        conn.send(wire.partial_ready("R3", key, 3, m.run_id_bytes))
+        store.put(key, pipeline.edge_topology_blob(case9, case9, "R3"))
+        for seq in (2, 3):
+            sched.at(0.1, r3.send, cloud,
+                     wire.partial_ready("R3", key, seq, m.run_id_bytes), UP)
+        sched.at(1.0, cloud.call, cloud.core.open_run, m)
+        sched.run()
 
-        code = cloud.execute_run(m)
-        time.sleep(0.3)
-        for e in edges:
-            e.close()
-        cloud.close()
-        conn.close()
-
-        assert code == 0                                  # run unaffected
-        errors = [e for e in inbox if e.msg_type == wire.MessageKind.ERROR]
-        assert any("duplicate_upload" == e.obj()["code"] for e in errors)
+        assert cloud.exit_code == 0                       # run unaffected
+        errors = [e for e in r3.inbox if e.msg_type == wire.MessageKind.ERROR]
+        assert [e.obj()["code"] for e in errors] == ["duplicate_upload"]
         _, expected = pipeline.monolithic_topology(case9, {}, FAULT, WS_CFG)
         assert store.get(result_key(m.run_id)) == expected
+        events = read_events(logs / "cloud.log")
+        assert [f["region"] for _, _, ev, f in events if ev == "result_unacked"] == ["R3"]
+        assert [ev for _, _, ev, _ in events[-2:]] == ["result_unacked", "run_complete"]
+        sent = max(ts for ts, _, ev, _ in events if ev == "result_sent")
+        assert events[-1][0] - sent == pytest.approx(RESULT_ACK_TIMEOUT_S)
 
     def test_store_rejects_second_artifact_write(self, case9, tmp_path):
         from gridmesh.store import AlreadyExistsError

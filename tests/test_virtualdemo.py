@@ -1,13 +1,16 @@
 import pytest
 
 from gridmesh import pipeline
+from gridmesh.cli import _single_region_case
 from gridmesh.dynamics import SimulationConfig
+from gridmesh.eventlog import read_events
 from gridmesh.linkem import default_5g_sa_profile, zero_impairment_profile
 from gridmesh.model import FaultSpec, load_bundled_case
 from gridmesh.nodes import UeScriptItem
 from gridmesh.pipeline import DsaParams, RunManifest
 from gridmesh.reports import emit_report
-from gridmesh.store import FileStore
+from gridmesh.sampling import ForecastSpec
+from gridmesh.store import FileStore, partial_key, scenarios_key
 from gridmesh.virtualdemo import run_virtual_demo
 
 FAULT = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=6)
@@ -104,6 +107,65 @@ class TestVirtualDsa:
         _, expected = pipeline.monolithic_dsa(case, {}, manifest.dsa, FAULT, CFG,
                                               regions=["R1"])
         assert out.result_blob == expected
+
+
+    def test_forecast_report_shapes_dsa_sampling(self, tmp_path):
+        case = _single_region_case(load_bundled_case("case9"), "R1")
+        spec = ForecastSpec(n_dims=3, dist="uniform", half_width=0.02)
+        dsa = DsaParams(n_raw=20, k=4, seed=5)
+        manifest = RunManifest(run_id=RID, expected_regions=("R1",), mode="DSA",
+                               fault=FAULT, sim_cfg=CFG, deadline_s=30.0, dsa=dsa)
+        store = FileStore(tmp_path / "store")
+        item = UeScriptItem(at_s=0.0, kind="forecast", forecast=spec.to_dict())
+        out = run_virtual_demo(case, manifest, store, tmp_path / "logs",
+                               zero_impairment_profile(), {"ue-f": ("R1", [item])})
+        assert out.exit_code == 0
+        parsed = pipeline.parse_scenarios_blob(store.get(scenarios_key(RID, "R1")))
+        assert parsed["forecast_spec"] == spec.to_dict()
+        _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG, regions=["R1"],
+                                              forecast=spec)
+        assert out.result_blob == expected
+
+
+def _events(log_dir, node):
+    return [(ev, f) for _, _, ev, f in read_events(log_dir / f"{node}.log")]
+
+
+class TestVirtualBadInput:
+    def test_bad_input_never_crashes_the_scheduler(self, tmp_path):
+        # a report naming an unknown branch is rejected and the run completes
+        case = load_bundled_case("case9")
+        bad = UeScriptItem(at_s=0.1, kind="topology",
+                           branches=({"id": 999, "status": "Open"},))
+        store = FileStore(tmp_path / "a" / "store")
+        logs = tmp_path / "a" / "logs"
+        out = run_virtual_demo(case, topo_manifest(), store, logs,
+                               zero_impairment_profile(),
+                               dict(SCRIPTS, **{"ue-3": ("R3", [bad])}))
+        assert out.exit_code == 0
+        assert ("edge_error", {"code": "bad_report"}) in _events(logs, "ue-3")
+        edge = [ev for ev, _ in _events(logs, "edge-R3")]
+        assert "edge_reject" in edge and "delta_applied" not in edge
+        assert store.get(partial_key(RID, "R3")) == \
+            pipeline.edge_topology_blob(case, case, "R3")      # view unchanged
+        _, expected = pipeline.monolithic_topology(case, {9: "Open"}, FAULT, CFG)
+        assert out.result_blob == expected
+
+        # a forecast that does not fit the region's loads fails the edge compute
+        case1 = _single_region_case(case, "R1")
+        wrong = ForecastSpec(n_dims=2)                # R1 owns three loads
+        manifest = RunManifest(run_id=RID, expected_regions=("R1",), mode="DSA",
+                               fault=FAULT, sim_cfg=CFG, deadline_s=3.0,
+                               dsa=DsaParams(n_raw=20, k=2, seed=1))
+        logs = tmp_path / "b" / "logs"
+        item = UeScriptItem(at_s=0.0, kind="forecast", forecast=wrong.to_dict())
+        out = run_virtual_demo(case1, manifest, FileStore(tmp_path / "b" / "store"), logs,
+                               zero_impairment_profile(), {"ue-1": ("R1", [item])})
+        assert out.exit_code == 3 and out.result_blob is None
+        assert "compute_failure" in [ev for ev, _ in _events(logs, "edge-R1")]
+        (error, fields), aborted = _events(logs, "cloud")[-2:]
+        assert (error, fields["code"]) == ("edge_error_recv", "compute_failure")
+        assert aborted == ("run_aborted", {"run": RID, "missing": "R1"})
 
 
 class TestReports:
