@@ -505,8 +505,7 @@ def _cmd_demo(args) -> int:
             forecast=it.get("forecast")) for it in items])
             for name, (region, items) in ue_plan.items()}
         outcome = run_virtual_demo(case, manifest, store, out / "logs", profile,
-                                   scripts, withhold_regions=withhold,
-                                   sim_workers=1)
+                                   scripts, withhold_regions=withhold)
         rc = outcome.exit_code
     else:
         rc = _run_demo_processes(out, case_path, manifest, ue_plan, withhold, args)
@@ -547,7 +546,7 @@ def _demo_checks(which: str, case: GridCase, manifest: RunManifest,
         raws = draw_samples(spec, manifest.dsa.n_raw,
                             pipeline.region_seed(seed, "R1"))
         p_brute = pipeline.dsa_bruteforce_probability(
-            view, y, raws, manifest.fault, manifest.sim_cfg, max_workers=8)
+            view, y, raws, manifest.fault, manifest.sim_cfg)
         print(f"brute-force insecurity probability ({manifest.dsa.n_raw} raw "
               f"scenarios): {p_brute:.4f}")
         print(f"difference: {abs(p_rep - p_brute):.4f}")

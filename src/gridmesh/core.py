@@ -12,7 +12,8 @@ actions in list order:
   peer is the handle the driver passed in with the frame.
 - ``Log(event, **fields)``: one event-log line, stamped by the driver.
 - ``Timer(delay, name, run)``: call ``on_timer`` with it ``delay`` s later.
-- ``Compute``: call ``run_compute`` with it on the role's compute thread.
+- ``Compute``: call ``run_compute`` with it (an edge driver does so inline, the
+  socket cloud on the thread that calls ``execute_run``).
 - ``Done(code)``: the cloud's run ended with this exit code.
 
 ``handle`` never raises on malformed input: it adds an error reply to the
@@ -210,10 +211,9 @@ class CloudCore:
     the deadline, so a dropped Ready still completes the run.
     """
 
-    def __init__(self, base: GridCase, store: FileStore, sim_workers: int):
+    def __init__(self, base: GridCase, store: FileStore):
         self.base = base
         self.store = store
-        self.sim_workers = sim_workers
         self.edges: dict[str, object] = {}                  # region -> peer
         self.received: set[tuple[str, str, str]] = set()    # (run, region, artifact)
         self.manifest: RunManifest | None = None
@@ -319,8 +319,7 @@ class CloudCore:
                     parsed = pipeline.parse_scenarios_blob(
                         self.store.get(scenarios_key(rid, r)))
                     region_sets[r] = (parsed["scenario_set"], parsed["load_bus_ids"])
-                report = pipeline.dsa_compute(view, y, region_sets, m.fault, m.sim_cfg,
-                                              max_workers=self.sim_workers)
+                report = pipeline.dsa_compute(view, y, region_sets, m.fault, m.sim_cfg)
                 blob = pipeline.dsa_result_blob(report)
                 summary = f"insecurity_probability={report.insecurity_probability!r}"
         except Exception as exc:

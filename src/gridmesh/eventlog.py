@@ -16,10 +16,9 @@ def _format_value(v) -> str:
 class EventLog:
     """Appends one line per event; safe to call from several threads."""
 
-    def __init__(self, node_id: str, path: str | Path | None = None, echo: bool = False):
+    def __init__(self, node_id: str, path: str | Path | None = None):
         self.node_id = node_id
         self.path = Path(path) if path else None
-        self.echo = echo
         self._lock = threading.Lock()
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -32,12 +31,9 @@ class EventLog:
         parts = [stamp.isoformat(timespec="microseconds"), self.node_id, event]
         parts += [f"{k}={_format_value(v)}" for k, v in fields.items()]
         line = " ".join(parts)
-        with self._lock:
-            if self.path:
-                with open(self.path, "a") as fh:
-                    fh.write(line + "\n")
-            if self.echo:
-                print(line, flush=True)
+        if self.path:
+            with self._lock, open(self.path, "a") as fh:
+                fh.write(line + "\n")
         return line
 
 

@@ -14,7 +14,6 @@ TCP stream they model); jitter is additive and never reorders.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,32 +151,3 @@ class LinkEmulator:
         """Delivery time in seconds, or DROPPED."""
         sched = self.schedule_frame_ex(frame_len, direction, now)
         return sched if sched is DROPPED else sched.delivery
-
-
-class RealClock:
-    """Wall-clock time; sleeping really sleeps."""
-
-    def now(self) -> float:
-        return time.time()
-
-    def sleep_until(self, t: float) -> None:
-        remaining = t - time.time()
-        if remaining > 0:
-            time.sleep(remaining)
-
-
-class VirtualClock:
-    """Deterministic test clock: sleeping advances instantly."""
-
-    def __init__(self, start: float = 0.0):
-        self._t = start
-
-    def now(self) -> float:
-        return self._t
-
-    def sleep_until(self, t: float) -> None:
-        if t > self._t:
-            self._t = t
-
-    def advance(self, dt: float) -> None:
-        self._t += dt

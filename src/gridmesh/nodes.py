@@ -3,8 +3,9 @@
 UE agents push timed topology/forecast reports to an edge and await acks.
 ``EdgeNode`` and ``CloudNode`` run the edge and cloud logic of ``core``, which
 makes every protocol decision; they read frames, perform the core's actions
-and keep its work on the right thread: an edge computes on one compute
-thread, the cloud on the thread that calls ``execute_run``.
+and keep its work on the right thread: an edge computes inline, on the
+thread that read the cloud's RunOpen, the cloud on the thread that calls
+``execute_run``.
 
 Outbound frames pass through the sender's link emulator: the frame is
 scheduled (serialization + delay + jitter, FIFO per direction) and the writer
@@ -20,15 +21,14 @@ import itertools
 import json
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import wire
 from .core import CLOUD, CloudCore, Compute, Done, EdgeCore, Log, Send, Timer
 from .eventlog import EventLog
-from .linkem import DOWN, DROPPED, LinkEmulator, LinkProfile, RealClock, UP, \
-    zero_impairment_profile
+from .linkem import DOWN, DROPPED, LinkEmulator, LinkProfile, UP, zero_impairment_profile
 from .model import GridCase
 from .pipeline import RunManifest
 from .store import FileStore
@@ -47,16 +47,19 @@ def format_addr(addr: tuple[str, int]) -> str:
     return f"{addr[0]}:{addr[1]}"
 
 
+def _sleep_until(t: float) -> None:
+    remaining = t - time.time()
+    if remaining > 0:
+        time.sleep(remaining)
+
+
 class ShapedConnection:
     """One framed TCP connection; outbound frames go through the link emulator."""
 
-    def __init__(self, sock: socket.socket, emulator: LinkEmulator, out_direction: str,
-                 clock=None, peer: str = ""):
+    def __init__(self, sock: socket.socket, emulator: LinkEmulator, out_direction: str):
         self.sock = sock
         self.emulator = emulator
         self.out_direction = out_direction
-        self.clock = clock or RealClock()
-        self.peer = peer
         self._send_lock = threading.Lock()
         self._decoder = StreamDecoder()
 
@@ -65,10 +68,10 @@ class ShapedConnection:
         frame = wire.encode(env)
         with self._send_lock:
             delivery = self.emulator.schedule_frame(len(frame), self.out_direction,
-                                                    self.clock.now())
+                                                    time.time())
             if delivery is DROPPED:
                 return False
-            self.clock.sleep_until(delivery)
+            _sleep_until(delivery)
             try:
                 self.sock.sendall(frame)
             except OSError:
@@ -158,9 +161,8 @@ def load_ue_script(path: str | Path) -> list[UeScriptItem]:
 
 def ue_agent(node_id: str, script: list[UeScriptItem], edge_addr: tuple[str, int],
              profile: LinkProfile | None = None, log: EventLog | None = None,
-             clock=None, ack_timeout: float = ACK_TIMEOUT_S) -> UeReport:
+             ack_timeout: float = ACK_TIMEOUT_S) -> UeReport:
     """Play a timed report script against one edge server."""
-    clock = clock or RealClock()
     log = log or EventLog(node_id)
     emulator = LinkEmulator(profile or zero_impairment_profile())
     report = UeReport(node_id=node_id)
@@ -171,7 +173,7 @@ def ue_agent(node_id: str, script: list[UeScriptItem], edge_addr: tuple[str, int
         log.log("ue_error", reason=report.error)
         return report
 
-    conn = ShapedConnection(sock, emulator, UP, clock, peer=format_addr(edge_addr))
+    conn = ShapedConnection(sock, emulator, UP)
     acks = _AckTable()
 
     def reader():
@@ -206,9 +208,9 @@ def ue_agent(node_id: str, script: list[UeScriptItem], edge_addr: tuple[str, int
             report.error = "hello not acknowledged"
             log.log("ue_error", reason=report.error)
             return report
-        start = clock.now()
+        start = time.time()
         for item in script:
-            clock.sleep_until(start + item.at_s)
+            _sleep_until(start + item.at_s)
             n = next(seq)
             if item.kind == "topology":
                 env = wire.topology_report(list(item.branches), n, list(item.buses))
@@ -237,12 +239,11 @@ class _SocketDriver:
     the other actions."""
 
     def __init__(self, name: str, core, listen: tuple[str, int],
-                 profile: LinkProfile | None, log: EventLog | None, clock):
+                 profile: LinkProfile | None, log: EventLog | None):
         self.name = name
         self.core = core
         self.listen_addr = listen
         self.log = log or EventLog(name)
-        self.clock = clock or RealClock()
         self.emulator = LinkEmulator(profile or zero_impairment_profile())
         self._cond = threading.Condition()
         self._server: socket.socket | None = None
@@ -262,11 +263,10 @@ class _SocketDriver:
     def _accept_loop(self):
         while not self._closing:
             try:
-                sock, addr = self._server.accept()
+                sock, _ = self._server.accept()
             except OSError:
                 return
-            conn = ShapedConnection(sock, self.emulator, DOWN, self.clock,
-                                    peer=format_addr(addr))
+            conn = ShapedConnection(sock, self.emulator, DOWN)
             threading.Thread(target=self._serve, args=(conn, conn), daemon=True,
                              name=f"{self.name}-peer").start()
 
@@ -274,7 +274,7 @@ class _SocketDriver:
         """Reader thread of one link; ``peer`` is how the core knows it."""
         for env in conn.envelopes():
             with self._cond:
-                actions = self.core.handle(self.clock.now(), peer, env)
+                actions = self.core.handle(time.time(), peer, env)
             self._perform(actions)
 
     def _perform(self, actions: list) -> None:
@@ -296,18 +296,16 @@ class _SocketDriver:
 
 class EdgeNode(_SocketDriver):
     """Socket driver for one region's ``EdgeCore``: a UE-facing server plus a
-    client link to the cloud. Compute steps run on one compute thread."""
+    client link to the cloud. Compute steps run inline on the cloud link's
+    reader thread, each under the driver lock like every other core call."""
 
     def __init__(self, region: str, base_case: GridCase, store: FileStore,
                  cloud_addr: tuple[str, int], listen: tuple[str, int] = ("127.0.0.1", 0),
-                 profile: LinkProfile | None = None, log: EventLog | None = None,
-                 clock=None):
+                 profile: LinkProfile | None = None, log: EventLog | None = None):
         super().__init__(f"edge-{region}", EdgeCore(region, base_case, store), listen,
-                         profile, log, clock)
+                         profile, log)
         self.region = region
         self.cloud_addr = cloud_addr
-        self._compute = ThreadPoolExecutor(max_workers=1,
-                                           thread_name_prefix=f"{self.name}-compute")
 
     view = property(lambda self: self.core.view)
     forecast = property(lambda self: self.core.forecast)
@@ -315,8 +313,7 @@ class EdgeNode(_SocketDriver):
 
     def start(self) -> tuple[str, int]:
         sock = socket.create_connection(self.cloud_addr, timeout=10.0)
-        self.cloud = ShapedConnection(sock, self.emulator, UP, self.clock,
-                                      peer=format_addr(self.cloud_addr))
+        self.cloud = ShapedConnection(sock, self.emulator, UP)
         self._perform(self.core.hello())           # before any reader thread starts
         self._listen()
         threading.Thread(target=self._serve, args=(CLOUD, self.cloud), daemon=True,
@@ -325,20 +322,12 @@ class EdgeNode(_SocketDriver):
                      cloud=format_addr(self.cloud_addr))
         return self.bound_addr
 
-    def close(self) -> None:
-        self._compute.shutdown(wait=True)
-        super().close()
-
     def _defer(self, step: Compute) -> None:
-        self._compute.submit(self._run_compute, step)
-
-    def _run_compute(self, step: Compute | None) -> None:
-        """Compute thread: run a step, then each step that follows it."""
-        while step is not None:
-            with self._cond:
-                actions = self.core.run_compute(self.clock.now(), step)
-            step = next((a for a in actions if isinstance(a, Compute)), None)
-            self._perform([a for a in actions if not isinstance(a, Compute)])
+        """Run a compute step inline; ``_perform`` runs the step that follows it, if
+        any, the same way."""
+        with self._cond:
+            actions = self.core.run_compute(time.time(), step)
+        self._perform(actions)
 
 
 class CloudNode(_SocketDriver):
@@ -347,10 +336,8 @@ class CloudNode(_SocketDriver):
 
     def __init__(self, base_case: GridCase, store: FileStore,
                  listen: tuple[str, int] = ("127.0.0.1", 0),
-                 profile: LinkProfile | None = None, log: EventLog | None = None,
-                 clock=None, sim_workers: int = 4):
-        super().__init__("cloud", CloudCore(base_case, store, sim_workers), listen,
-                         profile, log, clock)
+                 profile: LinkProfile | None = None, log: EventLog | None = None):
+        super().__init__("cloud", CloudCore(base_case, store), listen, profile, log)
         self.edges: dict[str, ShapedConnection] = self.core.edges
         self._agenda: list = []            # heap of (due, tick, Timer | Compute | Done)
         self._tick = itertools.count()
@@ -369,7 +356,7 @@ class CloudNode(_SocketDriver):
 
     def _defer(self, action) -> None:
         """Hand a timer, the compute or the run's end to ``execute_run``."""
-        due = self.clock.now() + action.delay if isinstance(action, Timer) else 0.0
+        due = time.time() + action.delay if isinstance(action, Timer) else 0.0
         with self._cond:
             heapq.heappush(self._agenda, (due, next(self._tick), action))
             self._cond.notify()
@@ -378,15 +365,15 @@ class CloudNode(_SocketDriver):
         """Drive one run to completion; returns the process exit code (0/2/3)."""
         with self._cond:
             self._agenda.clear()
-            actions = self.core.open_run(self.clock.now(), manifest)
+            actions = self.core.open_run(time.time(), manifest)
         while True:
             self._perform(actions)
             with self._cond:
-                while not self._agenda or self._agenda[0][0] > self.clock.now():
-                    self._cond.wait(self._agenda[0][0] - self.clock.now()
+                while not self._agenda or self._agenda[0][0] > time.time():
+                    self._cond.wait(self._agenda[0][0] - time.time()
                                     if self._agenda else None)
                 _, _, a = heapq.heappop(self._agenda)
                 if isinstance(a, Done):
                     return a.code
                 entry = self.core.run_compute if isinstance(a, Compute) else self.core.on_timer
-                actions = entry(self.clock.now(), a)
+                actions = entry(time.time(), a)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -230,21 +229,14 @@ def simulate_scenario(view: GridCase, y: YMatrix, scenario: Scenario,
 
 def dsa_compute(view: GridCase, y: YMatrix,
                 region_sets: dict[str, tuple[ScenarioSet, list[int]]],
-                fault: FaultSpec, cfg: SimulationConfig,
-                max_workers: int = 4) -> SecurityReport:
-    """Simulate every joint representative scenario concurrently and aggregate.
-
-    Scenario-level parallelism never changes results: each simulation is pure
-    and results are collected in scenario order.
-    """
+                fault: FaultSpec, cfg: SimulationConfig) -> SecurityReport:
+    """Simulate every joint representative scenario, in scenario order, and aggregate."""
     combined, bus_ids = combine_region_sets(region_sets)
     if bus_ids != view.load_bus_ids():
         raise ManifestError(
             f"scenario load buses {bus_ids} do not match case loads {view.load_bus_ids()}")
     reps = combined.representatives
-    with ThreadPoolExecutor(max_workers=max(1, min(max_workers, len(reps)))) as pool:
-        sims = list(pool.map(
-            lambda s: simulate_scenario(view, y, s, fault, cfg), reps))
+    sims = [simulate_scenario(view, y, s, fault, cfg) for s in reps]
     weighted = list(zip(combined.weights, sims))
     return assess_run(weighted, scenario_ids=[s.id for s in reps])
 
@@ -258,12 +250,9 @@ def parse_dsa_result(blob: bytes) -> SecurityReport:
 
 
 def dsa_bruteforce_probability(view: GridCase, y: YMatrix, samples: list[Scenario],
-                               fault: FaultSpec, cfg: SimulationConfig,
-                               max_workers: int = 4) -> float:
+                               fault: FaultSpec, cfg: SimulationConfig) -> float:
     """Equal-weight insecurity probability over every raw scenario (the oracle path)."""
-    with ThreadPoolExecutor(max_workers=max(1, min(max_workers, len(samples)))) as pool:
-        sims = list(pool.map(
-            lambda s: simulate_scenario(view, y, s, fault, cfg), samples))
+    sims = [simulate_scenario(view, y, s, fault, cfg) for s in samples]
     report = assess_run([(1.0, r) for r in sims])
     return report.insecurity_probability
 
@@ -282,8 +271,7 @@ def monolithic_topology(base: GridCase, deltas: dict[int, str], fault: FaultSpec
 def monolithic_dsa(base: GridCase, deltas: dict[int, str], dsa: DsaParams,
                    fault: FaultSpec, cfg: SimulationConfig,
                    regions: list[str] | None = None,
-                   forecast: ForecastSpec | None = None,
-                   max_workers: int = 4) -> tuple[SecurityReport, bytes]:
+                   forecast: ForecastSpec | None = None) -> tuple[SecurityReport, bytes]:
     view = base.with_branch_status(deltas)
     y = build_ybus(view)
     if regions is None:
@@ -292,5 +280,5 @@ def monolithic_dsa(base: GridCase, deltas: dict[int, str], dsa: DsaParams,
     for r in regions:
         sset, load_ids, _, _ = region_scenarios(view, r, dsa, forecast)
         region_sets[r] = (sset, load_ids)
-    report = dsa_compute(view, y, region_sets, fault, cfg, max_workers=max_workers)
+    report = dsa_compute(view, y, region_sets, fault, cfg)
     return report, dsa_result_blob(report)

@@ -21,6 +21,7 @@ GAUSSIAN = "gaussian"
 UNIFORM = "uniform"
 
 MIN_MULTIPLIER = 0.01
+KMEANS_MAX_ITER = 100
 
 _STD_NORMAL = NormalDist()
 
@@ -155,8 +156,7 @@ def _farthest_point_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return np.array(centers)
 
 
-def reduce_scenarios(samples: list[Scenario], k: int, seed: int,
-                     max_iter: int = 100) -> ScenarioSet:
+def reduce_scenarios(samples: list[Scenario], k: int, seed: int) -> ScenarioSet:
     """Seeded k-means reduction to at most ``k`` weighted representatives.
 
     Each representative is the sample nearest its cluster centroid; empty
@@ -170,7 +170,7 @@ def reduce_scenarios(samples: list[Scenario], k: int, seed: int,
     centers = _farthest_point_init(x, k, rng)
 
     assign = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assign = np.argmin(d2, axis=1)      # lowest cluster index on ties
         if np.array_equal(new_assign, assign):

@@ -128,19 +128,20 @@ class _CoreNode(_Node):
 def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
                      log_dir, profile: LinkProfile,
                      ue_scripts: dict[str, tuple[str, list[UeScriptItem]]],
-                     open_at_s: float | None = None,
                      withhold_regions: set[str] = frozenset(),
                      sim_workers: int = 1) -> DemoOutcome:
     """Drive one full run in virtual time.
 
     ``ue_scripts`` maps UE name -> (edge region, script). ``withhold_regions``
-    spawn no edge (for exercising the barrier timeout). The run opens at
-    ``open_at_s`` (default: after the last scripted report plus one second).
+    spawn no edge (for exercising the barrier timeout). The run opens one
+    second after the last scripted report. ``sim_workers`` is ignored: the
+    cloud simulates scenarios serially. It is accepted only because the
+    benchmark in ``bench/`` still passes it.
     """
     log_dir = Path(log_dir)
     log_dir.mkdir(parents=True, exist_ok=True)
     sched = _Scheduler()
-    cloud = _CoreNode("cloud", sched, profile, log_dir, CloudCore(base, store, sim_workers))
+    cloud = _CoreNode("cloud", sched, profile, log_dir, CloudCore(base, store))
     edges = {r: _CoreNode(f"edge-{r}", sched, profile, log_dir, EdgeCore(r, base, store),
                           cloud)
              for r in manifest.expected_regions if r not in withhold_regions}
@@ -150,11 +151,8 @@ def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
         if region in edges:
             _VirtualUe(ue_name, sched, profile, log_dir, edges[region], script)
 
-    if open_at_s is None:
-        latest = max([it.at_s for _, (_, s) in ue_scripts.items() for it in s],
-                     default=0.0)
-        open_at_s = latest + 1.0
-    sched.at(open_at_s, cloud.call, cloud.core.open_run, manifest)
+    latest = max([it.at_s for _, s in ue_scripts.values() for it in s], default=0.0)
+    sched.at(latest + 1.0, cloud.call, cloud.core.open_run, manifest)
     sched.run()
 
     key = result_key(manifest.run_id)

@@ -103,12 +103,12 @@ def encode(env: Envelope) -> bytes:
             + struct.pack(">I", crc))
 
 
-def decode_prefix(data: bytes) -> tuple[Envelope, int]:
+def decode_prefix(data: bytes | bytearray) -> tuple[Envelope, int]:
     """Parse one frame from the front of ``data``; returns (envelope, bytes consumed)."""
     if len(data) < HEADER_LEN:
         raise IncompleteFrameError(f"need {HEADER_LEN} header bytes, have {len(data)}")
     if data[:2] != MAGIC:
-        raise FramingError(f"bad magic {data[:2]!r}")
+        raise FramingError(f"bad magic {bytes(data[:2])!r}")
     version, msg_type = data[2], data[3]
     if version != VERSION:
         raise VersionError(f"unknown version {version:#x}")
@@ -151,7 +151,7 @@ class StreamDecoder:
         out = []
         while True:
             try:
-                env, used = decode_prefix(bytes(self._buf))
+                env, used = decode_prefix(self._buf)
             except IncompleteFrameError:
                 return out
             del self._buf[:used]

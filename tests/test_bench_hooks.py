@@ -1,9 +1,13 @@
-"""The benchmark's tracer wraps names in the package by attribute. A refactor
-that moves one of them must fail here rather than read 0 in the bench."""
+"""The benchmark calls the package by name: its workloads build nodes and
+virtual runs with keyword arguments, and its tracer wraps names by attribute.
+A change that drops one of them must fail here rather than in the bench."""
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from gridmesh import pipeline, virtualdemo
 from gridmesh.dynamics import SimulationConfig
@@ -12,7 +16,8 @@ from gridmesh.model import FaultSpec, load_bundled_case
 from gridmesh.pipeline import RunManifest
 from gridmesh.store import FileStore
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -21,6 +26,32 @@ def load_tracing():
     sys.modules[spec.name] = module          # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads():
+    """``bench/workloads.py`` imports its sibling ``synthcase`` by bare name."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+WORKLOADS = load_workloads().WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_runs_match_the_oracle(name, tmp_path):
+    wl = WORKLOADS[name](0, tmp_path)
+    wl.setup(0)
+    try:
+        inputs = wl.inputs(2)        # the warm-up input and one timed one
+        records = [wl.run(inp) for inp in inputs]
+        assert all(rec.ok for rec in records)
+        for inp in inputs:
+            assert wl.result(inp) == wl.oracle(inp)
+    finally:
+        wl.teardown()
 
 
 def test_tracer_times_a_virtual_run(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gridmesh.linkem import (DOWN, DROPPED, FrameSchedule, LinkEmulator, LinkError,
-                             LinkProfile, UP, VirtualClock, default_5g_sa_profile,
+                             LinkProfile, UP, default_5g_sa_profile,
                              profile_from_config, zero_impairment_profile)
 
 
@@ -135,12 +135,3 @@ class TestCalibration:
         mean_total = (delays + jitters).mean()
         mj = jitters.mean()
         assert 7.5 + mj - 1 <= mean_total <= 18.5 + mj + 1
-
-
-class TestVirtualClock:
-    def test_sleep_until_advances(self):
-        clk = VirtualClock()
-        clk.sleep_until(3.5)
-        assert clk.now() == 3.5
-        clk.sleep_until(1.0)     # never goes backwards
-        assert clk.now() == 3.5

@@ -182,3 +182,15 @@ class TestStreamDecoder:
         dec = StreamDecoder()
         with pytest.raises(CorruptionError):
             dec.feed(bytes(raw))
+
+    def test_large_frame_in_read_sized_chunks(self):
+        big = Envelope(msg_type=MessageKind.RUN_OPEN, payload=bytes(range(256)) * 16384,
+                       run_id=bytes(16))
+        small = ack(7)
+        raw = encode(big) + encode(small)
+        dec = StreamDecoder()
+        got = []
+        for i in range(0, len(raw), 65536):
+            got += dec.feed(raw[i:i + 65536])
+        assert [encode(e) for e in got] == [encode(big), encode(small)]
+        assert dec.pending_bytes == 0
