@@ -32,8 +32,8 @@ from .config import load_config, resolve
 from .dynamics import SimulationConfig, write_trajectory_csv
 from .linkem import LinkProfile, profile_from_config, zero_impairment_profile
 from .model import FaultSpec, GridCase, bundled_case_path, dump_case, load_case
-from .nodes import CloudNode, EdgeNode, UeScriptItem, format_addr, load_ue_script, \
-    parse_addr, ue_agent
+from .core import parse_ue_script
+from .nodes import CloudNode, EdgeNode, format_addr, load_ue_script, parse_addr, ue_agent
 from .eventlog import EventLog
 from .pipeline import DsaParams, RunManifest
 from .sampling import ForecastSpec, draw_samples, reduce_scenarios
@@ -316,7 +316,6 @@ def _cmd_cloud(args) -> int:
         return node.execute_run(manifest)
     finally:
         node.close()
-    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -498,12 +497,8 @@ def _cmd_demo(args) -> int:
     print(f"demo {which}: run {manifest.run_id} -> {out}")
     if args.virtual_time:
         store = FileStore(out / "store")
-        scripts = {name: (region, [UeScriptItem(
-            at_s=it["at_s"], kind=it["kind"],
-            branches=tuple(it.get("branches", ())),
-            buses=tuple(it.get("buses", ())),
-            forecast=it.get("forecast")) for it in items])
-            for name, (region, items) in ue_plan.items()}
+        scripts = {name: (region, parse_ue_script(items))
+                   for name, (region, items) in ue_plan.items()}
         outcome = run_virtual_demo(case, manifest, store, out / "logs", profile,
                                    scripts, withhold_regions=withhold)
         rc = outcome.exit_code

@@ -1,4 +1,4 @@
-"""Sans-IO protocol cores for the edge and cloud roles.
+"""Sans-IO protocol cores for the UE, edge and cloud roles.
 
 Each core is a state machine whose entry points take the current time and one
 input and return a list of actions; a core opens no socket, reads no clock and
@@ -8,23 +8,24 @@ the same way in both modes. The store stays a direct call. Cores are not
 thread-safe: a driver serialises its calls into one core, and performs the
 actions in list order:
 
-- ``Send(peer, env)``: an edge's cloud link is the peer ``CLOUD``; any other
-  peer is the handle the driver passed in with the frame.
+- ``Send(peer, env)``: a node's link toward the cloud (a UE's edge, an edge's
+  cloud) is the peer ``UPLINK``; any other peer is the handle the driver
+  passed in with the frame.
 - ``Log(event, **fields)``: one event-log line, stamped by the driver.
-- ``Timer(delay, name, run)``: call ``on_timer`` with it ``delay`` s later.
+- ``Timer(delay, name, key)``: call ``on_timer`` with it ``delay`` s later.
 - ``Compute``: call ``run_compute`` with it (an edge driver does so inline, the
-  socket cloud on the thread that calls ``execute_run``).
-- ``Done(code)``: the cloud's run ended with this exit code.
+  socket cloud on the thread that drives the run).
+- ``Done(code)``: the UE's script or the cloud's run ended with this exit code.
 
-``handle`` never raises on malformed input: it adds an error reply to the
-actions decided before the fault.
+``handle`` never raises on malformed input: it adds an error reply, or for a
+UE an error line, to the actions decided before the fault.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import pipeline, wire
 from .model import GridCase
@@ -34,9 +35,10 @@ from .store import AlreadyExistsError, FileStore, POLL_INTERVAL_S, partial_key, 
     result_key, scenarios_key
 from .wire import Envelope, MessageKind
 
+ACK_TIMEOUT_S = 2.0
 RESULT_ACK_TIMEOUT_S = 15.0
-CLOUD = "cloud"                  # the peer an edge's cloud link is known by
-POLL, RESULT_ACK = "poll", "result_ack"
+UPLINK = "uplink"                # the peer a node's link toward the cloud is known by
+POLL, RESULT_ACK, ACK, SEND = "poll", "result_ack", "ack", "send"
 BARRIER, COMPUTE, FANOUT, DONE = "barrier", "compute", "fanout", "done"
 
 
@@ -55,8 +57,8 @@ class Log:
 @dataclass(frozen=True)
 class Timer:
     delay: float
-    name: str                    # POLL | RESULT_ACK
-    run: str
+    name: str                    # POLL | RESULT_ACK (cloud), ACK | SEND (UE)
+    key: object                  # the cloud's run id; a UE's (seq, attempt) or item index
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,131 @@ class Compute:
 
 @dataclass(frozen=True)
 class Done:
-    code: int                    # 0 complete, 2 compute failed, 3 barrier timeout
+    code: int                    # 0 complete, 2 failed, 3 barrier timeout
+
+
+@dataclass(frozen=True)
+class UeScriptItem:
+    at_s: float
+    kind: str                    # "topology" | "forecast"
+    branches: tuple[dict, ...] = ()
+    buses: tuple[dict, ...] = ()
+    forecast: dict | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("topology", "forecast"):
+            raise ValueError(f"unknown script item kind {self.kind!r}")
+
+    def envelope(self, seq: int) -> Envelope:
+        if self.kind == "topology":
+            return wire.topology_report(list(self.branches), seq, list(self.buses))
+        return wire.forecast_report(self.forecast or {}, seq)
+
+
+def parse_ue_script(objs: list[dict]) -> list[UeScriptItem]:
+    """Script items from their JSON objects; ``at_s`` must not decrease."""
+    items = [UeScriptItem(at_s=float(obj["at_s"]), kind=obj["kind"],
+                          branches=tuple(obj.get("branches", ())),
+                          buses=tuple(obj.get("buses", ())),
+                          forecast=obj.get("forecast"))
+             for obj in objs]
+    if any(b.at_s < a.at_s for a, b in zip(items, items[1:])):
+        raise ValueError("script timestamps must be nondecreasing")
+    return items
+
+
+@dataclass
+class UeReport:
+    node_id: str
+    delivered: list[int] = field(default_factory=list)
+    failed: list[int] = field(default_factory=list)
+    error: str | None = None
+
+    @property
+    def clean(self) -> bool:
+        return self.error is None and not self.failed
+
+
+class UeCore:
+    """A 5G device playing a timed report script to its edge, the ``UPLINK``.
+
+    The Hello goes first, as seq 1; each item then leaves ``at_s`` after the
+    Hello's Ack, and never before the previous frame is acked or given up. A
+    frame unacked after ``ACK_TIMEOUT_S`` is resent once with the same seq
+    (reports are absolute, so a repeat is harmless), then counted failed.
+    """
+
+    def __init__(self, node_id: str, script: list[UeScriptItem]):
+        self.node_id = node_id
+        self.script = script
+        self.report = UeReport(node_id)
+        self._seq = itertools.count(1)
+        self._next = 0                               # index of the next item
+        self._t0: float | None = None                # when the Hello was acked
+        self._pending: tuple | None = None           # (seq, attempt, env) awaiting an Ack
+
+    def start(self, now: float) -> list:
+        seq = next(self._seq)
+        return self._send(seq, wire.hello(self.node_id, "ue", seq), 0)
+
+    def handle(self, now: float, peer, env: Envelope) -> list:
+        try:
+            obj = env.obj()
+            if env.msg_type == MessageKind.ERROR:
+                return [Log("edge_error", code=obj.get("code", "?"))]
+            if (env.msg_type == MessageKind.ACK and self._pending
+                    and int(obj["of"]) == self._pending[0]):
+                return self._acked(now)
+        except Exception as exc:             # malformed input must not kill the node
+            return [Log("ue_reject", reason=type(exc).__name__)]
+        return []
+
+    def on_timer(self, now: float, timer: Timer) -> list:
+        if timer.name == SEND:
+            return self._send_item()
+        if self._pending is None or timer.key != self._pending[:2]:
+            return []                        # that frame was acked meanwhile
+        seq, attempt, env = self._pending
+        if attempt == 0:
+            return self._send(seq, env, 1)
+        self._pending = None
+        if self._t0 is None:
+            self.report.error = "hello not acknowledged"
+            return [Log("ue_error", reason=self.report.error), Done(2)]
+        self.report.failed.append(seq)
+        return [Log("ue_unacked", seq=seq), *self._next_item(now)]
+
+    def _send(self, seq: int, env: Envelope, attempt: int) -> list:
+        self._pending = (seq, attempt, env)
+        log = (Log("ue_send", seq=seq, kind=int(env.msg_type)) if attempt == 0
+               else Log("ue_retry", seq=seq))
+        return [log, Send(UPLINK, env), Timer(ACK_TIMEOUT_S, ACK, (seq, attempt))]
+
+    def _acked(self, now: float) -> list:
+        seq = self._pending[0]
+        self._pending = None
+        if self._t0 is None:
+            self._t0 = now
+        else:
+            self.report.delivered.append(seq)
+        return self._next_item(now)
+
+    def _next_item(self, now: float) -> list:
+        """Send the next item if it is due, else wait for it; end after the last."""
+        if self._next == len(self.script):
+            r = self.report
+            return [Log("ue_done", delivered=len(r.delivered), failed=len(r.failed)),
+                    Done(2 if r.failed else 0)]
+        due = self._t0 + self.script[self._next].at_s
+        if now < due:
+            return [Timer(due - now, SEND, self._next)]
+        return self._send_item()
+
+    def _send_item(self) -> list:
+        item = self.script[self._next]
+        self._next += 1
+        seq = next(self._seq)
+        return self._send(seq, item.envelope(seq), 0)
 
 
 def _apply_topology(view: GridCase, obj: dict) -> GridCase:
@@ -103,20 +229,20 @@ class EdgeCore:
         self._seq = itertools.count(1)
 
     def hello(self) -> list:
-        return [Send(CLOUD, wire.hello(f"edge-{self.region}", "edge", next(self._seq),
+        return [Send(UPLINK, wire.hello(f"edge-{self.region}", "edge", next(self._seq),
                                        region=self.region))]
 
     def handle(self, now: float, peer, env: Envelope) -> list:
-        """A frame from ``CLOUD`` or from a UE connection."""
+        """A frame from ``UPLINK`` or from a UE connection."""
         out: list = []
         try:
-            if peer is CLOUD:
+            if peer is UPLINK:
                 self._from_cloud(env, out)
             else:
                 self._from_ue(peer, env, out)
         except Exception as exc:             # malformed input must not kill the node
-            if peer is CLOUD:
-                out += [Send(CLOUD, wire.error_msg("edge_failure", str(exc), env.run_id)),
+            if peer is UPLINK:
+                out += [Send(UPLINK, wire.error_msg("edge_failure", str(exc), env.run_id)),
                         Log("edge_error", reason=type(exc).__name__, detail=str(exc))]
             else:
                 out += [Send(peer, wire.error_msg("bad_report", str(exc))),
@@ -146,7 +272,7 @@ class EdgeCore:
         if env.msg_type == MessageKind.RUN_OPEN:
             m = RunManifest.from_payload(env.obj())
             if m.run_id in self.runs:
-                out += [Send(CLOUD, wire.error_msg(
+                out += [Send(UPLINK, wire.error_msg(
                             "duplicate_run", f"run {m.run_id} already processed",
                             env.run_id)),
                         Log("run_open_duplicate", run=m.run_id)]
@@ -161,7 +287,7 @@ class EdgeCore:
             out += [Log("result_recv", run=env.run_id.hex(),
                         verdict=obj.get("verdict_summary", "?"),
                         bytes=len(blob), mode=parsed.get("mode", "?")),
-                    Send(CLOUD, wire.ack(int(obj.get("seq", 0))))]
+                    Send(UPLINK, wire.ack(int(obj.get("seq", 0))))]
         elif env.msg_type == MessageKind.RUN_CLOSE:
             self.runs.pop(env.obj().get("run_id", ""), None)
         elif env.msg_type == MessageKind.ERROR:
@@ -188,13 +314,13 @@ class EdgeCore:
                 key, ready = scenarios_key(rid, self.region), wire.scenario_ready
             self.store.put(key, step.blob)
         except AlreadyExistsError as exc:
-            return [Send(CLOUD, wire.error_msg("upload_conflict", str(exc), m.run_id_bytes)),
+            return [Send(UPLINK, wire.error_msg("upload_conflict", str(exc), m.run_id_bytes)),
                     Log("upload_conflict", run=rid)]
         except Exception as exc:
-            return [Send(CLOUD, wire.error_msg("compute_failure", str(exc), m.run_id_bytes)),
+            return [Send(UPLINK, wire.error_msg("compute_failure", str(exc), m.run_id_bytes)),
                     Log("compute_failure", run=rid, detail=str(exc))]
         out = [Log("store_put_done", run=rid, key=key),
-               Send(CLOUD, ready(self.region, key, next(self._seq), m.run_id_bytes))]
+               Send(UPLINK, ready(self.region, key, next(self._seq), m.run_id_bytes))]
         if step.artifact == "partial_y" and m.mode == pipeline.MODE_DSA:
             out.append(replace(step, artifact="scenarios", blob=None))
         else:
@@ -283,7 +409,7 @@ class CloudCore:
 
     def on_timer(self, now: float, timer: Timer) -> list:
         m = self.manifest
-        if m is None or timer.run != m.run_id:
+        if m is None or timer.key != m.run_id:
             return []
         if timer.name == POLL and self._phase == BARRIER:
             out = self._barrier()

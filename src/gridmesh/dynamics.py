@@ -272,12 +272,6 @@ def simulate_dynamics(case: GridCase, net: ReducedNetwork, fault: FaultSpec,
     )
 
 
-def center_of_inertia(case: GridCase, delta: np.ndarray) -> np.ndarray:
-    """Inertia-weighted mean rotor angle per stored sample."""
-    h = np.array([g.h for g in case.generators])
-    return (h[:, None] * delta).sum(axis=0) / h.sum()
-
-
 @dataclass(frozen=True)
 class SecurityReport:
     insecurity_probability: float

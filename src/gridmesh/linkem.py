@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import get_float, get_int
+
 UP = "up"
 DOWN = "down"
 
@@ -83,19 +85,15 @@ def zero_impairment_profile(seed: int = 0) -> LinkProfile:
 def profile_from_config(cfg: dict) -> LinkProfile:
     """Build a profile from flat config keys ``link.*`` (defaults: stock 5G SA)."""
     base = default_5g_sa_profile()
-
-    def get(key, default):
-        return float(cfg.get(key, default))
-
     return LinkProfile(
-        delay_min_ms=get("link.delay_min_ms", base.delay_min_ms),
-        delay_max_ms=get("link.delay_max_ms", base.delay_max_ms),
-        jitter_mean_ms=get("link.jitter_mean_ms", base.jitter_mean_ms),
-        jitter_cap_ms=get("link.jitter_cap_ms", base.jitter_cap_ms),
-        bw_up_bps=get("link.bw_up_mbps", base.bw_up_bps / 1e6) * 1e6,
-        bw_down_bps=get("link.bw_down_mbps", base.bw_down_bps / 1e6) * 1e6,
-        loss_rate=get("link.loss", base.loss_rate),
-        seed=int(float(cfg.get("link.seed", base.seed))),
+        delay_min_ms=get_float(cfg, "link.delay_min_ms", base.delay_min_ms),
+        delay_max_ms=get_float(cfg, "link.delay_max_ms", base.delay_max_ms),
+        jitter_mean_ms=get_float(cfg, "link.jitter_mean_ms", base.jitter_mean_ms),
+        jitter_cap_ms=get_float(cfg, "link.jitter_cap_ms", base.jitter_cap_ms),
+        bw_up_bps=get_float(cfg, "link.bw_up_mbps", base.bw_up_bps / 1e6) * 1e6,
+        bw_down_bps=get_float(cfg, "link.bw_down_mbps", base.bw_down_bps / 1e6) * 1e6,
+        loss_rate=get_float(cfg, "link.loss", base.loss_rate),
+        seed=get_int(cfg, "link.seed", base.seed),
     )
 
 

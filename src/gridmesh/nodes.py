@@ -1,11 +1,11 @@
 """Socket drivers: the three node roles, wired over TCP through the link emulator.
 
-UE agents push timed topology/forecast reports to an edge and await acks.
-``EdgeNode`` and ``CloudNode`` run the edge and cloud logic of ``core``, which
-makes every protocol decision; they read frames, perform the core's actions
-and keep its work on the right thread: an edge computes inline, on the
-thread that read the cloud's RunOpen, the cloud on the thread that calls
-``execute_run``.
+``ue_agent``, ``EdgeNode`` and ``CloudNode`` run the UE, edge and cloud logic
+of ``core``, which makes every protocol decision; they read frames, perform
+the core's actions and keep its work on the right thread: an edge computes
+inline, on the thread that read the cloud's RunOpen; a UE's timers run on the
+thread that calls ``ue_agent``, the cloud's compute and timers on the thread
+that calls ``execute_run``.
 
 Outbound frames pass through the sender's link emulator: the frame is
 scheduled (serialization + delay + jitter, FIFO per direction) and the writer
@@ -22,19 +22,18 @@ import json
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import wire
-from .core import CLOUD, CloudCore, Compute, Done, EdgeCore, Log, Send, Timer
+from .core import UPLINK, CloudCore, Compute, Done, EdgeCore, Log, Send, Timer, UeCore, \
+    UeReport, UeScriptItem, parse_ue_script
 from .eventlog import EventLog
 from .linkem import DOWN, DROPPED, LinkEmulator, LinkProfile, UP, zero_impairment_profile
 from .model import GridCase
 from .pipeline import RunManifest
 from .store import FileStore
-from .wire import Envelope, MessageKind, StreamDecoder
+from .wire import Envelope, StreamDecoder
 
-ACK_TIMEOUT_S = 2.0
 RECV_CHUNK = 65536
 
 
@@ -97,148 +96,45 @@ class ShapedConnection:
         self.sock.close()
 
 
-class _AckTable:
-    """Matches Ack{of: seq} replies to pending sends."""
-
-    def __init__(self):
-        self._events: dict[int, threading.Event] = {}
-        self._lock = threading.Lock()
-
-    def expect(self, seq: int) -> threading.Event:
-        ev = threading.Event()
-        with self._lock:
-            self._events[seq] = ev
-        return ev
-
-    def resolve(self, seq: int) -> None:
-        with self._lock:
-            ev = self._events.pop(seq, None)
-        if ev:
-            ev.set()
-
-    def forget(self, seq: int) -> None:
-        with self._lock:
-            self._events.pop(seq, None)
-
-
 # ----------------------------------------------------------------------
 # UE agent
 
-@dataclass(frozen=True)
-class UeScriptItem:
-    at_s: float
-    kind: str                    # "topology" | "forecast"
-    branches: tuple[dict, ...] = ()
-    buses: tuple[dict, ...] = ()
-    forecast: dict | None = None
-
-
-@dataclass
-class UeReport:
-    node_id: str
-    delivered: list[int] = field(default_factory=list)
-    failed: list[int] = field(default_factory=list)
-    error: str | None = None
-
-    @property
-    def clean(self) -> bool:
-        return self.error is None and not self.failed
-
-
 def load_ue_script(path: str | Path) -> list[UeScriptItem]:
-    items = []
-    for obj in json.loads(Path(path).read_text()):
-        items.append(UeScriptItem(
-            at_s=float(obj["at_s"]), kind=obj["kind"],
-            branches=tuple(obj.get("branches", ())),
-            buses=tuple(obj.get("buses", ())),
-            forecast=obj.get("forecast"),
-        ))
-    if any(b.at_s > a.at_s for a, b in zip(items[1:], items)):
-        raise ValueError("script timestamps must be nondecreasing")
-    return items
+    return parse_ue_script(json.loads(Path(path).read_text()))
 
 
 def ue_agent(node_id: str, script: list[UeScriptItem], edge_addr: tuple[str, int],
-             profile: LinkProfile | None = None, log: EventLog | None = None,
-             ack_timeout: float = ACK_TIMEOUT_S) -> UeReport:
+             profile: LinkProfile | None = None, log: EventLog | None = None) -> UeReport:
     """Play a timed report script against one edge server."""
-    log = log or EventLog(node_id)
-    emulator = LinkEmulator(profile or zero_impairment_profile())
-    report = UeReport(node_id=node_id)
+    ue = _SocketDriver(node_id, UeCore(node_id, script), None, profile, log)
     try:
         sock = socket.create_connection(edge_addr, timeout=10.0)
     except OSError as exc:
-        report.error = f"connect to {format_addr(edge_addr)} failed: {exc}"
-        log.log("ue_error", reason=report.error)
-        return report
-
-    conn = ShapedConnection(sock, emulator, UP)
-    acks = _AckTable()
-
-    def reader():
-        for env in conn.envelopes():
-            if env.msg_type == MessageKind.ACK:
-                acks.resolve(int(env.obj()["of"]))
-            elif env.msg_type == MessageKind.ERROR:
-                obj = env.obj()
-                log.log("edge_error", code=obj.get("code", "?"))
-
-    threading.Thread(target=reader, name=f"{node_id}-reader", daemon=True).start()
-
-    seq = itertools.count(1)
-
-    def send_acked(env: Envelope, n: int) -> bool:
-        ev = acks.expect(n)
-        log.log("ue_send", seq=n, kind=int(env.msg_type))
-        conn.send(env)
-        if ev.wait(ack_timeout):
-            return True
-        ev = acks.expect(n)          # one retry, same seq (idempotent delta)
-        log.log("ue_retry", seq=n)
-        conn.send(env)
-        if ev.wait(ack_timeout):
-            return True
-        acks.forget(n)
-        return False
-
+        ue.core.report.error = f"connect to {format_addr(edge_addr)} failed: {exc}"
+        ue.log.log("ue_error", reason=ue.core.report.error)
+        return ue.core.report
+    ue.uplink = ShapedConnection(sock, ue.emulator, UP)
+    threading.Thread(target=ue._serve, args=(UPLINK, ue.uplink), daemon=True,
+                     name=f"{node_id}-reader").start()
     try:
-        n = next(seq)
-        if not send_acked(wire.hello(node_id, "ue", n), n):
-            report.error = "hello not acknowledged"
-            log.log("ue_error", reason=report.error)
-            return report
-        start = time.time()
-        for item in script:
-            _sleep_until(start + item.at_s)
-            n = next(seq)
-            if item.kind == "topology":
-                env = wire.topology_report(list(item.branches), n, list(item.buses))
-            elif item.kind == "forecast":
-                env = wire.forecast_report(item.forecast or {}, n)
-            else:
-                raise ValueError(f"unknown script item kind {item.kind!r}")
-            if send_acked(env, n):
-                report.delivered.append(n)
-            else:
-                report.failed.append(n)
-                log.log("ue_unacked", seq=n)
-        log.log("ue_done", delivered=len(report.delivered), failed=len(report.failed))
-        return report
+        ue._drive(ue.core.start)
     finally:
-        conn.close()
+        ue.close()
+    return ue.core.report
 
 
 # ----------------------------------------------------------------------
 # Edge server and cloud coordinator
 
 class _SocketDriver:
-    """What both socket drivers share: a listening server whose links are each
-    read on their own thread, one lock around every call into the core, and
-    Sends and Logs performed after that lock is released; ``_defer`` places
-    the other actions."""
+    """What every socket driver shares: links each read on their own thread,
+    one lock around every call into the core, and Sends and Logs performed
+    after that lock is released. ``_drive`` runs the agenda, a heap of the
+    core's timers, computes and Done, on the calling thread; an edge
+    overrides ``_defer`` to compute inline instead. A server (edge, cloud)
+    also listens for peers."""
 
-    def __init__(self, name: str, core, listen: tuple[str, int],
+    def __init__(self, name: str, core, listen: tuple[str, int] | None,
                  profile: LinkProfile | None, log: EventLog | None):
         self.name = name
         self.core = core
@@ -246,8 +142,10 @@ class _SocketDriver:
         self.log = log or EventLog(name)
         self.emulator = LinkEmulator(profile or zero_impairment_profile())
         self._cond = threading.Condition()
+        self._agenda: list = []            # heap of (due, tick, Timer | Compute | Done)
+        self._tick = itertools.count()
         self._server: socket.socket | None = None
-        self.cloud: ShapedConnection | None = None     # an edge's uplink
+        self.uplink: ShapedConnection | None = None    # a UE's or an edge's
         self.bound_addr: tuple[str, int] | None = None
         self._closing = False
 
@@ -280,18 +178,43 @@ class _SocketDriver:
     def _perform(self, actions: list) -> None:
         for a in actions:
             if isinstance(a, Send):
-                (self.cloud if a.peer is CLOUD else a.peer).send(a.env)
+                (self.uplink if a.peer is UPLINK else a.peer).send(a.env)
             elif isinstance(a, Log):
                 self.log.log(a.event, **a.fields)
             else:
                 self._defer(a)
 
+    def _defer(self, action) -> None:
+        """Hand a timer, a compute or the end to ``_drive``."""
+        due = time.time() + action.delay if isinstance(action, Timer) else 0.0
+        with self._cond:
+            heapq.heappush(self._agenda, (due, next(self._tick), action))
+            self._cond.notify()
+
+    def _drive(self, entry, *args) -> int:
+        """Call ``entry`` on a fresh agenda, then perform actions and run the
+        agenda as it falls due until a Done; returns its code."""
+        with self._cond:
+            self._agenda.clear()
+            actions = entry(time.time(), *args)
+        while True:
+            self._perform(actions)
+            with self._cond:
+                while not self._agenda or self._agenda[0][0] > time.time():
+                    self._cond.wait(self._agenda[0][0] - time.time()
+                                    if self._agenda else None)
+                _, _, a = heapq.heappop(self._agenda)
+                if isinstance(a, Done):
+                    return a.code
+                entry = self.core.run_compute if isinstance(a, Compute) else self.core.on_timer
+                actions = entry(time.time(), a)
+
     def close(self) -> None:
         self._closing = True
         if self._server:
             self._server.close()
-        if self.cloud:
-            self.cloud.close()
+        if self.uplink:
+            self.uplink.close()
 
 
 class EdgeNode(_SocketDriver):
@@ -313,10 +236,10 @@ class EdgeNode(_SocketDriver):
 
     def start(self) -> tuple[str, int]:
         sock = socket.create_connection(self.cloud_addr, timeout=10.0)
-        self.cloud = ShapedConnection(sock, self.emulator, UP)
+        self.uplink = ShapedConnection(sock, self.emulator, UP)
         self._perform(self.core.hello())           # before any reader thread starts
         self._listen()
-        threading.Thread(target=self._serve, args=(CLOUD, self.cloud), daemon=True,
+        threading.Thread(target=self._serve, args=(UPLINK, self.uplink), daemon=True,
                          name=f"{self.name}-cloud").start()
         self.log.log("edge_up", listen=format_addr(self.bound_addr),
                      cloud=format_addr(self.cloud_addr))
@@ -339,8 +262,6 @@ class CloudNode(_SocketDriver):
                  profile: LinkProfile | None = None, log: EventLog | None = None):
         super().__init__("cloud", CloudCore(base_case, store), listen, profile, log)
         self.edges: dict[str, ShapedConnection] = self.core.edges
-        self._agenda: list = []            # heap of (due, tick, Timer | Compute | Done)
-        self._tick = itertools.count()
 
     def start(self) -> tuple[str, int]:
         self._listen()
@@ -354,26 +275,6 @@ class CloudNode(_SocketDriver):
         for c in conns:
             c.close()
 
-    def _defer(self, action) -> None:
-        """Hand a timer, the compute or the run's end to ``execute_run``."""
-        due = time.time() + action.delay if isinstance(action, Timer) else 0.0
-        with self._cond:
-            heapq.heappush(self._agenda, (due, next(self._tick), action))
-            self._cond.notify()
-
     def execute_run(self, manifest: RunManifest) -> int:
         """Drive one run to completion; returns the process exit code (0/2/3)."""
-        with self._cond:
-            self._agenda.clear()
-            actions = self.core.open_run(time.time(), manifest)
-        while True:
-            self._perform(actions)
-            with self._cond:
-                while not self._agenda or self._agenda[0][0] > time.time():
-                    self._cond.wait(self._agenda[0][0] - time.time()
-                                    if self._agenda else None)
-                _, _, a = heapq.heappop(self._agenda)
-                if isinstance(a, Done):
-                    return a.code
-                entry = self.core.run_compute if isinstance(a, Compute) else self.core.on_timer
-                actions = entry(time.time(), a)
+        return self._drive(self.core.open_run, manifest)

@@ -1,12 +1,13 @@
 """Deterministic virtual-time execution of a whole demo on one event loop.
 
-A second driver of the edge and cloud logic in ``core``, beside ``nodes``: a
-heap scheduler stands in for the clock, a core's Timer becomes a scheduler
-entry and its Compute runs inline. Every hop still produces real wire frames,
-passes through the sender's link emulator and decodes on arrival, so two runs
-with the same seeds give identical verdicts and stage timings. Compute is
-instantaneous in virtual time (timings describe the transport). The UE fires
-its reports at their scripted times, without waiting for acks.
+A second driver of the UE, edge and cloud logic in ``core``, beside
+``nodes``: a heap scheduler stands in for the clock, a core's Timer becomes a
+scheduler entry and its Compute runs inline. Every hop still produces real
+wire frames, passes through the sender's link emulator and decodes on arrival,
+so two runs with the same seeds give identical verdicts and stage timings.
+Compute is instantaneous in virtual time (timings describe the transport). A
+UE waits for each ack as it does over sockets: its reports are timed from the
+Hello's Ack, and an unacked report is resent once, then counted failed.
 """
 
 from __future__ import annotations
@@ -17,20 +18,19 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import wire
-from .core import CLOUD, CloudCore, Compute, EdgeCore, Log, Send, Timer
+from .core import UPLINK, CloudCore, Compute, EdgeCore, Log, Send, Timer, UeCore, \
+    UeScriptItem
 from .eventlog import EventLog
 from .linkem import DOWN, DROPPED, LinkEmulator, LinkProfile, UP
 from .model import GridCase
-from .nodes import UeScriptItem
 from .pipeline import RunManifest
 from .store import FileStore, result_key
-from .wire import Envelope, MessageKind
+from .wire import Envelope
 
 
 @dataclass
 class DemoOutcome:
     exit_code: int
-    run_id: str
     result_blob: bytes | None
     log_paths: list
 
@@ -67,53 +67,27 @@ class _Node:
         self.sched.at(delivery, dst.handle, self, wire.decode(frame))
 
 
-class _VirtualUe(_Node):
-    def __init__(self, name, sched, profile, log_dir, edge: _Node,
-                 script: list[UeScriptItem]):
-        super().__init__(name, sched, profile, log_dir)
-        self.edge = edge
-        self._seq = itertools.count(1)
-        n = next(self._seq)
-        self.sched.at(0.0, self._send_report, wire.hello(name, "ue", n), n)
-        for item in script:
-            n = next(self._seq)
-            if item.kind == "topology":
-                env = wire.topology_report(list(item.branches), n, list(item.buses))
-            else:
-                env = wire.forecast_report(item.forecast or {}, n)
-            self.sched.at(item.at_s, self._send_report, env, n)
-
-    def _send_report(self, env: Envelope, seq: int) -> None:
-        self.log.log("ue_send", ts=self.sched.now, seq=seq, kind=int(env.msg_type))
-        self.send(self.edge, env, UP)
-
-    def handle(self, src, env: Envelope) -> None:
-        if env.msg_type == MessageKind.ACK:
-            self.log.log("ack_recv", ts=self.sched.now, seq=int(env.obj()["of"]))
-        elif env.msg_type == MessageKind.ERROR:
-            self.log.log("edge_error", ts=self.sched.now, code=env.obj().get("code", "?"))
-
-
 class _CoreNode(_Node):
-    """An edge or the cloud: performs its core's actions in virtual time.
-    ``cloud`` is an edge's uplink, the node its ``CLOUD`` peer stands for."""
+    """A UE, an edge or the cloud: performs its core's actions in virtual time.
+    ``uplink`` is the node its ``UPLINK`` peer stands for: a UE's edge, an
+    edge's cloud."""
 
-    def __init__(self, name, sched, profile, log_dir, core, cloud: _Node | None = None):
+    def __init__(self, name, sched, profile, log_dir, core, uplink: _Node | None = None):
         super().__init__(name, sched, profile, log_dir)
         self.core = core
-        self.cloud = cloud
+        self.uplink = uplink
         self.exit_code: int | None = None
 
     def call(self, entry, *args) -> None:
         self.perform(entry(self.sched.now, *args))
 
     def handle(self, src, env: Envelope) -> None:
-        self.call(self.core.handle, CLOUD if src is self.cloud else src, env)
+        self.call(self.core.handle, UPLINK if src is self.uplink else src, env)
 
     def perform(self, actions: list) -> None:
         for a in actions:
             if isinstance(a, Send):
-                dst, direction = (self.cloud, UP) if a.peer is CLOUD else (a.peer, DOWN)
+                dst, direction = (self.uplink, UP) if a.peer is UPLINK else (a.peer, DOWN)
                 self.send(dst, a.env, direction)
             elif isinstance(a, Log):
                 self.log.log(a.event, ts=self.sched.now, **a.fields)
@@ -133,8 +107,8 @@ def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
     """Drive one full run in virtual time.
 
     ``ue_scripts`` maps UE name -> (edge region, script). ``withhold_regions``
-    spawn no edge (for exercising the barrier timeout). The run opens one
-    second after the last scripted report. ``sim_workers`` is ignored: the
+    spawn no edge (for exercising the barrier timeout). The run opens at the
+    largest script ``at_s`` plus one second. ``sim_workers`` is ignored: the
     cloud simulates scenarios serially. It is accepted only because the
     benchmark in ``bench/`` still passes it.
     """
@@ -149,7 +123,9 @@ def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
         sched.at(0.0, edge.perform, edge.core.hello())
     for ue_name, (region, script) in sorted(ue_scripts.items()):
         if region in edges:
-            _VirtualUe(ue_name, sched, profile, log_dir, edges[region], script)
+            ue = _CoreNode(ue_name, sched, profile, log_dir, UeCore(ue_name, script),
+                           edges[region])
+            sched.at(0.0, ue.call, ue.core.start)
 
     latest = max([it.at_s for _, s in ue_scripts.values() for it in s], default=0.0)
     sched.at(latest + 1.0, cloud.call, cloud.core.open_run, manifest)
@@ -158,5 +134,5 @@ def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
     key = result_key(manifest.run_id)
     blob = store.get(key) if store.exists(key) else None
     code = cloud.exit_code if cloud.exit_code is not None else 2
-    return DemoOutcome(exit_code=code, run_id=manifest.run_id, result_blob=blob,
+    return DemoOutcome(exit_code=code, result_blob=blob,
                        log_paths=sorted(log_dir.glob("*.log")))

@@ -103,28 +103,31 @@ def encode(env: Envelope) -> bytes:
             + struct.pack(">I", crc))
 
 
-def decode_prefix(data: bytes | bytearray) -> tuple[Envelope, int]:
-    """Parse one frame from the front of ``data``; returns (envelope, bytes consumed)."""
-    if len(data) < HEADER_LEN:
-        raise IncompleteFrameError(f"need {HEADER_LEN} header bytes, have {len(data)}")
-    if data[:2] != MAGIC:
-        raise FramingError(f"bad magic {bytes(data[:2])!r}")
-    version, msg_type = data[2], data[3]
+def decode_prefix(data: bytes | bytearray, start: int = 0) -> tuple[Envelope, int]:
+    """Parse one frame at offset ``start`` of ``data``; returns (envelope, bytes
+    consumed)."""
+    have = len(data) - start
+    if have < HEADER_LEN:
+        raise IncompleteFrameError(f"need {HEADER_LEN} header bytes, have {have}")
+    head = bytes(data[start:start + HEADER_LEN])
+    if head[:2] != MAGIC:
+        raise FramingError(f"bad magic {head[:2]!r}")
+    version, msg_type = head[2], head[3]
     if version != VERSION:
         raise VersionError(f"unknown version {version:#x}")
     try:
         kind = MessageKind(msg_type)
     except ValueError:
         raise UnknownMessageTypeError(f"unknown msg_type {msg_type:#x}") from None
-    run_id = bytes(data[4:4 + RUN_ID_LEN])
-    (length,) = struct.unpack(">I", data[20:24])
+    run_id = head[4:4 + RUN_ID_LEN]
+    (length,) = struct.unpack(">I", head[20:24])
     if length > MAX_PAYLOAD:
         raise FramingError(f"declared payload of {length} bytes exceeds {MAX_PAYLOAD}")
     total = HEADER_LEN + length + TRAILER_LEN
-    if len(data) < total:
-        raise IncompleteFrameError(f"need {total} bytes, have {len(data)}")
-    payload = bytes(data[HEADER_LEN:HEADER_LEN + length])
-    (crc,) = struct.unpack(">I", data[HEADER_LEN + length:total])
+    if have < total:
+        raise IncompleteFrameError(f"need {total} bytes, have {have}")
+    payload = bytes(data[start + HEADER_LEN:start + HEADER_LEN + length])
+    (crc,) = struct.unpack_from(">I", data, start + HEADER_LEN + length)
     actual = zlib.crc32(payload) & 0xFFFFFFFF
     if crc != actual:
         raise CorruptionError(f"crc mismatch: frame says {crc:#010x}, payload is {actual:#010x}")
@@ -146,16 +149,19 @@ class StreamDecoder:
     _buf: bytearray = field(default_factory=bytearray)
 
     def feed(self, chunk: bytes) -> list[Envelope]:
-        """Buffer ``chunk`` and return every complete envelope now available."""
+        """Buffer ``chunk`` and return every complete envelope now available.
+        Frames are parsed in place; the consumed prefix is cut once per call."""
         self._buf.extend(chunk)
-        out = []
-        while True:
-            try:
-                env, used = decode_prefix(self._buf)
-            except IncompleteFrameError:
-                return out
-            del self._buf[:used]
-            out.append(env)
+        out, pos = [], 0
+        try:
+            while True:
+                env, used = decode_prefix(self._buf, pos)
+                pos += used
+                out.append(env)
+        except IncompleteFrameError:
+            return out
+        finally:
+            del self._buf[:pos]
 
     @property
     def pending_bytes(self) -> int:

@@ -74,9 +74,6 @@ class YMatrix:
     def __repr__(self) -> str:
         return f"YMatrix(n={self.n}, nnz={len(self.entries)})"
 
-    def entries_sorted(self) -> list[tuple[int, int, complex]]:
-        return [(i, j, self.entries[(i, j)]) for i, j in sorted(self.entries)]
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n), dtype=complex)
         for (i, j), v in self.entries.items():

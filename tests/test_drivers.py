@@ -1,6 +1,6 @@
 """The socket and virtual-time drivers run the same cores, so the same inputs
-must leave the same store bytes and the same node events in both modes; the
-socket driver serialises its threads' calls into a core."""
+must leave the same store bytes and the same UE, edge and cloud events in both
+modes; the socket driver serialises its threads' calls into a core."""
 
 import sys
 import threading
@@ -41,7 +41,8 @@ def socket_run(case, manifest, scripts, root):
         while time.time() < deadline and len(cloud.edges) < len(edges):
             time.sleep(0.01)
         for name, (region, script) in sorted(scripts.items()):
-            assert ue_agent(name, script, edges[region].bound_addr, profile=ZERO).clean
+            assert ue_agent(name, script, edges[region].bound_addr, profile=ZERO,
+                            log=EventLog(name, path=logs / f"{name}.log")).clean
         code = cloud.execute_run(manifest)
     finally:
         for e in edges.values():
@@ -80,7 +81,7 @@ def test_socket_and_virtual_runs_are_identical(mode, tmp_path):
     stored = artifacts(store, manifest.run_id)
     assert len(stored) == len(REGIONS) * (2 if dsa else 1) + 1
     assert stored == artifacts(vstore, manifest.run_id)
-    for node in NODES:
+    for node in NODES + tuple(scripts):
         assert events(logs, node) == events(tmp_path / "virtual" / "logs", node), node
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridmesh.config import ConfigError
 from gridmesh.linkem import (DOWN, DROPPED, FrameSchedule, LinkEmulator, LinkError,
                              LinkProfile, UP, default_5g_sa_profile,
                              profile_from_config, zero_impairment_profile)
@@ -53,6 +54,11 @@ class TestProfileValidation:
 
     def test_config_defaults_to_stock_profile(self):
         assert profile_from_config({}) == default_5g_sa_profile()
+
+    @pytest.mark.parametrize("key", ["link.delay_max_ms", "link.bw_up_mbps", "link.seed"])
+    def test_bad_config_value_names_its_key(self, key):
+        with pytest.raises(ConfigError, match=key):
+            profile_from_config({key: "fast"})
 
 
 class TestScheduling:

@@ -1,3 +1,4 @@
+import json
 import socket
 import threading
 import time
@@ -6,13 +7,13 @@ import pytest
 
 import gridmesh.wire as wire
 from gridmesh import pipeline, virtualdemo
-from gridmesh.core import CLOUD, RESULT_ACK_TIMEOUT_S, CloudCore, Compute, EdgeCore, Send
+from gridmesh.core import RESULT_ACK_TIMEOUT_S, UPLINK, CloudCore, Compute, EdgeCore, Send
 from gridmesh.eventlog import read_events
 from gridmesh.linkem import LinkEmulator, UP, default_5g_sa_profile, \
     zero_impairment_profile
 from gridmesh.model import load_bundled_case
 from gridmesh.nodes import (CloudNode, EdgeNode, ShapedConnection, UeScriptItem,
-                            ue_agent)
+                            load_ue_script, ue_agent)
 from gridmesh.pipeline import DsaParams, RunManifest, new_run_id
 from gridmesh.store import FileStore, partial_key, result_key
 from gridmesh.dynamics import SimulationConfig
@@ -99,10 +100,25 @@ class TestUeAgent:
         before = edges["R3"].view
         item = UeScriptItem(at_s=0.0, kind="topology",
                             branches=({"id": 999, "status": "Open"},))
-        report = ue_agent("ue-bad", [item], edges["R3"].bound_addr, profile=ZERO,
-                          ack_timeout=0.2)
+        report = ue_agent("ue-bad", [item], edges["R3"].bound_addr, profile=ZERO)
         assert report.failed == [2]           # never acked
         assert edges["R3"].view == before
+
+
+class TestUeScript:
+    def test_unknown_kind_rejected_at_parse_time(self, tmp_path):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps([{"at_s": 0.0, "kind": "topology"},
+                                    {"at_s": 0.1, "kind": "bogus"}]))
+        with pytest.raises(ValueError, match="bogus"):
+            load_ue_script(path)
+
+    def test_decreasing_times_rejected(self, tmp_path):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps([{"at_s": 0.5, "kind": "topology"},
+                                    {"at_s": 0.1, "kind": "forecast"}]))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            load_ue_script(path)
 
 
 class TestTopologyRun:
@@ -132,7 +148,7 @@ class TestTopologyRun:
         assert cloud.execute_run(m) == 0
         edge = edges["R1"]
         # replay the same RunOpen at one edge's core
-        actions = edge.core.handle(0.0, CLOUD,
+        actions = edge.core.handle(0.0, UPLINK,
                                    wire.run_open(m.to_payload(), m.run_id_bytes))
         assert not any(isinstance(a, Compute) for a in actions)    # no second upload
         assert [a.env.obj()["code"] for a in actions if isinstance(a, Send)] == \

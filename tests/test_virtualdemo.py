@@ -1,7 +1,8 @@
 import pytest
 
-from gridmesh import pipeline
+from gridmesh import pipeline, virtualdemo, wire
 from gridmesh.cli import _single_region_case
+from gridmesh.core import ACK_TIMEOUT_S, UPLINK, EdgeCore, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import read_events
 from gridmesh.linkem import default_5g_sa_profile, zero_impairment_profile
@@ -143,7 +144,12 @@ class TestVirtualBadInput:
                                zero_impairment_profile(),
                                dict(SCRIPTS, **{"ue-3": ("R3", [bad])}))
         assert out.exit_code == 0
-        assert ("edge_error", {"code": "bad_report"}) in _events(logs, "ue-3")
+        ue = _events(logs, "ue-3")
+        assert ("edge_error", {"code": "bad_report"}) in ue
+        # the rejected report is resent once, then counted failed
+        assert [e for e in ue if e[0] in ("ue_retry", "ue_unacked", "ue_done")] == [
+            ("ue_retry", {"seq": "2"}), ("ue_unacked", {"seq": "2"}),
+            ("ue_done", {"delivered": "0", "failed": "1"})]
         edge = [ev for ev, _ in _events(logs, "edge-R3")]
         assert "edge_reject" in edge and "delta_applied" not in edge
         assert store.get(partial_key(RID, "R3")) == \
@@ -166,6 +172,67 @@ class TestVirtualBadInput:
         (error, fields), aborted = _events(logs, "cloud")[-2:]
         assert (error, fields["code"]) == ("edge_error_recv", "compute_failure")
         assert aborted == ("run_aborted", {"run": RID, "missing": "R1"})
+
+
+class _Watched(virtualdemo._CoreNode):
+    """A node that also keeps the virtual time of every frame it receives."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.arrivals = []
+
+    def handle(self, src, env):
+        self.arrivals.append((self.sched.now, env))
+        super().handle(src, env)
+
+
+class _Silent(virtualdemo._Node):
+    """A virtual edge that answers nothing."""
+
+    def handle(self, src, env):
+        pass
+
+
+class TestVirtualUe:
+    def test_unacked_hello_gives_up_after_two_timeouts(self, tmp_path):
+        sched = virtualdemo._Scheduler()
+        edge = _Silent("edge-R1", sched, zero_impairment_profile(), tmp_path)
+        ue = virtualdemo._CoreNode("ue-1", sched, zero_impairment_profile(), tmp_path,
+                                   UeCore("ue-1", []), edge)
+        sched.at(0.0, ue.call, ue.core.start)
+        sched.run()
+        assert ue.exit_code == 2
+        assert ue.core.report.error == "hello not acknowledged"
+        events = read_events(tmp_path / "ue-1.log")
+        assert [(ev, f.get("seq")) for _, _, ev, f in events] == [
+            ("ue_send", "1"), ("ue_retry", "1"), ("ue_error", None)]
+        assert events[-1][0] == pytest.approx(2 * ACK_TIMEOUT_S)
+
+    def test_item_leaves_at_s_after_the_hello_ack(self, tmp_path):
+        case = load_bundled_case("case9")
+        store = FileStore(tmp_path / "store")
+        prof = default_5g_sa_profile(seed=6)
+        sched = virtualdemo._Scheduler()
+        edge = virtualdemo._CoreNode("edge-R2", sched, prof, tmp_path,
+                                     EdgeCore("R2", case, store))
+        item = UeScriptItem(at_s=0.5, kind="topology",
+                            branches=({"id": 9, "status": "Open"},))
+        ue = _Watched("ue-2", sched, prof, tmp_path, UeCore("ue-2", [item]), edge)
+        sched.at(0.0, ue.call, ue.core.start)
+        sched.run()
+        assert ue.exit_code == 0 and ue.core.report.delivered == [2]
+        (t_ack, ack), _ = ue.arrivals
+        assert ack.msg_type == wire.MessageKind.ACK and ack.obj()["of"] == 1
+        assert t_ack > 0.0                                  # the link delays it
+        sent = [ts for ts, _, ev, f in read_events(tmp_path / "ue-2.log")
+                if ev == "ue_send" and f["seq"] == "2"]
+        assert sent == [pytest.approx(t_ack + 0.5, abs=1e-6)]
+
+    def test_malformed_ack_is_logged_not_raised(self):
+        core = UeCore("ue-1", [])
+        core.start(0.0)
+        [log] = core.handle(0.1, UPLINK, wire.make_envelope(wire.MessageKind.ACK, {}))
+        assert (log.event, log.fields) == ("ue_reject", {"reason": "KeyError"})
 
 
 class TestReports:

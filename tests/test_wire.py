@@ -174,7 +174,12 @@ class TestStreamDecoder:
     def test_many_frames_one_chunk(self):
         envs = [ack(i) for i in range(50)]
         raw = b"".join(encode(e) for e in envs)
-        assert StreamDecoder().feed(raw) == envs
+        tail = encode(ack(50))
+        dec = StreamDecoder()
+        assert dec.feed(raw + tail[:9]) == envs      # a trailing partial frame waits
+        assert dec.pending_bytes == 9
+        assert dec.feed(tail[9:]) == [ack(50)]
+        assert dec.pending_bytes == 0
 
     def test_corruption_mid_stream_raises(self):
         raw = bytearray(encode(ack(1)) + encode(ack(2)))
