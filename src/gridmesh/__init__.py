@@ -13,7 +13,7 @@ from .ybus import (PartialAdmittance, YMatrix, build_partial, build_partials,
                    build_ybus, fault_variants, merge_partials)
 from .dynamics import (ReducedNetwork, SecurityReport, SimulationConfig,
                        SimulationResult, assess_run, kron_eliminate, kron_reduce,
-                       reduce_network, simulate_dynamics)
+                       reduce_network, simulate_batch, simulate_dynamics)
 from .sampling import (ForecastSpec, Scenario, ScenarioSet, apply_scenario,
                        combine_region_sets, draw_samples, reduce_scenarios)
 from .wire import Envelope, MessageKind, StreamDecoder, decode, encode
@@ -32,7 +32,7 @@ __all__ = [
     "build_ybus", "fault_variants", "merge_partials",
     "ReducedNetwork", "SecurityReport", "SimulationConfig", "SimulationResult",
     "assess_run", "kron_eliminate", "kron_reduce", "reduce_network",
-    "simulate_dynamics",
+    "simulate_batch", "simulate_dynamics",
     "ForecastSpec", "Scenario", "ScenarioSet", "apply_scenario",
     "combine_region_sets", "draw_samples", "reduce_scenarios",
     "Envelope", "MessageKind", "StreamDecoder", "decode", "encode",

@@ -189,22 +189,45 @@ def _snap_step(t: float, dt: float, name: str) -> int:
 
 def simulate_dynamics(case: GridCase, net: ReducedNetwork, fault: FaultSpec,
                       cfg: SimulationConfig) -> SimulationResult:
-    """Integrate the swing equations through the fault sequence.
+    """Integrate one machine set through the fault sequence (``simulate_batch``
+    with one scenario)."""
+    return simulate_batch([case], [net], fault, cfg)[0]
 
-    Machines must have been initialized (powerflow.initialize_machines).
-    Trajectories are stored decimated to at most ``MAX_STORED_POINTS`` samples
-    per machine; the verdict is evaluated at full resolution.
+
+def simulate_batch(cases: list[GridCase], nets: list[ReducedNetwork], fault: FaultSpec,
+                   cfg: SimulationConfig) -> list[SimulationResult]:
+    """Integrate the swing equations of every scenario through one fault sequence.
+
+    Scenario s is ``cases[s]`` with its reduced network ``nets[s]``; every case
+    has the same machine count and must have been initialized
+    (powerflow.initialize_machines). All scenarios step together in one RK4
+    loop over a ``(scenarios, 2 * machines)`` state ``[delta | dw]``; each row
+    gets exactly the arithmetic of a one-scenario run, so a trajectory does not
+    depend on the batch it ran in. Trajectories are stored decimated to at most
+    ``MAX_STORED_POINTS`` samples per machine; verdicts are evaluated at full
+    resolution. If any scenario goes non-finite, ``NumericBlowupError`` names
+    the lowest-index one, at the time it blows up on its own.
     """
-    validate_fault(case, fault)
-    m = len(case.generators)
-    if net.y_red_pre.shape[0] != m:
-        raise DynamicsError("reduced network dimension != machine count")
+    if len(cases) != len(nets):
+        raise DynamicsError(f"{len(cases)} cases but {len(nets)} reduced networks")
+    if not cases:
+        return []
+    m = len(cases[0].generators)
+    for case, net in zip(cases, nets):
+        validate_fault(case, fault)
+        if len(case.generators) != m:
+            raise DynamicsError("scenarios differ in machine count")
+        if net.y_red_pre.shape[0] != m:
+            raise DynamicsError("reduced network dimension != machine count")
 
-    e = np.array([g.e_mag for g in case.generators])
-    h = np.array([g.h for g in case.generators])
-    damp = np.array([g.d for g in case.generators])
-    pm = np.array([g.p_mech for g in case.generators])
-    ee = np.outer(e, e)
+    def per_machine(attr: str) -> np.ndarray:
+        return np.array([[getattr(g, attr) for g in case.generators] for case in cases])
+
+    e = per_machine("e_mag")
+    h = per_machine("h")
+    damp = per_machine("d")
+    pm = per_machine("p_mech")
+    ee = e[:, :, None] * e[:, None, :]
     ws = cfg.omega_s
     acc = 1.0 / (2.0 * h)
 
@@ -213,63 +236,77 @@ def simulate_dynamics(case: GridCase, net: ReducedNetwork, fault: FaultSpec,
     n_steps = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
 
     mats = []
-    for y_red in (net.y_red_pre, net.y_red_on, net.y_red_post):
+    for name in ("y_red_pre", "y_red_on", "y_red_post"):
+        y_red = np.array([getattr(net, name) for net in nets])
         mats.append((ee * y_red.real, ee * y_red.imag))
 
-    def electrical_power(delta: np.ndarray, phase: int) -> np.ndarray:
-        g_ee, b_ee = mats[phase]
-        dij = delta[:, None] - delta[None, :]
-        return np.sum(g_ee * np.cos(dij) + b_ee * np.sin(dij), axis=1)
-
     def deriv(state: np.ndarray, phase: int) -> np.ndarray:
-        delta, dw = state[:m], state[m:]
-        pe = electrical_power(delta, phase)
-        return np.concatenate([ws * dw, acc * (pm - pe - damp * dw)])
+        g_ee, b_ee = mats[phase]
+        delta, dw = state[:, :m], state[:, m:]
+        dij = delta[:, :, None] - delta[:, None, :]
+        pe = np.add.reduce(g_ee * np.cos(dij) + b_ee * np.sin(dij), axis=2)
+        return np.concatenate([ws * dw, acc * (pm - pe - damp * dw)], axis=1)
 
-    state = np.concatenate([np.array([g.delta0 for g in case.generators]),
-                            np.zeros(m)])
-    deltas = np.empty((n_steps + 1, m))
-    omegas = np.empty((n_steps + 1, m))
-    deltas[0] = state[:m]
-    omegas[0] = state[m:]
+    n = len(cases)
+    state = np.concatenate([per_machine("delta0"), np.zeros((n, m))], axis=1)
 
-    verdict = STABLE
-    t_unstable: float | None = None
-
-    def spread(delta: np.ndarray) -> float:
-        return float(np.max(delta) - np.min(delta)) if m > 1 else 0.0
-
-    if spread(state[:m]) > cfg.angle_threshold:
-        verdict, t_unstable = UNSTABLE, 0.0
-
-    dt = cfg.dt
-    for k in range(n_steps):
-        phase = 0 if k < k_fault else (1 if k < k_clear else 2)
-        k1 = deriv(state, phase)
-        k2 = deriv(state + 0.5 * dt * k1, phase)
-        k3 = deriv(state + 0.5 * dt * k2, phase)
-        k4 = deriv(state + dt * k3, phase)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (k + 1) * dt
-        if not np.all(np.isfinite(state)):
-            raise NumericBlowupError(f"non-finite state at t={t:.6f}s", t)
-        deltas[k + 1] = state[:m]
-        omegas[k + 1] = state[m:]
-        if verdict == STABLE and spread(state[:m]) > cfg.angle_threshold:
-            verdict, t_unstable = UNSTABLE, t
-
+    # decimated samples go straight into one buffer; results are views of it
     stride = max(1, math.ceil((n_steps + 1) / MAX_STORED_POINTS))
     keep = list(range(0, n_steps + 1, stride))
     if keep[-1] != n_steps:
         keep.append(n_steps)
-    keep_arr = np.array(keep, dtype=int)
-    return SimulationResult(
-        times=keep_arr * dt,
-        delta=deltas[keep_arr].T.copy(),
-        omega_dev=omegas[keep_arr].T.copy(),
-        verdict=verdict,
-        t_unstable=t_unstable,
-    )
+    samples = np.empty((n, 2 * m, len(keep)))
+    samples[:, :, 0] = state
+
+    unstable_at = np.full(n, -1)         # first step over the threshold, per scenario
+    blown_at = np.zeros(n, dtype=int)    # first non-finite step, per scenario
+
+    def mark_unstable(step: int) -> bool:
+        """Record the scenarios first over the threshold at ``step``; called
+        while one is still below it, returns whether one still is."""
+        delta = state[:, :m]
+        over = (np.maximum.reduce(delta, axis=1) - np.minimum.reduce(delta, axis=1)
+                > cfg.angle_threshold)
+        if not over.any():
+            return True
+        unstable_at[over & (unstable_at < 0)] = step
+        return bool((unstable_at < 0).any())
+
+    pending = mark_unstable(0)
+    dt = cfg.dt
+    with np.errstate(all="ignore"):
+        for k in range(n_steps):
+            phase = 0 if k < k_fault else (1 if k < k_clear else 2)
+            k1 = deriv(state, phase)
+            k2 = deriv(state + 0.5 * dt * k1, phase)
+            k3 = deriv(state + 0.5 * dt * k2, phase)
+            k4 = deriv(state + dt * k3, phase)
+            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            step = k + 1
+            if not np.isfinite(state).all():
+                blown_at[~np.isfinite(state).all(axis=1) & (blown_at == 0)] = step
+                if blown_at[0]:
+                    break                  # no lower index is left to blow up
+            if step % stride == 0:
+                samples[:, :, step // stride] = state
+            elif step == n_steps:
+                samples[:, :, -1] = state
+            if pending:
+                pending = mark_unstable(step)
+
+    if blown_at.any():
+        s = int(np.flatnonzero(blown_at)[0])
+        t = int(blown_at[s]) * dt
+        raise NumericBlowupError(f"scenario {s}: non-finite state at t={t:.6f}s", t)
+
+    times = np.array(keep, dtype=int) * dt
+    results = []
+    for s in range(n):
+        t_unstable = None if unstable_at[s] < 0 else int(unstable_at[s]) * dt
+        results.append(SimulationResult(
+            times=times, delta=samples[s, :m], omega_dev=samples[s, m:],
+            verdict=STABLE if t_unstable is None else UNSTABLE, t_unstable=t_unstable))
+    return results
 
 
 @dataclass(frozen=True)

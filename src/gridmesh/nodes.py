@@ -46,6 +46,14 @@ def format_addr(addr: tuple[str, int]) -> str:
     return f"{addr[0]}:{addr[1]}"
 
 
+def _connect(addr: tuple[str, int]) -> socket.socket:
+    """Open a TCP link: the connect may take 10 s, but reads then block, so a
+    link stays up however long it idles."""
+    sock = socket.create_connection(addr, timeout=10.0)
+    sock.settimeout(None)
+    return sock
+
+
 def _sleep_until(t: float) -> None:
     remaining = t - time.time()
     if remaining > 0:
@@ -108,7 +116,7 @@ def ue_agent(node_id: str, script: list[UeScriptItem], edge_addr: tuple[str, int
     """Play a timed report script against one edge server."""
     ue = _SocketDriver(node_id, UeCore(node_id, script), None, profile, log)
     try:
-        sock = socket.create_connection(edge_addr, timeout=10.0)
+        sock = _connect(edge_addr)
     except OSError as exc:
         ue.core.report.error = f"connect to {format_addr(edge_addr)} failed: {exc}"
         ue.log.log("ue_error", reason=ue.core.report.error)
@@ -169,11 +177,16 @@ class _SocketDriver:
                              name=f"{self.name}-peer").start()
 
     def _serve(self, peer, conn: ShapedConnection):
-        """Reader thread of one link; ``peer`` is how the core knows it."""
-        for env in conn.envelopes():
-            with self._cond:
-                actions = self.core.handle(time.time(), peer, env)
-            self._perform(actions)
+        """Reader thread of one link; ``peer`` is how the core knows it. Bytes
+        that do not decode as a frame end this link alone."""
+        try:
+            for env in conn.envelopes():
+                with self._cond:
+                    actions = self.core.handle(time.time(), peer, env)
+                self._perform(actions)
+        except wire.ProtocolError as exc:
+            self.log.log("frame_error", reason=type(exc).__name__)
+            conn.close()
 
     def _perform(self, actions: list) -> None:
         for a in actions:
@@ -235,7 +248,7 @@ class EdgeNode(_SocketDriver):
     runs = property(lambda self: self.core.runs)
 
     def start(self) -> tuple[str, int]:
-        sock = socket.create_connection(self.cloud_addr, timeout=10.0)
+        sock = _connect(self.cloud_addr)
         self.uplink = ShapedConnection(sock, self.emulator, UP)
         self._perform(self.core.hello())           # before any reader thread starts
         self._listen()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import (SecurityReport, SimulationConfig, SimulationResult, assess_run,
-                       reduce_network, simulate_dynamics)
+                       reduce_network, simulate_batch, simulate_dynamics)
 from .model import FaultSpec, GridCase, fault_from_dict, fault_to_dict
 from .powerflow import initialize_machines, solve_power_flow
 from .sampling import (ForecastSpec, Scenario, ScenarioSet, apply_scenario,
@@ -218,25 +218,30 @@ def parse_topology_result(blob: bytes) -> SimulationResult:
     return SimulationResult.from_payload(json.loads(blob.decode())["result"])
 
 
-def simulate_scenario(view: GridCase, y: YMatrix, scenario: Scenario,
-                      fault: FaultSpec, cfg: SimulationConfig) -> SimulationResult:
-    scase = apply_scenario(view, scenario)
-    sol = solve_power_flow(scase, y=y)
-    mcase = initialize_machines(scase, sol, y=y)
-    net = reduce_network(mcase, sol, fault, y)
-    return simulate_dynamics(mcase, net, fault, cfg)
+def simulate_scenarios(view: GridCase, y: YMatrix, scenarios: list[Scenario],
+                       fault: FaultSpec, cfg: SimulationConfig) -> list[SimulationResult]:
+    """Each scenario's operating point and reduced network, in scenario order,
+    then one batched integration of them all."""
+    cases, nets = [], []
+    for s in scenarios:
+        scase = apply_scenario(view, s)
+        sol = solve_power_flow(scase, y=y)
+        mcase = initialize_machines(scase, sol, y=y)
+        cases.append(mcase)
+        nets.append(reduce_network(mcase, sol, fault, y))
+    return simulate_batch(cases, nets, fault, cfg)
 
 
 def dsa_compute(view: GridCase, y: YMatrix,
                 region_sets: dict[str, tuple[ScenarioSet, list[int]]],
                 fault: FaultSpec, cfg: SimulationConfig) -> SecurityReport:
-    """Simulate every joint representative scenario, in scenario order, and aggregate."""
+    """Simulate every joint representative scenario in one batch and aggregate."""
     combined, bus_ids = combine_region_sets(region_sets)
     if bus_ids != view.load_bus_ids():
         raise ManifestError(
             f"scenario load buses {bus_ids} do not match case loads {view.load_bus_ids()}")
     reps = combined.representatives
-    sims = [simulate_scenario(view, y, s, fault, cfg) for s in reps]
+    sims = simulate_scenarios(view, y, reps, fault, cfg)
     weighted = list(zip(combined.weights, sims))
     return assess_run(weighted, scenario_ids=[s.id for s in reps])
 
@@ -252,7 +257,7 @@ def parse_dsa_result(blob: bytes) -> SecurityReport:
 def dsa_bruteforce_probability(view: GridCase, y: YMatrix, samples: list[Scenario],
                                fault: FaultSpec, cfg: SimulationConfig) -> float:
     """Equal-weight insecurity probability over every raw scenario (the oracle path)."""
-    sims = [simulate_scenario(view, y, s, fault, cfg) for s in samples]
+    sims = simulate_scenarios(view, y, samples, fault, cfg)
     report = assess_run([(1.0, r) for r in sims])
     return report.insecurity_probability
 

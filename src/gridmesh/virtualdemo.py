@@ -109,8 +109,8 @@ def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
     ``ue_scripts`` maps UE name -> (edge region, script). ``withhold_regions``
     spawn no edge (for exercising the barrier timeout). The run opens at the
     largest script ``at_s`` plus one second. ``sim_workers`` is ignored: the
-    cloud simulates scenarios serially. It is accepted only because the
-    benchmark in ``bench/`` still passes it.
+    cloud integrates a run's scenarios in one batch. It is accepted only
+    because the benchmark in ``bench/`` still passes it.
     """
     log_dir = Path(log_dir)
     log_dir.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,16 @@
-"""Shared test fixtures: canonical machine-infinite-bus system, random cases."""
+"""Shared test fixtures: canonical machine-infinite-bus system, random cases,
+and a one-scenario reference integrator."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
+import numpy as np
+
+from gridmesh.dynamics import (MAX_STORED_POINTS, STABLE, UNSTABLE, NumericBlowupError,
+                               SimulationResult, _snap_step)
 from gridmesh.model import Branch, Bus, Generator, GridCase
 
 INF_H = 1e6          # stand-in for an infinite bus: huge inertia, negligible reactance
@@ -69,3 +75,75 @@ def random_connected_case(rng: random.Random, n_buses: int, n_regions: int) -> G
         bid += 1
     gens = (Generator(id=1, bus=1, h=5.0, d=0.0, xd_p=0.1),)
     return GridCase(buses=tuple(buses), branches=tuple(branches), generators=gens)
+
+
+def reference_simulate(case: GridCase, net, fault, cfg):
+    """One scenario integrated on its own: the per-scenario RK4 loop that
+    ``dynamics.simulate_batch`` replaced, kept here as the oracle that a
+    batched trajectory must equal bit for bit."""
+    m = len(case.generators)
+    e = np.array([g.e_mag for g in case.generators])
+    h = np.array([g.h for g in case.generators])
+    damp = np.array([g.d for g in case.generators])
+    pm = np.array([g.p_mech for g in case.generators])
+    ee = np.outer(e, e)
+    ws = cfg.omega_s
+    acc = 1.0 / (2.0 * h)
+
+    k_fault = _snap_step(fault.t_fault, cfg.dt, "t_fault")
+    k_clear = _snap_step(fault.t_clear, cfg.dt, "t_clear")
+    n_steps = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
+
+    mats = []
+    for y_red in (net.y_red_pre, net.y_red_on, net.y_red_post):
+        mats.append((ee * y_red.real, ee * y_red.imag))
+
+    def electrical_power(delta, phase):
+        g_ee, b_ee = mats[phase]
+        dij = delta[:, None] - delta[None, :]
+        return np.sum(g_ee * np.cos(dij) + b_ee * np.sin(dij), axis=1)
+
+    def deriv(state, phase):
+        delta, dw = state[:m], state[m:]
+        pe = electrical_power(delta, phase)
+        return np.concatenate([ws * dw, acc * (pm - pe - damp * dw)])
+
+    state = np.concatenate([np.array([g.delta0 for g in case.generators]), np.zeros(m)])
+    deltas = np.empty((n_steps + 1, m))
+    omegas = np.empty((n_steps + 1, m))
+    deltas[0] = state[:m]
+    omegas[0] = state[m:]
+
+    verdict = STABLE
+    t_unstable = None
+
+    def spread(delta):
+        return float(np.max(delta) - np.min(delta)) if m > 1 else 0.0
+
+    if spread(state[:m]) > cfg.angle_threshold:
+        verdict, t_unstable = UNSTABLE, 0.0
+
+    dt = cfg.dt
+    for k in range(n_steps):
+        phase = 0 if k < k_fault else (1 if k < k_clear else 2)
+        k1 = deriv(state, phase)
+        k2 = deriv(state + 0.5 * dt * k1, phase)
+        k3 = deriv(state + 0.5 * dt * k2, phase)
+        k4 = deriv(state + dt * k3, phase)
+        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = (k + 1) * dt
+        if not np.all(np.isfinite(state)):
+            raise NumericBlowupError(f"non-finite state at t={t:.6f}s", t)
+        deltas[k + 1] = state[:m]
+        omegas[k + 1] = state[m:]
+        if verdict == STABLE and spread(state[:m]) > cfg.angle_threshold:
+            verdict, t_unstable = UNSTABLE, t
+
+    stride = max(1, math.ceil((n_steps + 1) / MAX_STORED_POINTS))
+    keep = list(range(0, n_steps + 1, stride))
+    if keep[-1] != n_steps:
+        keep.append(n_steps)
+    keep_arr = np.array(keep, dtype=int)
+    return SimulationResult(times=keep_arr * dt, delta=deltas[keep_arr].T.copy(),
+                            omega_dev=omegas[keep_arr].T.copy(), verdict=verdict,
+                            t_unstable=t_unstable)

@@ -1,17 +1,23 @@
 import math
+import random
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gridmesh.dynamics import (DynamicsError, SecurityReport, SimulationConfig,
-                               SimulationResult, SingularNetworkError, SwitchTimeError,
-                               assess_run, kron_eliminate, kron_reduce, reduce_network,
-                               simulate_dynamics, write_trajectory_csv)
-from gridmesh.model import FaultSpec, load_bundled_case
-from gridmesh.powerflow import initialize_machines, solve_power_flow
+from gridmesh.dynamics import (DynamicsError, NumericBlowupError, SecurityReport,
+                               SimulationConfig, SimulationResult, SingularNetworkError,
+                               SwitchTimeError, assess_run, kron_eliminate, kron_reduce,
+                               reduce_network, simulate_batch, simulate_dynamics,
+                               write_trajectory_csv)
+from gridmesh.model import FaultSpec, Generator, load_bundled_case
+from gridmesh.powerflow import PowerFlowError, initialize_machines, solve_power_flow
+from gridmesh.sampling import ForecastSpec, apply_scenario, draw_samples
 from gridmesh.ybus import build_ybus
 
-from helpers import perturb_machine, smib_case
+from helpers import perturb_machine, random_connected_case, reference_simulate, smib_case
 
 WS = 2 * math.pi * 60.0
 
@@ -193,6 +199,134 @@ class TestSimulate:
             SimulationConfig(t_end=1.0, dt=0.5)
         with pytest.raises(DynamicsError):
             SimulationConfig(t_end=-1.0)
+
+
+def prepared(case, scenarios, fault):
+    """Each scenario's initialized machines and reduced network, as the cloud
+    builds them before it integrates."""
+    y = build_ybus(case)
+    cases, nets = [], []
+    for s in scenarios:
+        scase = apply_scenario(case, s)
+        sol = solve_power_flow(scase, y=y)
+        mcase = initialize_machines(scase, sol, y=y)
+        cases.append(mcase)
+        nets.append(reduce_network(mcase, sol, fault, y))
+    return cases, nets
+
+
+def case9_batch(n):
+    case = load_bundled_case("case9")
+    fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.27, cleared_branch=6)
+    samples = draw_samples(ForecastSpec(n_dims=len(case.load_bus_ids()), sigma=0.05), n, 3)
+    return (*prepared(case, samples, fault), fault)
+
+
+def with_inertia(case, machine, h):
+    gens = list(case.generators)
+    gens[machine] = replace(gens[machine], h=h)
+    return replace(case, generators=tuple(gens))
+
+
+def with_machines(case, rng):
+    """The random case's slack machine plus one machine on every PV bus."""
+    extra = [Generator(id=i + 2, bus=b.id, h=rng.uniform(2, 8), d=rng.uniform(0, 2),
+                       xd_p=rng.uniform(0.1, 0.4), p_mech=rng.uniform(0, 0.5))
+             for i, b in enumerate(b for b in case.buses if b.kind == "PV")]
+    return replace(case, generators=case.generators + tuple(extra))
+
+
+def assert_same_trajectory(got, want):
+    assert got.to_payload() == want.to_payload()
+    assert got.delta.tobytes() == want.delta.tobytes()
+    assert got.omega_dev.tobytes() == want.omega_dev.tobytes()
+
+
+class TestBatch:
+    CFG = SimulationConfig(t_end=3.0, dt=0.005, omega_s=WS)
+
+    def test_case9_scenarios_equal_one_at_a_time(self):
+        cases, nets, fault = case9_batch(12)
+        batched = simulate_batch(cases, nets, fault, self.CFG)
+        assert {r.verdict for r in batched} == {"Stable", "Unstable"}
+        for c, net, got in zip(cases, nets, batched):
+            assert_same_trajectory(got, reference_simulate(c, net, fault, self.CFG))
+
+    def test_decimated_batch_equals_one_at_a_time(self):
+        # 5001 steps: stride 2, and the last step is appended to the samples
+        mcase, sol = solved(smib_case())
+        fault = FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=0.2)
+        cfg = SimulationConfig(t_end=100.02, dt=0.02, omega_s=WS)
+        cases = [mcase, perturb_machine(mcase, 1, 0.1)]
+        nets = [reduce_network(c, sol, fault, build_ybus(c)) for c in cases]
+        batched = simulate_batch(cases, nets, fault, cfg)
+        assert len(batched[0].times) == 2502 and batched[0].times[-1] == 5001 * 0.02
+        for c, net, got in zip(cases, nets, batched):
+            assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
+
+    def test_empty_batch_and_mismatched_lengths(self):
+        cases, nets, fault = case9_batch(2)
+        assert simulate_batch([], [], fault, self.CFG) == []
+        with pytest.raises(DynamicsError):
+            simulate_batch(cases, nets[:1], fault, self.CFG)
+
+    def test_machine_counts_must_agree(self):
+        cases, nets, fault = case9_batch(1)
+        mcase, sol = solved(smib_case())
+        smib_fault = FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=0.27)
+        smib_net = reduce_network(mcase, sol, smib_fault, build_ybus(mcase))
+        with pytest.raises(DynamicsError):
+            simulate_batch([cases[0], mcase], [nets[0], smib_net], smib_fault, self.CFG)
+
+    def test_blowup_names_the_scenario_at_its_own_time(self):
+        cases, nets, fault = case9_batch(4)
+        cases[2] = with_inertia(cases[2], 1, 1e-308)
+        with pytest.raises(NumericBlowupError) as alone:
+            simulate_dynamics(cases[2], nets[2], fault, self.CFG)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericBlowupError) as batched:
+                simulate_batch(cases, nets, fault, self.CFG)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert batched.value.t == alone.value.t
+        assert str(batched.value).startswith("scenario 2: ")
+
+    def test_lowest_blown_scenario_wins_even_when_later(self):
+        cases, nets, fault = case9_batch(4)
+        cases[1] = with_inertia(cases[1], 1, 1e-306)
+        cases[3] = with_inertia(cases[3], 1, 1e-308)
+        times = []
+        for s in (1, 3):
+            with pytest.raises(NumericBlowupError) as alone:
+                simulate_dynamics(cases[s], nets[s], fault, self.CFG)
+            times.append(alone.value.t)
+        assert times[0] > times[1]            # scenario 3 blows up first
+        with pytest.raises(NumericBlowupError) as batched:
+            simulate_batch(cases, nets, fault, self.CFG)
+        assert batched.value.t == times[0]
+        assert str(batched.value).startswith("scenario 1: ")
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 7), min_size=1, max_size=6, unique=True))
+    @settings(max_examples=30, deadline=None)
+    def test_batched_equals_one_at_a_time(self, seed, picks):
+        rng = random.Random(seed)
+        case = with_machines(random_connected_case(rng, rng.randint(4, 10), 1), rng)
+        assume(case.load_bus_ids())
+        samples = draw_samples(ForecastSpec(n_dims=len(case.load_bus_ids()), sigma=0.4),
+                               8, seed)
+        fault = FaultSpec(faulted_bus=rng.choice(case.buses).id, t_fault=0.1,
+                          t_clear=round(0.1 + 0.01 * rng.randint(1, 20), 6))
+        cfg = SimulationConfig(t_end=1.0, dt=0.01, omega_s=WS,
+                               angle_threshold=rng.uniform(0.05, 3.2))
+        try:
+            cases, nets = prepared(case, [samples[i] for i in picks], fault)
+        except (PowerFlowError, DynamicsError):
+            assume(False)
+        batched = simulate_batch(cases, nets, fault, cfg)
+        assert len(batched) == len(picks)
+        for c, net, got in zip(cases, nets, batched):
+            assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
 
 
 class TestAssessAndExport:

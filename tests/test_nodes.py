@@ -6,9 +6,9 @@ import time
 import pytest
 
 import gridmesh.wire as wire
-from gridmesh import pipeline, virtualdemo
+from gridmesh import nodes, pipeline, virtualdemo
 from gridmesh.core import RESULT_ACK_TIMEOUT_S, UPLINK, CloudCore, Compute, EdgeCore, Send
-from gridmesh.eventlog import read_events
+from gridmesh.eventlog import EventLog, read_events
 from gridmesh.linkem import LinkEmulator, UP, default_5g_sa_profile, \
     zero_impairment_profile
 from gridmesh.model import load_bundled_case
@@ -103,6 +103,45 @@ class TestUeAgent:
         report = ue_agent("ue-bad", [item], edges["R3"].bound_addr, profile=ZERO)
         assert report.failed == [2]           # never acked
         assert edges["R3"].view == before
+
+
+class TestLinks:
+    def test_links_block_on_reads_once_connected(self, cluster, monkeypatch):
+        # a read timeout left on a link would end its reader thread after an idle spell
+        _, edges, _ = cluster
+        assert all(e.uplink.sock.gettimeout() is None for e in edges.values())
+        opened = []
+        connect = nodes._connect
+
+        def recording(addr):
+            opened.append(connect(addr))
+            return opened[-1]
+
+        monkeypatch.setattr(nodes, "_connect", recording)
+        assert ue_agent("ue-t", [], edges["R1"].bound_addr, profile=ZERO).clean
+        assert len(opened) == 1 and opened[0].gettimeout() is None
+
+    def test_junk_bytes_end_that_link_alone(self, case9, tmp_path, monkeypatch):
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        store = FileStore(tmp_path / "store")
+        cloud = CloudNode(case9, store, profile=ZERO)
+        edge = EdgeNode("R1", case9, store, cloud.start(), profile=ZERO,
+                        log=EventLog("edge-R1", path=tmp_path / "edge.log"))
+        try:
+            addr = edge.start()
+            junk = socket.create_connection(addr, timeout=5.0)
+            junk.sendall(b"X" * 42)
+            assert junk.recv(1024) == b""            # the edge closed this link
+            junk.close()
+            assert ue_agent("ue-after", [], addr, profile=ZERO).clean
+        finally:
+            edge.close()
+            cloud.close()
+        errors = [f for _, _, ev, f in read_events(tmp_path / "edge.log")
+                  if ev == "frame_error"]
+        assert errors == [{"reason": "FramingError"}]
+        assert uncaught == []
 
 
 class TestUeScript:
