@@ -31,7 +31,7 @@ from . import pipeline, reports
 from .config import load_config, resolve
 from .dynamics import SimulationConfig, write_trajectory_csv
 from .linkem import LinkProfile, profile_from_config, zero_impairment_profile
-from .model import FaultSpec, GridCase, bundled_case_path, dump_case, load_case
+from .model import FaultSpec, GridCase, bundled_case_path, load_case
 from .core import parse_ue_script
 from .nodes import CloudNode, EdgeNode, format_addr, load_ue_script, parse_addr, ue_agent
 from .eventlog import EventLog
@@ -127,8 +127,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--deadline-s", type=float, default=None)
     sp.add_argument("--virtual-time", action="store_true",
                     help="deterministic in-process run on a simulated clock")
-    sp.add_argument("--n-raw", type=int, default=200)
-    sp.add_argument("--k", type=int, default=10)
+    sp.add_argument("--n-raw", type=int, default=200,
+                    help="dsa only: raw forecast scenarios drawn per region")
+    sp.add_argument("--k", type=int, default=10,
+                    help="dsa only: representatives kept per region")
     sp.add_argument("--withhold-region",
                     help="do not start this region's edge (barrier demo)")
     sp.add_argument("--skip-oracle", action="store_true",
@@ -468,31 +470,17 @@ def _cmd_demo(args) -> int:
     which = args.which
     withhold = {args.withhold_region} if args.withhold_region else set()
 
-    if which == "topology":
-        case_path = Path(resolve(args.case, cfg, "node.case",
-                                 str(bundled_case_path("case9"))))
-        case = load_case(case_path)
-        regions = case.regions()
-        manifest = _demo_manifest(which, seed, deadline, regions, case, None)
-        deltas = {9: "Open"}
-        ue_plan = {
-            "ue-1": (regions[0], []),
-            "ue-2": (regions[1 % len(regions)],
-                     [{"at_s": 0.2, "kind": "topology",
-                       "branches": [{"id": 9, "status": "Open"}]}]),
-            "ue-3": (regions[2 % len(regions)], []),
-        }
-    else:
-        base = load_case(resolve(args.case, cfg, "node.case",
-                                 str(bundled_case_path("case9"))))
-        case = _single_region_case(base, "R1")
-        case_path = out / "case-dsa.txt"
-        case_path.write_text(dump_case(case))
-        regions = ["R1"]
-        dsa = DsaParams(n_raw=args.n_raw, k=args.k, seed=seed)
-        manifest = _demo_manifest(which, seed, deadline, regions, case, dsa)
-        deltas = {}
-        ue_plan = {f"ue-{i}": ("R1", []) for i in (1, 2, 3)}
+    case_path = Path(resolve(args.case, cfg, "node.case",
+                             str(bundled_case_path("case9"))))
+    case = load_case(case_path)
+    regions = case.regions()
+    dsa = DsaParams(n_raw=args.n_raw, k=args.k, seed=seed) if which == "dsa" else None
+    manifest = _demo_manifest(which, seed, deadline, regions, case, dsa)
+    deltas = {9: "Open"} if which == "topology" else {}
+    open_9 = [{"at_s": 0.2, "kind": "topology", "branches": [{"id": 9, "status": "Open"}]}]
+    ue_plan = {f"ue-{i + 1}": (regions[i % len(regions)],
+                               open_9 if which == "topology" and i == 1 else [])
+               for i in range(3)}
 
     print(f"demo {which}: run {manifest.run_id} -> {out}")
     if args.virtual_time:
@@ -507,7 +495,7 @@ def _cmd_demo(args) -> int:
 
     store = FileStore(out / "store")
     if rc == EXIT_OK:
-        rc = _demo_checks(which, case, manifest, deltas, store, profile, args, seed)
+        rc = _demo_checks(which, case, manifest, deltas, store, profile, args)
     _print_report(out, manifest)
     print(f"demo {which}: exit {rc}")
     return rc
@@ -515,7 +503,7 @@ def _cmd_demo(args) -> int:
 
 def _demo_checks(which: str, case: GridCase, manifest: RunManifest,
                  deltas: dict[int, str], store: FileStore, profile: LinkProfile,
-                 args, seed: int) -> int:
+                 args) -> int:
     blob = store.get(result_key(manifest.run_id))
     if which == "topology":
         result = pipeline.parse_topology_result(blob)
@@ -534,25 +522,12 @@ def _demo_checks(which: str, case: GridCase, manifest: RunManifest,
     p_rep = report.insecurity_probability
     print(f"representative insecurity probability (k={manifest.dsa.k}): {p_rep:.4f}")
     if not args.skip_oracle:
-        view = case
-        y = build_ybus(view)
-        load_ids = pipeline.region_load_bus_ids(view, "R1")
-        spec = ForecastSpec(n_dims=len(load_ids), sigma=pipeline.DEFAULT_FORECAST_SIGMA)
-        raws = draw_samples(spec, manifest.dsa.n_raw,
-                            pipeline.region_seed(seed, "R1"))
         p_brute = pipeline.dsa_bruteforce_probability(
-            view, y, raws, manifest.fault, manifest.sim_cfg)
-        print(f"brute-force insecurity probability ({manifest.dsa.n_raw} raw "
-              f"scenarios): {p_brute:.4f}")
+            case, deltas, manifest.dsa, manifest.fault, manifest.sim_cfg)
+        print(f"brute-force insecurity probability ({manifest.dsa.n_raw} joint raw "
+              f"draws): {p_brute:.4f}")
         print(f"difference: {abs(p_rep - p_brute):.4f}")
     return EXIT_OK
-
-
-def _single_region_case(case: GridCase, region: str) -> GridCase:
-    from dataclasses import replace
-    buses = tuple(replace(b, owner_region=region) for b in case.buses)
-    branches = tuple(replace(br, owner_region=region) for br in case.branches)
-    return replace(case, buses=buses, branches=branches)
 
 
 def _cmd_report(args) -> int:

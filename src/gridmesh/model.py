@@ -1,8 +1,8 @@
 """Grid data model: buses, branches, generators, fault specs, and the case file format.
 
 All electrical quantities are per-unit on the system MVA base; angles are in
-radians. A ``GridCase`` is immutable; topology changes produce new cases via
-:func:`with_branch_status` / :func:`with_scaled_loads`.
+radians. A ``GridCase`` is immutable; topology and load changes produce new cases via
+:func:`with_branch_status` / :func:`with_bus_loads`.
 
 Case file format (plain text, '#' starts a comment)::
 
@@ -169,14 +169,6 @@ class GridCase:
             for br in self.branches
         )
         return replace(self, branches=new)
-
-    def with_scaled_loads(self, multipliers: dict[int, float]) -> "GridCase":
-        new = tuple(
-            replace(b, p_load=b.p_load * multipliers[b.id], q_load=b.q_load * multipliers[b.id])
-            if b.id in multipliers else b
-            for b in self.buses
-        )
-        return replace(self, buses=new)
 
     def with_bus_loads(self, loads: dict[int, tuple[float, float]]) -> "GridCase":
         """New case with (p_load, q_load) set absolutely on the given buses."""

@@ -146,10 +146,10 @@ def parse_topology_blob(blob: bytes) -> tuple[PartialAdmittance, dict[int, str]]
     return PartialAdmittance.from_payload(obj["partial"]), deltas
 
 
-def region_scenarios(view: GridCase, region: str, dsa: DsaParams,
-                     forecast: ForecastSpec | None = None,
-                     ) -> tuple[ScenarioSet, list[int], ForecastSpec, int]:
-    """Sample and reduce the forecast scenarios for one region's loads."""
+def region_samples(view: GridCase, region: str, dsa: DsaParams,
+                   forecast: ForecastSpec | None = None,
+                   ) -> tuple[list[Scenario], list[int], ForecastSpec, int]:
+    """Draw the raw forecast scenarios for one region's loads, with its edge's seed."""
     load_ids = region_load_bus_ids(view, region)
     if forecast is None:
         forecast = ForecastSpec(n_dims=len(load_ids), sigma=DEFAULT_FORECAST_SIGMA)
@@ -158,9 +158,15 @@ def region_scenarios(view: GridCase, region: str, dsa: DsaParams,
             f"forecast spec has {forecast.n_dims} dims, region {region} has "
             f"{len(load_ids)} loads")
     seed = region_seed(dsa.seed, region)
-    samples = draw_samples(forecast, dsa.n_raw, seed)
-    sset = reduce_scenarios(samples, dsa.k, seed)
-    return sset, load_ids, forecast, seed
+    return draw_samples(forecast, dsa.n_raw, seed), load_ids, forecast, seed
+
+
+def region_scenarios(view: GridCase, region: str, dsa: DsaParams,
+                     forecast: ForecastSpec | None = None,
+                     ) -> tuple[ScenarioSet, list[int], ForecastSpec, int]:
+    """Sample and reduce the forecast scenarios for one region's loads."""
+    samples, load_ids, forecast, seed = region_samples(view, region, dsa, forecast)
+    return reduce_scenarios(samples, dsa.k, seed), load_ids, forecast, seed
 
 
 def edge_scenarios_blob(view: GridCase, region: str, dsa: DsaParams,
@@ -254,14 +260,6 @@ def parse_dsa_result(blob: bytes) -> SecurityReport:
     return SecurityReport.from_payload(json.loads(blob.decode())["report"])
 
 
-def dsa_bruteforce_probability(view: GridCase, y: YMatrix, samples: list[Scenario],
-                               fault: FaultSpec, cfg: SimulationConfig) -> float:
-    """Equal-weight insecurity probability over every raw scenario (the oracle path)."""
-    sims = simulate_scenarios(view, y, samples, fault, cfg)
-    report = assess_run([(1.0, r) for r in sims])
-    return report.insecurity_probability
-
-
 # ----------------------------------------------------------------------
 # Monolithic oracle: the same pipeline with no network in the way
 
@@ -273,17 +271,36 @@ def monolithic_topology(base: GridCase, deltas: dict[int, str], fault: FaultSpec
     return result, topology_result_blob(result)
 
 
+def load_regions(view: GridCase) -> list[str]:
+    """The regions that own at least one load, and so sample scenarios."""
+    return [r for r in view.regions() if region_load_bus_ids(view, r)]
+
+
 def monolithic_dsa(base: GridCase, deltas: dict[int, str], dsa: DsaParams,
                    fault: FaultSpec, cfg: SimulationConfig,
-                   regions: list[str] | None = None,
                    forecast: ForecastSpec | None = None) -> tuple[SecurityReport, bytes]:
     view = base.with_branch_status(deltas)
     y = build_ybus(view)
-    if regions is None:
-        regions = [r for r in view.regions() if region_load_bus_ids(view, r)]
     region_sets = {}
-    for r in regions:
+    for r in load_regions(view):
         sset, load_ids, _, _ = region_scenarios(view, r, dsa, forecast)
         region_sets[r] = (sset, load_ids)
     report = dsa_compute(view, y, region_sets, fault, cfg)
     return report, dsa_result_blob(report)
+
+
+def dsa_bruteforce_probability(base: GridCase, deltas: dict[int, str], dsa: DsaParams,
+                               fault: FaultSpec, cfg: SimulationConfig,
+                               forecast: ForecastSpec | None = None) -> float:
+    """Equal-weight insecurity probability over the raw draws the representatives
+    stand for: joint scenario i takes raw draw i of every load region."""
+    view = base.with_branch_status(deltas)
+    draws = [region_samples(view, r, dsa, forecast)[:2] for r in load_regions(view)]
+    joint = []
+    for i in range(dsa.n_raw):
+        by_bus = {b: m for samples, ids in draws
+                  for b, m in zip(ids, samples[i].multipliers)}
+        joint.append(Scenario(id=i, multipliers=tuple(by_bus[b] for b in view.load_bus_ids()),
+                              seed_lineage=()))
+    sims = simulate_scenarios(view, build_ybus(view), joint, fault, cfg)
+    return assess_run([(1.0, r) for r in sims]).insecurity_probability

@@ -206,7 +206,8 @@ def apply_scenario(case: GridCase, s: Scenario) -> GridCase:
             f"scenario has {len(s.multipliers)} multipliers, case has {len(load_ids)} loads")
     by_bus = dict(zip(load_ids, s.multipliers))
     old_total = sum(b.p_load for b in case.buses)
-    scaled = case.with_scaled_loads(by_bus)
+    scaled = case.with_bus_loads({b.id: (b.p_load * by_bus[b.id], b.q_load * by_bus[b.id])
+                                  for b in case.buses if b.id in by_bus})
     new_total = sum(b.p_load for b in scaled.buses)
     if old_total != 0.0:
         ratio = new_total / old_total

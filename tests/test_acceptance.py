@@ -26,7 +26,6 @@ from gridmesh.model import Bus, FaultSpec, GridCase, load_bundled_case
 from gridmesh.nodes import CloudNode, EdgeNode, ShapedConnection
 from gridmesh.powerflow import PowerFlowDivergedError, initialize_machines, \
     solve_power_flow
-from gridmesh.sampling import ForecastSpec, draw_samples
 from gridmesh.store import FileStore, partial_key, result_key
 from gridmesh.wire import StreamDecoder, decode, encode
 from gridmesh.ybus import build_partials, build_ybus, merge_partials
@@ -233,7 +232,7 @@ def test_08_use_case_one_end_to_end(tmp_path):
 
 def test_09_use_case_two_end_to_end(tmp_path):
     with criterion(9, "DSA demo: representative probability within 0.10 of the "
-                      "200-scenario brute force; <3min"):
+                      "brute force over 200 joint draws; <3min"):
         t0 = time.perf_counter()
         proc = _run_demo(["dsa", "--out-dir", str(tmp_path / "d"), "--skip-oracle",
                           "--profile", "zero"], timeout=170)
@@ -243,16 +242,13 @@ def test_09_use_case_two_end_to_end(tmp_path):
         report = pipeline.parse_dsa_result(store.get(result_key(run_id)))
         p_rep = report.insecurity_probability
 
-        # brute-force oracle over every raw scenario, recomputed by the harness
-        from gridmesh.cli import DEMO_FAULT, _single_region_case
-        case = _single_region_case(load_bundled_case("case9"), "R1")
-        y = build_ybus(case)
-        load_ids = pipeline.region_load_bus_ids(case, "R1")
-        spec = ForecastSpec(n_dims=len(load_ids), sigma=0.05)
-        raws = draw_samples(spec, 200, pipeline.region_seed(42, "R1"))
+        # brute-force oracle over raw draw i of each of case9's three regions,
+        # recomputed by the harness
+        from gridmesh.cli import DEMO_FAULT
         cfg = SimulationConfig(t_end=3.0, dt=0.005, omega_s=WS)
-        p_brute = pipeline.dsa_bruteforce_probability(case, y, raws,
-                                                      DEMO_FAULT["dsa"], cfg)
+        p_brute = pipeline.dsa_bruteforce_probability(
+            load_bundled_case("case9"), {}, pipeline.DsaParams(n_raw=200, k=10, seed=42),
+            DEMO_FAULT["dsa"], cfg)
         assert 0.0 < p_brute < 1.0          # the fault is genuinely marginal
         assert abs(p_rep - p_brute) <= 0.10
         assert time.perf_counter() - t0 < 180.0

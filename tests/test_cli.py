@@ -3,7 +3,7 @@ import json
 import pytest
 
 from gridmesh.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _parse_fault,
-                          _resolve_profile, _single_region_case, main)
+                          _resolve_profile, main)
 from gridmesh.config import resolve
 from gridmesh.model import bundled_case_path, load_bundled_case
 
@@ -107,11 +107,19 @@ class TestConfigPrecedence:
         assert resolve(None, {}, "k.x", "default") == "default"
 
 
-class TestSingleRegionCase:
-    def test_all_owners_rewritten(self):
-        case = _single_region_case(load_bundled_case("case9"), "RX")
-        assert case.regions() == ["RX"]
-        assert all(b.owner_region == "RX" for b in case.buses)
+class TestDemoChecks:
+    @pytest.mark.parametrize("which,expected", [
+        (["topology"], ["monolithic equivalence: PASS (bitwise)"]),
+        (["dsa", "--n-raw", "20", "--k", "2"],
+         ["brute-force insecurity probability (20 joint raw draws): ", "difference: "]),
+    ])
+    def test_virtual_demo_runs_its_oracle_check(self, which, expected, tmp_path, capsys):
+        code = main(["demo", *which, "--virtual-time", "--profile", "zero",
+                     "--out-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK, out
+        for line in expected:
+            assert line in out
 
 
 class TestUeCommand:

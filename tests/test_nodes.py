@@ -15,7 +15,8 @@ from gridmesh.model import load_bundled_case
 from gridmesh.nodes import (CloudNode, EdgeNode, ShapedConnection, UeScriptItem,
                             load_ue_script, ue_agent)
 from gridmesh.pipeline import DsaParams, RunManifest, new_run_id
-from gridmesh.store import FileStore, partial_key, result_key
+from gridmesh.sampling import ForecastSpec
+from gridmesh.store import FileStore, partial_key, result_key, scenarios_key
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.model import FaultSpec
 
@@ -266,35 +267,21 @@ class TestEdgeArtifacts:
         part, deltas = pipeline.parse_topology_blob(uploaded)
         assert 9 not in part.branch_ids and deltas == {9: "Open"}
 
-    def test_forecast_report_shapes_dsa_sampling(self, case9, tmp_path):
-        from gridmesh.cli import _single_region_case
-        from gridmesh.sampling import ForecastSpec
-        case = _single_region_case(case9, "R1")
-        store = FileStore(tmp_path / "store")
-        cloud = CloudNode(case, store, profile=ZERO)
-        cloud_addr = cloud.start()
-        edge = EdgeNode("R1", case, store, cloud_addr, profile=ZERO)
-        edge.start()
-        deadline = time.time() + 5
-        while time.time() < deadline and len(cloud.edges) < 1:
-            time.sleep(0.01)
-
-        spec = ForecastSpec(n_dims=3, dist="uniform", half_width=0.02)
+    def test_forecast_report_shapes_dsa_sampling(self, cluster):
+        cloud, edges, store = cluster
+        spec = ForecastSpec(n_dims=1, dist="uniform", half_width=0.02)
         item = UeScriptItem(at_s=0.0, kind="forecast", forecast=spec.to_dict())
-        assert ue_agent("ue-f", [item], edge.bound_addr, profile=ZERO).clean
-        assert edge.forecast == spec
+        for r, edge in edges.items():
+            assert ue_agent(f"ue-{r}", [item], edge.bound_addr, profile=ZERO).clean
+            assert edge.forecast == spec
 
-        dsa = DsaParams(n_raw=20, k=4, seed=5)
-        m = manifest(mode="DSA", regions=("R1",), dsa=dsa)
-        code = cloud.execute_run(m)
-        edge.close()
-        cloud.close()
-        assert code == 0
-        from gridmesh.store import scenarios_key
-        parsed = pipeline.parse_scenarios_blob(store.get(scenarios_key(m.run_id, "R1")))
-        assert parsed["forecast_spec"] == spec.to_dict()
-        for rep in parsed["scenario_set"].representatives:
-            assert all(0.98 <= v <= 1.02 for v in rep.multipliers)
+        m = manifest(mode="DSA", dsa=DsaParams(n_raw=20, k=4, seed=5))
+        assert cloud.execute_run(m) == 0
+        for r in edges:
+            parsed = pipeline.parse_scenarios_blob(store.get(scenarios_key(m.run_id, r)))
+            assert parsed["forecast_spec"] == spec.to_dict()
+            for rep in parsed["scenario_set"].representatives:
+                assert all(0.98 <= v <= 1.02 for v in rep.multipliers)
 
 
 class _Recorder(virtualdemo._Node):
@@ -356,27 +343,12 @@ class TestDuplicateUpload:
 
 
 class TestDsaRun:
-    def test_distributed_dsa_matches_monolithic(self, case9, tmp_path):
-        # single-region ownership: one edge samples every load
-        from gridmesh.cli import _single_region_case
-        case = _single_region_case(case9, "R1")
-        store = FileStore(tmp_path / "store")
-        cloud = CloudNode(case, store, profile=ZERO)
-        cloud_addr = cloud.start()
-        edge = EdgeNode("R1", case, store, cloud_addr, profile=ZERO)
-        edge.start()
-        deadline = time.time() + 5
-        while time.time() < deadline and len(cloud.edges) < 1:
-            time.sleep(0.01)
-
+    def test_distributed_dsa_matches_monolithic(self, cluster, case9):
+        cloud, _, store = cluster
         dsa = DsaParams(n_raw=40, k=5, seed=7)
-        m = manifest(mode="DSA", regions=("R1",), dsa=dsa)
-        code = cloud.execute_run(m)
-        edge.close()
-        cloud.close()
-        assert code == 0
+        m = manifest(mode="DSA", dsa=dsa)
+        assert cloud.execute_run(m) == 0
         blob = store.get(result_key(m.run_id))
-        report, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, WS_CFG,
-                                                   regions=["R1"])
+        report, expected = pipeline.monolithic_dsa(case9, {}, dsa, FAULT, WS_CFG)
         assert blob == expected
         assert 0.0 <= report.insecurity_probability <= 1.0

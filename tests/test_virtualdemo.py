@@ -1,7 +1,6 @@
 import pytest
 
 from gridmesh import pipeline, virtualdemo, wire
-from gridmesh.cli import _single_region_case
 from gridmesh.core import ACK_TIMEOUT_S, UPLINK, EdgeCore, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import read_events
@@ -91,41 +90,50 @@ class TestVirtualTopology:
         assert report.missing_regions == ("R3",)
 
 
+def dsa_manifest(dsa, deadline_s=30.0):
+    return RunManifest(run_id=RID, expected_regions=("R1", "R2", "R3"), mode="DSA",
+                       fault=FAULT, sim_cfg=CFG, deadline_s=deadline_s, dsa=dsa)
+
+
 class TestVirtualDsa:
     def test_dsa_run_produces_probability(self, tmp_path):
-        from gridmesh.cli import _single_region_case
-        case = _single_region_case(load_bundled_case("case9"), "R1")
-        manifest = RunManifest(run_id=RID, expected_regions=("R1",), mode="DSA",
-                               fault=FAULT, sim_cfg=CFG, deadline_s=30.0,
-                               dsa=DsaParams(n_raw=30, k=5, seed=3))
+        case = load_bundled_case("case9")
+        manifest = dsa_manifest(DsaParams(n_raw=30, k=5, seed=3))
         store = FileStore(tmp_path / "store")
         out = run_virtual_demo(case, manifest, store, tmp_path / "logs",
                                zero_impairment_profile(),
-                               {"ue-1": ("R1", [])})
+                               {f"ue-{r}": (r, []) for r in ("R1", "R2", "R3")})
         assert out.exit_code == 0
         report = pipeline.parse_dsa_result(out.result_blob)
         assert 0.0 <= report.insecurity_probability <= 1.0
-        _, expected = pipeline.monolithic_dsa(case, {}, manifest.dsa, FAULT, CFG,
-                                              regions=["R1"])
+        _, expected = pipeline.monolithic_dsa(case, {}, manifest.dsa, FAULT, CFG)
         assert out.result_blob == expected
-
 
     def test_forecast_report_shapes_dsa_sampling(self, tmp_path):
-        case = _single_region_case(load_bundled_case("case9"), "R1")
-        spec = ForecastSpec(n_dims=3, dist="uniform", half_width=0.02)
+        case = load_bundled_case("case9")
+        spec = ForecastSpec(n_dims=1, dist="uniform", half_width=0.02)
         dsa = DsaParams(n_raw=20, k=4, seed=5)
-        manifest = RunManifest(run_id=RID, expected_regions=("R1",), mode="DSA",
-                               fault=FAULT, sim_cfg=CFG, deadline_s=30.0, dsa=dsa)
         store = FileStore(tmp_path / "store")
         item = UeScriptItem(at_s=0.0, kind="forecast", forecast=spec.to_dict())
-        out = run_virtual_demo(case, manifest, store, tmp_path / "logs",
-                               zero_impairment_profile(), {"ue-f": ("R1", [item])})
+        out = run_virtual_demo(case, dsa_manifest(dsa), store, tmp_path / "logs",
+                               zero_impairment_profile(),
+                               {f"ue-{r}": (r, [item]) for r in ("R1", "R2", "R3")})
         assert out.exit_code == 0
-        parsed = pipeline.parse_scenarios_blob(store.get(scenarios_key(RID, "R1")))
-        assert parsed["forecast_spec"] == spec.to_dict()
-        _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG, regions=["R1"],
-                                              forecast=spec)
+        for r in ("R1", "R2", "R3"):
+            parsed = pipeline.parse_scenarios_blob(store.get(scenarios_key(RID, r)))
+            assert parsed["forecast_spec"] == spec.to_dict()
+        _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG, forecast=spec)
         assert out.result_blob == expected
+
+
+class TestDsaOracle:
+    @pytest.mark.parametrize("oracle", [pipeline.monolithic_dsa,
+                                        pipeline.dsa_bruteforce_probability])
+    def test_forecast_that_does_not_fit_a_region_raises(self, oracle):
+        wrong = ForecastSpec(n_dims=2)                # each case9 region owns one load
+        with pytest.raises(pipeline.ManifestError, match="2 dims, region R1 has 1 loads"):
+            oracle(load_bundled_case("case9"), {}, DsaParams(n_raw=20, k=2, seed=1),
+                   FAULT, CFG, forecast=wrong)
 
 
 def _events(log_dir, node):
@@ -158,20 +166,19 @@ class TestVirtualBadInput:
         assert out.result_blob == expected
 
         # a forecast that does not fit the region's loads fails the edge compute
-        case1 = _single_region_case(case, "R1")
-        wrong = ForecastSpec(n_dims=2)                # R1 owns three loads
-        manifest = RunManifest(run_id=RID, expected_regions=("R1",), mode="DSA",
-                               fault=FAULT, sim_cfg=CFG, deadline_s=3.0,
-                               dsa=DsaParams(n_raw=20, k=2, seed=1))
+        wrong = ForecastSpec(n_dims=2)                # R1 owns one load
         logs = tmp_path / "b" / "logs"
         item = UeScriptItem(at_s=0.0, kind="forecast", forecast=wrong.to_dict())
-        out = run_virtual_demo(case1, manifest, FileStore(tmp_path / "b" / "store"), logs,
+        out = run_virtual_demo(case, dsa_manifest(DsaParams(n_raw=20, k=2, seed=1),
+                                                  deadline_s=3.0),
+                               FileStore(tmp_path / "b" / "store"), logs,
                                zero_impairment_profile(), {"ue-1": ("R1", [item])})
         assert out.exit_code == 3 and out.result_blob is None
         assert "compute_failure" in [ev for ev, _ in _events(logs, "edge-R1")]
-        (error, fields), aborted = _events(logs, "cloud")[-2:]
-        assert (error, fields["code"]) == ("edge_error_recv", "compute_failure")
-        assert aborted == ("run_aborted", {"run": RID, "missing": "R1"})
+        cloud = _events(logs, "cloud")
+        assert ("edge_error_recv", "compute_failure") in \
+            [(ev, f.get("code")) for ev, f in cloud]
+        assert cloud[-1] == ("run_aborted", {"run": RID, "missing": "R1"})
 
 
 class _Watched(virtualdemo._CoreNode):
