@@ -125,9 +125,10 @@ class SimulationResult:
 
 def kron_eliminate(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Eliminate every node not in ``keep``: Y_kk - Y_ke * Y_ee^-1 * Y_ek."""
-    n = y.shape[0]
     keep = np.asarray(keep, dtype=int)
-    elim = np.array([i for i in range(n) if i not in set(keep.tolist())], dtype=int)
+    eliminated = np.ones(y.shape[0], dtype=bool)
+    eliminated[keep] = False
+    elim = np.flatnonzero(eliminated)
     ykk = y[np.ix_(keep, keep)]
     if elim.size == 0:
         return ykk.copy()

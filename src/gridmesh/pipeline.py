@@ -278,12 +278,16 @@ def load_regions(view: GridCase) -> list[str]:
 
 def monolithic_dsa(base: GridCase, deltas: dict[int, str], dsa: DsaParams,
                    fault: FaultSpec, cfg: SimulationConfig,
-                   forecast: ForecastSpec | None = None) -> tuple[SecurityReport, bytes]:
+                   forecasts: dict[str, ForecastSpec] | None = None,
+                   ) -> tuple[SecurityReport, bytes]:
+    """``forecasts`` holds the spec each region's edge was given; a region
+    that is missing samples with its default spec, as its edge does."""
+    forecasts = forecasts or {}
     view = base.with_branch_status(deltas)
     y = build_ybus(view)
     region_sets = {}
     for r in load_regions(view):
-        sset, load_ids, _, _ = region_scenarios(view, r, dsa, forecast)
+        sset, load_ids, _, _ = region_scenarios(view, r, dsa, forecasts.get(r))
         region_sets[r] = (sset, load_ids)
     report = dsa_compute(view, y, region_sets, fault, cfg)
     return report, dsa_result_blob(report)
@@ -291,11 +295,13 @@ def monolithic_dsa(base: GridCase, deltas: dict[int, str], dsa: DsaParams,
 
 def dsa_bruteforce_probability(base: GridCase, deltas: dict[int, str], dsa: DsaParams,
                                fault: FaultSpec, cfg: SimulationConfig,
-                               forecast: ForecastSpec | None = None) -> float:
+                               forecasts: dict[str, ForecastSpec] | None = None) -> float:
     """Equal-weight insecurity probability over the raw draws the representatives
-    stand for: joint scenario i takes raw draw i of every load region."""
+    stand for: joint scenario i takes raw draw i of every load region, drawn
+    with that region's spec from ``forecasts`` (its default when missing)."""
+    forecasts = forecasts or {}
     view = base.with_branch_status(deltas)
-    draws = [region_samples(view, r, dsa, forecast)[:2] for r in load_regions(view)]
+    draws = [region_samples(view, r, dsa, forecasts.get(r))[:2] for r in load_regions(view)]
     joint = []
     for i in range(dsa.n_raw):
         by_bus = {b: m for samples, ids in draws

@@ -1,5 +1,5 @@
 """Shared test fixtures: canonical machine-infinite-bus system, random cases,
-and a one-scenario reference integrator."""
+a one-scenario reference integrator and a dense-matmul reference power flow."""
 
 from __future__ import annotations
 
@@ -11,7 +11,9 @@ import numpy as np
 
 from gridmesh.dynamics import (MAX_STORED_POINTS, STABLE, UNSTABLE, NumericBlowupError,
                                SimulationResult, _snap_step)
-from gridmesh.model import Branch, Bus, Generator, GridCase
+from gridmesh.model import PQ, PV, Branch, Bus, Generator, GridCase
+from gridmesh.powerflow import (PowerFlowDivergedError, PowerFlowSolution,
+                                SingularJacobianError, _specified_injections)
 
 INF_H = 1e6          # stand-in for an infinite bus: huge inertia, negligible reactance
 INF_XD = 1e-6
@@ -147,3 +149,62 @@ def reference_simulate(case: GridCase, net, fault, cfg):
     return SimulationResult(times=keep_arr * dt, delta=deltas[keep_arr].T.copy(),
                             omega_dev=omegas[keep_arr].T.copy(), verdict=verdict,
                             t_unstable=t_unstable)
+
+
+def reference_solve_power_flow(case: GridCase, y, tol: float = 1e-8,
+                               max_iter: int = 20) -> PowerFlowSolution:
+    """Newton-Raphson with the Jacobian formed from dense ``np.diag`` matrices
+    and complex matmuls: the assembly ``powerflow.solve_power_flow`` replaced,
+    kept here as the oracle its voltages must match to round-off."""
+    ybus = y.to_dense()
+    p_spec, q_spec = _specified_injections(case)
+    s_spec = p_spec + 1j * q_spec
+
+    kinds = [b.kind for b in case.buses]
+    pv = np.array([i for i, k in enumerate(kinds) if k == PV], dtype=int)
+    pq = np.array([i for i, k in enumerate(kinds) if k == PQ], dtype=int)
+    pvpq = np.concatenate([pv, pq])
+
+    vm = np.array([b.v_mag for b in case.buses], dtype=float)
+    va = np.array([b.v_ang for b in case.buses], dtype=float)
+
+    def mismatch(vm, va):
+        v = vm * np.exp(1j * va)
+        mis = v * np.conj(ybus @ v) - s_spec
+        return np.concatenate([mis[pvpq].real, mis[pq].imag]), v
+
+    f, v = mismatch(vm, va)
+    max_mis = float(np.max(np.abs(f))) if f.size else 0.0
+    it = 0
+    while max_mis >= tol:
+        if it >= max_iter:
+            raise PowerFlowDivergedError(
+                f"no convergence after {it} iterations (mismatch {max_mis:.3e})",
+                it, max_mis)
+        ibus = ybus @ v
+        diag_v = np.diag(v)
+        diag_i = np.diag(ibus)
+        diag_vnorm = np.diag(v / vm)
+        ds_dvm = diag_v @ np.conj(ybus @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
+        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+
+        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
+        j12 = ds_dvm[np.ix_(pvpq, pq)].real
+        j21 = ds_dva[np.ix_(pq, pvpq)].imag
+        j22 = ds_dvm[np.ix_(pq, pq)].imag
+        jac = np.block([[j11, j12], [j21, j22]])
+        try:
+            dx = np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(f"singular Jacobian at iteration {it}") from exc
+
+        va[pvpq] -= dx[:len(pvpq)]
+        vm[pq] -= dx[len(pvpq):]
+        it += 1
+        if not (np.all(np.isfinite(vm)) and np.all(np.isfinite(va))) or np.any(vm <= 0):
+            raise PowerFlowDivergedError(
+                f"iterate left the feasible region at iteration {it}", it, float("inf"))
+        f, v = mismatch(vm, va)
+        max_mis = float(np.max(np.abs(f))) if f.size else 0.0
+
+    return PowerFlowSolution(v_mag=vm, v_ang=va, iterations=it, max_mismatch=max_mis)

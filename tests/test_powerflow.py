@@ -1,15 +1,23 @@
 import math
 import random
 
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridmesh.model import Branch, Bus, Generator, GridCase, load_bundled_case
-from gridmesh.powerflow import (PowerFlowDivergedError, bus_injections,
+from gridmesh.powerflow import (PowerFlowDivergedError, PowerFlowError,
+                                SingularJacobianError, bus_injections,
                                 initialize_machines, solve_power_flow)
-from gridmesh.ybus import build_ybus
+from gridmesh.ybus import YMatrix, build_ybus
 
-from helpers import random_connected_case, smib_case
+from helpers import random_connected_case, reference_solve_power_flow, smib_case
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # Frozen from the brute-force oracle below (grid search + refinement over
 # (v2, theta2) minimizing the bus-2 complex mismatch, residual < 1e-15).
@@ -176,3 +184,103 @@ class TestInitializeMachines:
         )
         with pytest.raises(Exception, match="Slack or PV"):
             solve_power_flow(case)
+
+
+def load_synthcase():
+    """The benchmark's seeded 509-bus lattice generator, ``bench/synthcase.py``."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("synthcase")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def outcome(solve):
+    """What a solver call gives: its solution, or the class and iteration it
+    failed at."""
+    try:
+        return solve()
+    except PowerFlowDivergedError as exc:
+        return type(exc), exc.iterations
+    except PowerFlowError as exc:
+        return type(exc), str(exc)
+
+
+def capped_mismatch(solve, max_iter):
+    """The mismatch a solver is left with when stopped after ``max_iter`` steps."""
+    with pytest.raises(PowerFlowDivergedError) as info:
+        solve(max_iter)
+    return info.value.max_mismatch
+
+
+def assert_matches_reference(case, y, **opts):
+    def new(max_iter=opts.get("max_iter", 20)):
+        return solve_power_flow(case, y=y, **dict(opts, max_iter=max_iter))
+
+    def ref(max_iter=opts.get("max_iter", 20)):
+        return reference_solve_power_flow(case, y, **dict(opts, max_iter=max_iter))
+
+    got, want = outcome(new), outcome(ref)
+    if not isinstance(want, tuple):
+        assert not isinstance(got, tuple), got
+        assert got.iterations == want.iterations
+        assert np.max(np.abs(got.v_mag - want.v_mag)) <= 1e-10
+        assert np.max(np.abs(got.v_ang - want.v_ang)) <= 1e-10
+    elif got != want:
+        # Far from any solution, Newton's iteration amplifies a last-bit
+        # difference step by step until the two paths part and one leaves the
+        # feasible region earlier. Only that is allowed: both diverge, they
+        # agree to round-off after the first step, and they have parted
+        # before the first of them stops.
+        assert got[0] is want[0] is PowerFlowDivergedError, (got, want)
+        for k, close in ((1, True), (min(got[1], want[1]) - 1, False)):
+            a, b = capped_mismatch(new, k), capped_mismatch(ref, k)
+            assert (abs(a - b) <= 1e-10 * abs(b)) is close, (k, a, b)
+
+
+class TestAgainstDenseReference:
+    """The Jacobian is assembled by broadcasting; the dense ``np.diag``/matmul
+    Newton-Raphson it replaced must give the same answer to round-off."""
+
+    def test_case9(self):
+        case = load_bundled_case("case9")
+        assert_matches_reference(case, build_ybus(case))
+
+    def test_lattice_case(self):
+        case = load_synthcase().lattice_case(load_bundled_case("case9")).case
+        assert_matches_reference(case, build_ybus(case))
+
+    @given(seed=st.integers(0, 2**32 - 1), n_buses=st.integers(4, 30),
+           load_scale=st.floats(0.0, 8.0), tol=st.sampled_from([1e-8, 1e-10]),
+           max_iter=st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_random_cases(self, seed, n_buses, load_scale, tol, max_iter):
+        rng = random.Random(seed)
+        case = random_connected_case(rng, n_buses, 2)
+        case = case.with_bus_loads({
+            b.id: (b.p_load * load_scale * rng.uniform(0.5, 1.5),
+                   b.q_load * load_scale * rng.uniform(0.5, 1.5))
+            for b in case.buses if b.kind == "PQ"})
+        assert_matches_reference(case, build_ybus(case), tol=tol, max_iter=max_iter)
+
+
+class TestSingularJacobian:
+    def test_isolated_pq_bus_raises_singular_jacobian(self):
+        # bus 3 is tied in by branch 2 in the case, but the prebuilt matrix
+        # leaves out every entry in bus 3's row and column
+        case = GridCase(
+            buses=(Bus(id=1, kind="Slack"), Bus(id=2, kind="PQ", p_load=0.5),
+                   Bus(id=3, kind="PQ", p_load=0.2, q_load=0.1)),
+            branches=(Branch(id=1, from_bus=1, to_bus=2, r=0.01, x=0.1),
+                      Branch(id=2, from_bus=2, to_bus=3, r=0.01, x=0.1)),
+            generators=(),
+        )
+        full = build_ybus(case)
+        y = YMatrix(full.n, {pos: terms for pos, terms in full.contribs.items()
+                             if 2 not in pos})
+        with pytest.raises(SingularJacobianError, match="at iteration 0") as info:
+            solve_power_flow(case, y=y)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert outcome(lambda: reference_solve_power_flow(case, y)) == \
+            (SingularJacobianError, "singular Jacobian at iteration 0")

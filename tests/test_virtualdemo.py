@@ -122,8 +122,34 @@ class TestVirtualDsa:
         for r in ("R1", "R2", "R3"):
             parsed = pipeline.parse_scenarios_blob(store.get(scenarios_key(RID, r)))
             assert parsed["forecast_spec"] == spec.to_dict()
-        _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG, forecast=spec)
+        _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG,
+                                              forecasts=dict.fromkeys(("R1", "R2", "R3"), spec))
         assert out.result_blob == expected
+
+    def test_forecast_to_one_edge_only(self, tmp_path):
+        case = load_bundled_case("case9")
+        spec = ForecastSpec(n_dims=1, dist="uniform", half_width=0.02)
+        dsa = DsaParams(n_raw=20, k=4, seed=5)
+        store = FileStore(tmp_path / "store")
+        item = UeScriptItem(at_s=0.0, kind="forecast", forecast=spec.to_dict())
+        out = run_virtual_demo(case, dsa_manifest(dsa), store, tmp_path / "logs",
+                               zero_impairment_profile(),
+                               {"ue-R1": ("R1", [item]), "ue-R2": ("R2", []),
+                                "ue-R3": ("R3", [])})
+        assert out.exit_code == 0
+        specs = {r: pipeline.parse_scenarios_blob(store.get(scenarios_key(RID, r)))
+                 ["forecast_spec"] for r in ("R1", "R2", "R3")}
+        assert specs["R1"] == spec.to_dict()
+        assert specs["R2"] == specs["R3"] == ForecastSpec(
+            n_dims=1, sigma=pipeline.DEFAULT_FORECAST_SIGMA).to_dict()
+        _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG,
+                                              forecasts={"R1": spec})
+        assert out.result_blob == expected
+        # the same spec on every region is a different answer
+        _, everywhere = pipeline.monolithic_dsa(
+            case, {}, dsa, FAULT, CFG, forecasts=dict.fromkeys(("R1", "R2", "R3"), spec))
+        _, default = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG)
+        assert expected not in (everywhere, default)
 
 
 class TestDsaOracle:
@@ -133,7 +159,7 @@ class TestDsaOracle:
         wrong = ForecastSpec(n_dims=2)                # each case9 region owns one load
         with pytest.raises(pipeline.ManifestError, match="2 dims, region R1 has 1 loads"):
             oracle(load_bundled_case("case9"), {}, DsaParams(n_raw=20, k=2, seed=1),
-                   FAULT, CFG, forecast=wrong)
+                   FAULT, CFG, forecasts={"R1": wrong})
 
 
 def _events(log_dir, node):
