@@ -1,7 +1,6 @@
+import importlib
 import math
 import random
-
-import importlib
 import sys
 from pathlib import Path
 
@@ -209,16 +208,16 @@ def outcome(solve):
 def capped_mismatch(solve, max_iter):
     """The mismatch a solver is left with when stopped after ``max_iter`` steps."""
     with pytest.raises(PowerFlowDivergedError) as info:
-        solve(max_iter)
+        solve(max_iter=max_iter)
     return info.value.max_mismatch
 
 
 def assert_matches_reference(case, y, **opts):
-    def new(max_iter=opts.get("max_iter", 20)):
-        return solve_power_flow(case, y=y, **dict(opts, max_iter=max_iter))
+    def new(**over):
+        return solve_power_flow(case, y=y, **{**opts, **over})
 
-    def ref(max_iter=opts.get("max_iter", 20)):
-        return reference_solve_power_flow(case, y, **dict(opts, max_iter=max_iter))
+    def ref(**over):
+        return reference_solve_power_flow(case, y, **{**opts, **over})
 
     got, want = outcome(new), outcome(ref)
     if not isinstance(want, tuple):
@@ -232,7 +231,8 @@ def assert_matches_reference(case, y, **opts):
         # feasible region earlier. Only that is allowed: both diverge, they
         # agree to round-off after the first step, and they have parted
         # before the first of them stops.
-        assert got[0] is want[0] is PowerFlowDivergedError, (got, want)
+        assert isinstance(got, tuple) and got[0] is want[0] is PowerFlowDivergedError, \
+            (got, want)
         for k, close in ((1, True), (min(got[1], want[1]) - 1, False)):
             a, b = capped_mismatch(new, k), capped_mismatch(ref, k)
             assert (abs(a - b) <= 1e-10 * abs(b)) is close, (k, a, b)
