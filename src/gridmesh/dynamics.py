@@ -142,8 +142,8 @@ def kron_eliminate(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return ykk - yke @ x
 
 
-def kron_reduce(y: YMatrix, case: GridCase, sol: PowerFlowSolution) -> np.ndarray:
-    """Reduce the bus-level matrix to the generator internal nodes.
+def kron_reduce(y: np.ndarray, case: GridCase, sol: PowerFlowSolution) -> np.ndarray:
+    """Reduce the dense bus-level matrix to the generator internal nodes.
 
     Loads are converted to constant admittances y_load = (P - jQ)/|V|^2 at the
     solved voltages; each machine couples through 1/(j xd'). Internal nodes are
@@ -154,7 +154,7 @@ def kron_reduce(y: YMatrix, case: GridCase, sol: PowerFlowSolution) -> np.ndarra
         raise DynamicsError("case has no generators")
     idx = case.bus_index()
     aug = np.zeros((n + m, n + m), dtype=complex)
-    aug[:n, :n] = y.to_dense()
+    aug[:n, :n] = y
     for k, bus in enumerate(case.buses):
         if bus.p_load != 0.0 or bus.q_load != 0.0:
             vm = sol.v_mag[k]

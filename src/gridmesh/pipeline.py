@@ -211,7 +211,7 @@ def topology_compute(view: GridCase, y: YMatrix, fault: FaultSpec,
                      cfg: SimulationConfig) -> SimulationResult:
     """Power flow, machine initialization, reduction and simulation over one matrix."""
     sol = solve_power_flow(view, y=y)
-    mcase = initialize_machines(view, sol, y=y)
+    mcase = initialize_machines(view, sol)
     net = reduce_network(mcase, sol, fault, y)
     return simulate_dynamics(mcase, net, fault, cfg)
 
@@ -232,7 +232,7 @@ def simulate_scenarios(view: GridCase, y: YMatrix, scenarios: list[Scenario],
     for s in scenarios:
         scase = apply_scenario(view, s)
         sol = solve_power_flow(scase, y=y)
-        mcase = initialize_machines(scase, sol, y=y)
+        mcase = initialize_machines(scase, sol)
         cases.append(mcase)
         nets.append(reduce_network(mcase, sol, fault, y))
     return simulate_batch(cases, nets, fault, cfg)

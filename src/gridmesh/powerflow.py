@@ -9,6 +9,9 @@ matrices; here each diagonal product is a row or column scaling of Y,
 applied by broadcasting on the rows and columns the Jacobian keeps, so
 assembly costs O(n^2) per iteration. The dense ``np.linalg.solve`` of the
 Jacobian, O(n^3), is what remains of the cost on large cases.
+
+A solution carries the injections V * conj(Y V) of its final mismatch
+evaluation. A mismatch that is not finite is a divergence.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ class PowerFlowSolution:
     v_ang: np.ndarray       # rad
     iterations: int
     max_mismatch: float
+    injections: np.ndarray  # complex net injection V * conj(Y V) per bus
 
     def voltage(self) -> np.ndarray:
         """Complex bus voltage phasors."""
@@ -94,16 +98,19 @@ def solve_power_flow(case: GridCase, tol: float = 1e-8, max_iter: int = 20,
     rows_pvpq = np.arange(m)
     rows_pq = np.arange(npq)
 
-    def mismatch(vm, va):
+    it = 0
+    while True:
         v = vm * np.exp(1j * va)
         ibus = ybus @ v
-        mis = v * np.conj(ibus) - s_spec
-        return np.concatenate([mis[pvpq].real, mis[pq].imag]), v, ibus
-
-    f, v, ibus = mismatch(vm, va)
-    max_mis = float(np.max(np.abs(f))) if f.size else 0.0
-    it = 0
-    while max_mis >= tol:
+        s_inj = v * np.conj(ibus)
+        mis = s_inj - s_spec
+        f = np.concatenate([mis[pvpq].real, mis[pq].imag])
+        max_mis = float(np.max(np.abs(f))) if f.size else 0.0
+        if max_mis < tol:
+            break
+        if not np.isfinite(max_mis):
+            raise PowerFlowDivergedError(
+                f"mismatch is not finite at iteration {it}", it, max_mis)
         if it >= max_iter:
             raise PowerFlowDivergedError(
                 f"no convergence after {it} iterations (mismatch {max_mis:.3e})",
@@ -136,31 +143,20 @@ def solve_power_flow(case: GridCase, tol: float = 1e-8, max_iter: int = 20,
         if not (np.all(np.isfinite(vm)) and np.all(np.isfinite(va))) or np.any(vm <= 0):
             raise PowerFlowDivergedError(
                 f"iterate left the feasible region at iteration {it}", it, float("inf"))
-        f, v, ibus = mismatch(vm, va)
-        max_mis = float(np.max(np.abs(f))) if f.size else 0.0
 
-    return PowerFlowSolution(v_mag=vm, v_ang=va, iterations=it, max_mismatch=max_mis)
-
-
-def bus_injections(case: GridCase, sol: PowerFlowSolution,
-                   y: YMatrix | None = None) -> np.ndarray:
-    """Complex net injection S = V * conj(Y V) at every bus of a solved case."""
-    if y is None:
-        y = build_ybus(case)
-    v = sol.voltage()
-    return v * np.conj(y.to_dense() @ v)
+    return PowerFlowSolution(v_mag=vm, v_ang=va, iterations=it, max_mismatch=max_mis,
+                             injections=s_inj)
 
 
-def initialize_machines(case: GridCase, sol: PowerFlowSolution,
-                        y: YMatrix | None = None) -> GridCase:
+def initialize_machines(case: GridCase, sol: PowerFlowSolution) -> GridCase:
     """Set internal EMF, rotor angle and mechanical power from a solved operating point.
 
     E∠δ0 = V + j·xd' · I_gen with I_gen from the generator's electrical output
-    (net injection plus local load); p_mech is set to the machine's electrical
-    power so the subsequent dynamic simulation starts at equilibrium.
+    (the solution's net injection plus local load); p_mech is set to the
+    machine's electrical power so the subsequent dynamic simulation starts at
+    equilibrium.
     """
     idx = case.bus_index()
-    s_inj = bus_injections(case, sol, y=y)
     v = sol.voltage()
     gens = []
     for g in case.generators:
@@ -168,7 +164,7 @@ def initialize_machines(case: GridCase, sol: PowerFlowSolution,
         if sol.v_mag[i] < 1e-9:
             raise PowerFlowError(f"generator {g.id}: terminal voltage is zero at bus {g.bus}")
         bus = case.bus(g.bus)
-        s_gen = s_inj[i] + complex(bus.p_load, bus.q_load)
+        s_gen = sol.injections[i] + complex(bus.p_load, bus.q_load)
         i_gen = np.conj(s_gen / v[i])
         e = v[i] + 1j * g.xd_p * i_gen
         p_elec = (e * np.conj(i_gen)).real

@@ -43,6 +43,8 @@ class ForecastSpec:
     def __post_init__(self):
         if self.n_dims < 0:
             raise SamplingError("n_dims must be >= 0")
+        if not (math.isfinite(self.sigma) and math.isfinite(self.half_width)):
+            raise SamplingError("sigma and half_width must be finite")
         if self.dist == GAUSSIAN:
             if self.sigma <= 0:
                 raise SamplingError("gaussian spec needs sigma > 0")

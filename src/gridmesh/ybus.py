@@ -1,36 +1,33 @@
 """Sparse complex admittance matrix: construction, region partials, merging, fault variants.
 
-Every matrix keeps its per-entry contribution list keyed by origin (branch id,
-bus shunt, fault shunt). Entry values are folded from contributions in a fixed
-canonical order (branches by ascending id, then shunts by ascending bus id,
-then fault shunts), so a matrix assembled from merged region partials is
-bit-for-bit identical to one built whole, and removing a branch reproduces a
-fresh build of the modified case exactly.
+Every matrix keeps its per-entry contribution list keyed by origin (branch id
+or bus shunt). One stamp helper makes the terms, and one helper puts each
+entry's terms in canonical order (branches by ascending id, then shunts by
+ascending bus id) for a whole build, a region partial, a partial read back
+from its payload and a merge alike, so merged region partials fold
+bit-for-bit to the whole build. ``fault_variants`` adds a fault shunt after
+an entry's terms and re-folds only the entries a cleared branch touches.
 """
 
 from __future__ import annotations
 
-import json
+from collections.abc import Iterable
 
 import numpy as np
 
-from .model import Branch, CaseError, FaultSpec, GridCase, validate_fault
+from .model import Branch, Bus, CaseError, FaultSpec, GridCase, validate_fault
 
-# contribution sort keys: (kind, id); kind 0 = branch, 1 = bus shunt, 2 = fault
+# contribution sort keys: (kind, id); kind 0 = branch, 1 = bus shunt
 _KIND_BRANCH = 0
 _KIND_SHUNT = 1
-_KIND_FAULT = 2
 
 Entry = tuple[int, int]
 ContribKey = tuple[int, int]
+Terms = tuple[tuple[ContribKey, complex], ...]
 
 
 class YBusError(CaseError):
     """Base for admittance-assembly failures."""
-
-
-class DegenerateBranchError(YBusError):
-    pass
 
 
 class UnknownRegionError(YBusError):
@@ -59,7 +56,7 @@ class YMatrix:
 
     __slots__ = ("n", "entries", "contribs")
 
-    def __init__(self, n: int, contribs: dict[Entry, tuple[tuple[ContribKey, complex], ...]]):
+    def __init__(self, n: int, contribs: dict[Entry, Terms]):
         self.n = n
         self.contribs = contribs
         self.entries: dict[Entry, complex] = {
@@ -81,64 +78,55 @@ class YMatrix:
         return dense
 
 
-def _fold(terms: tuple[tuple[ContribKey, complex], ...]) -> complex:
+def _fold(terms: Terms) -> complex:
     total = complex(0.0, 0.0)
     for _, value in terms:
         total += value
     return total
 
 
-class _Builder:
-    """Accumulates keyed contributions, emits a canonically ordered YMatrix."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self._acc: dict[Entry, list[tuple[ContribKey, complex]]] = {}
-
-    def add(self, pos: Entry, key: ContribKey, value: complex) -> None:
-        self._acc.setdefault(pos, []).append((key, value))
-
-    def build(self) -> YMatrix:
-        contribs = {pos: tuple(sorted(terms, key=lambda t: t[0]))
-                    for pos, terms in self._acc.items()}
-        return YMatrix(self.n, contribs)
+def _canonical(terms: Iterable[tuple[Entry, ContribKey, complex]]) -> dict[Entry, Terms]:
+    """Group (pos, key, value) terms by entry, each entry's terms in key order."""
+    acc: dict[Entry, list[tuple[ContribKey, complex]]] = {}
+    for pos, key, value in terms:
+        acc.setdefault(pos, []).append((key, value))
+    return {pos: tuple(sorted(ts, key=lambda t: t[0])) for pos, ts in acc.items()}
 
 
-def _branch_terms(br: Branch, idx: dict[int, int]):
-    """The four stamp terms of one closed branch: (pos, value) pairs."""
-    if br.r == 0.0 and br.x == 0.0:
-        raise DegenerateBranchError(f"branch {br.id} has r = x = 0")
-    y = 1.0 / complex(br.r, br.x)
-    half_charge = complex(0.0, 0.5 * br.b_charge)
-    f, t = idx[br.from_bus], idx[br.to_bus]
-    off = -(y / br.tap)
-    return [
-        ((f, f), y / (br.tap * br.tap) + half_charge),
-        ((t, t), y + half_charge),
-        ((f, t), off),
-        ((t, f), off),
-    ]
+def _stamps(case: GridCase, branches: Iterable[Branch], shunt_buses: Iterable[Bus]):
+    """The (pos, key, value) terms of the given closed branches and bus shunts.
+
+    Per branch with series admittance y = 1/(r + jx): off-diagonals get
+    -y/tap, diagonal(from) y/tap^2 + j*b_charge/2, diagonal(to) y + j*b_charge/2.
+    """
+    idx = case.bus_index()
+    for br in branches:
+        y = 1.0 / complex(br.r, br.x)
+        half_charge = complex(0.0, 0.5 * br.b_charge)
+        f, t = idx[br.from_bus], idx[br.to_bus]
+        off = -(y / br.tap)
+        key = (_KIND_BRANCH, br.id)
+        yield (f, f), key, y / (br.tap * br.tap) + half_charge
+        yield (t, t), key, y + half_charge
+        yield (f, t), key, off
+        yield (t, f), key, off
+    for bus in shunt_buses:
+        i = idx[bus.id]
+        yield (i, i), (_KIND_SHUNT, bus.id), complex(bus.shunt_g, bus.shunt_b)
+
+
+def _has_shunt(bus: Bus) -> bool:
+    return bus.shunt_g != 0.0 or bus.shunt_b != 0.0
 
 
 def build_ybus(case: GridCase) -> YMatrix:
     """Stamp all Closed branches and bus shunts of a case.
 
-    Per closed branch with series admittance y = 1/(r + jx): off-diagonals get
-    -y/tap, diagonal(from) y/tap^2 + j*b_charge/2, diagonal(to) y + j*b_charge/2.
     Open branches contribute nothing; zero shunts are not stamped.
     """
-    idx = case.bus_index()
-    b = _Builder(case.n)
-    for br in case.branches:
-        if not br.closed:
-            continue
-        for pos, value in _branch_terms(br, idx):
-            b.add(pos, (_KIND_BRANCH, br.id), value)
-    for bus in case.buses:
-        if bus.shunt_g != 0.0 or bus.shunt_b != 0.0:
-            i = idx[bus.id]
-            b.add((i, i), (_KIND_SHUNT, bus.id), complex(bus.shunt_g, bus.shunt_b))
-    return b.build()
+    branches = [br for br in case.branches if br.closed]
+    shunts = [bus for bus in case.buses if _has_shunt(bus)]
+    return YMatrix(case.n, _canonical(_stamps(case, branches, shunts)))
 
 
 class PartialAdmittance:
@@ -148,22 +136,19 @@ class PartialAdmittance:
     provenance, so merging can re-fold contributions in canonical order.
     """
 
-    __slots__ = ("region", "n", "branch_ids", "shunt_bus_ids", "contribs", "entries")
+    __slots__ = ("region", "n", "branch_ids", "shunt_bus_ids", "contribs")
 
     def __init__(self, region: str, n: int, branch_ids: set[int], shunt_bus_ids: set[int],
-                 contribs: dict[Entry, tuple[tuple[ContribKey, complex], ...]]):
+                 contribs: dict[Entry, Terms]):
         self.region = region
         self.n = n
         self.branch_ids = frozenset(branch_ids)
         self.shunt_bus_ids = frozenset(shunt_bus_ids)
         self.contribs = contribs
-        self.entries: dict[Entry, complex] = {
-            pos: _fold(terms) for pos, terms in contribs.items()
-        }
 
     def __repr__(self) -> str:
         return (f"PartialAdmittance(region={self.region!r}, n={self.n}, "
-                f"branches={len(self.branch_ids)}, nnz={len(self.entries)})")
+                f"branches={len(self.branch_ids)}, nnz={len(self.contribs)})")
 
     def to_payload(self) -> dict:
         terms = []
@@ -180,27 +165,15 @@ class PartialAdmittance:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PartialAdmittance":
-        acc: dict[Entry, list[tuple[ContribKey, complex]]] = {}
-        for i, j, kind, kid, re, im in payload["terms"]:
-            acc.setdefault((int(i), int(j)), []).append(
-                ((int(kind), int(kid)), complex(re, im)))
-        contribs = {pos: tuple(sorted(terms, key=lambda t: t[0]))
-                    for pos, terms in acc.items()}
+        terms = (((int(i), int(j)), (int(kind), int(kid)), complex(re, im))
+                 for i, j, kind, kid, re, im in payload["terms"])
         return cls(
             region=payload["region"],
             n=int(payload["n"]),
             branch_ids=set(payload["branch_ids"]),
             shunt_bus_ids=set(payload["shunt_bus_ids"]),
-            contribs=contribs,
+            contribs=_canonical(terms),
         )
-
-    def to_json(self) -> bytes:
-        return json.dumps(self.to_payload(), sort_keys=True,
-                          separators=(",", ":")).encode()
-
-    @classmethod
-    def from_json(cls, blob: bytes) -> "PartialAdmittance":
-        return cls.from_payload(json.loads(blob.decode()))
 
 
 def build_partial(case: GridCase, region: str, partition: dict[int, str],
@@ -217,27 +190,11 @@ def build_partial(case: GridCase, region: str, partition: dict[int, str],
     if region not in known:
         raise UnknownRegionError(f"region {region!r} not declared anywhere in the case")
 
-    idx = case.bus_index()
-    acc: dict[Entry, list[tuple[ContribKey, complex]]] = {}
-    branch_ids: set[int] = set()
-    for br in case.branches:
-        if not br.closed or partition[br.id] != region:
-            continue
-        branch_ids.add(br.id)
-        for pos, value in _branch_terms(br, idx):
-            acc.setdefault(pos, []).append(((_KIND_BRANCH, br.id), value))
-    shunt_ids: set[int] = set()
-    for bus in case.buses:
-        if bus_owner[bus.id] != region:
-            continue
-        if bus.shunt_g != 0.0 or bus.shunt_b != 0.0:
-            shunt_ids.add(bus.id)
-            i = idx[bus.id]
-            acc.setdefault((i, i), []).append(
-                ((_KIND_SHUNT, bus.id), complex(bus.shunt_g, bus.shunt_b)))
-    contribs = {pos: tuple(sorted(terms, key=lambda t: t[0]))
-                for pos, terms in acc.items()}
-    return PartialAdmittance(region, case.n, branch_ids, shunt_ids, contribs)
+    branches = [br for br in case.branches if br.closed and partition[br.id] == region]
+    shunts = [bus for bus in case.buses if bus_owner[bus.id] == region and _has_shunt(bus)]
+    return PartialAdmittance(region, case.n, {br.id for br in branches},
+                             {bus.id for bus in shunts},
+                             _canonical(_stamps(case, branches, shunts)))
 
 
 def build_partials(case: GridCase) -> dict[str, PartialAdmittance]:
@@ -259,9 +216,10 @@ def merge_partials(parts: list[PartialAdmittance], expected_branches: set[int]) 
     if len(dims) != 1:
         raise YBusError(f"partials disagree on dimension: {sorted(dims)}")
 
+    parts = sorted(parts, key=lambda p: p.region)
     seen_branches: set[int] = set()
     seen_shunts: set[int] = set()
-    for p in sorted(parts, key=lambda p: p.region):
+    for p in parts:
         dup = seen_branches & p.branch_ids
         if dup:
             raise DuplicateCoverageError(
@@ -279,40 +237,33 @@ def merge_partials(parts: list[PartialAdmittance], expected_branches: set[int]) 
         raise IncompleteCoverageError(
             f"branch coverage mismatch: missing={missing} unexpected={extra}")
 
-    b = _Builder(parts[0].n)
-    for p in sorted(parts, key=lambda p: p.region):
-        for pos, terms in p.contribs.items():
-            for key, value in terms:
-                b.add(pos, key, value)
-    return b.build()
+    return YMatrix(parts[0].n, _canonical(
+        (pos, key, value) for p in parts
+        for pos, terms in p.contribs.items() for key, value in terms))
 
 
-def fault_variants(y: YMatrix, case: GridCase, fault: FaultSpec) -> tuple[YMatrix, YMatrix, YMatrix]:
-    """Pre-, on- and post-fault matrices for one fault specification.
+def fault_variants(y: YMatrix, case: GridCase,
+                   fault: FaultSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense pre-, on- and post-fault matrices for one fault specification.
 
-    Y_pre is the input unchanged; Y_on adds the fault shunt to the faulted
-    bus's diagonal; Y_post drops the cleared branch's stamps (identical to a
-    fresh build of the case with that branch Open), or Y_pre when nothing clears.
+    Y_pre is ``y.to_dense()``. Y_on adds the fault shunt to the faulted bus's
+    diagonal, after that entry's other terms. Y_post re-folds only the cleared
+    branch's four entries without its terms, so it is bitwise a fresh build of
+    the case with that branch Open; with nothing cleared, Y_post is Y_pre.
     """
     validate_fault(case, fault)
-    idx = case.bus_index()
-    f = idx[fault.faulted_bus]
-
-    on_contribs = dict(y.contribs)
-    key = (_KIND_FAULT, 0)
-    pos = (f, f)
-    on_contribs[pos] = y.contribs.get(pos, ()) + ((key, fault.y_fault),)
-    y_on = YMatrix(y.n, on_contribs)
-
+    f = case.bus_index()[fault.faulted_bus]
+    pre = y.to_dense()
+    on = pre.copy()
+    on[f, f] += fault.y_fault
     if fault.cleared_branch is None:
-        return y, y_on, y
+        return pre, on, pre
 
     drop = (_KIND_BRANCH, fault.cleared_branch)
-    if not any(k == drop for terms in y.contribs.values() for k, _ in terms):
+    touched = [pos for pos, terms in y.contribs.items() if any(k == drop for k, _ in terms)]
+    if not touched:
         raise YBusError(f"cleared branch {fault.cleared_branch} is not stamped in the matrix")
-    post_contribs: dict[Entry, tuple[tuple[ContribKey, complex], ...]] = {}
-    for p, terms in y.contribs.items():
-        kept = tuple(t for t in terms if t[0] != drop)
-        if kept:
-            post_contribs[p] = kept
-    return y, y_on, YMatrix(y.n, post_contribs)
+    post = pre.copy()
+    for pos in touched:
+        post[pos] = _fold(tuple(t for t in y.contribs[pos] if t[0] != drop))
+    return pre, on, post

@@ -170,13 +170,17 @@ def reference_solve_power_flow(case: GridCase, y, tol: float = 1e-8,
 
     def mismatch(vm, va):
         v = vm * np.exp(1j * va)
-        mis = v * np.conj(ybus @ v) - s_spec
-        return np.concatenate([mis[pvpq].real, mis[pq].imag]), v
+        s = v * np.conj(ybus @ v)
+        mis = s - s_spec
+        return np.concatenate([mis[pvpq].real, mis[pq].imag]), v, s
 
-    f, v = mismatch(vm, va)
+    f, v, s = mismatch(vm, va)
     max_mis = float(np.max(np.abs(f))) if f.size else 0.0
     it = 0
-    while max_mis >= tol:
+    while not max_mis < tol:
+        if not np.isfinite(max_mis):
+            raise PowerFlowDivergedError(
+                f"mismatch is not finite at iteration {it}", it, max_mis)
         if it >= max_iter:
             raise PowerFlowDivergedError(
                 f"no convergence after {it} iterations (mismatch {max_mis:.3e})",
@@ -204,7 +208,8 @@ def reference_solve_power_flow(case: GridCase, y, tol: float = 1e-8,
         if not (np.all(np.isfinite(vm)) and np.all(np.isfinite(va))) or np.any(vm <= 0):
             raise PowerFlowDivergedError(
                 f"iterate left the feasible region at iteration {it}", it, float("inf"))
-        f, v = mismatch(vm, va)
+        f, v, s = mismatch(vm, va)
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
 
-    return PowerFlowSolution(v_mag=vm, v_ang=va, iterations=it, max_mismatch=max_mis)
+    return PowerFlowSolution(v_mag=vm, v_ang=va, iterations=it, max_mismatch=max_mis,
+                             injections=s)

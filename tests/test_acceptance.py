@@ -6,6 +6,7 @@ success). Criteria 8-10 drive the real multi-process demos through the CLI.
 
 import contextlib
 import math
+import os
 import random
 import re
 import socket
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from gridmesh.ybus import build_partials, build_ybus, merge_partials
 from helpers import random_connected_case, smib_case, perturb_machine
 
 WS = 2 * math.pi * 60.0
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @contextlib.contextmanager
@@ -203,8 +206,12 @@ def test_07_link_calibration():
 
 
 def _run_demo(args, timeout):
+    """``python -m gridmesh demo`` with this checkout's ``src`` on the path, so a
+    bare ``pytest`` finds the package without installing it."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "gridmesh", "demo", *args],
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_08_use_case_one_end_to_end(tmp_path):

@@ -68,7 +68,7 @@ class TestKron:
     def test_kron_reduce_dimension_is_machine_count(self):
         case = load_bundled_case("case9")
         mcase, sol = solved(case)
-        out = kron_reduce(build_ybus(case), mcase, sol)
+        out = kron_reduce(build_ybus(case).to_dense(), mcase, sol)
         assert out.shape == (3, 3)
         assert np.all(np.isfinite(out))
 
@@ -209,7 +209,7 @@ def prepared(case, scenarios, fault):
     for s in scenarios:
         scase = apply_scenario(case, s)
         sol = solve_power_flow(scase, y=y)
-        mcase = initialize_machines(scase, sol, y=y)
+        mcase = initialize_machines(scase, sol)
         cases.append(mcase)
         nets.append(reduce_network(mcase, sol, fault, y))
     return cases, nets

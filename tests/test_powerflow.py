@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridmesh.model import Branch, Bus, Generator, GridCase, load_bundled_case
 from gridmesh.powerflow import (PowerFlowDivergedError, PowerFlowError,
-                                SingularJacobianError, bus_injections,
-                                initialize_machines, solve_power_flow)
+                                SingularJacobianError, initialize_machines,
+                                solve_power_flow)
 from gridmesh.ybus import YMatrix, build_ybus
 
 from helpers import random_connected_case, reference_solve_power_flow, smib_case
@@ -91,6 +91,21 @@ class TestSolvePowerFlow:
         else:
             pytest.fail("expected divergence")
 
+    @pytest.mark.parametrize("load", [float("nan"), float("inf")])
+    def test_non_finite_load_diverges(self, load):
+        case = load_bundled_case("case9").with_bus_loads({5: (load, 0.3)})
+        with pytest.raises(PowerFlowDivergedError, match="not finite at iteration 0") as info:
+            solve_power_flow(case)
+        assert info.value.iterations == 0 and not math.isfinite(info.value.max_mismatch)
+
+    def test_injections_are_the_final_mismatch_evaluation(self):
+        case = load_bundled_case("case9")
+        sol = solve_power_flow(case)
+        v = sol.voltage()
+        want = v * np.conj(build_ybus(case).to_dense() @ v)
+        assert sol.injections.tobytes() == want.tobytes()
+        assert sol.iterations == 4
+
     def test_mismatch_below_tol_at_every_bus(self):
         case = load_bundled_case("case9")
         sol = solve_power_flow(case, tol=1e-10)
@@ -158,7 +173,7 @@ class TestInitializeMachines:
         g = out.generators[1]
         i = case.bus_index()[2]
         v = sol.v_mag[i] * np.exp(1j * sol.v_ang[i])
-        s = bus_injections(case, sol)[i]
+        s = sol.injections[i]
         i_gen = np.conj(s / v)
         e = v + 1j * 0.3 * i_gen
         assert g.e_mag == pytest.approx(abs(e), abs=1e-12)

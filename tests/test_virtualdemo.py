@@ -206,6 +206,25 @@ class TestVirtualBadInput:
             [(ev, f.get("code")) for ev, f in cloud]
         assert cloud[-1] == ("run_aborted", {"run": RID, "missing": "R1"})
 
+    @pytest.mark.parametrize("spec", [
+        dict(ForecastSpec(n_dims=1).to_dict(), sigma=float("nan")),
+        dict(ForecastSpec(n_dims=1, dist="uniform").to_dict(), half_width=float("inf")),
+    ])
+    def test_non_finite_forecast_is_rejected_before_its_ack(self, spec, tmp_path):
+        case = load_bundled_case("case9")
+        dsa = DsaParams(n_raw=20, k=2, seed=1)
+        logs = tmp_path / "logs"
+        item = UeScriptItem(at_s=0.0, kind="forecast", forecast=spec)
+        out = run_virtual_demo(case, dsa_manifest(dsa), FileStore(tmp_path / "store"), logs,
+                               zero_impairment_profile(), {"ue-1": ("R1", [item])})
+        assert out.exit_code == 0
+        ue = _events(logs, "ue-1")
+        assert ("edge_error", {"code": "bad_report"}) in ue
+        assert ("ue_done", {"delivered": "0", "failed": "1"}) in ue
+        assert ("edge_reject", {"reason": "SamplingError"}) in _events(logs, "edge-R1")
+        _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG)
+        assert out.result_blob == expected
+
 
 class _Watched(virtualdemo._CoreNode):
     """A node that also keeps the virtual time of every frame it receives."""

@@ -1,11 +1,12 @@
 import json
+import struct
 import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridmesh.wire import (MAX_PAYLOAD, CorruptionError, Envelope, FramingError,
-                           IncompleteFrameError, MessageKind, ProtocolError,
+from gridmesh.wire import (HEADER_LEN, MAX_PAYLOAD, CorruptionError, Envelope,
+                           FramingError, IncompleteFrameError, MessageKind, ProtocolError,
                            StreamDecoder, UnknownMessageTypeError, VersionError,
                            ack, canonical_json, decode, decode_prefix, encode,
                            make_envelope)
@@ -199,3 +200,62 @@ class TestStreamDecoder:
             got += dec.feed(raw[i:i + 65536])
         assert [encode(e) for e in got] == [encode(big), encode(small)]
         assert dec.pending_bytes == 0
+
+
+def feed_in_chunks(raw: bytes, cuts: list[int]):
+    """Feed ``raw`` cut at ``cuts``; stop at the first classified error, as a
+    node closes the connection. Any other exception escapes to the test."""
+    dec = StreamDecoder()
+    got = []
+    bounds = [0, *sorted(cuts), len(raw)]
+    for a, b in zip(bounds, bounds[1:]):
+        try:
+            got += dec.feed(raw[a:b])
+        except ProtocolError as exc:
+            return got, exc, dec
+    return got, None, dec
+
+
+class TestDamagedStreams:
+    """A multi-frame stream fed in random chunks with one flipped bit or one
+    false declared length: each feed returns envelopes or raises a
+    ``ProtocolError``, and the frames before the damaged one come out intact."""
+
+    @given(st.lists(envelopes(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=300)
+    def test_one_flipped_bit(self, envs, data):
+        frames = [encode(e) for e in envs]
+        raw = bytearray(b"".join(frames))
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        raw[bit // 8] ^= 1 << (bit % 8)
+        cuts = data.draw(st.lists(st.integers(0, len(raw)), max_size=8))
+        got, err, _ = feed_in_chunks(bytes(raw), cuts)
+
+        k, start = 0, 0                      # the damaged frame and its offset
+        while bit // 8 >= start + len(frames[k]):
+            start += len(frames[k])
+            k += 1
+        assert got[:k] == envs[:min(k, len(got))]
+        if bit // 8 - start >= HEADER_LEN:   # inside the payload or its CRC
+            assert isinstance(err, CorruptionError), err
+            assert len(got) <= k
+
+    @given(st.lists(envelopes(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=300)
+    def test_one_false_payload_len(self, envs, data):
+        frames = [bytearray(encode(e)) for e in envs]
+        k = data.draw(st.integers(0, len(frames) - 1))
+        actual = len(envs[k].payload)
+        false = data.draw(st.one_of(st.integers(0, 2**32 - 1),
+                                    st.integers(max(0, actual - 64), actual + 64))
+                          .filter(lambda n: n != actual))
+        frames[k][HEADER_LEN - 4:HEADER_LEN] = struct.pack(">I", false)
+        raw = b"".join(frames)
+        cuts = data.draw(st.lists(st.integers(0, len(raw)), max_size=8))
+        got, err, _ = feed_in_chunks(raw, cuts)
+
+        # The CRC covers the payload only, so a shorter length can still frame
+        # a valid envelope: four zero payload bytes are the CRC of b"".
+        assert got[:k] == envs[:min(k, len(got))]
+        if false > MAX_PAYLOAD:
+            assert isinstance(err, FramingError), err
