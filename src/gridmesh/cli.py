@@ -115,8 +115,6 @@ def _build_parser() -> _Parser:
                     help="poll until the manifest file appears")
     sp.add_argument("--listen")
     sp.add_argument("--addr-file")
-    sp.add_argument("--deadline-s", type=float, default=None,
-                    help="override the manifest barrier deadline")
     common(sp, "config", "profile", "store", "log")
 
     sp = sub.add_parser("demo", help="run an end-to-end workflow on this host")
@@ -154,21 +152,13 @@ def _load_cfg(args) -> dict:
 
 
 def _resolve_profile(args, cfg: dict) -> LinkProfile:
+    """The named profile (or profile file), then the config's ``link.*`` keys."""
     name = resolve(getattr(args, "profile", None), cfg, "link.profile", "default5g")
-    if name == "default5g":
-        base = {}
-    elif name == "zero":
-        zero = zero_impairment_profile()
-        base = {"link.delay_min_ms": "0", "link.delay_max_ms": "0",
-                "link.jitter_mean_ms": "0", "link.jitter_cap_ms": "0",
-                "link.bw_up_mbps": str(zero.bw_up_bps / 1e6),
-                "link.bw_down_mbps": str(zero.bw_down_bps / 1e6),
-                "link.loss": "0"}
-    else:
-        base = load_config(name)
-    merged = dict(base)
-    merged.update({k: v for k, v in cfg.items() if k.startswith("link.")})
-    return profile_from_config(merged)
+    overrides = {k: v for k, v in cfg.items() if k.startswith("link.")}
+    if name == "zero":
+        return profile_from_config(overrides, zero_impairment_profile())
+    file_keys = {} if name == "default5g" else load_config(name)
+    return profile_from_config({**file_keys, **overrides})
 
 
 def _resolve_case(args, cfg: dict) -> GridCase:
@@ -311,11 +301,7 @@ def _cmd_cloud(args) -> int:
         if args.wait_manifest:
             while not manifest_path.exists():
                 time.sleep(0.05)
-        manifest = RunManifest.load(manifest_path)
-        if args.deadline_s is not None:
-            manifest = RunManifest.from_payload(
-                dict(manifest.to_payload(), deadline_s=args.deadline_s))
-        return node.execute_run(manifest)
+        return node.execute_run(RunManifest.load(manifest_path))
     finally:
         node.close()
 

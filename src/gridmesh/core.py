@@ -5,17 +5,17 @@ input and return a list of actions; a core opens no socket, reads no clock and
 never sleeps. ``nodes`` drives the cores over TCP with threads, ``virtualdemo``
 on a heap scheduler in virtual time, so every protocol decision is made once,
 the same way in both modes. The store stays a direct call. Cores are not
-thread-safe: a driver serialises its calls into one core, and performs the
-actions in list order:
+thread-safe: a driver serialises its calls into one core. Both drivers perform
+the actions in list order, by one rule:
 
-- ``Send(peer, env)``: a node's link toward the cloud (a UE's edge, an edge's
-  cloud) is the peer ``UPLINK``; any other peer is the handle the driver
-  passed in with the frame.
-- ``Log(event, **fields)``: one event-log line, stamped by the driver.
+- ``Send(peer, env)``: transmit; if the link drops the frame, log
+  ``frame_dropped`` with its direction and kind. A node's link toward the
+  cloud (a UE's edge, an edge's cloud) is the peer ``UPLINK``; any other peer
+  is the handle the driver passed in with the frame.
+- ``Log(event, **fields)``: write one event-log line, stamped by the driver.
 - ``Timer(delay, name, key)``: call ``on_timer`` with it ``delay`` s later.
-- ``Compute``: call ``run_compute`` with it (an edge driver does so inline, the
-  socket cloud on the thread that drives the run).
-- ``Done(code)``: the UE's script or the cloud's run ended with this exit code.
+- ``Compute``: call ``run_compute`` with it inline, then perform what it returns.
+- ``Done(code)``: record the exit code the UE's script or the cloud's run ended with.
 
 ``handle`` never raises on malformed input: it adds an error reply, or for a
 UE an error line, to the actions decided before the fault.
@@ -448,14 +448,14 @@ class CloudCore:
                 report = pipeline.dsa_compute(view, y, region_sets, m.fault, m.sim_cfg)
                 blob = pipeline.dsa_result_blob(report)
                 summary = f"insecurity_probability={report.insecurity_probability!r}"
+            key = result_key(rid)
+            self.store.put(key, blob)
         except Exception as exc:
             self._phase = DONE
             return [Log("run_failed", run=rid, reason=type(exc).__name__, detail=str(exc)),
                     *self._to_edges(wire.error_msg("compute_failure", str(exc),
                                                    m.run_id_bytes)),
                     Done(2)]
-        key = result_key(rid)
-        self.store.put(key, blob)
         out = [Log("sim_done", run=rid), Log("result_put", run=rid, key=key, summary=summary)]
         self._unacked = {}
         for r in m.expected_regions:

@@ -82,9 +82,10 @@ def zero_impairment_profile(seed: int = 0) -> LinkProfile:
                        loss_rate=0.0, seed=seed)
 
 
-def profile_from_config(cfg: dict) -> LinkProfile:
-    """Build a profile from flat config keys ``link.*`` (defaults: stock 5G SA)."""
-    base = default_5g_sa_profile()
+def profile_from_config(cfg: dict, base: LinkProfile | None = None) -> LinkProfile:
+    """Build a profile from flat config keys ``link.*``; a key that is absent
+    keeps its value in ``base`` (default: stock 5G SA)."""
+    base = base or default_5g_sa_profile()
     return LinkProfile(
         delay_min_ms=get_float(cfg, "link.delay_min_ms", base.delay_min_ms),
         delay_max_ms=get_float(cfg, "link.delay_max_ms", base.delay_max_ms),

@@ -1,11 +1,11 @@
 """Socket drivers: the three node roles, wired over TCP through the link emulator.
 
 ``ue_agent``, ``EdgeNode`` and ``CloudNode`` run the UE, edge and cloud logic
-of ``core``, which makes every protocol decision; they read frames, perform
-the core's actions and keep its work on the right thread: an edge computes
-inline, on the thread that read the cloud's RunOpen; a UE's timers run on the
-thread that calls ``ue_agent``, the cloud's compute and timers on the thread
-that calls ``execute_run``.
+of ``core``, which makes every protocol decision. Each link is read on its own
+thread, every call into a core holds the driver's lock, and actions are
+performed by the rule ``core`` states; a Compute runs inline under the lock on
+whichever thread produced it. Timers and Done go to the agenda that
+``ue_agent`` and ``execute_run`` drive on the calling thread.
 
 Outbound frames pass through the sender's link emulator: the frame is
 scheduled (serialization + delay + jitter, FIFO per direction) and the writer
@@ -71,7 +71,8 @@ class ShapedConnection:
         self._decoder = StreamDecoder()
 
     def send(self, env: Envelope) -> bool:
-        """Returns False when the emulator dropped the frame."""
+        """Returns False when the emulator dropped the frame. A failed socket
+        write is no drop: the link is dead, and its reader thread ends on it."""
         frame = wire.encode(env)
         with self._send_lock:
             delivery = self.emulator.schedule_frame(len(frame), self.out_direction,
@@ -82,7 +83,7 @@ class ShapedConnection:
             try:
                 self.sock.sendall(frame)
             except OSError:
-                return False
+                pass
         return True
 
     def envelopes(self):
@@ -138,8 +139,7 @@ class _SocketDriver:
     """What every socket driver shares: links each read on their own thread,
     one lock around every call into the core, and Sends and Logs performed
     after that lock is released. ``_drive`` runs the agenda, a heap of the
-    core's timers, computes and Done, on the calling thread; an edge
-    overrides ``_defer`` to compute inline instead. A server (edge, cloud)
+    core's timers and its Done, on the calling thread. A server (edge, cloud)
     also listens for peers."""
 
     def __init__(self, name: str, core, listen: tuple[str, int] | None,
@@ -150,7 +150,7 @@ class _SocketDriver:
         self.log = log or EventLog(name)
         self.emulator = LinkEmulator(profile or zero_impairment_profile())
         self._cond = threading.Condition()
-        self._agenda: list = []            # heap of (due, tick, Timer | Compute | Done)
+        self._agenda: list = []            # heap of (due, tick, Timer | Done)
         self._tick = itertools.count()
         self._server: socket.socket | None = None
         self.uplink: ShapedConnection | None = None    # a UE's or an edge's
@@ -191,18 +191,21 @@ class _SocketDriver:
     def _perform(self, actions: list) -> None:
         for a in actions:
             if isinstance(a, Send):
-                (self.uplink if a.peer is UPLINK else a.peer).send(a.env)
+                conn = self.uplink if a.peer is UPLINK else a.peer
+                if not conn.send(a.env):
+                    self.log.log("frame_dropped", direction=conn.out_direction,
+                                 kind=int(a.env.msg_type))
             elif isinstance(a, Log):
                 self.log.log(a.event, **a.fields)
-            else:
-                self._defer(a)
-
-    def _defer(self, action) -> None:
-        """Hand a timer, a compute or the end to ``_drive``."""
-        due = time.time() + action.delay if isinstance(action, Timer) else 0.0
-        with self._cond:
-            heapq.heappush(self._agenda, (due, next(self._tick), action))
-            self._cond.notify()
+            elif isinstance(a, Compute):
+                with self._cond:
+                    more = self.core.run_compute(time.time(), a)
+                self._perform(more)
+            else:                                   # a Timer or Done, for ``_drive``
+                due = time.time() + a.delay if isinstance(a, Timer) else 0.0
+                with self._cond:
+                    heapq.heappush(self._agenda, (due, next(self._tick), a))
+                    self._cond.notify()
 
     def _drive(self, entry, *args) -> int:
         """Call ``entry`` on a fresh agenda, then perform actions and run the
@@ -219,8 +222,7 @@ class _SocketDriver:
                 _, _, a = heapq.heappop(self._agenda)
                 if isinstance(a, Done):
                     return a.code
-                entry = self.core.run_compute if isinstance(a, Compute) else self.core.on_timer
-                actions = entry(time.time(), a)
+                actions = self.core.on_timer(time.time(), a)
 
     def close(self) -> None:
         self._closing = True
@@ -232,8 +234,7 @@ class _SocketDriver:
 
 class EdgeNode(_SocketDriver):
     """Socket driver for one region's ``EdgeCore``: a UE-facing server plus a
-    client link to the cloud. Compute steps run inline on the cloud link's
-    reader thread, each under the driver lock like every other core call."""
+    client link to the cloud."""
 
     def __init__(self, region: str, base_case: GridCase, store: FileStore,
                  cloud_addr: tuple[str, int], listen: tuple[str, int] = ("127.0.0.1", 0),
@@ -242,10 +243,6 @@ class EdgeNode(_SocketDriver):
                          profile, log)
         self.region = region
         self.cloud_addr = cloud_addr
-
-    view = property(lambda self: self.core.view)
-    forecast = property(lambda self: self.core.forecast)
-    runs = property(lambda self: self.core.runs)
 
     def start(self) -> tuple[str, int]:
         sock = _connect(self.cloud_addr)
@@ -258,17 +255,10 @@ class EdgeNode(_SocketDriver):
                      cloud=format_addr(self.cloud_addr))
         return self.bound_addr
 
-    def _defer(self, step: Compute) -> None:
-        """Run a compute step inline; ``_perform`` runs the step that follows it, if
-        any, the same way."""
-        with self._cond:
-            actions = self.core.run_compute(time.time(), step)
-        self._perform(actions)
-
 
 class CloudNode(_SocketDriver):
-    """Socket driver for the ``CloudCore``. A run's compute and timers run on
-    the thread that calls ``execute_run``."""
+    """Socket driver for the ``CloudCore``. A run's timers run on the thread
+    that calls ``execute_run``."""
 
     def __init__(self, base_case: GridCase, store: FileStore,
                  listen: tuple[str, int] = ("127.0.0.1", 0),

@@ -1,13 +1,14 @@
 """Deterministic virtual-time execution of a whole demo on one event loop.
 
 A second driver of the UE, edge and cloud logic in ``core``, beside
-``nodes``: a heap scheduler stands in for the clock, a core's Timer becomes a
-scheduler entry and its Compute runs inline. Every hop still produces real
-wire frames, passes through the sender's link emulator and decodes on arrival,
-so two runs with the same seeds give identical verdicts and stage timings.
-Compute is instantaneous in virtual time (timings describe the transport). A
-UE waits for each ack as it does over sockets: its reports are timed from the
-Hello's Ack, and an unacked report is resent once, then counted failed.
+``nodes``, performing actions by the same rule: a heap scheduler stands in
+for the clock, so a core's Timer becomes a scheduler entry. Every hop still
+produces real wire frames, passes through the sender's link emulator and
+decodes on arrival, so two runs with the same seeds give identical verdicts
+and stage timings. Compute is instantaneous in virtual time (timings describe
+the transport). A UE waits for each ack as it does over sockets: its reports
+are timed from the Hello's Ack, and an unacked report is resent once, then
+counted failed.
 """
 
 from __future__ import annotations
@@ -51,32 +52,29 @@ class _Scheduler:
             fn(*args)
 
 
-class _Node:
-    def __init__(self, name: str, sched: _Scheduler, profile: LinkProfile, log_dir):
-        self.name = name
-        self.sched = sched
-        self.emulator = LinkEmulator(profile)
-        self.log = EventLog(name, path=log_dir / f"{name}.log")
-
-    def send(self, dst: "_Node", env: Envelope, direction: str) -> None:
-        frame = wire.encode(env)
-        delivery = self.emulator.schedule_frame(len(frame), direction, self.sched.now)
-        if delivery is DROPPED:
-            self.log.log("frame_dropped", ts=self.sched.now, to=dst.name)
-            return
-        self.sched.at(delivery, dst.handle, self, wire.decode(frame))
-
-
-class _CoreNode(_Node):
+class _CoreNode:
     """A UE, an edge or the cloud: performs its core's actions in virtual time.
     ``uplink`` is the node its ``UPLINK`` peer stands for: a UE's edge, an
     edge's cloud."""
 
-    def __init__(self, name, sched, profile, log_dir, core, uplink: _Node | None = None):
-        super().__init__(name, sched, profile, log_dir)
+    def __init__(self, name: str, sched: _Scheduler, profile: LinkProfile, log_dir,
+                 core=None, uplink: "_CoreNode | None" = None):
+        self.name = name
+        self.sched = sched
+        self.emulator = LinkEmulator(profile)
+        self.log = EventLog(name, path=log_dir / f"{name}.log")
         self.core = core
         self.uplink = uplink
         self.exit_code: int | None = None
+
+    def send(self, dst: "_CoreNode", env: Envelope, direction: str) -> None:
+        frame = wire.encode(env)
+        delivery = self.emulator.schedule_frame(len(frame), direction, self.sched.now)
+        if delivery is DROPPED:
+            self.log.log("frame_dropped", ts=self.sched.now, direction=direction,
+                         kind=int(env.msg_type))
+            return
+        self.sched.at(delivery, dst.handle, self, wire.decode(frame))
 
     def call(self, entry, *args) -> None:
         self.perform(entry(self.sched.now, *args))

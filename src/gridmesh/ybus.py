@@ -46,6 +46,11 @@ class IncompleteCoverageError(YBusError):
     """Merged branch set does not match the expected set."""
 
 
+class PartialPayloadError(YBusError):
+    """A partial's term lies outside its matrix or belongs to a branch or
+    shunt the partial does not declare."""
+
+
 class YMatrix:
     """Structurally symmetric sparse complex nodal admittance matrix.
 
@@ -165,15 +170,22 @@ class PartialAdmittance:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PartialAdmittance":
-        terms = (((int(i), int(j)), (int(kind), int(kid)), complex(re, im))
-                 for i, j, kind, kid, re, im in payload["terms"])
-        return cls(
-            region=payload["region"],
-            n=int(payload["n"]),
-            branch_ids=set(payload["branch_ids"]),
-            shunt_bus_ids=set(payload["shunt_bus_ids"]),
-            contribs=_canonical(terms),
-        )
+        """Read a partial back; every term must lie in the n x n matrix and
+        belong to a branch or bus shunt the partial declares."""
+        n = int(payload["n"])
+        owned = {_KIND_BRANCH: set(payload["branch_ids"]),
+                 _KIND_SHUNT: set(payload["shunt_bus_ids"])}
+        terms = []
+        for i, j, kind, kid, re, im in payload["terms"]:
+            pos, key = (int(i), int(j)), (int(kind), int(kid))
+            if not (0 <= pos[0] < n and 0 <= pos[1] < n):
+                raise PartialPayloadError(f"term at {pos} lies outside the {n}x{n} matrix")
+            if key[1] not in owned.get(key[0], ()):
+                raise PartialPayloadError(f"term {key} at {pos} belongs to no branch or "
+                                          f"shunt of region {payload['region']!r}")
+            terms.append((pos, key, complex(re, im)))
+        return cls(region=payload["region"], n=n, branch_ids=owned[_KIND_BRANCH],
+                   shunt_bus_ids=owned[_KIND_SHUNT], contribs=_canonical(terms))
 
 
 def build_partial(case: GridCase, region: str, partition: dict[int, str],

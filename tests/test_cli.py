@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from gridmesh.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _parse_fault,
                           _resolve_profile, main)
 from gridmesh.config import resolve
+from gridmesh.linkem import default_5g_sa_profile, zero_impairment_profile
 from gridmesh.model import bundled_case_path, load_bundled_case
 
 CASE9 = str(bundled_case_path("case9"))
@@ -24,6 +26,9 @@ class TestUsage:
 
     def test_missing_required(self, capsys):
         assert main(["ue", "--script", "x.json"]) == EXIT_USAGE
+
+    def test_cloud_deadline_comes_from_the_manifest(self, capsys):
+        assert main(["cloud", "--manifest", "m.json", "--deadline-s", "4"]) == EXIT_USAGE
 
 
 class TestYbus:
@@ -100,6 +105,27 @@ class TestConfigPrecedence:
         p2 = _resolve_profile(Args(), cfg)
         assert p2.delay_max_ms == 18.5                     # flag beats config file
         assert p2.seed == 3                                # untouched keys still apply
+
+    def test_profile_names_files_and_overrides(self, tmp_path):
+        class Args:
+            profile = None
+
+        prof = tmp_path / "slow.cfg"
+        prof.write_text("link.delay_min_ms = 40\nlink.delay_max_ms = 60\nlink.loss = 0.1\n")
+        cases = [
+            ("default5g", {}, default_5g_sa_profile()),
+            ("zero", {}, zero_impairment_profile()),
+            ("zero", {"link.seed": "3", "link.loss": "0.2"},
+             replace(zero_impairment_profile(), seed=3, loss_rate=0.2)),
+            ("default5g", {"link.bw_up_mbps": "10"},
+             replace(default_5g_sa_profile(), bw_up_bps=10e6)),
+            (str(prof), {"link.loss": "0.3"},
+             replace(default_5g_sa_profile(), delay_min_ms=40.0, delay_max_ms=60.0,
+                     loss_rate=0.3)),
+        ]
+        for name, cfg, expected in cases:
+            Args.profile = name
+            assert _resolve_profile(Args(), cfg) == expected, (name, cfg)
 
     def test_resolve_chain(self):
         assert resolve("flag", {"k.x": "file"}, "k.x", "default") == "flag"

@@ -6,9 +6,12 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from gridmesh import core, virtualdemo
+from gridmesh.core import EdgeCore, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import EventLog, read_events
 from gridmesh.linkem import zero_impairment_profile
@@ -125,6 +128,41 @@ def test_concurrent_reports_under_fast_thread_switching(tmp_path):
         cloud.close()
     assert len(results) == 24 and all(r.clean for r in results)
     for e in edges.values():
-        assert {b.id: (b.p_load, b.q_load) for b in e.view.buses if b.id in load} == load
-    assert edges["R2"].view.branch(9).status == "Open"
+        buses = e.core.view.buses
+        assert {b.id: (b.p_load, b.q_load) for b in buses if b.id in load} == load
+    assert edges["R2"].core.view.branch(9).status == "Open"
     assert code == 0
+
+
+def test_a_dropped_frame_is_logged_by_its_sender_in_both_drivers(tmp_path, monkeypatch):
+    # at loss 0.5, link seed 8 drops a UE's first frame (its Hello) and passes
+    # the second (the resend); the edge's link is lossless
+    monkeypatch.setattr(core, "ACK_TIMEOUT_S", 0.5)
+    lossy = replace(ZERO, loss_rate=0.5, seed=8)
+    case = load_bundled_case("case9")
+    store = FileStore(tmp_path / "socket" / "store")
+    cloud = CloudNode(case, store, profile=ZERO)
+    edge = EdgeNode("R1", case, store, cloud.start(), profile=ZERO)
+    try:
+        report = ue_agent("ue-1", [], edge.start(), profile=lossy,
+                          log=EventLog("ue-1", path=tmp_path / "socket" / "ue-1.log"))
+    finally:
+        edge.close()
+        cloud.close()
+
+    sched = virtualdemo._Scheduler()
+    logs = tmp_path / "virtual"
+    vedge = virtualdemo._CoreNode("edge-R1", sched, ZERO, logs,
+                                  EdgeCore("R1", case, FileStore(logs / "store")))
+    ue = virtualdemo._CoreNode("ue-1", sched, lossy, logs, UeCore("ue-1", []), vedge)
+    sched.at(0.0, ue.call, ue.core.start)
+    sched.run()
+
+    assert report.clean and ue.exit_code == 0
+    expected = [("ue_send", {"seq": "1", "kind": "1"}),
+                ("frame_dropped", {"direction": "up", "kind": "1"}),
+                ("ue_retry", {"seq": "1"}),
+                ("ue_done", {"delivered": "0", "failed": "0"})]
+    for driver in ("socket", "virtual"):
+        events = read_events(tmp_path / driver / "ue-1.log")
+        assert [(ev, f) for _, _, ev, f in events] == expected, driver

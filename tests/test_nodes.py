@@ -69,7 +69,7 @@ class TestUeAgent:
                             branches=({"id": 9, "status": "Open"},))
         report = ue_agent("ue-y", [item], edges["R2"].bound_addr, profile=ZERO)
         assert report.delivered == [2] and not report.failed
-        assert edges["R2"].view.branch(9).status == "Open"
+        assert edges["R2"].core.view.branch(9).status == "Open"
 
     def test_connection_refused_reported(self):
         report = ue_agent("ue-z", [], ("127.0.0.1", 9), profile=ZERO)
@@ -94,16 +94,16 @@ class TestUeAgent:
         for t in threads:
             t.join()
         assert all(r.clean for r in reports)
-        assert edges["R1"].view == expected
+        assert edges["R1"].core.view == expected
 
     def test_malformed_report_leaves_state_unchanged(self, cluster):
         _, edges, _ = cluster
-        before = edges["R3"].view
+        before = edges["R3"].core.view
         item = UeScriptItem(at_s=0.0, kind="topology",
                             branches=({"id": 999, "status": "Open"},))
         report = ue_agent("ue-bad", [item], edges["R3"].bound_addr, profile=ZERO)
         assert report.failed == [2]           # never acked
-        assert edges["R3"].view == before
+        assert edges["R3"].core.view == before
 
 
 class TestLinks:
@@ -180,7 +180,7 @@ class TestTopologyRun:
         assert cloud.execute_run(m) == 0
         # every edge fetched and recorded the result (RunResult was acked)
         for e in edges.values():
-            assert e.runs[m.run_id] == "uploaded"
+            assert e.core.runs[m.run_id] == "uploaded"
 
     def test_duplicate_run_open_rejected(self, cluster):
         cloud, edges, store = cluster
@@ -193,7 +193,16 @@ class TestTopologyRun:
         assert not any(isinstance(a, Compute) for a in actions)    # no second upload
         assert [a.env.obj()["code"] for a in actions if isinstance(a, Send)] == \
             ["duplicate_run"]
-        assert edge.runs[m.run_id] == "uploaded"   # state unchanged
+        assert edge.core.runs[m.run_id] == "uploaded"   # state unchanged
+
+    def test_rerun_of_a_stored_run_fails_with_exit_2(self, cluster):
+        # the edges refuse the repeated RunOpen and the result key is taken
+        cloud, _, store = cluster
+        m = manifest()
+        assert cloud.execute_run(m) == 0
+        blob = store.get(result_key(m.run_id))
+        assert cloud.execute_run(m) == 2
+        assert store.get(result_key(m.run_id)) == blob
 
     def test_barrier_timeout_names_missing_region(self, case9, tmp_path):
         store = FileStore(tmp_path / "store")
@@ -273,7 +282,7 @@ class TestEdgeArtifacts:
         item = UeScriptItem(at_s=0.0, kind="forecast", forecast=spec.to_dict())
         for r, edge in edges.items():
             assert ue_agent(f"ue-{r}", [item], edge.bound_addr, profile=ZERO).clean
-            assert edge.forecast == spec
+            assert edge.core.forecast == spec
 
         m = manifest(mode="DSA", dsa=DsaParams(n_raw=20, k=4, seed=5))
         assert cloud.execute_run(m) == 0
@@ -284,7 +293,7 @@ class TestEdgeArtifacts:
                 assert all(0.98 <= v <= 1.02 for v in rep.multipliers)
 
 
-class _Recorder(virtualdemo._Node):
+class _Recorder(virtualdemo._CoreNode):
     """A virtual peer that keeps every frame it receives and answers none."""
 
     def __init__(self, *args):

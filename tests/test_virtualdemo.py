@@ -12,6 +12,8 @@ from gridmesh.reports import emit_report
 from gridmesh.sampling import ForecastSpec
 from gridmesh.store import FileStore, partial_key, scenarios_key
 from gridmesh.virtualdemo import run_virtual_demo
+from gridmesh.wire import canonical_json
+from gridmesh.ybus import build_partials
 
 FAULT = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=6)
 CFG = SimulationConfig(t_end=2.0, dt=0.005)
@@ -167,6 +169,37 @@ def _events(log_dir, node):
 
 
 class TestVirtualBadInput:
+    def test_rerun_into_one_store_fails_the_second_run(self, tmp_path):
+        # the second run's result key is taken: a classified failure, exit 2
+        case = load_bundled_case("case9")
+        store = FileStore(tmp_path / "store")
+        logs = tmp_path / "logs"
+        outs = [run_virtual_demo(case, topo_manifest(), store, logs,
+                                 zero_impairment_profile(), SCRIPTS) for _ in range(2)]
+        assert [o.exit_code for o in outs] == [0, 2]
+        failed = [f["reason"] for ev, f in _events(logs, "cloud") if ev == "run_failed"]
+        assert failed == ["AlreadyExistsError"]
+        edge = _events(logs, "edge-R1")
+        assert ("cloud_error", {"code": "compute_failure"}) in \
+            [(ev, {"code": f.get("code")}) for ev, f in edge]
+
+    def test_tampered_partial_fails_the_run(self, tmp_path):
+        # R1's upload is in the store before its edge computes, with a term
+        # of R2's branch 8 added; the cloud rejects it instead of merging it
+        case = load_bundled_case("case9")
+        payloads = {r: p.to_payload() for r, p in build_partials(case).items()}
+        stolen = next(t for t in payloads["R2"]["terms"] if t[2:4] == [0, 8])
+        payloads["R1"]["terms"].append(stolen)
+        store = FileStore(tmp_path / "store")
+        store.put(partial_key(RID, "R1"),
+                  canonical_json({"partial": payloads["R1"], "status_deltas": []}))
+        logs = tmp_path / "logs"
+        out = run_virtual_demo(case, topo_manifest(), store, logs,
+                               zero_impairment_profile(), SCRIPTS)
+        assert out.exit_code == 2 and out.result_blob is None
+        failed = [f["reason"] for ev, f in _events(logs, "cloud") if ev == "run_failed"]
+        assert failed == ["PartialPayloadError"]
+
     def test_bad_input_never_crashes_the_scheduler(self, tmp_path):
         # a report naming an unknown branch is rejected and the run completes
         case = load_bundled_case("case9")
@@ -238,7 +271,7 @@ class _Watched(virtualdemo._CoreNode):
         super().handle(src, env)
 
 
-class _Silent(virtualdemo._Node):
+class _Silent(virtualdemo._CoreNode):
     """A virtual edge that answers nothing."""
 
     def handle(self, src, env):

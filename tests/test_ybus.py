@@ -9,7 +9,8 @@ from gridmesh.model import Branch, Bus, CaseError, FaultSpec, GridCase, load_bun
 from gridmesh.powerflow import PowerFlowError, solve_power_flow
 from gridmesh.wire import canonical_json
 from gridmesh.ybus import (DuplicateCoverageError, IncompleteCoverageError,
-                           PartialAdmittance, PartitionError, UnknownRegionError, YMatrix,
+                           PartialAdmittance, PartialPayloadError, PartitionError,
+                           UnknownRegionError, YMatrix,
                            build_partial, build_partials, build_ybus, fault_variants,
                            merge_partials)
 
@@ -197,6 +198,24 @@ class TestMergePartials:
             merge_partials(parts[:-1], case.closed_branch_ids())
         with pytest.raises(IncompleteCoverageError, match="unexpected"):
             merge_partials(parts, case.closed_branch_ids() - {1})
+
+    def test_valid_payloads_keep_their_bytes(self):
+        for part in build_partials(load_bundled_case("case9")).values():
+            payload = canonical_json(part.to_payload())
+            assert canonical_json(shipped(part).to_payload()) == payload
+
+    @pytest.mark.parametrize("tamper", ["row -1", "R2 branch term"])
+    def test_tampered_payload_rejected(self, tamper):
+        # accepted, both would merge into a Y that differs from build_ybus
+        case = load_bundled_case("case9")
+        payloads = {r: p.to_payload() for r, p in build_partials(case).items()}
+        terms = payloads["R1"]["terms"]
+        if tamper == "row -1":
+            terms[0][0] = -1
+        else:
+            terms.append(next(t for t in payloads["R2"]["terms"] if t[2] == 0))
+        with pytest.raises(PartialPayloadError):
+            PartialAdmittance.from_payload(payloads["R1"])
 
     def test_dimension_mismatch_rejected(self):
         case = load_bundled_case("case9")
