@@ -14,7 +14,8 @@ the actions in list order, by one rule:
   is the handle the driver passed in with the frame.
 - ``Log(event, **fields)``: write one event-log line, stamped by the driver.
 - ``Timer(delay, name, key)``: call ``on_timer`` with it ``delay`` s later.
-- ``Compute``: call ``run_compute`` with it inline, then perform what it returns.
+- ``Compute``: call ``run_compute`` with it inline, then perform what it
+  returns. A core lists its replies before a Compute, so none waits for it.
 - ``Done(code)``: record the exit code the UE's script or the cloud's run ended with.
 
 ``handle`` never raises on malformed input: it adds an error reply, or for a
@@ -396,9 +397,9 @@ class CloudCore:
             self.received.add((rid, region, artifact))
             out.append(Log("ready_recv", run=rid, region=region, artifact=artifact,
                            key=obj["store_key"]))
+            out.append(Send(peer, wire.ack(int(obj.get("seq", 0)))))
             if self._phase == BARRIER and rid == self.manifest.run_id:
                 out += self._barrier()
-            out.append(Send(peer, wire.ack(int(obj.get("seq", 0)))))
         elif env.msg_type == MessageKind.ACK:
             if (self._unacked.pop(int(obj["of"]), None) is not None
                     and not self._unacked and self._phase == FANOUT):
