@@ -122,6 +122,17 @@ class TestLinks:
         assert ue_agent("ue-t", [], edges["R1"].bound_addr, profile=ZERO).clean
         assert len(opened) == 1 and opened[0].gettimeout() is None
 
+    def test_a_failed_write_is_not_logged_as_a_drop(self, tmp_path):
+        # only the link emulator drops frames; a dead socket is its reader's news
+        sock, peer = socket.socketpair()
+        peer.close()
+        sock.close()
+        ue = nodes._SocketDriver("ue-w", None, None, ZERO,
+                                 EventLog("ue-w", path=tmp_path / "ue-w.log"))
+        ue.uplink = ShapedConnection(sock, ue.emulator, UP)
+        ue._perform([Send(UPLINK, wire.hello("ue-w", "ue", 1))])
+        assert not (tmp_path / "ue-w.log").exists()
+
     def test_junk_bytes_end_that_link_alone(self, case9, tmp_path, monkeypatch):
         uncaught = []
         monkeypatch.setattr(threading, "excepthook", uncaught.append)
