@@ -342,6 +342,9 @@ def _terminate(procs: list[subprocess.Popen]) -> None:
 def _demo_setup(args):
     cfg = _load_cfg(args)
     out = Path(args.out_dir or tempfile.mkdtemp(prefix="gridmesh-demo-"))
+    if any((out / "logs").glob("*.log")):
+        # reports read every log in the directory, so a second run's would mix in
+        raise _UsageError(f"{out / 'logs'} holds an earlier run's logs; give a new --out-dir")
     (out / "logs").mkdir(parents=True, exist_ok=True)
     profile = _resolve_profile(args, cfg)
     seed = resolve(args.seed, cfg, "run.seed", 42)
@@ -363,10 +366,10 @@ def _demo_manifest(which: str, seed: int, deadline: float, regions, case: GridCa
     )
 
 
-def _profile_arg(args) -> list[str]:
-    if getattr(args, "profile", None):
-        return ["--profile", args.profile]
-    return []
+def _node_args(args) -> list[str]:
+    """The demo's own --config and --profile, for every node it spawns."""
+    return [a for flag in ("config", "profile") if getattr(args, flag, None)
+            for a in (f"--{flag}", getattr(args, flag))]
 
 
 def _run_demo_processes(out: Path, case_path: Path, manifest: RunManifest,
@@ -385,7 +388,7 @@ def _run_demo_processes(out: Path, case_path: Path, manifest: RunManifest,
                               "--manifest", str(out / "manifest.json"),
                               "--wait-manifest",
                               "--log", str(out / "logs" / "cloud.log")]
-                       + _profile_arg(args))
+                       + _node_args(args))
         procs.append(cloud)
         cloud_addr = _wait_file(out / "cloud.addr", what="cloud address")
 
@@ -399,7 +402,7 @@ def _run_demo_processes(out: Path, case_path: Path, manifest: RunManifest,
                               "--listen", "127.0.0.1:0",
                               "--addr-file", str(out / f"edge-{region}.addr"),
                               "--log", str(out / "logs" / f"edge-{region}.log")]
-                       + _profile_arg(args))
+                       + _node_args(args))
             procs.append(e)
             edges.append(e)
         for region in manifest.expected_regions:
@@ -416,7 +419,7 @@ def _run_demo_processes(out: Path, case_path: Path, manifest: RunManifest,
             u = _spawn(exe + ["ue", "--edge-addr", edge_addrs[region],
                               "--script", str(script_path), "--node-id", ue_name,
                               "--log", str(out / "logs" / f"{ue_name}.log")]
-                       + _profile_arg(args))
+                       + _node_args(args))
             procs.append(u)
             ue_procs.append((ue_name, u))
         for ue_name, u in ue_procs:

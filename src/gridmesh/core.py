@@ -19,7 +19,9 @@ the actions in list order, by one rule:
 - ``Done(code)``: record the exit code the UE's script or the cloud's run ended with.
 
 ``handle`` never raises on malformed input: it adds an error reply, or for a
-UE an error line, to the actions decided before the fault.
+UE an error line, to the actions decided before the fault. No frame goes to a
+receiver that ignores it: a UE's frames and RunResults are acked, but not an
+edge's Hello or Readies, since the cloud's barrier reads the store.
 """
 
 from __future__ import annotations
@@ -227,11 +229,9 @@ class EdgeCore:
         self.store = store
         self.forecast: ForecastSpec | None = None
         self.runs: dict[str, str] = {}          # run id -> computing | uploaded
-        self._seq = itertools.count(1)
 
     def hello(self) -> list:
-        return [Send(UPLINK, wire.hello(f"edge-{self.region}", "edge", next(self._seq),
-                                       region=self.region))]
+        return [Send(UPLINK, wire.hello(f"edge-{self.region}", "edge", 1, region=self.region))]
 
     def handle(self, now: float, peer, env: Envelope) -> list:
         """A frame from ``UPLINK`` or from a UE connection."""
@@ -289,8 +289,6 @@ class EdgeCore:
                         verdict=obj.get("verdict_summary", "?"),
                         bytes=len(blob), mode=parsed.get("mode", "?")),
                     Send(UPLINK, wire.ack(int(obj.get("seq", 0))))]
-        elif env.msg_type == MessageKind.RUN_CLOSE:
-            self.runs.pop(env.obj().get("run_id", ""), None)
         elif env.msg_type == MessageKind.ERROR:
             obj = env.obj()
             out.append(Log("cloud_error", code=obj.get("code", "?"), text=obj.get("text", "")))
@@ -321,7 +319,7 @@ class EdgeCore:
             return [Send(UPLINK, wire.error_msg("compute_failure", str(exc), m.run_id_bytes)),
                     Log("compute_failure", run=rid, detail=str(exc))]
         out = [Log("store_put_done", run=rid, key=key),
-               Send(UPLINK, ready(self.region, key, next(self._seq), m.run_id_bytes))]
+               Send(UPLINK, ready(self.region, key, m.run_id_bytes))]
         if step.artifact == "partial_y" and m.mode == pipeline.MODE_DSA:
             out.append(replace(step, artifact="scenarios", blob=None))
         else:
@@ -378,7 +376,7 @@ class CloudCore:
                                                      "expected role=edge with region")))
                 return
             self.edges[region] = peer
-            out += [Log("hello", region=region), Send(peer, wire.ack(int(obj.get("seq", 0))))]
+            out.append(Log("hello", region=region))
             m = self.manifest
             if m and region in m.expected_regions and region not in self._run_open_sent:
                 self._run_open_sent.add(region)
@@ -397,7 +395,6 @@ class CloudCore:
             self.received.add((rid, region, artifact))
             out.append(Log("ready_recv", run=rid, region=region, artifact=artifact,
                            key=obj["store_key"]))
-            out.append(Send(peer, wire.ack(int(obj.get("seq", 0)))))
             if self._phase == BARRIER and rid == self.manifest.run_id:
                 out += self._barrier()
         elif env.msg_type == MessageKind.ACK:

@@ -48,9 +48,11 @@ def format_addr(addr: tuple[str, int]) -> str:
 
 def _connect(addr: tuple[str, int]) -> socket.socket:
     """Open a TCP link: the connect may take 10 s, but reads then block, so a
-    link stays up however long it idles."""
+    link stays up however long it idles. Frames leave at once (TCP_NODELAY):
+    the link emulator delays them, not Nagle's wait for the peer's ACK."""
     sock = socket.create_connection(addr, timeout=10.0)
     sock.settimeout(None)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
 
 
@@ -172,13 +174,15 @@ class _SocketDriver:
                 sock, _ = self._server.accept()
             except OSError:
                 return
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)   # as in _connect
             conn = ShapedConnection(sock, self.emulator, DOWN)
             threading.Thread(target=self._serve, args=(conn, conn), daemon=True,
                              name=f"{self.name}-peer").start()
 
     def _serve(self, peer, conn: ShapedConnection):
-        """Reader thread of one link; ``peer`` is how the core knows it. Bytes
-        that do not decode as a frame end this link alone."""
+        """Reader thread of one link; ``peer`` is how the core knows it. The link
+        closes when its reader ends; bytes that do not decode as a frame end
+        this link alone."""
         try:
             for env in conn.envelopes():
                 with self._cond:
@@ -186,6 +190,7 @@ class _SocketDriver:
                 self._perform(actions)
         except wire.ProtocolError as exc:
             self.log.log("frame_error", reason=type(exc).__name__)
+        finally:
             conn.close()
 
     def _perform(self, actions: list) -> None:

@@ -32,7 +32,7 @@ from .wire import Envelope
 @dataclass
 class DemoOutcome:
     exit_code: int
-    result_blob: bytes | None
+    result_blob: bytes | None       # None unless the run exited 0
     log_paths: list
 
 
@@ -129,8 +129,7 @@ def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
     sched.at(latest + 1.0, cloud.call, cloud.core.open_run, manifest)
     sched.run()
 
-    key = result_key(manifest.run_id)
-    blob = store.get(key) if store.exists(key) else None
     code = cloud.exit_code if cloud.exit_code is not None else 2
+    blob = store.get(result_key(manifest.run_id)) if code == 0 else None
     return DemoOutcome(exit_code=code, result_blob=blob,
                        log_paths=sorted(log_dir.glob("*.log")))

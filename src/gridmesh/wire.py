@@ -62,7 +62,6 @@ class MessageKind(enum.IntEnum):
     RUN_RESULT = 0x07
     ERROR = 0x08
     RUN_OPEN = 0x09
-    RUN_CLOSE = 0x0A
 
 
 def canonical_json(obj) -> bytes:
@@ -191,14 +190,14 @@ def ack(of: int) -> Envelope:
     return make_envelope(MessageKind.ACK, {"of": of})
 
 
-def partial_ready(region: str, store_key: str, seq: int, run_id: bytes) -> Envelope:
+def partial_ready(region: str, store_key: str, run_id: bytes) -> Envelope:
     return make_envelope(MessageKind.PARTIAL_READY,
-                         {"region": region, "store_key": store_key, "seq": seq}, run_id)
+                         {"region": region, "store_key": store_key}, run_id)
 
 
-def scenario_ready(region: str, store_key: str, seq: int, run_id: bytes) -> Envelope:
+def scenario_ready(region: str, store_key: str, run_id: bytes) -> Envelope:
     return make_envelope(MessageKind.SCENARIO_READY,
-                         {"region": region, "store_key": store_key, "seq": seq}, run_id)
+                         {"region": region, "store_key": store_key}, run_id)
 
 
 def run_result(store_key: str, verdict_summary: str, seq: int, run_id: bytes) -> Envelope:
@@ -213,7 +212,3 @@ def error_msg(code: str, text: str, run_id: bytes = ZERO_RUN_ID) -> Envelope:
 
 def run_open(manifest_obj: dict, run_id: bytes) -> Envelope:
     return make_envelope(MessageKind.RUN_OPEN, manifest_obj, run_id)
-
-
-def run_close(run_id: bytes) -> Envelope:
-    return make_envelope(MessageKind.RUN_CLOSE, {"run_id": run_id.hex()}, run_id)

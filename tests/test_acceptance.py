@@ -313,8 +313,8 @@ def test_10_barrier_robustness(tmp_path):
             time.sleep(0.01)
         key = partial_key(m.run_id, "R3")
         store.put(key, pipeline.edge_topology_blob(case, case, "R3"))
-        conn.send(wire.partial_ready("R3", key, 2, m.run_id_bytes))
-        conn.send(wire.partial_ready("R3", key, 3, m.run_id_bytes))
+        conn.send(wire.partial_ready("R3", key, m.run_id_bytes))
+        conn.send(wire.partial_ready("R3", key, m.run_id_bytes))
         code = cloud.execute_run(m)
         time.sleep(0.2)
         for e in edges:

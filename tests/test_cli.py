@@ -1,8 +1,10 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from gridmesh import cli
 from gridmesh.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _parse_fault,
                           _resolve_profile, main)
 from gridmesh.config import resolve
@@ -146,6 +148,48 @@ class TestDemoChecks:
         assert code == EXIT_OK, out
         for line in expected:
             assert line in out
+
+
+class TestDemoNodes:
+    def test_config_and_profile_reach_every_node(self, tmp_path, monkeypatch):
+        # the demo's checks read the config's link.* keys, so its nodes must too
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text("link.loss = 0.2\n")
+        spawned = []
+
+        class Exited:
+            def __init__(self, code):
+                self.code = code
+
+            def poll(self):
+                return self.code
+
+            def wait(self, timeout=None):
+                return self.code
+
+        def spawn(cmd):
+            spawned.append(cmd)
+            if "--addr-file" in cmd:
+                Path(cmd[cmd.index("--addr-file") + 1]).write_text("127.0.0.1:9\n")
+            return Exited(3 if cmd[3] == "cloud" else 0)    # a barrier timeout
+
+        monkeypatch.setattr(cli, "_spawn", spawn)
+        code = main(["demo", "topology", "--config", str(cfg), "--profile", "zero",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert [cmd[3] for cmd in spawned] == ["cloud", "edge", "edge", "edge", "ue", "ue", "ue"]
+        assert all(cmd[-4:] == ["--config", str(cfg), "--profile", "zero"] for cmd in spawned)
+
+    def test_a_used_out_dir_is_refused_before_any_node_starts(self, tmp_path, capsys):
+        # reports read every log in the directory, so two runs' lines would mix
+        args = ["demo", "topology", "--virtual-time", "--profile", "zero",
+                "--out-dir", str(tmp_path)]
+        assert main(args) == EXIT_OK
+        logs = {p: p.read_bytes() for p in (tmp_path / "logs").glob("*.log")}
+        capsys.readouterr()
+        assert main(args) == EXIT_USAGE
+        assert "new --out-dir" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in (tmp_path / "logs").glob("*.log")} == logs
 
 
 class TestUeCommand:

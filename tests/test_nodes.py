@@ -108,19 +108,33 @@ class TestUeAgent:
 
 class TestLinks:
     def test_links_block_on_reads_once_connected(self, cluster, monkeypatch):
-        # a read timeout left on a link would end its reader thread after an idle spell
-        _, edges, _ = cluster
+        # a read timeout left on a link would end its reader thread after an idle
+        # spell; without TCP_NODELAY a frame can wait for the peer's delayed ACK
+        cloud, edges, _ = cluster
+
+        def nodelay(sock):
+            return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
         assert all(e.uplink.sock.gettimeout() is None for e in edges.values())
+        ends = [e.uplink.sock for e in edges.values()] + [c.sock for c in cloud.edges.values()]
+        assert len(ends) == 6 and all(nodelay(s) for s in ends)
         opened = []
         connect = nodes._connect
 
         def recording(addr):
-            opened.append(connect(addr))
-            return opened[-1]
+            sock = connect(addr)
+            opened.append((sock.gettimeout(), nodelay(sock)))
+            return sock
 
         monkeypatch.setattr(nodes, "_connect", recording)
         assert ue_agent("ue-t", [], edges["R1"].bound_addr, profile=ZERO).clean
-        assert len(opened) == 1 and opened[0].gettimeout() is None
+        assert opened == [(None, True)]
+
+    def test_a_link_the_peer_hung_up_is_closed(self, cluster):
+        _, edges, _ = cluster
+        with socket.create_connection(edges["R1"].bound_addr, timeout=5.0) as ue:
+            ue.shutdown(socket.SHUT_WR)
+            assert ue.recv(1024) == b""              # the edge closed its end too
 
     def test_a_failed_write_is_not_logged_as_a_drop(self, tmp_path):
         # only the link emulator drops frames; a dead socket is its reader's news
@@ -335,9 +349,8 @@ class TestDuplicateUpload:
         m = manifest()
         key = partial_key(m.run_id, "R3")
         store.put(key, pipeline.edge_topology_blob(case9, case9, "R3"))
-        for seq in (2, 3):
-            sched.at(0.1, r3.send, cloud,
-                     wire.partial_ready("R3", key, seq, m.run_id_bytes), UP)
+        for _ in range(2):
+            sched.at(0.1, r3.send, cloud, wire.partial_ready("R3", key, m.run_id_bytes), UP)
         sched.at(1.0, cloud.call, cloud.core.open_run, m)
         sched.run()
 

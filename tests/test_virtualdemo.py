@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from gridmesh import pipeline, virtualdemo, wire
@@ -49,6 +51,31 @@ class TestVirtualTopology:
         recvs = sorted(r.t_ms for r in report.rows if r.stage == "edge_recv")
         assert len(sends) == len(recvs)
         assert all(0 <= rv - sd < 5.0 for sd, rv in zip(sends, recvs))
+
+    def test_every_frame_sent_has_a_reader(self, tmp_path, monkeypatch):
+        # the cloud sends an edge its RunOpen and RunResult only: an edge's
+        # Hello and Ready go unacked, since the barrier reads the store
+        sent = Counter()
+        send = virtualdemo._CoreNode.send
+
+        def counting(node, dst, env, direction):
+            sent[node.name, env.msg_type.name] += 1
+            send(node, dst, env, direction)
+
+        monkeypatch.setattr(virtualdemo._CoreNode, "send", counting)
+        out = run_virtual_demo(load_bundled_case("case9"), topo_manifest(),
+                               FileStore(tmp_path / "store"), tmp_path / "logs",
+                               zero_impairment_profile(), SCRIPTS)
+        assert out.exit_code == 0
+        # ue-2's one report, and its edge's ack of it
+        expected = Counter({("cloud", "RUN_OPEN"): 3, ("cloud", "RUN_RESULT"): 3,
+                            ("ue-2", "TOPOLOGY_REPORT"): 1, ("edge-R2", "ACK"): 1})
+        for ue, (region, _) in SCRIPTS.items():
+            # a UE's Hello; its edge's Hello, Ready and acks of that Hello and of RunResult
+            expected.update({(ue, "HELLO"): 1, (f"edge-{region}", "HELLO"): 1,
+                             (f"edge-{region}", "PARTIAL_READY"): 1,
+                             (f"edge-{region}", "ACK"): 2})
+        assert sent == expected
 
     def test_deterministic_timings_and_verdicts(self, tmp_path):
         case = load_bundled_case("case9")
@@ -177,6 +204,7 @@ class TestVirtualBadInput:
         outs = [run_virtual_demo(case, topo_manifest(), store, logs,
                                  zero_impairment_profile(), SCRIPTS) for _ in range(2)]
         assert [o.exit_code for o in outs] == [0, 2]
+        assert outs[0].result_blob is not None and outs[1].result_blob is None
         failed = [f["reason"] for ev, f in _events(logs, "cloud") if ev == "run_failed"]
         assert failed == ["AlreadyExistsError"]
         assert ("cloud_error", "compute_failure") in \

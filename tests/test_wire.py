@@ -165,7 +165,7 @@ class TestStreamDecoder:
             assert got == [env], f"split at {cut}"
 
     def test_byte_by_byte(self):
-        env = make_envelope(MessageKind.RUN_CLOSE, {"run_id": "ab" * 16})
+        env = make_envelope(MessageKind.RUN_OPEN, {"run_id": "ab" * 16})
         dec = StreamDecoder()
         got = []
         for byte in encode(env):
