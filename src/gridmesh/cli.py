@@ -249,11 +249,10 @@ def _cmd_ue(args) -> int:
     profile = _resolve_profile(args, cfg)
     script = load_ue_script(args.script)
     log = EventLog(args.node_id, path=args.log) if args.log else EventLog(args.node_id)
-    report = ue_agent(args.node_id, script, parse_addr(args.edge_addr),
-                      profile=profile, log=log)
-    print(f"{args.node_id}: delivered={len(report.delivered)} "
-          f"failed={len(report.failed)} error={report.error or 'none'}")
-    return EXIT_OK if report.clean else EXIT_RUNTIME
+    r = ue_agent(args.node_id, script, parse_addr(args.edge_addr), profile=profile, log=log)
+    print(f"{args.node_id}: delivered={len(r.delivered)} failed={len(r.failed)} "
+          f"rejected={len(r.rejected)} error={r.error or 'none'}")
+    return EXIT_OK if r.clean else EXIT_RUNTIME
 
 
 def _wait_for_sigterm() -> None:

@@ -21,7 +21,9 @@ the actions in list order, by one rule:
 ``handle`` never raises on malformed input: it adds an error reply, or for a
 UE an error line, to the actions decided before the fault. No frame goes to a
 receiver that ignores it: a UE's frames and RunResults are acked, but not an
-edge's Hello or Readies, since the cloud's barrier reads the store.
+edge's Hello or Ready, since the cloud's barrier reads the store. An edge
+uploads once per run (one store put, one Ready), and its rejection of a UE
+frame names that frame's seq, so the UE stops waiting for it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from . import pipeline, wire
 from .model import GridCase
 from .pipeline import RunManifest
 from .sampling import ForecastSpec
-from .store import AlreadyExistsError, FileStore, POLL_INTERVAL_S, partial_key, \
-    result_key, scenarios_key
+from .store import AlreadyExistsError, FileStore, POLL_INTERVAL_S, result_key, upload_key
 from .wire import Envelope, MessageKind
 
 ACK_TIMEOUT_S = 2.0
@@ -67,11 +68,10 @@ class Timer:
 @dataclass(frozen=True)
 class Compute:
     """The cloud needs only the manifest. An edge step also carries the view and
-    forecast as they stood at RunOpen, its artifact and, once computed, its blob."""
+    forecast as they stood at RunOpen and, once computed, its upload."""
     manifest: RunManifest
     view: GridCase | None = None
     forecast: ForecastSpec | None = None
-    artifact: str = "partial_y"
     blob: bytes | None = None
 
 
@@ -114,12 +114,13 @@ def parse_ue_script(objs: list[dict]) -> list[UeScriptItem]:
 class UeReport:
     node_id: str
     delivered: list[int] = field(default_factory=list)
-    failed: list[int] = field(default_factory=list)
+    failed: list[int] = field(default_factory=list)       # never acked
+    rejected: list[int] = field(default_factory=list)     # refused by the edge
     error: str | None = None
 
     @property
     def clean(self) -> bool:
-        return self.error is None and not self.failed
+        return self.error is None and not self.failed and not self.rejected
 
 
 class UeCore:
@@ -128,7 +129,9 @@ class UeCore:
     The Hello goes first, as seq 1; each item then leaves ``at_s`` after the
     Hello's Ack, and never before the previous frame is acked or given up. A
     frame unacked after ``ACK_TIMEOUT_S`` is resent once with the same seq
-    (reports are absolute, so a repeat is harmless), then counted failed.
+    (reports are absolute, so a repeat is harmless), then counted failed. A
+    frame the edge rejects (an ErrorMsg whose ``of`` is its seq) is given up
+    at once and counted rejected.
     """
 
     def __init__(self, node_id: str, script: list[UeScriptItem]):
@@ -148,7 +151,10 @@ class UeCore:
         try:
             obj = env.obj()
             if env.msg_type == MessageKind.ERROR:
-                return [Log("edge_error", code=obj.get("code", "?"))]
+                out = [Log("edge_error", code=obj.get("code", "?"))]
+                if self._pending and obj.get("of") == self._pending[0]:
+                    out += self._give_up(now, self.report.rejected, "ue_rejected")
+                return out
             if (env.msg_type == MessageKind.ACK and self._pending
                     and int(obj["of"]) == self._pending[0]):
                 return self._acked(now)
@@ -164,12 +170,17 @@ class UeCore:
         seq, attempt, env = self._pending
         if attempt == 0:
             return self._send(seq, env, 1)
+        return self._give_up(now, self.report.failed, "ue_unacked")
+
+    def _give_up(self, now: float, tally: list[int], event: str) -> list:
+        """Stop waiting for the pending frame; a given-up Hello ends the script."""
+        seq = self._pending[0]
         self._pending = None
         if self._t0 is None:
             self.report.error = "hello not acknowledged"
             return [Log("ue_error", reason=self.report.error), Done(2)]
-        self.report.failed.append(seq)
-        return [Log("ue_unacked", seq=seq), *self._next_item(now)]
+        tally.append(seq)
+        return [Log(event, seq=seq), *self._next_item(now)]
 
     def _send(self, seq: int, env: Envelope, attempt: int) -> list:
         self._pending = (seq, attempt, env)
@@ -190,8 +201,9 @@ class UeCore:
         """Send the next item if it is due, else wait for it; end after the last."""
         if self._next == len(self.script):
             r = self.report
-            return [Log("ue_done", delivered=len(r.delivered), failed=len(r.failed)),
-                    Done(2 if r.failed else 0)]
+            return [Log("ue_done", delivered=len(r.delivered), failed=len(r.failed),
+                        rejected=len(r.rejected)),
+                    Done(0 if r.clean else 2)]
         due = self._t0 + self.script[self._next].at_s
         if now < due:
             return [Timer(due - now, SEND, self._next)]
@@ -220,7 +232,8 @@ def _apply_topology(view: GridCase, obj: dict) -> GridCase:
 class EdgeCore:
     """One region's aggregation point: folds UE reports into the region view
     and, for each run the cloud opens, computes, stores and announces the
-    region's artifacts."""
+    region's one upload: its partial admittance and status deltas, plus in
+    DSA its reduced scenario set."""
 
     def __init__(self, region: str, base: GridCase, store: FileStore):
         self.region = region
@@ -235,39 +248,41 @@ class EdgeCore:
 
     def handle(self, now: float, peer, env: Envelope) -> list:
         """A frame from ``UPLINK`` or from a UE connection."""
+        if peer is not UPLINK:
+            return self._from_ue(peer, env)
         out: list = []
         try:
-            if peer is UPLINK:
-                self._from_cloud(env, out)
-            else:
-                self._from_ue(peer, env, out)
+            self._from_cloud(env, out)
         except Exception as exc:             # malformed input must not kill the node
-            if peer is UPLINK:
-                out += [Send(UPLINK, wire.error_msg("edge_failure", str(exc), env.run_id)),
-                        Log("edge_error", reason=type(exc).__name__, detail=str(exc))]
-            else:
-                out += [Send(peer, wire.error_msg("bad_report", str(exc))),
-                        Log("edge_reject", reason=type(exc).__name__)]
+            out += [Send(UPLINK, wire.error_msg("edge_failure", str(exc), env.run_id)),
+                    Log("edge_error", reason=type(exc).__name__, detail=str(exc))]
         return out
 
-    def _from_ue(self, peer, env: Envelope, out: list) -> None:
-        obj = env.obj()
-        seq = int(obj.get("seq", 0))
-        if env.msg_type == MessageKind.HELLO:
-            out.append(Log("edge_recv", kind="hello", seq=seq, node=obj.get("node_id", "?")))
-        elif env.msg_type == MessageKind.TOPOLOGY_REPORT:
-            out.append(Log("edge_recv", kind="topology", seq=seq))
-            self.view = _apply_topology(self.view, obj)
-            out += [Log("delta_applied", branch=int(br["id"]), status=br["status"])
-                    for br in obj.get("branches", [])]
-        elif env.msg_type == MessageKind.FORECAST_REPORT:
-            out.append(Log("edge_recv", kind="forecast", seq=seq))
-            self.forecast = ForecastSpec.from_dict(obj["spec"])
-        else:
-            out.append(Send(peer, wire.error_msg("unexpected_kind",
-                                                 f"msg_type {int(env.msg_type)}")))
-            return
-        out.append(Send(peer, wire.ack(seq)))
+    def _from_ue(self, peer, env: Envelope) -> list:
+        out: list = []
+        seq = None
+        try:
+            obj = env.obj()
+            seq = int(obj.get("seq", 0))
+            if env.msg_type == MessageKind.HELLO:
+                out.append(Log("edge_recv", kind="hello", seq=seq,
+                               node=obj.get("node_id", "?")))
+            elif env.msg_type == MessageKind.TOPOLOGY_REPORT:
+                out.append(Log("edge_recv", kind="topology", seq=seq))
+                self.view = _apply_topology(self.view, obj)
+                out += [Log("delta_applied", branch=int(br["id"]), status=br["status"])
+                        for br in obj.get("branches", [])]
+            elif env.msg_type == MessageKind.FORECAST_REPORT:
+                out.append(Log("edge_recv", kind="forecast", seq=seq))
+                self.forecast = ForecastSpec.from_dict(obj["spec"])
+            else:
+                return [Send(peer, wire.error_msg("unexpected_kind",
+                                                  f"msg_type {int(env.msg_type)}", of=seq))]
+            out.append(Send(peer, wire.ack(seq)))
+        except Exception as exc:             # malformed input must not kill the node
+            out += [Send(peer, wire.error_msg("bad_report", str(exc), of=seq)),
+                    Log("edge_reject", reason=type(exc).__name__)]
+        return out
 
     def _from_cloud(self, env: Envelope, out: list) -> None:
         if env.msg_type == MessageKind.RUN_OPEN:
@@ -294,23 +309,18 @@ class EdgeCore:
             out.append(Log("cloud_error", code=obj.get("code", "?"), text=obj.get("text", "")))
 
     def run_compute(self, now: float, step: Compute) -> list:
-        """Compute an artifact, or store and announce a computed one. The partial
-        comes first; in DSA mode the scenario set follows it."""
+        """Compute the region's upload, or store and announce the computed one."""
         m = step.manifest
         rid = m.run_id
+        key = upload_key(rid, self.region)
         try:
             if step.blob is None:
-                if step.artifact == "partial_y":
+                if m.mode == pipeline.MODE_TOPOLOGY:
                     blob = pipeline.edge_topology_blob(step.view, self.base, self.region)
                 else:
-                    blob = pipeline.edge_scenarios_blob(step.view, self.region, m.dsa,
-                                                        step.forecast)
-                return [Log("edge_compute_done", run=rid, artifact=step.artifact),
-                        replace(step, blob=blob)]
-            if step.artifact == "partial_y":
-                key, ready = partial_key(rid, self.region), wire.partial_ready
-            else:
-                key, ready = scenarios_key(rid, self.region), wire.scenario_ready
+                    blob = pipeline.edge_scenarios_blob(step.view, self.base, self.region,
+                                                        m.dsa, step.forecast)
+                return [Log("edge_compute_done", run=rid), replace(step, blob=blob)]
             self.store.put(key, step.blob)
         except AlreadyExistsError as exc:
             return [Send(UPLINK, wire.error_msg("upload_conflict", str(exc), m.run_id_bytes)),
@@ -318,29 +328,27 @@ class EdgeCore:
         except Exception as exc:
             return [Send(UPLINK, wire.error_msg("compute_failure", str(exc), m.run_id_bytes)),
                     Log("compute_failure", run=rid, detail=str(exc))]
-        out = [Log("store_put_done", run=rid, key=key),
-               Send(UPLINK, ready(self.region, key, m.run_id_bytes))]
-        if step.artifact == "partial_y" and m.mode == pipeline.MODE_DSA:
-            out.append(replace(step, artifact="scenarios", blob=None))
-        else:
-            self.runs[rid] = "uploaded"
-        return out
+        self.runs[rid] = "uploaded"
+        return [Log("store_put_done", run=rid, key=key),
+                Send(UPLINK, wire.upload_ready(self.region, key, m.run_id_bytes))]
 
 
 class CloudCore:
     """Registers edges, opens runs, enforces the upload barrier, merges,
     simulates and fans the result out.
 
-    Barrier rule: the run's expected artifacts are checked in the store when
+    Barrier rule: the run's expected uploads are checked in the store when
     the run opens, on each accepted Ready, and every ``POLL_INTERVAL_S`` until
-    the deadline, so a dropped Ready still completes the run.
+    the deadline, so a dropped Ready still completes the run. A Ready counts
+    once per ``(run, region)``, and only from the link that region's Hello
+    came on.
     """
 
     def __init__(self, base: GridCase, store: FileStore):
         self.base = base
         self.store = store
         self.edges: dict[str, object] = {}                  # region -> peer
-        self.received: set[tuple[str, str, str]] = set()    # (run, region, artifact)
+        self.received: set[tuple[str, str]] = set()         # (run, region)
         self.manifest: RunManifest | None = None
         self._phase = DONE
         self._deadline = 0.0
@@ -381,20 +389,19 @@ class CloudCore:
             if m and region in m.expected_regions and region not in self._run_open_sent:
                 self._run_open_sent.add(region)
                 out.append(Send(peer, wire.run_open(m.to_payload(), m.run_id_bytes)))
-        elif env.msg_type in (MessageKind.PARTIAL_READY, MessageKind.SCENARIO_READY):
-            artifact = ("partial_y" if env.msg_type == MessageKind.PARTIAL_READY
-                        else "scenarios")
+        elif env.msg_type == MessageKind.UPLOAD_READY:
             region = obj["region"]
             rid = env.run_id.hex()
-            if (rid, region, artifact) in self.received:
+            if self.edges.get(region, peer) is not peer:
+                raise ValueError(f"region {region} said Hello on another link")
+            if (rid, region) in self.received:
                 out += [Send(peer, wire.error_msg(
                             "duplicate_upload",
-                            f"{artifact} for region {region} already received", env.run_id)),
-                        Log("duplicate_upload", run=rid, region=region, artifact=artifact)]
+                            f"upload for region {region} already received", env.run_id)),
+                        Log("duplicate_upload", run=rid, region=region)]
                 return
-            self.received.add((rid, region, artifact))
-            out.append(Log("ready_recv", run=rid, region=region, artifact=artifact,
-                           key=obj["store_key"]))
+            self.received.add((rid, region))
+            out.append(Log("ready_recv", run=rid, region=region, key=obj["store_key"]))
             if self._phase == BARRIER and rid == self.manifest.run_id:
                 out += self._barrier()
         elif env.msg_type == MessageKind.ACK:
@@ -413,7 +420,7 @@ class CloudCore:
             out = self._barrier()
             if out or now < self._deadline:
                 return out or [timer]
-            missing = ",".join(sorted({k.split("/")[3] for k in self._missing()}))
+            missing = ",".join(self._missing())
             self._phase = DONE
             return [Log("run_aborted", run=m.run_id, missing=missing),
                     *self._to_edges(wire.error_msg("barrier_timeout",
@@ -426,12 +433,12 @@ class CloudCore:
         return []
 
     def run_compute(self, now: float, step: Compute) -> list:
-        """Merge the partials, simulate, store the result and send it to every
+        """Merge the uploads, simulate, store the result and send it to every
         expected edge; the run completes when each has acked it."""
         m = step.manifest
         rid = m.run_id
         try:
-            blobs = {r: self.store.get(partial_key(rid, r)) for r in m.expected_regions}
+            blobs = {r: self.store.get(upload_key(rid, r)) for r in m.expected_regions}
             view, y = pipeline.cloud_merge(self.base, blobs)
             if m.mode == pipeline.MODE_TOPOLOGY:
                 result = pipeline.topology_compute(view, y, m.fault, m.sim_cfg)
@@ -439,9 +446,8 @@ class CloudCore:
                 summary = result.verdict
             else:
                 region_sets = {}
-                for r in m.expected_regions:
-                    parsed = pipeline.parse_scenarios_blob(
-                        self.store.get(scenarios_key(rid, r)))
+                for r, upload in blobs.items():
+                    parsed = pipeline.parse_scenarios_blob(upload)
                     region_sets[r] = (parsed["scenario_set"], parsed["load_bus_ids"])
                 report = pipeline.dsa_compute(view, y, region_sets, m.fault, m.sim_cfg)
                 blob = pipeline.dsa_result_blob(report)
@@ -469,13 +475,10 @@ class CloudCore:
 
     def _missing(self) -> list[str]:
         m = self.manifest
-        keys = [partial_key(m.run_id, r) for r in m.expected_regions]
-        if m.mode == pipeline.MODE_DSA:
-            keys += [scenarios_key(m.run_id, r) for r in m.expected_regions]
-        return [k for k in keys if not self.store.exists(k)]
+        return [r for r in m.expected_regions if not self.store.exists(upload_key(m.run_id, r))]
 
     def _barrier(self) -> list:
-        """barrier_done and the compute once every expected artifact is stored."""
+        """barrier_done and the compute once every expected upload is stored."""
         if self._missing():
             return []
         self._phase = COMPUTE

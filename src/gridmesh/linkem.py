@@ -108,10 +108,10 @@ class FrameSchedule:
 
 
 class LinkEmulator:
-    """Stateful per-link scheduler; one instance per emulated link.
-
-    Deterministic given the profile seed and the submission trace. Draw order
-    per frame: loss, then delay, then jitter (loss consumes no further draws).
+    """Stateful frame scheduler, one per node: all of a node's links share its
+    per-direction queue and FIFO order. Deterministic given the profile seed
+    and the submission trace. Draw order per frame: loss, then delay, then
+    jitter (loss consumes no further draws).
     """
 
     def __init__(self, profile: LinkProfile):

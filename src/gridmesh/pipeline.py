@@ -122,7 +122,7 @@ def region_load_bus_ids(case: GridCase, region: str) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Edge-side artifacts
+# Edge-side uploads: one per region per run
 
 def status_deltas(view: GridCase, base: GridCase) -> list[list]:
     """Branch status assignments that turn ``base`` into ``view``."""
@@ -131,16 +131,18 @@ def status_deltas(view: GridCase, base: GridCase) -> list[list]:
                   if base_status.get(br.id) != br.status)
 
 
-def edge_topology_blob(view: GridCase, base: GridCase, region: str) -> bytes:
-    """Region partial plus the topology deltas it reflects, as one upload."""
+def _topology_upload(view: GridCase, base: GridCase, region: str) -> dict:
     partial = build_partial(view, region, view.branch_partition(), view.bus_owner())
-    return canonical_json({
-        "partial": partial.to_payload(),
-        "status_deltas": status_deltas(view, base),
-    })
+    return {"partial": partial.to_payload(), "status_deltas": status_deltas(view, base)}
+
+
+def edge_topology_blob(view: GridCase, base: GridCase, region: str) -> bytes:
+    """A Topology run's upload: the region partial and the status deltas it reflects."""
+    return canonical_json(_topology_upload(view, base, region))
 
 
 def parse_topology_blob(blob: bytes) -> tuple[PartialAdmittance, dict[int, str]]:
+    """The partial and deltas of either mode's upload."""
     obj = json.loads(blob.decode())
     deltas = {int(bid): status for bid, status in obj["status_deltas"]}
     return PartialAdmittance.from_payload(obj["partial"]), deltas
@@ -169,11 +171,13 @@ def region_scenarios(view: GridCase, region: str, dsa: DsaParams,
     return reduce_scenarios(samples, dsa.k, seed), load_ids, forecast, seed
 
 
-def edge_scenarios_blob(view: GridCase, region: str, dsa: DsaParams,
+def edge_scenarios_blob(view: GridCase, base: GridCase, region: str, dsa: DsaParams,
                         forecast: ForecastSpec | None = None) -> bytes:
+    """A DSA run's upload: the Topology upload's fields plus the region's
+    reduced scenario set and what it was drawn with."""
     sset, load_ids, spec, seed = region_scenarios(view, region, dsa, forecast)
     return canonical_json({
-        "region": region,
+        **_topology_upload(view, base, region),
         "load_bus_ids": load_ids,
         "scenario_set": sset.to_payload(),
         "forecast_spec": spec.to_dict(),
@@ -182,6 +186,7 @@ def edge_scenarios_blob(view: GridCase, region: str, dsa: DsaParams,
 
 
 def parse_scenarios_blob(blob: bytes) -> dict:
+    """A DSA upload, its scenario set and load bus ids parsed."""
     obj = json.loads(blob.decode())
     obj["scenario_set"] = ScenarioSet.from_payload(obj["scenario_set"])
     obj["load_bus_ids"] = [int(b) for b in obj["load_bus_ids"]]

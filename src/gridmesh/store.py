@@ -1,10 +1,10 @@
 """Filesystem-backed immutable blob store with a barrier wait.
 
-Keys follow ``runs/<run_id>/regions/<region>/<artifact>`` with artifact one of
-``partial_y``, ``scenarios``, ``result``; the merged run result lives under the
-pseudo-region ``cloud``. Writes go to a temp file and are hard-linked into
-place, so readers never observe partial blobs and the first writer of a key
-wins. Safe for concurrent use from multiple processes on one host.
+Keys follow ``runs/<run_id>/regions/<region>/<artifact>`` with artifact
+``upload`` (a region's one upload per run) or ``result`` (the merged run
+result, under the pseudo-region ``cloud``). Writes go to a temp file and are
+hard-linked into place, so readers never observe partial blobs and the first
+writer of a key wins. Safe for concurrent use from multiple processes on one host.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
-ARTIFACTS = ("partial_y", "scenarios", "result")
+ARTIFACTS = ("upload", "result")
 MAX_KEY_LEN = 512
 POLL_INTERVAL_S = 0.02
 
@@ -56,12 +56,8 @@ def validate_key(key: str) -> None:
         raise InvalidKeyError(f"artifact must be one of {ARTIFACTS}, got {parts[4]!r}")
 
 
-def partial_key(run_id: str, region: str) -> str:
-    return f"runs/{run_id}/regions/{region}/partial_y"
-
-
-def scenarios_key(run_id: str, region: str) -> str:
-    return f"runs/{run_id}/regions/{region}/scenarios"
+def upload_key(run_id: str, region: str) -> str:
+    return f"runs/{run_id}/regions/{region}/upload"
 
 
 def result_key(run_id: str) -> str:

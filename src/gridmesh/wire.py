@@ -57,8 +57,7 @@ class MessageKind(enum.IntEnum):
     TOPOLOGY_REPORT = 0x02
     FORECAST_REPORT = 0x03
     ACK = 0x04
-    PARTIAL_READY = 0x05
-    SCENARIO_READY = 0x06
+    UPLOAD_READY = 0x05
     RUN_RESULT = 0x07
     ERROR = 0x08
     RUN_OPEN = 0x09
@@ -190,13 +189,8 @@ def ack(of: int) -> Envelope:
     return make_envelope(MessageKind.ACK, {"of": of})
 
 
-def partial_ready(region: str, store_key: str, run_id: bytes) -> Envelope:
-    return make_envelope(MessageKind.PARTIAL_READY,
-                         {"region": region, "store_key": store_key}, run_id)
-
-
-def scenario_ready(region: str, store_key: str, run_id: bytes) -> Envelope:
-    return make_envelope(MessageKind.SCENARIO_READY,
+def upload_ready(region: str, store_key: str, run_id: bytes) -> Envelope:
+    return make_envelope(MessageKind.UPLOAD_READY,
                          {"region": region, "store_key": store_key}, run_id)
 
 
@@ -206,8 +200,10 @@ def run_result(store_key: str, verdict_summary: str, seq: int, run_id: bytes) ->
                           "seq": seq}, run_id)
 
 
-def error_msg(code: str, text: str, run_id: bytes = ZERO_RUN_ID) -> Envelope:
-    return make_envelope(MessageKind.ERROR, {"code": code, "text": text}, run_id)
+def error_msg(code: str, text: str, run_id: bytes = ZERO_RUN_ID,
+              of: int | None = None) -> Envelope:
+    """``of`` is the seq of the rejected UE frame, or None."""
+    return make_envelope(MessageKind.ERROR, {"code": code, "text": text, "of": of}, run_id)
 
 
 def run_open(manifest_obj: dict, run_id: bytes) -> Envelope:

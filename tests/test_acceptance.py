@@ -28,7 +28,7 @@ from gridmesh.model import Bus, FaultSpec, GridCase, load_bundled_case
 from gridmesh.nodes import CloudNode, EdgeNode, ShapedConnection
 from gridmesh.powerflow import PowerFlowDivergedError, initialize_machines, \
     solve_power_flow
-from gridmesh.store import FileStore, partial_key, result_key
+from gridmesh.store import FileStore, result_key, upload_key
 from gridmesh.wire import StreamDecoder, decode, encode
 from gridmesh.ybus import build_partials, build_ybus, merge_partials
 
@@ -278,7 +278,7 @@ def test_10_barrier_robustness(tmp_path):
             [l.split("missing_regions:_")[1] for l in edge_logs.splitlines()
              if "missing_regions:_" in l][0]
 
-        # duplicate upload: second PartialReady for the same (run, region) bounces
+        # duplicate upload: a second UploadReady for the same (run, region) bounces
         case = load_bundled_case("case9")
         store = FileStore(tmp_path / "dup" / "store")
         zero = zero_impairment_profile()
@@ -311,10 +311,10 @@ def test_10_barrier_robustness(tmp_path):
         deadline = time.time() + 5
         while time.time() < deadline and len(cloud.edges) < 3:
             time.sleep(0.01)
-        key = partial_key(m.run_id, "R3")
+        key = upload_key(m.run_id, "R3")
         store.put(key, pipeline.edge_topology_blob(case, case, "R3"))
-        conn.send(wire.partial_ready("R3", key, m.run_id_bytes))
-        conn.send(wire.partial_ready("R3", key, m.run_id_bytes))
+        conn.send(wire.upload_ready("R3", key, m.run_id_bytes))
+        conn.send(wire.upload_ready("R3", key, m.run_id_bytes))
         code = cloud.execute_run(m)
         time.sleep(0.2)
         for e in edges:

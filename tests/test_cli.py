@@ -199,3 +199,4 @@ class TestUeCommand:
         code = main(["ue", "--edge-addr", "127.0.0.1:9", "--script", str(script),
                      "--profile", "zero"])
         assert code == EXIT_RUNTIME
+        assert "delivered=0 failed=0 rejected=0 error=connect" in capsys.readouterr().out

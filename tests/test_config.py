@@ -48,10 +48,10 @@ class TestEventLog:
     def test_line_roundtrip(self, tmp_path):
         path = tmp_path / "n.log"
         log = EventLog("edge-R1", path=path)
-        log.log("store_put_done", run="abc", key="runs/abc/regions/R1/partial_y")
+        log.log("store_put_done", run="abc", key="runs/abc/regions/R1/upload")
         ts, node, event, fields = read_events(path)[0]
         assert node == "edge-R1" and event == "store_put_done"
-        assert fields == {"run": "abc", "key": "runs/abc/regions/R1/partial_y"}
+        assert fields == {"run": "abc", "key": "runs/abc/regions/R1/upload"}
         assert ts > 0
 
     def test_explicit_timestamp(self, tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 import gridmesh.wire as wire
 from gridmesh import nodes, pipeline, virtualdemo
-from gridmesh.core import RESULT_ACK_TIMEOUT_S, UPLINK, CloudCore, Compute, EdgeCore, Send
+from gridmesh.core import ACK_TIMEOUT_S, RESULT_ACK_TIMEOUT_S, UPLINK, CloudCore, Compute, \
+    EdgeCore, Log, Send
 from gridmesh.eventlog import EventLog, read_events
 from gridmesh.linkem import LinkEmulator, UP, default_5g_sa_profile, \
     zero_impairment_profile
@@ -16,7 +17,7 @@ from gridmesh.nodes import (CloudNode, EdgeNode, ShapedConnection, UeScriptItem,
                             load_ue_script, ue_agent)
 from gridmesh.pipeline import DsaParams, RunManifest, new_run_id
 from gridmesh.sampling import ForecastSpec
-from gridmesh.store import FileStore, partial_key, result_key, scenarios_key
+from gridmesh.store import FileStore, result_key, upload_key
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.model import FaultSpec
 
@@ -101,8 +102,11 @@ class TestUeAgent:
         before = edges["R3"].core.view
         item = UeScriptItem(at_s=0.0, kind="topology",
                             branches=({"id": 999, "status": "Open"},))
+        start = time.monotonic()
         report = ue_agent("ue-bad", [item], edges["R3"].bound_addr, profile=ZERO)
-        assert report.failed == [2]           # never acked
+        # the edge's error names seq 2: the UE stops waiting, without a resend
+        assert time.monotonic() - start < ACK_TIMEOUT_S
+        assert report.rejected == [2] and report.failed == [] and not report.clean
         assert edges["R3"].core.view == before
 
 
@@ -246,7 +250,7 @@ class TestTopologyRun:
             e.close()
         cloud.close()
         assert not store.exists(result_key(m.run_id))
-        assert store.exists(partial_key(m.run_id, "R1"))
+        assert store.exists(upload_key(m.run_id, "R1"))
 
     def test_killing_ue_does_not_abort_run(self, cluster, case9):
         cloud, edges, store = cluster
@@ -294,7 +298,7 @@ class TestEdgeArtifacts:
         assert ue_agent("ue-q", [item], edges["R2"].bound_addr, profile=ZERO).clean
         m = manifest()
         assert cloud.execute_run(m) == 0
-        uploaded = store.get(partial_key(m.run_id, "R2"))
+        uploaded = store.get(upload_key(m.run_id, "R2"))
         expected = pipeline.edge_topology_blob(
             case9.with_branch_status({9: "Open"}), case9, "R2")
         assert uploaded == expected
@@ -312,7 +316,7 @@ class TestEdgeArtifacts:
         m = manifest(mode="DSA", dsa=DsaParams(n_raw=20, k=4, seed=5))
         assert cloud.execute_run(m) == 0
         for r in edges:
-            parsed = pipeline.parse_scenarios_blob(store.get(scenarios_key(m.run_id, r)))
+            parsed = pipeline.parse_scenarios_blob(store.get(upload_key(m.run_id, r)))
             assert parsed["forecast_spec"] == spec.to_dict()
             for rep in parsed["scenario_set"].representatives:
                 assert all(0.98 <= v <= 1.02 for v in rep.multipliers)
@@ -330,7 +334,8 @@ class _Recorder(virtualdemo._CoreNode):
 
 
 class TestDuplicateUpload:
-    def test_second_ready_rejected_first_wins(self, case9, tmp_path):
+    @pytest.mark.parametrize("mode", ["Topology", "DSA"])
+    def test_second_ready_rejected_first_wins(self, mode, case9, tmp_path):
         # R1 and R2 are virtual edges; a hand-rolled R3 uploads once, reports
         # readiness twice and never acks RunResult, so the result-ack timer
         # fires, in virtual time
@@ -346,18 +351,21 @@ class TestDuplicateUpload:
         r3 = _Recorder("edge-R3", sched, ZERO, logs)
         sched.at(0.0, r3.send, cloud, wire.hello("edge-R3", "edge", 1, region="R3"), UP)
 
-        m = manifest()
-        key = partial_key(m.run_id, "R3")
-        store.put(key, pipeline.edge_topology_blob(case9, case9, "R3"))
+        dsa = DsaParams(n_raw=20, k=2, seed=3) if mode == "DSA" else None
+        m = manifest(mode=mode, dsa=dsa)
+        key = upload_key(m.run_id, "R3")
+        store.put(key, pipeline.edge_scenarios_blob(case9, case9, "R3", dsa) if dsa
+                  else pipeline.edge_topology_blob(case9, case9, "R3"))
         for _ in range(2):
-            sched.at(0.1, r3.send, cloud, wire.partial_ready("R3", key, m.run_id_bytes), UP)
+            sched.at(0.1, r3.send, cloud, wire.upload_ready("R3", key, m.run_id_bytes), UP)
         sched.at(1.0, cloud.call, cloud.core.open_run, m)
         sched.run()
 
         assert cloud.exit_code == 0                       # run unaffected
         errors = [e for e in r3.inbox if e.msg_type == wire.MessageKind.ERROR]
         assert [e.obj()["code"] for e in errors] == ["duplicate_upload"]
-        _, expected = pipeline.monolithic_topology(case9, {}, FAULT, WS_CFG)
+        _, expected = (pipeline.monolithic_dsa(case9, {}, dsa, FAULT, WS_CFG) if dsa
+                       else pipeline.monolithic_topology(case9, {}, FAULT, WS_CFG))
         assert store.get(result_key(m.run_id)) == expected
         events = read_events(logs / "cloud.log")
         assert [f["region"] for _, _, ev, f in events if ev == "result_unacked"] == ["R3"]
@@ -365,11 +373,28 @@ class TestDuplicateUpload:
         sent = max(ts for ts, _, ev, _ in events if ev == "result_sent")
         assert events[-1][0] - sent == pytest.approx(RESULT_ACK_TIMEOUT_S)
 
+    def test_ready_counts_only_from_its_regions_link(self, case9, tmp_path):
+        # a Ready naming R2 on R1's link is refused and R2's own Ready counts
+        cloud = CloudCore(case9, FileStore(tmp_path / "store"))
+        links = {"R1": object(), "R2": object()}
+        for r, link in links.items():
+            cloud.handle(0.0, link, wire.hello(f"edge-{r}", "edge", 1, region=r))
+        rid = new_run_id()
+        ready = wire.upload_ready("R2", upload_key(rid, "R2"), bytes.fromhex(rid))
+        forged = cloud.handle(0.1, links["R1"], ready)
+        assert [(a.peer, a.env.obj()["code"]) for a in forged if isinstance(a, Send)] == \
+            [(links["R1"], "bad_message")]
+        assert [a.event for a in forged if isinstance(a, Log)] == ["cloud_reject"]
+        assert cloud.received == set()
+        own = cloud.handle(0.2, links["R2"], ready)
+        assert [a.event for a in own if isinstance(a, Log)] == ["ready_recv"]
+        assert cloud.received == {(rid, "R2")}
+
     def test_store_rejects_second_artifact_write(self, case9, tmp_path):
         from gridmesh.store import AlreadyExistsError
         store = FileStore(tmp_path / "store")
         rid = new_run_id()
-        key = partial_key(rid, "R1")
+        key = upload_key(rid, "R1")
         store.put(key, b"first")
         with pytest.raises(AlreadyExistsError):
             store.put(key, b"second")

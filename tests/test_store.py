@@ -4,8 +4,7 @@ import time
 import pytest
 
 from gridmesh.store import (AlreadyExistsError, FileStore, InvalidKeyError,
-                            NotFoundError, partial_key, result_key, scenarios_key,
-                            validate_key)
+                            NotFoundError, result_key, upload_key, validate_key)
 
 
 @pytest.fixture
@@ -18,11 +17,12 @@ RID = "ab" * 16
 
 class TestKeys:
     def test_helpers_validate(self):
-        for key in (partial_key(RID, "R1"), scenarios_key(RID, "R2"), result_key(RID)):
+        for key in (upload_key(RID, "R1"), upload_key(RID, "R2"), result_key(RID)):
             validate_key(key)
 
     def test_shape_enforced(self):
         for bad in ("", "x", "runs/a/regions/r", "runs/a/regions/r/nope",
+                    "runs/a/regions/r/partial_y", "runs/a/regions/r/scenarios",
                     "other/a/regions/r/result", "runs//regions/r/result",
                     "runs/a/regions/../result/x", "runs/a/regions/r/result/extra"):
             with pytest.raises(InvalidKeyError):
@@ -34,12 +34,12 @@ class TestKeys:
 
     def test_traversal_blocked(self):
         with pytest.raises(InvalidKeyError):
-            validate_key("runs/../regions/r/partial_y")
+            validate_key("runs/../regions/r/upload")
 
 
 class TestPutGet:
     def test_roundtrip(self, store):
-        key = partial_key(RID, "R1")
+        key = upload_key(RID, "R1")
         receipt = store.put(key, b"hello world")
         assert receipt.key == key and receipt.length == 11
         assert store.get(key) == b"hello world"
@@ -50,14 +50,14 @@ class TestPutGet:
         assert receipt.sha256 == hashlib.sha256(b"abc").hexdigest()
 
     def test_duplicate_put_rejected(self, store):
-        key = partial_key(RID, "R1")
+        key = upload_key(RID, "R1")
         store.put(key, b"first")
         with pytest.raises(AlreadyExistsError):
             store.put(key, b"second")
         assert store.get(key) == b"first"      # first wins
 
     def test_empty_blob(self, store):
-        key = scenarios_key(RID, "R1")
+        key = upload_key(RID, "R2")
         assert store.put(key, b"").length == 0
         assert store.get(key) == b""
 
@@ -72,8 +72,8 @@ class TestPutGet:
 
 class TestList:
     def test_prefix_and_order(self, store):
-        keys = [partial_key("r1" * 16, "RB"), partial_key("r1" * 16, "RA"),
-                result_key("r1" * 16), partial_key("r2" * 16, "RA")]
+        keys = [upload_key("r1" * 16, "RB"), upload_key("r1" * 16, "RA"),
+                result_key("r1" * 16), upload_key("r2" * 16, "RA")]
         for k in keys:
             store.put(k, b"x")
         got = store.list(f"runs/{'r1' * 16}/")
@@ -86,22 +86,22 @@ class TestList:
 
 class TestWaitFor:
     def test_already_present_completes_immediately(self, store):
-        key = partial_key(RID, "R1")
+        key = upload_key(RID, "R1")
         store.put(key, b"x")
         t0 = time.time()
         res = store.wait_for([key], deadline=time.time() + 5)
         assert res.complete and time.time() - t0 < 0.5
 
     def test_timeout_lists_missing(self, store):
-        present = partial_key(RID, "R1")
-        absent = partial_key(RID, "R2")
+        present = upload_key(RID, "R1")
+        absent = upload_key(RID, "R2")
         store.put(present, b"x")
         res = store.wait_for([present, absent], deadline=time.time() + 0.15)
         assert not res.complete
         assert res.missing == (absent,)
 
     def test_unblocks_on_late_write(self, store):
-        key = partial_key(RID, "R3")
+        key = upload_key(RID, "R3")
 
         def writer():
             time.sleep(0.1)
@@ -137,7 +137,7 @@ class TestConcurrency:
     def test_readers_never_see_partial_blob(self, store):
         # a reader either misses the key or sees the complete content
         blob = b"A" * 1_000_000
-        key = partial_key(RID, "R9")
+        key = upload_key(RID, "R9")
         seen = []
 
         def reader():

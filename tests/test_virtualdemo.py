@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from gridmesh import pipeline, virtualdemo, wire
-from gridmesh.core import ACK_TIMEOUT_S, UPLINK, EdgeCore, UeCore
+from gridmesh.core import ACK_TIMEOUT_S, UPLINK, EdgeCore, Send, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import read_events
 from gridmesh.linkem import default_5g_sa_profile, zero_impairment_profile
@@ -12,7 +12,7 @@ from gridmesh.nodes import UeScriptItem
 from gridmesh.pipeline import DsaParams, RunManifest
 from gridmesh.reports import emit_report
 from gridmesh.sampling import ForecastSpec
-from gridmesh.store import FileStore, partial_key, scenarios_key
+from gridmesh.store import FileStore, upload_key
 from gridmesh.virtualdemo import run_virtual_demo
 from gridmesh.wire import canonical_json
 from gridmesh.ybus import build_partials
@@ -52,9 +52,10 @@ class TestVirtualTopology:
         assert len(sends) == len(recvs)
         assert all(0 <= rv - sd < 5.0 for sd, rv in zip(sends, recvs))
 
-    def test_every_frame_sent_has_a_reader(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode", ["Topology", "DSA"])
+    def test_every_frame_sent_has_a_reader(self, mode, tmp_path, monkeypatch):
         # the cloud sends an edge its RunOpen and RunResult only: an edge's
-        # Hello and Ready go unacked, since the barrier reads the store
+        # Hello and its one Ready go unacked, since the barrier reads the store
         sent = Counter()
         send = virtualdemo._CoreNode.send
 
@@ -63,7 +64,9 @@ class TestVirtualTopology:
             send(node, dst, env, direction)
 
         monkeypatch.setattr(virtualdemo._CoreNode, "send", counting)
-        out = run_virtual_demo(load_bundled_case("case9"), topo_manifest(),
+        manifest = (topo_manifest() if mode == "Topology"
+                    else dsa_manifest(DsaParams(n_raw=20, k=2, seed=1)))
+        out = run_virtual_demo(load_bundled_case("case9"), manifest,
                                FileStore(tmp_path / "store"), tmp_path / "logs",
                                zero_impairment_profile(), SCRIPTS)
         assert out.exit_code == 0
@@ -73,7 +76,7 @@ class TestVirtualTopology:
         for ue, (region, _) in SCRIPTS.items():
             # a UE's Hello; its edge's Hello, Ready and acks of that Hello and of RunResult
             expected.update({(ue, "HELLO"): 1, (f"edge-{region}", "HELLO"): 1,
-                             (f"edge-{region}", "PARTIAL_READY"): 1,
+                             (f"edge-{region}", "UPLOAD_READY"): 1,
                              (f"edge-{region}", "ACK"): 2})
         assert sent == expected
 
@@ -149,7 +152,7 @@ class TestVirtualDsa:
                                {f"ue-{r}": (r, [item]) for r in ("R1", "R2", "R3")})
         assert out.exit_code == 0
         for r in ("R1", "R2", "R3"):
-            parsed = pipeline.parse_scenarios_blob(store.get(scenarios_key(RID, r)))
+            parsed = pipeline.parse_scenarios_blob(store.get(upload_key(RID, r)))
             assert parsed["forecast_spec"] == spec.to_dict()
         _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG,
                                               forecasts=dict.fromkeys(("R1", "R2", "R3"), spec))
@@ -166,7 +169,7 @@ class TestVirtualDsa:
                                {"ue-R1": ("R1", [item]), "ue-R2": ("R2", []),
                                 "ue-R3": ("R3", [])})
         assert out.exit_code == 0
-        specs = {r: pipeline.parse_scenarios_blob(store.get(scenarios_key(RID, r)))
+        specs = {r: pipeline.parse_scenarios_blob(store.get(upload_key(RID, r)))
                  ["forecast_spec"] for r in ("R1", "R2", "R3")}
         assert specs["R1"] == spec.to_dict()
         assert specs["R2"] == specs["R3"] == ForecastSpec(
@@ -218,7 +221,7 @@ class TestVirtualBadInput:
         stolen = next(t for t in payloads["R2"]["terms"] if t[2:4] == [0, 8])
         payloads["R1"]["terms"].append(stolen)
         store = FileStore(tmp_path / "store")
-        store.put(partial_key(RID, "R1"),
+        store.put(upload_key(RID, "R1"),
                   canonical_json({"partial": payloads["R1"], "status_deltas": []}))
         logs = tmp_path / "logs"
         out = run_virtual_demo(case, topo_manifest(), store, logs,
@@ -238,15 +241,14 @@ class TestVirtualBadInput:
                                zero_impairment_profile(),
                                dict(SCRIPTS, **{"ue-3": ("R3", [bad])}))
         assert out.exit_code == 0
-        ue = _events(logs, "ue-3")
-        assert ("edge_error", {"code": "bad_report"}) in ue
-        # the rejected report is resent once, then counted failed
-        assert [e for e in ue if e[0] in ("ue_retry", "ue_unacked", "ue_done")] == [
-            ("ue_retry", {"seq": "2"}), ("ue_unacked", {"seq": "2"}),
-            ("ue_done", {"delivered": "0", "failed": "1"})]
+        # the rejection names seq 2, so the UE gives it up at once: no resend
+        assert _events(logs, "ue-3") == [
+            ("ue_send", {"seq": "1", "kind": "1"}), ("ue_send", {"seq": "2", "kind": "2"}),
+            ("edge_error", {"code": "bad_report"}), ("ue_rejected", {"seq": "2"}),
+            ("ue_done", {"delivered": "0", "failed": "0", "rejected": "1"})]
         edge = [ev for ev, _ in _events(logs, "edge-R3")]
         assert "edge_reject" in edge and "delta_applied" not in edge
-        assert store.get(partial_key(RID, "R3")) == \
+        assert store.get(upload_key(RID, "R3")) == \
             pipeline.edge_topology_blob(case, case, "R3")      # view unchanged
         _, expected = pipeline.monolithic_topology(case, {9: "Open"}, FAULT, CFG)
         assert out.result_blob == expected
@@ -266,6 +268,16 @@ class TestVirtualBadInput:
             [(ev, f.get("code")) for ev, f in cloud]
         assert cloud[-1] == ("run_aborted", {"run": RID, "missing": "R1"})
 
+    def test_a_rejection_names_the_frames_seq_when_it_parsed(self, tmp_path):
+        edge = EdgeCore("R1", load_bundled_case("case9"), FileStore(tmp_path / "store"))
+        frames = [("unexpected_kind", 4, wire.make_envelope(wire.MessageKind.RUN_OPEN,
+                                                            {"seq": 4})),
+                  ("bad_report", 5, wire.topology_report([{"id": 999, "status": "Open"}], 5)),
+                  ("bad_report", None, wire.Envelope(wire.MessageKind.TOPOLOGY_REPORT, b"{"))]
+        for code, seq, env in frames:
+            [err] = [a.env.obj() for a in edge.handle(0.0, "ue", env) if isinstance(a, Send)]
+            assert (err["code"], err["of"]) == (code, seq)
+
     @pytest.mark.parametrize("spec", [
         dict(ForecastSpec(n_dims=1).to_dict(), sigma=float("nan")),
         dict(ForecastSpec(n_dims=1, dist="uniform").to_dict(), half_width=float("inf")),
@@ -278,9 +290,10 @@ class TestVirtualBadInput:
         out = run_virtual_demo(case, dsa_manifest(dsa), FileStore(tmp_path / "store"), logs,
                                zero_impairment_profile(), {"ue-1": ("R1", [item])})
         assert out.exit_code == 0
-        ue = _events(logs, "ue-1")
-        assert ("edge_error", {"code": "bad_report"}) in ue
-        assert ("ue_done", {"delivered": "0", "failed": "1"}) in ue
+        assert _events(logs, "ue-1") == [
+            ("ue_send", {"seq": "1", "kind": "1"}), ("ue_send", {"seq": "2", "kind": "3"}),
+            ("edge_error", {"code": "bad_report"}), ("ue_rejected", {"seq": "2"}),
+            ("ue_done", {"delivered": "0", "failed": "0", "rejected": "1"})]
         assert ("edge_reject", {"reason": "SamplingError"}) in _events(logs, "edge-R1")
         _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG)
         assert out.result_blob == expected

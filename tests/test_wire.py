@@ -89,10 +89,12 @@ class TestDecodeErrors:
             decode(bytes(raw))
 
     def test_unknown_msg_type(self):
-        raw = bytearray(bytes.fromhex(GOLDEN_ACK_HEX))
-        raw[3] = 0x77
-        with pytest.raises(UnknownMessageTypeError):
-            decode(bytes(raw))
+        # 0x06 (ScenarioReady) and 0x0A (RunClose) are retired kinds
+        for kind in (0x06, 0x0A, 0x77):
+            raw = bytearray(bytes.fromhex(GOLDEN_ACK_HEX))
+            raw[3] = kind
+            with pytest.raises(UnknownMessageTypeError):
+                decode(bytes(raw))
 
     def test_truncated_is_retryable(self):
         raw = bytes.fromhex(GOLDEN_ACK_HEX)
