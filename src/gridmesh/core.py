@@ -2,11 +2,11 @@
 
 Each core is a state machine whose entry points take the current time and one
 input and return a list of actions; a core opens no socket, reads no clock and
-never sleeps. ``nodes`` drives the cores over TCP with threads, ``virtualdemo``
-on a heap scheduler in virtual time, so every protocol decision is made once,
-the same way in both modes. The store stays a direct call. Cores are not
-thread-safe: a driver serialises its calls into one core. Both drivers perform
-the actions in list order, by one rule:
+never sleeps. ``virtualdemo.CoreNode`` drives a core on a heap of timed calls,
+in virtual time or, in ``nodes``, on the real clock over TCP, so every protocol
+decision is made once, the same way in both modes. The store stays a direct
+call. Cores are not thread-safe: each node calls its core from one event loop.
+It performs the actions in list order, by one rule:
 
 - ``Send(peer, env)``: transmit; if the link drops the frame, log
   ``frame_dropped`` with its direction and kind. A node's link toward the
@@ -16,7 +16,7 @@ the actions in list order, by one rule:
 - ``Timer(delay, name, key)``: call ``on_timer`` with it ``delay`` s later.
 - ``Compute``: call ``run_compute`` with it inline, then perform what it
   returns. A core lists its replies before a Compute, so none waits for it.
-- ``Done(code)``: record the exit code the UE's script or the cloud's run ended with.
+- ``Done(code)``: record the UE's or the run's exit code once every sent frame is delivered.
 
 ``handle`` never raises on malformed input: it adds an error reply, or for a
 UE an error line, to the actions decided before the fault. No frame goes to a

@@ -13,7 +13,6 @@ TCP stream they model); jitter is additive and never reorders.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +110,8 @@ class LinkEmulator:
     """Stateful frame scheduler, one per node: all of a node's links share its
     per-direction queue and FIFO order. Deterministic given the profile seed
     and the submission trace. Draw order per frame: loss, then delay, then
-    jitter (loss consumes no further draws).
+    jitter (loss consumes no further draws). Not thread-safe: each node calls
+    its emulator from its one event loop.
     """
 
     def __init__(self, profile: LinkProfile):
@@ -119,29 +119,27 @@ class LinkEmulator:
         self._rng = np.random.default_rng(profile.seed)
         self._busy_until = {UP: 0.0, DOWN: 0.0}
         self._last_delivery = {UP: 0.0, DOWN: 0.0}
-        self._lock = threading.Lock()
 
     def schedule_frame_ex(self, frame_len: int, direction: str, now: float):
         """Full schedule record for one frame, or DROPPED."""
         if frame_len <= 0:
             raise LinkError("frame_len must be > 0")
         bw = self.profile.bandwidth(direction)
-        with self._lock:
-            if self.profile.loss_rate > 0 and self._rng.random() < self.profile.loss_rate:
-                return DROPPED
-            delay_ms = float(self._rng.uniform(self.profile.delay_min_ms,
-                                               self.profile.delay_max_ms))
-            jitter_ms = 0.0
-            if self.profile.jitter_mean_ms > 0:
-                jitter_ms = min(float(self._rng.exponential(self.profile.jitter_mean_ms)),
-                                self.profile.jitter_cap_ms)
-            serialization = 8.0 * frame_len / bw
-            start = max(now, self._busy_until[direction])
-            self._busy_until[direction] = start + serialization
-            delivery = start + serialization + (delay_ms + jitter_ms) / 1e3
-            # TCP in-order delivery: jitter may never reorder frames
-            delivery = max(delivery, self._last_delivery[direction])
-            self._last_delivery[direction] = delivery
+        if self.profile.loss_rate > 0 and self._rng.random() < self.profile.loss_rate:
+            return DROPPED
+        delay_ms = float(self._rng.uniform(self.profile.delay_min_ms,
+                                           self.profile.delay_max_ms))
+        jitter_ms = 0.0
+        if self.profile.jitter_mean_ms > 0:
+            jitter_ms = min(float(self._rng.exponential(self.profile.jitter_mean_ms)),
+                            self.profile.jitter_cap_ms)
+        serialization = 8.0 * frame_len / bw
+        start = max(now, self._busy_until[direction])
+        self._busy_until[direction] = start + serialization
+        delivery = start + serialization + (delay_ms + jitter_ms) / 1e3
+        # TCP in-order delivery: jitter may never reorder frames
+        delivery = max(delivery, self._last_delivery[direction])
+        self._last_delivery[direction] = delivery
         return FrameSchedule(delivery=delivery, serialization_s=serialization,
                              delay_ms=delay_ms, jitter_ms=jitter_ms,
                              queued_s=start - now)

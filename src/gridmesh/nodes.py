@@ -1,38 +1,39 @@
-"""Socket drivers: the three node roles, wired over TCP through the link emulator.
+"""Socket drivers: the virtual-time driver's node on the real clock, over TCP.
 
-``ue_agent``, ``EdgeNode`` and ``CloudNode`` run the UE, edge and cloud logic
-of ``core``, which makes every protocol decision. Each link is read on its own
-thread, every call into a core holds the driver's lock, and actions are
-performed by the rule ``core`` states; a Compute runs inline under the lock on
-whichever thread produced it. Timers and Done go to the agenda that
-``ue_agent`` and ``execute_run`` drive on the calling thread.
-
-Outbound frames pass through the sender's link emulator: the frame is
-scheduled (serialization + delay + jitter, FIFO per direction) and the writer
-sleeps until its delivery instant before the socket write, so a driver sends
-only after releasing its core's lock. Direction 'up' points toward the cloud
-(UE->edge, edge->cloud), 'down' back out.
+``ue_agent``, ``EdgeNode`` and ``CloudNode`` run ``core``'s UE, edge and cloud
+as ``virtualdemo.CoreNode``; only the clock and the transport differ. Each node
+is one event loop on one thread: a heap of timed calls that waits in a selector
+on the node's sockets. A frame's socket write is a heap entry at the delivery
+instant its sender's link emulator gives it, so no send blocks and a fan-out's
+frames travel together. A UE's loop runs on the thread that calls
+``ue_agent``; an edge's or the cloud's on its own thread from ``start`` to
+``close``. Direction 'up' points toward the cloud, 'down' back out.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import functools
 import heapq
-import itertools
 import json
+import selectors
 import socket
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 from . import wire
-from .core import UPLINK, CloudCore, Compute, Done, EdgeCore, Log, Send, Timer, UeCore, \
-    UeReport, UeScriptItem, parse_ue_script
+from .core import CloudCore, Done, EdgeCore, Log, UeCore, UeReport, UeScriptItem, \
+    parse_ue_script
 from .eventlog import EventLog
-from .linkem import DOWN, DROPPED, LinkEmulator, LinkProfile, UP, zero_impairment_profile
+from .linkem import LinkProfile, zero_impairment_profile
 from .model import GridCase
 from .pipeline import RunManifest
 from .store import FileStore
-from .wire import Envelope, StreamDecoder
+from .virtualdemo import CoreNode, Scheduler
+from .wire import StreamDecoder
 
 RECV_CHUNK = 65536
 
@@ -47,8 +48,8 @@ def format_addr(addr: tuple[str, int]) -> str:
 
 
 def _connect(addr: tuple[str, int]) -> socket.socket:
-    """Open a TCP link: the connect may take 10 s, but reads then block, so a
-    link stays up however long it idles. Frames leave at once (TCP_NODELAY):
+    """Open a TCP link: the connect may take 10 s, but the socket then blocks,
+    so a link stays up however long it idles. Frames leave at once (TCP_NODELAY):
     the link emulator delays them, not Nagle's wait for the peer's ACK."""
     sock = socket.create_connection(addr, timeout=10.0)
     sock.settimeout(None)
@@ -56,55 +57,153 @@ def _connect(addr: tuple[str, int]) -> socket.socket:
     return sock
 
 
-def _sleep_until(t: float) -> None:
-    remaining = t - time.time()
-    if remaining > 0:
-        time.sleep(remaining)
-
-
 class ShapedConnection:
-    """One framed TCP connection; outbound frames go through the link emulator."""
+    """One framed TCP link; frames reach ``send`` at their emulated delivery instant."""
 
-    def __init__(self, sock: socket.socket, emulator: LinkEmulator, out_direction: str):
+    def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.emulator = emulator
-        self.out_direction = out_direction
-        self._send_lock = threading.Lock()
-        self._decoder = StreamDecoder()
+        self.decoder = StreamDecoder()
 
-    def send(self, env: Envelope) -> bool:
-        """Returns False when the emulator dropped the frame. A failed socket
-        write is no drop: the link is dead, and its reader thread ends on it."""
-        frame = wire.encode(env)
-        with self._send_lock:
-            delivery = self.emulator.schedule_frame(len(frame), self.out_direction,
-                                                    time.time())
-            if delivery is DROPPED:
-                return False
-            _sleep_until(delivery)
-            try:
-                self.sock.sendall(frame)
-            except OSError:
-                pass
-        return True
+    def send(self, frame: bytes) -> None:
+        """Write one frame. A failed write is no drop: the link is dead, and
+        the node closes it when its read fails."""
+        with contextlib.suppress(OSError):
+            self.sock.sendall(frame)
 
-    def envelopes(self):
-        """Yield inbound envelopes until the peer closes or the socket dies."""
-        while True:
-            try:
-                data = self.sock.recv(RECV_CHUNK)
-            except OSError:
-                return
-            if not data:
-                return
-            yield from self._decoder.feed(data)
+
+class _Loop(Scheduler):
+    """The scheduler on the real clock. Between due calls it waits in a selector
+    whose keys carry the call that serves each readable socket."""
+
+    now = property(lambda self: time.time())
+
+    def __init__(self):
+        super().__init__()
+        self.selector = selectors.DefaultSelector()
+        self.running = False
+        self._calls: collections.deque = collections.deque()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self.selector.register(self._wake_r, selectors.EVENT_READ, self._woken)
+
+    def call_threadsafe(self, fn, *args) -> None:
+        """Run ``fn(*args)`` on the loop; raises OSError once the loop is closed."""
+        self._calls.append((fn, args))
+        self._wake_w.send(b"\0")
+
+    def _woken(self) -> None:
+        self._wake_r.recv(RECV_CHUNK)
+        while self._calls:
+            fn, args = self._calls.popleft()
+            fn(*args)
+
+    def stop(self) -> None:
+        self.running = False
+
+    def run(self) -> None:
+        """Serve readable sockets and due calls until ``stop``, then close."""
+        self.running = True
+        try:
+            while self.running:
+                timeout = max(0.0, self._heap[0][0] - time.time()) if self._heap else None
+                for key, _ in self.selector.select(timeout):
+                    key.data()
+                while self.running and self._heap and self._heap[0][0] <= time.time():
+                    _, _, fn, args = heapq.heappop(self._heap)
+                    fn(*args)
+        finally:
+            self.close()
 
     def close(self) -> None:
+        """Close the selector and every socket registered with it."""
+        for key in list((self.selector.get_map() or {}).values()):
+            key.fileobj.close()
+        self.selector.close()
+        self._wake_w.close()
+
+
+class _SocketNode(CoreNode):
+    """A core's node on a real-clock loop; its peers are ``ShapedConnection``s.
+    A server (edge, cloud) listens on ``listen`` and runs its loop on a thread."""
+
+    def __init__(self, name: str, core, profile: LinkProfile | None, log: EventLog | None,
+                 listen: tuple[str, int] | None = None):
+        super().__init__(name, _Loop(), profile or zero_impairment_profile(),
+                         log or EventLog(name), core)
+        self.listen_addr = listen
+        self.bound_addr: tuple[str, int] | None = None
+        self._thread: threading.Thread | None = None
+        self._run: Future | None = None            # the cloud's run in flight
+
+    def transmit(self, conn: ShapedConnection, frame: bytes) -> None:
+        conn.send(frame)
+
+    def finish(self, code: int) -> None:
+        """A Done ends a UE's loop, or the cloud's run in flight."""
+        super().finish(code)
+        if self._run is None:
+            self.sched.stop()
+        else:
+            self._run.set_result(code)
+
+    def _attach(self, sock: socket.socket) -> ShapedConnection:
+        conn = ShapedConnection(sock)
+        self.sched.selector.register(sock, selectors.EVENT_READ,
+                                     functools.partial(self._read, conn))
+        return conn
+
+    def _read(self, conn: ShapedConnection) -> None:
+        """Hand one read's frames to the core. A hang-up, or bytes that do not
+        decode as a frame, close this link alone."""
+        envs = None
         try:
-            self.sock.shutdown(socket.SHUT_RDWR)
+            data = conn.sock.recv(RECV_CHUNK)
+            envs = conn.decoder.feed(data) if data else None
         except OSError:
             pass
-        self.sock.close()
+        except wire.ProtocolError as exc:
+            self.log.log("frame_error", reason=type(exc).__name__)
+        if envs is None:
+            self.sched.selector.unregister(conn.sock)
+            conn.sock.close()
+            return
+        for env in envs:
+            self.handle(conn, env)
+
+    def _accept(self, server: socket.socket) -> None:
+        with contextlib.suppress(OSError):        # a peer that left before its accept
+            sock, _ = server.accept()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)   # as in _connect
+            self._attach(sock)
+
+    def _listen(self) -> None:
+        server = socket.create_server(self.listen_addr, backlog=32)
+        server.setblocking(False)
+        self.bound_addr = server.getsockname()
+        self.sched.selector.register(server, selectors.EVENT_READ,
+                                     functools.partial(self._accept, server))
+        self._thread = threading.Thread(target=self._serve, name=f"{self.name}-loop",
+                                        daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        """The server's thread: a run in flight fails with what ended the loop."""
+        failure: BaseException = RuntimeError(f"{self.name} closed during a run")
+        try:
+            self.sched.run()
+        except BaseException as exc:
+            failure = exc
+            raise
+        finally:
+            if self._run is not None and not self._run.done():
+                self._run.set_exception(failure)
+
+    def close(self) -> None:
+        """Stop the loop, join its thread and close every socket. Idempotent."""
+        with contextlib.suppress(OSError):           # the loop has ended already
+            self.sched.call_threadsafe(self.sched.stop)
+        if self._thread is not None:
+            self._thread.join()
+        self.sched.close()
 
 
 # ----------------------------------------------------------------------
@@ -116,159 +215,51 @@ def load_ue_script(path: str | Path) -> list[UeScriptItem]:
 
 def ue_agent(node_id: str, script: list[UeScriptItem], edge_addr: tuple[str, int],
              profile: LinkProfile | None = None, log: EventLog | None = None) -> UeReport:
-    """Play a timed report script against one edge server."""
-    ue = _SocketDriver(node_id, UeCore(node_id, script), None, profile, log)
+    """Play a timed report script against one edge server, on the calling thread."""
+    ue = _SocketNode(node_id, UeCore(node_id, script), profile, log)
     try:
-        sock = _connect(edge_addr)
+        ue.uplink = ue._attach(_connect(edge_addr))
     except OSError as exc:
         ue.core.report.error = f"connect to {format_addr(edge_addr)} failed: {exc}"
-        ue.log.log("ue_error", reason=ue.core.report.error)
-        return ue.core.report
-    ue.uplink = ShapedConnection(sock, ue.emulator, UP)
-    threading.Thread(target=ue._serve, args=(UPLINK, ue.uplink), daemon=True,
-                     name=f"{node_id}-reader").start()
-    try:
-        ue._drive(ue.core.start)
-    finally:
-        ue.close()
+        ue.perform([Log("ue_error", reason=ue.core.report.error), Done(2)])
+    else:
+        ue.call(ue.core.start)
+    ue.sched.run()
     return ue.core.report
 
 
 # ----------------------------------------------------------------------
 # Edge server and cloud coordinator
 
-class _SocketDriver:
-    """What every socket driver shares: links each read on their own thread,
-    one lock around every call into the core, and Sends and Logs performed
-    after that lock is released. ``_drive`` runs the agenda, a heap of the
-    core's timers and its Done, on the calling thread. A server (edge, cloud)
-    also listens for peers."""
-
-    def __init__(self, name: str, core, listen: tuple[str, int] | None,
-                 profile: LinkProfile | None, log: EventLog | None):
-        self.name = name
-        self.core = core
-        self.listen_addr = listen
-        self.log = log or EventLog(name)
-        self.emulator = LinkEmulator(profile or zero_impairment_profile())
-        self._cond = threading.Condition()
-        self._agenda: list = []            # heap of (due, tick, Timer | Done)
-        self._tick = itertools.count()
-        self._server: socket.socket | None = None
-        self.uplink: ShapedConnection | None = None    # a UE's or an edge's
-        self.bound_addr: tuple[str, int] | None = None
-        self._closing = False
-
-    def _listen(self) -> None:
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind(self.listen_addr)
-        self._server.listen(32)
-        self.bound_addr = self._server.getsockname()
-        threading.Thread(target=self._accept_loop, daemon=True,
-                         name=f"{self.name}-accept").start()
-
-    def _accept_loop(self):
-        while not self._closing:
-            try:
-                sock, _ = self._server.accept()
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)   # as in _connect
-            conn = ShapedConnection(sock, self.emulator, DOWN)
-            threading.Thread(target=self._serve, args=(conn, conn), daemon=True,
-                             name=f"{self.name}-peer").start()
-
-    def _serve(self, peer, conn: ShapedConnection):
-        """Reader thread of one link; ``peer`` is how the core knows it. The link
-        closes when its reader ends; bytes that do not decode as a frame end
-        this link alone."""
-        try:
-            for env in conn.envelopes():
-                with self._cond:
-                    actions = self.core.handle(time.time(), peer, env)
-                self._perform(actions)
-        except wire.ProtocolError as exc:
-            self.log.log("frame_error", reason=type(exc).__name__)
-        finally:
-            conn.close()
-
-    def _perform(self, actions: list) -> None:
-        for a in actions:
-            if isinstance(a, Send):
-                conn = self.uplink if a.peer is UPLINK else a.peer
-                if not conn.send(a.env):
-                    self.log.log("frame_dropped", direction=conn.out_direction,
-                                 kind=int(a.env.msg_type))
-            elif isinstance(a, Log):
-                self.log.log(a.event, **a.fields)
-            elif isinstance(a, Compute):
-                with self._cond:
-                    more = self.core.run_compute(time.time(), a)
-                self._perform(more)
-            else:                                   # a Timer or Done, for ``_drive``
-                due = time.time() + a.delay if isinstance(a, Timer) else 0.0
-                with self._cond:
-                    heapq.heappush(self._agenda, (due, next(self._tick), a))
-                    self._cond.notify()
-
-    def _drive(self, entry, *args) -> int:
-        """Call ``entry`` on a fresh agenda, then perform actions and run the
-        agenda as it falls due until a Done; returns its code."""
-        with self._cond:
-            self._agenda.clear()
-            actions = entry(time.time(), *args)
-        while True:
-            self._perform(actions)
-            with self._cond:
-                while not self._agenda or self._agenda[0][0] > time.time():
-                    self._cond.wait(self._agenda[0][0] - time.time()
-                                    if self._agenda else None)
-                _, _, a = heapq.heappop(self._agenda)
-                if isinstance(a, Done):
-                    return a.code
-                actions = self.core.on_timer(time.time(), a)
-
-    def close(self) -> None:
-        self._closing = True
-        if self._server:
-            self._server.close()
-        if self.uplink:
-            self.uplink.close()
-
-
-class EdgeNode(_SocketDriver):
-    """Socket driver for one region's ``EdgeCore``: a UE-facing server plus a
+class EdgeNode(_SocketNode):
+    """Socket node for one region's ``EdgeCore``: a UE-facing server plus a
     client link to the cloud."""
 
     def __init__(self, region: str, base_case: GridCase, store: FileStore,
                  cloud_addr: tuple[str, int], listen: tuple[str, int] = ("127.0.0.1", 0),
                  profile: LinkProfile | None = None, log: EventLog | None = None):
-        super().__init__(f"edge-{region}", EdgeCore(region, base_case, store), listen,
-                         profile, log)
+        super().__init__(f"edge-{region}", EdgeCore(region, base_case, store), profile, log,
+                         listen)
         self.region = region
         self.cloud_addr = cloud_addr
 
     def start(self) -> tuple[str, int]:
-        sock = _connect(self.cloud_addr)
-        self.uplink = ShapedConnection(sock, self.emulator, UP)
-        self._perform(self.core.hello())           # before any reader thread starts
+        self.uplink = self._attach(_connect(self.cloud_addr))
+        self.perform(self.core.hello())           # before the loop's thread starts
         self._listen()
-        threading.Thread(target=self._serve, args=(UPLINK, self.uplink), daemon=True,
-                         name=f"{self.name}-cloud").start()
         self.log.log("edge_up", listen=format_addr(self.bound_addr),
                      cloud=format_addr(self.cloud_addr))
         return self.bound_addr
 
 
-class CloudNode(_SocketDriver):
-    """Socket driver for the ``CloudCore``. A run's timers run on the thread
-    that calls ``execute_run``."""
+class CloudNode(_SocketNode):
+    """Socket node for the ``CloudCore``. ``execute_run`` hands a run to the
+    loop's thread and waits for its Done."""
 
     def __init__(self, base_case: GridCase, store: FileStore,
                  listen: tuple[str, int] = ("127.0.0.1", 0),
                  profile: LinkProfile | None = None, log: EventLog | None = None):
-        super().__init__("cloud", CloudCore(base_case, store), listen, profile, log)
+        super().__init__("cloud", CloudCore(base_case, store), profile, log, listen)
         self.edges: dict[str, ShapedConnection] = self.core.edges
 
     def start(self) -> tuple[str, int]:
@@ -276,13 +267,9 @@ class CloudNode(_SocketDriver):
         self.log.log("cloud_up", listen=format_addr(self.bound_addr))
         return self.bound_addr
 
-    def close(self) -> None:
-        super().close()
-        with self._cond:
-            conns = list(self.edges.values())
-        for c in conns:
-            c.close()
-
     def execute_run(self, manifest: RunManifest) -> int:
-        """Drive one run to completion; returns the process exit code (0/2/3)."""
-        return self._drive(self.core.open_run, manifest)
+        """Drive one run to completion; returns the process exit code (0/2/3).
+        Raises what ended the loop, if it ends first."""
+        self._run = done = Future()
+        self.sched.call_threadsafe(self.call, self.core.open_run, manifest)
+        return done.result()

@@ -1,8 +1,9 @@
 """Deterministic virtual-time execution of a whole demo on one event loop.
 
-A second driver of the UE, edge and cloud logic in ``core``, beside
-``nodes``, performing actions by the same rule: a heap scheduler stands in
-for the clock, so a core's Timer becomes a scheduler entry. Every hop still
+``CoreNode`` is the one node of both drivers: it performs a core's actions by
+the rule ``core`` states, on a ``Scheduler``, a heap of timed calls. Here the
+clock is virtual and a frame's transport is a call to the receiving node;
+``nodes`` runs the same node on the real clock over TCP. Every hop still
 produces real wire frames, passes through the sender's link emulator and
 decodes on arrival, so two runs with the same seeds give identical verdicts
 and stage timings. Compute is instantaneous in virtual time (timings describe
@@ -36,11 +37,13 @@ class DemoOutcome:
     log_paths: list
 
 
-class _Scheduler:
+class Scheduler:
+    """A heap of timed calls run in time order; ``now`` jumps to each call's due time."""
+    now = 0.0
+
     def __init__(self):
         self._heap: list = []
         self._seq = itertools.count()
-        self.now = 0.0
 
     def at(self, t: float, fn, *args) -> None:
         heapq.heappush(self._heap, (t, next(self._seq), fn, args))
@@ -52,29 +55,35 @@ class _Scheduler:
             fn(*args)
 
 
-class _CoreNode:
-    """A UE, an edge or the cloud: performs its core's actions in virtual time.
-    ``uplink`` is the node its ``UPLINK`` peer stands for: a UE's edge, an
-    edge's cloud."""
+class CoreNode:
+    """A UE, an edge or the cloud: performs its core's actions on ``sched``'s
+    clock. ``uplink`` is the peer ``UPLINK`` stands for (a UE's edge, an edge's
+    cloud). A frame reaches ``transmit`` at its emulated delivery instant; a
+    Done takes effect once every frame scheduled before it is delivered."""
 
-    def __init__(self, name: str, sched: _Scheduler, profile: LinkProfile, log_dir,
-                 core=None, uplink: "_CoreNode | None" = None):
+    def __init__(self, name: str, sched: Scheduler, profile: LinkProfile, log: EventLog,
+                 core=None, uplink=None):
         self.name = name
         self.sched = sched
         self.emulator = LinkEmulator(profile)
-        self.log = EventLog(name, path=log_dir / f"{name}.log")
+        self.log = log
         self.core = core
         self.uplink = uplink
         self.exit_code: int | None = None
+        self._delivered_by = 0.0       # the latest delivery instant scheduled so far
 
-    def send(self, dst: "_CoreNode", env: Envelope, direction: str) -> None:
+    def send(self, dst, env: Envelope, direction: str) -> None:
         frame = wire.encode(env)
         delivery = self.emulator.schedule_frame(len(frame), direction, self.sched.now)
         if delivery is DROPPED:
             self.log.log("frame_dropped", ts=self.sched.now, direction=direction,
                          kind=int(env.msg_type))
             return
-        self.sched.at(delivery, dst.handle, self, wire.decode(frame))
+        self._delivered_by = max(self._delivered_by, delivery)
+        self.sched.at(delivery, self.transmit, dst, frame)
+
+    def transmit(self, dst: "CoreNode", frame: bytes) -> None:
+        dst.handle(self, wire.decode(frame))
 
     def call(self, entry, *args) -> None:
         self.perform(entry(self.sched.now, *args))
@@ -94,7 +103,10 @@ class _CoreNode:
             elif isinstance(a, Compute):
                 self.call(self.core.run_compute, a)
             else:
-                self.exit_code = a.code
+                self.sched.at(self._delivered_by, self.finish, a.code)
+
+    def finish(self, code: int) -> None:
+        self.exit_code = code
 
 
 def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
@@ -112,17 +124,20 @@ def run_virtual_demo(base: GridCase, manifest: RunManifest, store: FileStore,
     """
     log_dir = Path(log_dir)
     log_dir.mkdir(parents=True, exist_ok=True)
-    sched = _Scheduler()
-    cloud = _CoreNode("cloud", sched, profile, log_dir, CloudCore(base, store))
-    edges = {r: _CoreNode(f"edge-{r}", sched, profile, log_dir, EdgeCore(r, base, store),
-                          cloud)
+    sched = Scheduler()
+
+    def node(name, core, uplink=None):
+        return CoreNode(name, sched, profile, EventLog(name, path=log_dir / f"{name}.log"),
+                        core, uplink)
+
+    cloud = node("cloud", CloudCore(base, store))
+    edges = {r: node(f"edge-{r}", EdgeCore(r, base, store), cloud)
              for r in manifest.expected_regions if r not in withhold_regions}
     for edge in edges.values():
         sched.at(0.0, edge.perform, edge.core.hello())
     for ue_name, (region, script) in sorted(ue_scripts.items()):
         if region in edges:
-            ue = _CoreNode(ue_name, sched, profile, log_dir, UeCore(ue_name, script),
-                           edges[region])
+            ue = node(ue_name, UeCore(ue_name, script), edges[region])
             sched.at(0.0, ue.call, ue.core.start)
 
     latest = max([it.at_s for _, s in ue_scripts.values() for it in s], default=0.0)

@@ -25,7 +25,7 @@ from gridmesh.dynamics import SimulationConfig, reduce_network, simulate_dynamic
 from gridmesh.linkem import LinkEmulator, UP, default_5g_sa_profile, \
     zero_impairment_profile
 from gridmesh.model import Bus, FaultSpec, GridCase, load_bundled_case
-from gridmesh.nodes import CloudNode, EdgeNode, ShapedConnection
+from gridmesh.nodes import CloudNode, EdgeNode
 from gridmesh.powerflow import PowerFlowDivergedError, initialize_machines, \
     solve_power_flow
 from gridmesh.store import FileStore, result_key, upload_key
@@ -295,32 +295,35 @@ def test_10_barrier_robustness(tmp_path):
             sim_cfg=SimulationConfig(t_end=2.0, dt=0.005, omega_s=WS),
             deadline_s=15.0)
         sock = socket.create_connection(cloud_addr)
-        conn = ShapedConnection(sock, LinkEmulator(zero), UP)
         inbox = []
 
         def r3_reader():
             # ack each RunResult, so the run ends at the last ack rather than
             # after the result-ack timeout
-            for env in conn.envelopes():
-                inbox.append(env)
-                if env.msg_type == wire.MessageKind.RUN_RESULT:
-                    conn.send(wire.ack(int(env.obj()["seq"])))
+            decoder = StreamDecoder()
+            while data := sock.recv(65536):
+                for env in decoder.feed(data):
+                    inbox.append(env)
+                    if env.msg_type == wire.MessageKind.RUN_RESULT:
+                        sock.sendall(encode(wire.ack(int(env.obj()["seq"]))))
 
-        threading.Thread(target=r3_reader, daemon=True).start()
-        conn.send(wire.hello("edge-R3", "edge", 1, region="R3"))
+        reader = threading.Thread(target=r3_reader, daemon=True)
+        reader.start()
+        sock.sendall(encode(wire.hello("edge-R3", "edge", 1, region="R3")))
         deadline = time.time() + 5
         while time.time() < deadline and len(cloud.edges) < 3:
             time.sleep(0.01)
         key = upload_key(m.run_id, "R3")
         store.put(key, pipeline.edge_topology_blob(case, case, "R3"))
-        conn.send(wire.upload_ready("R3", key, m.run_id_bytes))
-        conn.send(wire.upload_ready("R3", key, m.run_id_bytes))
+        for _ in range(2):
+            sock.sendall(encode(wire.upload_ready("R3", key, m.run_id_bytes)))
         code = cloud.execute_run(m)
         time.sleep(0.2)
         for e in edges:
             e.close()
         cloud.close()
-        conn.close()
+        reader.join(timeout=5)          # the cloud hung up, so the reader ends
+        sock.close()
         assert code == 0
         assert any(e.msg_type == wire.MessageKind.ERROR
                    and e.obj()["code"] == "duplicate_upload" for e in inbox)

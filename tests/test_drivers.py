@@ -1,6 +1,7 @@
-"""The socket and virtual-time drivers run the same cores, so the same inputs
+"""The socket and virtual-time drivers run the same node, so the same inputs
 must leave the same store bytes and the same UE, edge and cloud events in both
-modes; the socket driver serialises its threads' calls into a core."""
+modes, whatever the link's timing; each socket node calls its core from its
+one event loop."""
 
 import sys
 import threading
@@ -14,7 +15,7 @@ from gridmesh import core, virtualdemo
 from gridmesh.core import EdgeCore, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import EventLog, read_events
-from gridmesh.linkem import zero_impairment_profile
+from gridmesh.linkem import default_5g_sa_profile, zero_impairment_profile
 from gridmesh.model import FaultSpec, load_bundled_case
 from gridmesh.nodes import CloudNode, EdgeNode, UeScriptItem, ue_agent
 from gridmesh.pipeline import DsaParams, RunManifest
@@ -29,12 +30,13 @@ NODES = ("cloud",) + tuple(f"edge-{r}" for r in REGIONS)
 DRIVER_ONLY = {"cloud_up", "edge_up"}
 
 
-def socket_run(case, manifest, scripts, root):
+def socket_run(case, manifest, scripts, root, profile):
     store = FileStore(root / "store")
     logs = root / "logs"
-    cloud = CloudNode(case, store, profile=ZERO, log=EventLog("cloud", path=logs / "cloud.log"))
+    cloud = CloudNode(case, store, profile=profile,
+                      log=EventLog("cloud", path=logs / "cloud.log"))
     cloud_addr = cloud.start()
-    edges = {r: EdgeNode(r, case, store, cloud_addr, profile=ZERO,
+    edges = {r: EdgeNode(r, case, store, cloud_addr, profile=profile,
                          log=EventLog(f"edge-{r}", path=logs / f"edge-{r}.log"))
              for r in REGIONS}
     try:
@@ -44,7 +46,7 @@ def socket_run(case, manifest, scripts, root):
         while time.time() < deadline and len(cloud.edges) < len(edges):
             time.sleep(0.01)
         for name, (region, script) in sorted(scripts.items()):
-            assert ue_agent(name, script, edges[region].bound_addr, profile=ZERO,
+            assert ue_agent(name, script, edges[region].bound_addr, profile=profile,
                             log=EventLog(name, path=logs / f"{name}.log")).clean
         code = cloud.execute_run(manifest)
     finally:
@@ -64,8 +66,11 @@ def events(logs, node):
                    if ev not in DRIVER_ONLY)
 
 
-@pytest.mark.parametrize("mode", ["Topology", "DSA"])
-def test_socket_and_virtual_runs_are_identical(mode, tmp_path):
+@pytest.mark.parametrize("mode,profile", [
+    pytest.param("Topology", ZERO, id="Topology"), pytest.param("DSA", ZERO, id="DSA"),
+    pytest.param("Topology", default_5g_sa_profile(seed=3), id="Topology-5g"),
+    pytest.param("DSA", default_5g_sa_profile(seed=3), id="DSA-5g")])
+def test_socket_and_virtual_runs_are_identical(mode, profile, tmp_path):
     case = load_bundled_case("case9")
     dsa = DsaParams(n_raw=20, k=2, seed=11) if mode == "DSA" else None
     manifest = RunManifest(run_id="ab" * 16, expected_regions=REGIONS, mode=mode,
@@ -75,9 +80,9 @@ def test_socket_and_virtual_runs_are_identical(mode, tmp_path):
         scripts["ue-2"] = ("R2", [UeScriptItem(at_s=0.0, kind="topology",
                                                branches=({"id": 9, "status": "Open"},))])
 
-    code, store, logs = socket_run(case, manifest, scripts, tmp_path / "socket")
+    code, store, logs = socket_run(case, manifest, scripts, tmp_path / "socket", profile)
     vstore = FileStore(tmp_path / "virtual" / "store")
-    out = run_virtual_demo(case, manifest, vstore, tmp_path / "virtual" / "logs", ZERO,
+    out = run_virtual_demo(case, manifest, vstore, tmp_path / "virtual" / "logs", profile,
                            scripts)
 
     assert code == out.exit_code == 0
@@ -89,7 +94,7 @@ def test_socket_and_virtual_runs_are_identical(mode, tmp_path):
 
 
 def test_concurrent_reports_under_fast_thread_switching(tmp_path):
-    # every call into a core holds its driver's lock: 24 UE threads on two
+    # each edge calls its core from its one loop: 24 UE threads on two
     # cores, switching every 10 us, each set a different bus load at their
     # edge; a lost update would drop one from the edge's view
     case = load_bundled_case("case9")
@@ -150,11 +155,13 @@ def test_a_dropped_frame_is_logged_by_its_sender_in_both_drivers(tmp_path, monke
         edge.close()
         cloud.close()
 
-    sched = virtualdemo._Scheduler()
+    sched = virtualdemo.Scheduler()
     logs = tmp_path / "virtual"
-    vedge = virtualdemo._CoreNode("edge-R1", sched, ZERO, logs,
-                                  EdgeCore("R1", case, FileStore(logs / "store")))
-    ue = virtualdemo._CoreNode("ue-1", sched, lossy, logs, UeCore("ue-1", []), vedge)
+    vedge = virtualdemo.CoreNode("edge-R1", sched, ZERO,
+                                 EventLog("edge-R1", path=logs / "edge-R1.log"),
+                                 EdgeCore("R1", case, FileStore(logs / "store")))
+    ue = virtualdemo.CoreNode("ue-1", sched, lossy, EventLog("ue-1", path=logs / "ue-1.log"),
+                              UeCore("ue-1", []), vedge)
     sched.at(0.0, ue.call, ue.core.start)
     sched.run()
 

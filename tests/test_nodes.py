@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 import socket
 import threading
 import time
@@ -6,15 +7,13 @@ import time
 import pytest
 
 import gridmesh.wire as wire
-from gridmesh import nodes, pipeline, virtualdemo
+from gridmesh import core, nodes, pipeline, virtualdemo
 from gridmesh.core import ACK_TIMEOUT_S, RESULT_ACK_TIMEOUT_S, UPLINK, CloudCore, Compute, \
     EdgeCore, Log, Send
 from gridmesh.eventlog import EventLog, read_events
-from gridmesh.linkem import LinkEmulator, UP, default_5g_sa_profile, \
-    zero_impairment_profile
+from gridmesh.linkem import UP, default_5g_sa_profile, zero_impairment_profile
 from gridmesh.model import load_bundled_case
-from gridmesh.nodes import (CloudNode, EdgeNode, ShapedConnection, UeScriptItem,
-                            load_ue_script, ue_agent)
+from gridmesh.nodes import CloudNode, EdgeNode, UeScriptItem, load_ue_script, ue_agent
 from gridmesh.pipeline import DsaParams, RunManifest, new_run_id
 from gridmesh.sampling import ForecastSpec
 from gridmesh.store import FileStore, result_key, upload_key
@@ -22,6 +21,7 @@ from gridmesh.dynamics import SimulationConfig
 from gridmesh.model import FaultSpec
 
 ZERO = zero_impairment_profile()
+LINK_100MS = replace(ZERO, delay_min_ms=100.0, delay_max_ms=100.0)    # fixed, no jitter
 WS_CFG = SimulationConfig(t_end=2.0, dt=0.005)
 FAULT = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=6)
 
@@ -31,25 +31,38 @@ def case9():
     return load_bundled_case("case9")
 
 
-@pytest.fixture
-def cluster(case9, tmp_path):
-    """cloud + three edges over loopback with zero impairment."""
-    store = FileStore(tmp_path / "store")
-    cloud = CloudNode(case9, store, profile=ZERO)
+def start_cluster(case, root, profile=ZERO, regions=("R1", "R2", "R3")):
+    """A cloud and an edge per region over loopback, logging to ``root/logs``;
+    returns once every edge has said Hello."""
+    store = FileStore(root / "store")
+    cloud = CloudNode(case, store, profile=profile,
+                      log=EventLog("cloud", path=root / "logs" / "cloud.log"))
     cloud_addr = cloud.start()
     edges = {}
-    for r in ("R1", "R2", "R3"):
-        e = EdgeNode(r, case9, store, cloud_addr, profile=ZERO)
+    for r in regions:
+        e = EdgeNode(r, case, store, cloud_addr, profile=profile,
+                     log=EventLog(f"edge-{r}", path=root / "logs" / f"edge-{r}.log"))
         e.start()
         edges[r] = e
     deadline = time.time() + 5
-    while time.time() < deadline and len(cloud.edges) < 3:
+    while time.time() < deadline and len(cloud.edges) < len(regions):
         time.sleep(0.01)
-    assert len(cloud.edges) == 3
-    yield cloud, edges, store
+    assert len(cloud.edges) == len(regions)
+    return cloud, edges, store
+
+
+def close_cluster(cloud, edges):
     for e in edges.values():
         e.close()
     cloud.close()
+
+
+@pytest.fixture
+def cluster(case9, tmp_path):
+    """cloud + three edges over loopback with zero impairment."""
+    cloud, edges, store = start_cluster(case9, tmp_path)
+    yield cloud, edges, store
+    close_cluster(cloud, edges)
 
 
 def manifest(mode="Topology", regions=("R1", "R2", "R3"), deadline_s=15.0, dsa=None):
@@ -112,8 +125,8 @@ class TestUeAgent:
 
 class TestLinks:
     def test_links_block_on_reads_once_connected(self, cluster, monkeypatch):
-        # a read timeout left on a link would end its reader thread after an idle
-        # spell; without TCP_NODELAY a frame can wait for the peer's delayed ACK
+        # a read timeout left on a link would end it after an idle spell;
+        # without TCP_NODELAY a frame can wait for the peer's delayed ACK
         cloud, edges, _ = cluster
 
         def nodelay(sock):
@@ -140,16 +153,17 @@ class TestLinks:
             ue.shutdown(socket.SHUT_WR)
             assert ue.recv(1024) == b""              # the edge closed its end too
 
-    def test_a_failed_write_is_not_logged_as_a_drop(self, tmp_path):
-        # only the link emulator drops frames; a dead socket is its reader's news
-        sock, peer = socket.socketpair()
-        peer.close()
-        sock.close()
-        ue = nodes._SocketDriver("ue-w", None, None, ZERO,
-                                 EventLog("ue-w", path=tmp_path / "ue-w.log"))
-        ue.uplink = ShapedConnection(sock, ue.emulator, UP)
-        ue._perform([Send(UPLINK, wire.hello("ue-w", "ue", 1))])
-        assert not (tmp_path / "ue-w.log").exists()
+    def test_a_failed_write_is_not_logged_as_a_drop(self, tmp_path, monkeypatch):
+        # only the link emulator drops frames: a peer that hangs up at once
+        # fails the UE's resend of its Hello, and the UE gives up unacked
+        monkeypatch.setattr(core, "ACK_TIMEOUT_S", 0.1)
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            threading.Thread(target=lambda: server.accept()[0].close()).start()
+            report = ue_agent("ue-w", [], server.getsockname(), profile=ZERO,
+                              log=EventLog("ue-w", path=tmp_path / "ue-w.log"))
+        assert report.error == "hello not acknowledged"
+        assert [ev for _, _, ev, _ in read_events(tmp_path / "ue-w.log")] == \
+            ["ue_send", "ue_retry", "ue_error"]
 
     def test_junk_bytes_end_that_link_alone(self, case9, tmp_path, monkeypatch):
         uncaught = []
@@ -172,6 +186,78 @@ class TestLinks:
                   if ev == "frame_error"]
         assert errors == [{"reason": "FramingError"}]
         assert uncaught == []
+
+
+class TestEventLoop:
+    """Each socket node is one event loop: a server owns one thread from
+    ``start`` to ``close``, and no send waits for its frame's delivery."""
+
+    def test_a_server_owns_one_thread_and_none_after_close(self, case9, tmp_path):
+        before = set(threading.enumerate())
+        cloud, edges, store = start_cluster(case9, tmp_path)
+        try:
+            item = UeScriptItem(at_s=0.0, kind="topology",
+                                branches=({"id": 9, "status": "Open"},))
+            assert ue_agent("ue-1", [item], edges["R2"].bound_addr, profile=ZERO).clean
+            assert cloud.execute_run(manifest()) == 0
+            assert len(set(threading.enumerate()) - before) == 4
+        finally:
+            close_cluster(cloud, edges)
+            cloud.close()                                  # closing twice is harmless
+        assert set(threading.enumerate()) - before == set()
+
+    def test_a_fan_out_travels_together(self, case9, tmp_path):
+        # the cloud's three RunOpens, then its three RunResults, each leave at
+        # one instant and arrive 100 ms later, not one delivery after another
+        cloud, edges, _ = start_cluster(case9, tmp_path, profile=LINK_100MS)
+        try:
+            m = manifest()
+            assert cloud.execute_run(m) == 0
+        finally:
+            close_cluster(cloud, edges)
+        for event in ("run_open_recv", "result_recv"):
+            at = [ts for r in edges for ts, _, ev, f in
+                  read_events(tmp_path / "logs" / f"edge-{r}.log")
+                  if ev == event and f["run"] == m.run_id]
+            assert len(at) == 3 and max(at) - min(at) < 0.05, event
+
+    def test_done_waits_for_the_frames_before_it(self, case9, tmp_path):
+        # a barrier timeout's errors are written before execute_run returns, so
+        # a `gridmesh cloud` process that exits on its return still sends them
+        cloud, edges, _ = start_cluster(case9, tmp_path, profile=LINK_100MS,
+                                        regions=("R1", "R2"))        # R3 withheld
+        try:
+            start = time.monotonic()
+            assert cloud.execute_run(manifest(deadline_s=0.5)) == 3
+            assert time.monotonic() - start >= 0.6
+            time.sleep(0.3)
+        finally:
+            close_cluster(cloud, edges)
+        for r in edges:
+            errors = [f["code"] for _, _, ev, f in
+                      read_events(tmp_path / "logs" / f"edge-{r}.log") if ev == "cloud_error"]
+            assert errors == ["barrier_timeout"], r
+
+    def test_a_loop_that_fails_fails_the_run(self, case9, tmp_path, monkeypatch):
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+
+        def broken(self, now, manifest):
+            raise RuntimeError("open_run failed")
+
+        monkeypatch.setattr(CloudCore, "open_run", broken)
+        cloud = CloudNode(case9, FileStore(tmp_path / "store"), profile=ZERO)
+        cloud.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="open_run failed"):
+                cloud.execute_run(manifest())
+            with pytest.raises(OSError):                   # the loop has ended
+                cloud.execute_run(manifest())
+            assert time.monotonic() - start < 2.0
+        finally:
+            cloud.close()
+        assert [type(h.exc_value) for h in uncaught] == [RuntimeError]
 
 
 class TestUeScript:
@@ -257,8 +343,7 @@ class TestTopologyRun:
 
         # UE that connects and then dies mid-session without close handshake
         sock = socket.create_connection(edges["R1"].bound_addr)
-        conn = ShapedConnection(sock, LinkEmulator(ZERO), UP)
-        conn.send(wire.hello("ue-doomed", "ue", 1))
+        sock.sendall(wire.encode(wire.hello("ue-doomed", "ue", 1)))
         time.sleep(0.1)
         sock.close()
 
@@ -322,7 +407,11 @@ class TestEdgeArtifacts:
                 assert all(0.98 <= v <= 1.02 for v in rep.multipliers)
 
 
-class _Recorder(virtualdemo._CoreNode):
+def _log(log_dir, name):
+    return EventLog(name, path=log_dir / f"{name}.log")
+
+
+class _Recorder(virtualdemo.CoreNode):
     """A virtual peer that keeps every frame it receives and answers none."""
 
     def __init__(self, *args):
@@ -341,14 +430,14 @@ class TestDuplicateUpload:
         # fires, in virtual time
         logs = tmp_path / "logs"
         store = FileStore(tmp_path / "store")
-        sched = virtualdemo._Scheduler()
-        cloud = virtualdemo._CoreNode("cloud", sched, ZERO, logs,
-                                      CloudCore(case9, store))
+        sched = virtualdemo.Scheduler()
+        cloud = virtualdemo.CoreNode("cloud", sched, ZERO, _log(logs, "cloud"),
+                                     CloudCore(case9, store))
         for r in ("R1", "R2"):
-            edge = virtualdemo._CoreNode(f"edge-{r}", sched, ZERO, logs,
-                                         EdgeCore(r, case9, store), cloud)
+            edge = virtualdemo.CoreNode(f"edge-{r}", sched, ZERO, _log(logs, f"edge-{r}"),
+                                        EdgeCore(r, case9, store), cloud)
             sched.at(0.0, edge.perform, edge.core.hello())
-        r3 = _Recorder("edge-R3", sched, ZERO, logs)
+        r3 = _Recorder("edge-R3", sched, ZERO, _log(logs, "edge-R3"))
         sched.at(0.0, r3.send, cloud, wire.hello("edge-R3", "edge", 1, region="R3"), UP)
 
         dsa = DsaParams(n_raw=20, k=2, seed=3) if mode == "DSA" else None

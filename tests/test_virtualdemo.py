@@ -5,7 +5,7 @@ import pytest
 from gridmesh import pipeline, virtualdemo, wire
 from gridmesh.core import ACK_TIMEOUT_S, UPLINK, EdgeCore, Send, UeCore
 from gridmesh.dynamics import SimulationConfig
-from gridmesh.eventlog import read_events
+from gridmesh.eventlog import EventLog, read_events
 from gridmesh.linkem import default_5g_sa_profile, zero_impairment_profile
 from gridmesh.model import FaultSpec, load_bundled_case
 from gridmesh.nodes import UeScriptItem
@@ -57,13 +57,13 @@ class TestVirtualTopology:
         # the cloud sends an edge its RunOpen and RunResult only: an edge's
         # Hello and its one Ready go unacked, since the barrier reads the store
         sent = Counter()
-        send = virtualdemo._CoreNode.send
+        send = virtualdemo.CoreNode.send
 
         def counting(node, dst, env, direction):
             sent[node.name, env.msg_type.name] += 1
             send(node, dst, env, direction)
 
-        monkeypatch.setattr(virtualdemo._CoreNode, "send", counting)
+        monkeypatch.setattr(virtualdemo.CoreNode, "send", counting)
         manifest = (topo_manifest() if mode == "Topology"
                     else dsa_manifest(DsaParams(n_raw=20, k=2, seed=1)))
         out = run_virtual_demo(load_bundled_case("case9"), manifest,
@@ -299,7 +299,11 @@ class TestVirtualBadInput:
         assert out.result_blob == expected
 
 
-class _Watched(virtualdemo._CoreNode):
+def _log(log_dir, name):
+    return EventLog(name, path=log_dir / f"{name}.log")
+
+
+class _Watched(virtualdemo.CoreNode):
     """A node that also keeps the virtual time of every frame it receives."""
 
     def __init__(self, *args):
@@ -311,7 +315,7 @@ class _Watched(virtualdemo._CoreNode):
         super().handle(src, env)
 
 
-class _Silent(virtualdemo._CoreNode):
+class _Silent(virtualdemo.CoreNode):
     """A virtual edge that answers nothing."""
 
     def handle(self, src, env):
@@ -320,10 +324,11 @@ class _Silent(virtualdemo._CoreNode):
 
 class TestVirtualUe:
     def test_unacked_hello_gives_up_after_two_timeouts(self, tmp_path):
-        sched = virtualdemo._Scheduler()
-        edge = _Silent("edge-R1", sched, zero_impairment_profile(), tmp_path)
-        ue = virtualdemo._CoreNode("ue-1", sched, zero_impairment_profile(), tmp_path,
-                                   UeCore("ue-1", []), edge)
+        sched = virtualdemo.Scheduler()
+        zero = zero_impairment_profile()
+        edge = _Silent("edge-R1", sched, zero, _log(tmp_path, "edge-R1"))
+        ue = virtualdemo.CoreNode("ue-1", sched, zero, _log(tmp_path, "ue-1"),
+                                  UeCore("ue-1", []), edge)
         sched.at(0.0, ue.call, ue.core.start)
         sched.run()
         assert ue.exit_code == 2
@@ -337,12 +342,13 @@ class TestVirtualUe:
         case = load_bundled_case("case9")
         store = FileStore(tmp_path / "store")
         prof = default_5g_sa_profile(seed=6)
-        sched = virtualdemo._Scheduler()
-        edge = virtualdemo._CoreNode("edge-R2", sched, prof, tmp_path,
-                                     EdgeCore("R2", case, store))
+        sched = virtualdemo.Scheduler()
+        edge = virtualdemo.CoreNode("edge-R2", sched, prof, _log(tmp_path, "edge-R2"),
+                                    EdgeCore("R2", case, store))
         item = UeScriptItem(at_s=0.5, kind="topology",
                             branches=({"id": 9, "status": "Open"},))
-        ue = _Watched("ue-2", sched, prof, tmp_path, UeCore("ue-2", [item]), edge)
+        ue = _Watched("ue-2", sched, prof, _log(tmp_path, "ue-2"), UeCore("ue-2", [item]),
+                      edge)
         sched.at(0.0, ue.call, ue.core.start)
         sched.run()
         assert ue.exit_code == 0 and ue.core.report.delivered == [2]
