@@ -2,12 +2,10 @@
 
 ``ue_agent``, ``EdgeNode`` and ``CloudNode`` run ``core``'s UE, edge and cloud
 as ``virtualdemo.CoreNode``; only the clock and the transport differ. Each node
-is one event loop on one thread: a heap of timed calls that waits in a selector
-on the node's sockets. A frame's socket write is a heap entry at the delivery
-instant its sender's link emulator gives it, so no send blocks and a fan-out's
-frames travel together. A UE's loop runs on the thread that calls
-``ue_agent``; an edge's or the cloud's on its own thread from ``start`` to
-``close``. Direction 'up' points toward the cloud, 'down' back out.
+is one event loop on one thread (a UE's on its caller's, a server's on its own
+from ``start`` to ``close``): a heap of timed calls that waits in a selector on
+the node's sockets. A frame's socket write is a heap entry at its emulated
+delivery instant, so no send waits for the link and a fan-out travels together.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ import heapq
 import json
 import selectors
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import Future
@@ -36,6 +35,7 @@ from .virtualdemo import CoreNode, Scheduler
 from .wire import StreamDecoder
 
 RECV_CHUNK = 65536
+SEND_TIMEOUT = struct.pack("ll", 1, 0)     # SO_SNDTIMEO: 1 s for a peer to take any bytes
 
 
 def parse_addr(text: str) -> tuple[str, int]:
@@ -48,9 +48,8 @@ def format_addr(addr: tuple[str, int]) -> str:
 
 
 def _connect(addr: tuple[str, int]) -> socket.socket:
-    """Open a TCP link: the connect may take 10 s, but the socket then blocks,
-    so a link stays up however long it idles. Frames leave at once (TCP_NODELAY):
-    the link emulator delays them, not Nagle's wait for the peer's ACK."""
+    """Open a TCP link: the connect may take 10 s; the socket then blocks. Frames
+    leave at once (TCP_NODELAY): the link emulator delays them, not Nagle."""
     sock = socket.create_connection(addr, timeout=10.0)
     sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -63,12 +62,16 @@ class ShapedConnection:
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.decoder = StreamDecoder()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, SEND_TIMEOUT)
 
     def send(self, frame: bytes) -> None:
-        """Write one frame. A failed write is no drop: the link is dead, and
-        the node closes it when its read fails."""
+        """Write one frame. A failed write is no drop: the node closes a dead link
+        when its read fails, and shuts down a peer that takes nothing for 1 s."""
         with contextlib.suppress(OSError):
-            self.sock.sendall(frame)
+            try:
+                self.sock.sendall(frame)
+            except BlockingIOError:
+                self.sock.shutdown(socket.SHUT_RDWR)
 
 
 class _Loop(Scheduler):
@@ -122,8 +125,7 @@ class _Loop(Scheduler):
 
 
 class _SocketNode(CoreNode):
-    """A core's node on a real-clock loop; its peers are ``ShapedConnection``s.
-    A server (edge, cloud) listens on ``listen`` and runs its loop on a thread."""
+    """A core's node on a real-clock loop, with ``ShapedConnection`` peers."""
 
     def __init__(self, name: str, core, profile: LinkProfile | None, log: EventLog | None,
                  listen: tuple[str, int] | None = None):
@@ -253,8 +255,7 @@ class EdgeNode(_SocketNode):
 
 
 class CloudNode(_SocketNode):
-    """Socket node for the ``CloudCore``. ``execute_run`` hands a run to the
-    loop's thread and waits for its Done."""
+    """Socket node for the ``CloudCore``; ``execute_run`` hands a run to its loop."""
 
     def __init__(self, base_case: GridCase, store: FileStore,
                  listen: tuple[str, int] = ("127.0.0.1", 0),
@@ -268,8 +269,7 @@ class CloudNode(_SocketNode):
         return self.bound_addr
 
     def execute_run(self, manifest: RunManifest) -> int:
-        """Drive one run to completion; returns the process exit code (0/2/3).
-        Raises what ended the loop, if it ends first."""
+        """Drive one run to its exit code (0/2/3); raises what ended the loop first."""
         self._run = done = Future()
         self.sched.call_threadsafe(self.call, self.core.open_run, manifest)
         return done.result()

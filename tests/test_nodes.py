@@ -1,8 +1,8 @@
 import json
-from dataclasses import replace
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -258,6 +258,23 @@ class TestEventLoop:
         finally:
             cloud.close()
         assert [type(h.exc_value) for h in uncaught] == [RuntimeError]
+
+
+    def test_a_peer_that_stops_reading_does_not_stall_its_node(self, cluster):
+        # each bad forecast draws a 20 kB error naming its distribution; the hog
+        # never reads them, so the edge's writes to it fill the socket buffers.
+        # A peer that takes nothing for a second is shut down; the edge serves on
+        _, edges, _ = cluster
+        addr = edges["R1"].bound_addr
+        bad = wire.encode(wire.forecast_report({"n_dims": 1, "dist": "x" * 20_000,
+                                                "sigma": 0.1, "half_width": 0.0,
+                                                "trunc_sigmas": 3.0}, 2))
+        with socket.create_connection(addr) as hog:
+            hog.settimeout(0.5)
+            with pytest.raises(OSError):             # the edge stops reading it
+                while True:
+                    hog.sendall(bad)
+            assert ue_agent("ue-after", [], addr, profile=ZERO).clean
 
 
 class TestUeScript:
