@@ -17,7 +17,6 @@ import heapq
 import json
 import selectors
 import socket
-import struct
 import threading
 import time
 from concurrent.futures import Future
@@ -35,7 +34,6 @@ from .virtualdemo import CoreNode, Scheduler
 from .wire import StreamDecoder
 
 RECV_CHUNK = 65536
-SEND_TIMEOUT = struct.pack("ll", 1, 0)     # SO_SNDTIMEO: 1 s for a peer to take any bytes
 
 
 def parse_addr(text: str) -> tuple[str, int]:
@@ -62,16 +60,14 @@ class ShapedConnection:
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.decoder = StreamDecoder()
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, SEND_TIMEOUT)
 
-    def send(self, frame: bytes) -> None:
-        """Write one frame. A failed write is no drop: the node closes a dead link
-        when its read fails, and shuts down a peer that takes nothing for 1 s."""
-        with contextlib.suppress(OSError):
-            try:
-                self.sock.sendall(frame)
-            except BlockingIOError:
-                self.sock.shutdown(socket.SHUT_RDWR)
+    def send(self, frame: bytes) -> bool:
+        """Write one frame without waiting. False if the link is dead or cannot
+        take the whole frame at once (its peer has stopped reading): no drop."""
+        try:
+            return self.sock.send(frame, socket.MSG_DONTWAIT) == len(frame)
+        except OSError:
+            return False
 
 
 class _Loop(Scheduler):
@@ -137,7 +133,8 @@ class _SocketNode(CoreNode):
         self._run: Future | None = None            # the cloud's run in flight
 
     def transmit(self, conn: ShapedConnection, frame: bytes) -> None:
-        conn.send(frame)
+        if not conn.send(frame):
+            self._drop(conn)
 
     def finish(self, code: int) -> None:
         """A Done ends a UE's loop, or the cloud's run in flight."""
@@ -153,23 +150,26 @@ class _SocketNode(CoreNode):
                                      functools.partial(self._read, conn))
         return conn
 
-    def _read(self, conn: ShapedConnection) -> None:
-        """Hand one read's frames to the core. A hang-up, or bytes that do not
-        decode as a frame, close this link alone."""
-        envs = None
-        try:
-            data = conn.sock.recv(RECV_CHUNK)
-            envs = conn.decoder.feed(data) if data else None
-        except OSError:
-            pass
-        except wire.ProtocolError as exc:
-            self.log.log("frame_error", reason=type(exc).__name__)
-        if envs is None:
+    def _drop(self, conn: ShapedConnection) -> None:
+        """Stop reading a link and close it; a no-op once it is closed."""
+        if conn.sock.fileno() != -1:
             self.sched.selector.unregister(conn.sock)
             conn.sock.close()
-            return
-        for env in envs:
-            self.handle(conn, env)
+
+    def _read(self, conn: ShapedConnection) -> None:
+        """Hand one read's frames to the core. A hang-up, bytes that do not decode
+        as a frame, or a reply too large to encode close this link alone."""
+        data = b""
+        with contextlib.suppress(OSError):          # a reset link reads as a hang-up
+            data = conn.sock.recv(RECV_CHUNK)
+        try:
+            for env in conn.decoder.feed(data) if data else ():
+                self.handle(conn, env)
+        except wire.ProtocolError as exc:
+            self.log.log("frame_error", reason=type(exc).__name__)
+            data = b""
+        if not data:
+            self._drop(conn)
 
     def _accept(self, server: socket.socket) -> None:
         with contextlib.suppress(OSError):        # a peer that left before its accept

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import socket
 import threading
@@ -22,6 +23,10 @@ from gridmesh.model import FaultSpec
 
 ZERO = zero_impairment_profile()
 LINK_100MS = replace(ZERO, delay_min_ms=100.0, delay_max_ms=100.0)    # fixed, no jitter
+# each draws an edge error of over 20 kB that names its distribution
+BAD_FORECAST = wire.encode(wire.forecast_report({"n_dims": 1, "dist": "x" * 20_000,
+                                                 "sigma": 0.1, "half_width": 0.0,
+                                                 "trunc_sigmas": 3.0}, 2))
 WS_CFG = SimulationConfig(t_end=2.0, dt=0.005)
 FAULT = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=6)
 
@@ -187,6 +192,27 @@ class TestLinks:
         assert errors == [{"reason": "FramingError"}]
         assert uncaught == []
 
+    def test_a_reply_too_large_to_encode_ends_that_link_alone(self, cluster, tmp_path,
+                                                               monkeypatch):
+        # the edge's error quotes the distribution's repr in JSON, which doubles
+        # each backslash twice: the report fits the payload cap, its error not
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        monkeypatch.setattr(wire, "MAX_PAYLOAD", 4096)
+        _, edges, _ = cluster
+        addr = edges["R1"].bound_addr
+        bad = wire.encode(wire.forecast_report({"n_dims": 1, "dist": "\\" * 1500,
+                                                "sigma": 0.1, "half_width": 0.0,
+                                                "trunc_sigmas": 3.0}, 2))
+        with socket.create_connection(addr, timeout=5.0) as peer:
+            peer.sendall(bad)
+            assert peer.recv(1024) == b""             # the edge closed this link
+        assert ue_agent("ue-after", [], addr, profile=ZERO).clean
+        errors = [f for _, _, ev, f in read_events(tmp_path / "logs" / "edge-R1.log")
+                  if ev == "frame_error"]
+        assert errors == [{"reason": "FramingError"}]
+        assert uncaught == []
+
 
 class TestEventLoop:
     """Each socket node is one event loop: a server owns one thread from
@@ -259,22 +285,45 @@ class TestEventLoop:
             cloud.close()
         assert [type(h.exc_value) for h in uncaught] == [RuntimeError]
 
-
     def test_a_peer_that_stops_reading_does_not_stall_its_node(self, cluster):
-        # each bad forecast draws a 20 kB error naming its distribution; the hog
-        # never reads them, so the edge's writes to it fill the socket buffers.
-        # A peer that takes nothing for a second is shut down; the edge serves on
+        # the hog never reads the edge's 20 kB errors, so they fill the socket
+        # buffers; the write that does not fit closes that link at once
         _, edges, _ = cluster
         addr = edges["R1"].bound_addr
-        bad = wire.encode(wire.forecast_report({"n_dims": 1, "dist": "x" * 20_000,
-                                                "sigma": 0.1, "half_width": 0.0,
-                                                "trunc_sigmas": 3.0}, 2))
         with socket.create_connection(addr) as hog:
             hog.settimeout(0.5)
-            with pytest.raises(OSError):             # the edge stops reading it
+            with pytest.raises(OSError):             # the edge has closed the link
                 while True:
-                    hog.sendall(bad)
+                    hog.sendall(BAD_FORECAST)
+            start = time.monotonic()
             assert ue_agent("ue-after", [], addr, profile=ZERO).clean
+            assert time.monotonic() - start < ACK_TIMEOUT_S
+
+    def test_a_peer_that_reads_slowly_does_not_stall_its_node(self, cluster):
+        # a peer with a small receive buffer that takes 1 kB of its errors every
+        # 50 ms keeps a blocking write going for a second per error; the edge
+        # never waits for it
+        _, edges, _ = cluster
+        addr = edges["R1"].bound_addr
+        with socket.socket() as hog:
+            hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            hog.connect(addr)
+            hog.settimeout(0.5)
+
+            def trickle():
+                with contextlib.suppress(OSError):
+                    while hog.recv(1024):
+                        time.sleep(0.05)
+
+            reader = threading.Thread(target=trickle)
+            reader.start()
+            with pytest.raises(OSError):
+                while True:
+                    hog.sendall(BAD_FORECAST)
+            start = time.monotonic()
+            assert ue_agent("ue-after", [], addr, profile=ZERO).clean
+            assert time.monotonic() - start < ACK_TIMEOUT_S
+            reader.join()
 
 
 class TestUeScript:
