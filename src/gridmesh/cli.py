@@ -494,9 +494,6 @@ def _demo_checks(which: str, case: GridCase, manifest: RunManifest,
                  args) -> int:
     blob = store.get(result_key(manifest.run_id))
     if which == "topology":
-        result = pipeline.parse_topology_result(blob)
-        print(f"result: {result.verdict}"
-              + (f" at t={result.t_unstable}s" if result.t_unstable else ""))
         if profile.loss_rate == 0:
             _, expected = pipeline.monolithic_topology(case, deltas, manifest.fault,
                                                        manifest.sim_cfg)

@@ -5,7 +5,9 @@ input and return a list of actions; a core opens no socket, reads no clock and
 never sleeps. ``virtualdemo.CoreNode`` drives a core on a heap of timed calls,
 in virtual time or, in ``nodes``, on the real clock over TCP, so every protocol
 decision is made once, the same way in both modes. The store stays a direct
-call. Cores are not thread-safe: each node calls its core from one event loop.
+call. The cores are protocol only: they read no artifact and branch on no run
+mode, since ``pipeline`` builds, parses and computes every upload and result.
+Cores are not thread-safe: each node calls its core from one event loop.
 It performs the actions in list order, by one rule:
 
 - ``Send(peer, env)``: transmit; if the link drops the frame, log
@@ -29,7 +31,6 @@ frame names that frame's seq, so the UE stops waiting for it.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 
 from . import pipeline, wire
@@ -43,7 +44,7 @@ ACK_TIMEOUT_S = 2.0
 RESULT_ACK_TIMEOUT_S = 15.0
 UPLINK = "uplink"                # the peer a node's link toward the cloud is known by
 POLL, RESULT_ACK, ACK, SEND = "poll", "result_ack", "ack", "send"
-BARRIER, COMPUTE, FANOUT, DONE = "barrier", "compute", "fanout", "done"
+BARRIER, FANOUT, DONE = "barrier", "fanout", "done"
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,8 @@ class Timer:
 
 @dataclass(frozen=True)
 class Compute:
-    """The cloud needs only the manifest. An edge step also carries the view and
-    forecast as they stood at RunOpen and, once computed, its upload."""
+    """A run's compute step; an edge's carries, once computed, its upload."""
     manifest: RunManifest
-    view: GridCase | None = None
-    forecast: ForecastSpec | None = None
     blob: bytes | None = None
 
 
@@ -294,15 +292,12 @@ class EdgeCore:
                         Log("run_open_duplicate", run=m.run_id)]
                 return
             self.runs[m.run_id] = "computing"
-            out += [Log("run_open_recv", run=m.run_id, mode=m.mode),
-                    Compute(m, self.view, self.forecast)]
+            out += [Log("run_open_recv", run=m.run_id, mode=m.mode), Compute(m)]
         elif env.msg_type == MessageKind.RUN_RESULT:
             obj = env.obj()
             blob = self.store.get(obj["store_key"])
-            parsed = json.loads(blob.decode())
             out += [Log("result_recv", run=env.run_id.hex(),
-                        verdict=obj.get("verdict_summary", "?"),
-                        bytes=len(blob), mode=parsed.get("mode", "?")),
+                        verdict=obj.get("verdict_summary", "?"), bytes=len(blob)),
                     Send(UPLINK, wire.ack(int(obj.get("seq", 0))))]
         elif env.msg_type == MessageKind.ERROR:
             obj = env.obj()
@@ -315,11 +310,8 @@ class EdgeCore:
         key = upload_key(rid, self.region)
         try:
             if step.blob is None:
-                if m.mode == pipeline.MODE_TOPOLOGY:
-                    blob = pipeline.edge_topology_blob(step.view, self.base, self.region)
-                else:
-                    blob = pipeline.edge_scenarios_blob(step.view, self.base, self.region,
-                                                        m.dsa, step.forecast)
+                blob = pipeline.edge_upload(self.view, self.base, self.region, m,
+                                            self.forecast)
                 return [Log("edge_compute_done", run=rid), replace(step, blob=blob)]
             self.store.put(key, step.blob)
         except AlreadyExistsError as exc:
@@ -439,19 +431,7 @@ class CloudCore:
         rid = m.run_id
         try:
             blobs = {r: self.store.get(upload_key(rid, r)) for r in m.expected_regions}
-            view, y = pipeline.cloud_merge(self.base, blobs)
-            if m.mode == pipeline.MODE_TOPOLOGY:
-                result = pipeline.topology_compute(view, y, m.fault, m.sim_cfg)
-                blob = pipeline.topology_result_blob(result)
-                summary = result.verdict
-            else:
-                region_sets = {}
-                for r, upload in blobs.items():
-                    parsed = pipeline.parse_scenarios_blob(upload)
-                    region_sets[r] = (parsed["scenario_set"], parsed["load_bus_ids"])
-                report = pipeline.dsa_compute(view, y, region_sets, m.fault, m.sim_cfg)
-                blob = pipeline.dsa_result_blob(report)
-                summary = f"insecurity_probability={report.insecurity_probability!r}"
+            blob, summary = pipeline.cloud_result(self.base, m, blobs)
             key = result_key(rid)
             self.store.put(key, blob)
         except Exception as exc:
@@ -481,7 +461,6 @@ class CloudCore:
         """barrier_done and the compute once every expected upload is stored."""
         if self._missing():
             return []
-        self._phase = COMPUTE
         return [Log("barrier_done", run=self.manifest.run_id), Compute(self.manifest)]
 
     def _complete(self) -> list:

@@ -1,5 +1,8 @@
-"""Run manifests and the compute pipeline shared by distributed nodes and oracles.
+"""Run manifests, the run artifacts and the compute pipeline shared by
+distributed nodes and oracles.
 
+Only this module builds or parses a region's upload or a run's result, in
+either mode: an edge calls ``edge_upload`` and the cloud ``cloud_result``.
 Everything here is pure: the socket nodes, the virtual-time demo and the
 monolithic single-process oracle all call the same functions, which is what
 makes distributed results comparable bit-for-bit with in-process ones.
@@ -141,13 +144,6 @@ def edge_topology_blob(view: GridCase, base: GridCase, region: str) -> bytes:
     return canonical_json(_topology_upload(view, base, region))
 
 
-def parse_topology_blob(blob: bytes) -> tuple[PartialAdmittance, dict[int, str]]:
-    """The partial and deltas of either mode's upload."""
-    obj = json.loads(blob.decode())
-    deltas = {int(bid): status for bid, status in obj["status_deltas"]}
-    return PartialAdmittance.from_payload(obj["partial"]), deltas
-
-
 def region_samples(view: GridCase, region: str, dsa: DsaParams,
                    forecast: ForecastSpec | None = None,
                    ) -> tuple[list[Scenario], list[int], ForecastSpec, int]:
@@ -185,25 +181,52 @@ def edge_scenarios_blob(view: GridCase, base: GridCase, region: str, dsa: DsaPar
     })
 
 
-def parse_scenarios_blob(blob: bytes) -> dict:
-    """A DSA upload, its scenario set and load bus ids parsed."""
+def edge_upload(view: GridCase, base: GridCase, region: str, manifest: RunManifest,
+                forecast: ForecastSpec | None = None) -> bytes:
+    """The region's one upload for the run, in the manifest's mode."""
+    if manifest.mode == MODE_TOPOLOGY:
+        return edge_topology_blob(view, base, region)
+    return edge_scenarios_blob(view, base, region, manifest.dsa, forecast)
+
+
+def parse_upload(blob: bytes) -> dict:
+    """Either mode's upload with its partial and status deltas parsed, and in
+    DSA its scenario set and load bus ids too."""
     obj = json.loads(blob.decode())
-    obj["scenario_set"] = ScenarioSet.from_payload(obj["scenario_set"])
-    obj["load_bus_ids"] = [int(b) for b in obj["load_bus_ids"]]
+    obj["partial"] = PartialAdmittance.from_payload(obj["partial"])
+    obj["status_deltas"] = {int(bid): status for bid, status in obj["status_deltas"]}
+    if "scenario_set" in obj:
+        obj["scenario_set"] = ScenarioSet.from_payload(obj["scenario_set"])
+        obj["load_bus_ids"] = [int(b) for b in obj["load_bus_ids"]]
     return obj
 
 
 # ----------------------------------------------------------------------
 # Cloud-side compute
 
-def cloud_merge(base: GridCase, blobs: dict[str, bytes]) -> tuple[GridCase, YMatrix]:
-    """Reassemble the full matrix and topology view from region uploads."""
+def cloud_result(base: GridCase, manifest: RunManifest,
+                 blobs: dict[str, bytes]) -> tuple[bytes, str]:
+    """The run's result blob and its one-line summary, computed in the
+    manifest's mode from each region's upload, parsed once."""
+    uploads = {r: parse_upload(blob) for r, blob in blobs.items()}
+    view, y = cloud_merge(base, uploads)
+    fault, cfg = manifest.fault, manifest.sim_cfg
+    if manifest.mode == MODE_TOPOLOGY:
+        result = topology_compute(view, y, fault, cfg)
+        return topology_result_blob(result), result.verdict
+    region_sets = {r: (u["scenario_set"], u["load_bus_ids"]) for r, u in uploads.items()}
+    report = dsa_compute(view, y, region_sets, fault, cfg)
+    return (dsa_result_blob(report),
+            f"insecurity_probability={report.insecurity_probability!r}")
+
+
+def cloud_merge(base: GridCase, uploads: dict[str, dict]) -> tuple[GridCase, YMatrix]:
+    """Reassemble the full matrix and topology view from parsed region uploads."""
     parts = []
     merged_deltas: dict[int, str] = {}
-    for region in sorted(blobs):
-        partial, deltas = parse_topology_blob(blobs[region])
-        parts.append(partial)
-        for bid, status in deltas.items():
+    for region in sorted(uploads):
+        parts.append(uploads[region]["partial"])
+        for bid, status in uploads[region]["status_deltas"].items():
             if merged_deltas.get(bid, status) != status:
                 raise ManifestError(f"regions disagree on branch {bid} status")
             merged_deltas[bid] = status
@@ -223,10 +246,6 @@ def topology_compute(view: GridCase, y: YMatrix, fault: FaultSpec,
 
 def topology_result_blob(result: SimulationResult) -> bytes:
     return canonical_json({"mode": MODE_TOPOLOGY, "result": result.to_payload()})
-
-
-def parse_topology_result(blob: bytes) -> SimulationResult:
-    return SimulationResult.from_payload(json.loads(blob.decode())["result"])
 
 
 def simulate_scenarios(view: GridCase, y: YMatrix, scenarios: list[Scenario],
@@ -263,6 +282,22 @@ def dsa_result_blob(report: SecurityReport) -> bytes:
 
 def parse_dsa_result(blob: bytes) -> SecurityReport:
     return SecurityReport.from_payload(json.loads(blob.decode())["report"])
+
+
+def result_summary(blob: bytes) -> str:
+    """A stored result's summary line for ``gridmesh report``."""
+    obj = json.loads(blob.decode())
+    if obj.get("mode") == MODE_DSA:
+        rep = obj["report"]
+        unstable = sum(1 for row in rep["rows"] if row["verdict"] == "Unstable")
+        return (f"weighted insecurity probability: {rep['insecurity_probability']!r} "
+                f"({unstable}/{len(rep['rows'])} representative scenarios unstable)")
+    if obj.get("mode") == MODE_TOPOLOGY:
+        res = obj["result"]
+        if res["t_unstable"] is not None:
+            return f"verdict: {res['verdict']} at t={res['t_unstable']}s"
+        return f"verdict: {res['verdict']}"
+    return ""
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,12 @@ negative offsets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import pipeline
 from .eventlog import read_events
-from .store import FileStore, NotFoundError, result_key
+from .store import FileStore, result_key
 
 STAGES = ("ue_send", "edge_recv", "edge_compute_done", "store_put_done",
           "barrier_done", "sim_done", "result_recv")
@@ -65,25 +65,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _result_summary(store: FileStore, run_id: str) -> str:
-    try:
-        blob = store.get(result_key(run_id))
-    except NotFoundError:
-        return ""
-    obj = json.loads(blob.decode())
-    if obj.get("mode") == "DSA":
-        rep = obj["report"]
-        unstable = sum(1 for row in rep["rows"] if row["verdict"] == "Unstable")
-        return (f"weighted insecurity probability: {rep['insecurity_probability']!r} "
-                f"({unstable}/{len(rep['rows'])} representative scenarios unstable)")
-    if obj.get("mode") == "Topology":
-        res = obj["result"]
-        if res["t_unstable"] is not None:
-            return f"verdict: {res['verdict']} at t={res['t_unstable']}s"
-        return f"verdict: {res['verdict']}"
-    return ""
-
-
 def emit_report(run_id: str, store: FileStore, log_paths) -> RunReport:
     """Build the stage-timing report for one run from node logs plus the store."""
     events = []
@@ -121,6 +102,6 @@ def emit_report(run_id: str, store: FileStore, log_paths) -> RunReport:
     else:
         outcome, missing = "Unknown", ()
 
+    summary = pipeline.result_summary(store.get(result_key(run_id))) if has_result else ""
     return RunReport(run_id=run_id, rows=tuple(rows), outcome=outcome,
-                     missing_regions=missing, result_summary=_result_summary(store, run_id),
-                     partial=partial)
+                     missing_regions=missing, result_summary=summary, partial=partial)

@@ -3,7 +3,10 @@
 Frame layout, all integers big-endian::
 
     magic 'GM' (2) | version (1) | msg_type (1) | run_id (16) |
-    payload_len u32 | payload | crc32(payload) u32
+    payload_len u32 | payload | crc32(header and payload) u32
+
+The CRC covers the 24 header bytes too, so a damaged msg_type, run_id or
+payload_len is a classified error, never another valid envelope.
 
 Payloads are canonical JSON: UTF-8, lexicographically sorted keys, no
 insignificant whitespace, shortest round-trip float representation. The
@@ -20,7 +23,7 @@ import zlib
 from dataclasses import dataclass, field
 
 MAGIC = b"GM"
-VERSION = 0x01
+VERSION = 0x02
 RUN_ID_LEN = 16
 ZERO_RUN_ID = bytes(RUN_ID_LEN)
 HEADER_LEN = 2 + 1 + 1 + RUN_ID_LEN + 4
@@ -95,10 +98,10 @@ def encode(env: Envelope) -> bytes:
         raise FramingError(f"run_id must be {RUN_ID_LEN} bytes")
     if len(env.payload) > MAX_PAYLOAD:
         raise FramingError(f"payload of {len(env.payload)} bytes exceeds {MAX_PAYLOAD}")
-    crc = zlib.crc32(env.payload) & 0xFFFFFFFF
-    return (MAGIC + struct.pack(">BB", env.version, int(kind)) + env.run_id
-            + struct.pack(">I", len(env.payload)) + env.payload
-            + struct.pack(">I", crc))
+    head = (MAGIC + struct.pack(">BB", env.version, int(kind)) + env.run_id
+            + struct.pack(">I", len(env.payload)))
+    crc = zlib.crc32(env.payload, zlib.crc32(head))
+    return head + env.payload + struct.pack(">I", crc)
 
 
 def decode_prefix(data: bytes | bytearray, start: int = 0) -> tuple[Envelope, int]:
@@ -126,9 +129,9 @@ def decode_prefix(data: bytes | bytearray, start: int = 0) -> tuple[Envelope, in
         raise IncompleteFrameError(f"need {total} bytes, have {have}")
     payload = bytes(data[start + HEADER_LEN:start + HEADER_LEN + length])
     (crc,) = struct.unpack_from(">I", data, start + HEADER_LEN + length)
-    actual = zlib.crc32(payload) & 0xFFFFFFFF
+    actual = zlib.crc32(payload, zlib.crc32(head))
     if crc != actual:
-        raise CorruptionError(f"crc mismatch: frame says {crc:#010x}, payload is {actual:#010x}")
+        raise CorruptionError(f"crc mismatch: frame says {crc:#010x}, frame is {actual:#010x}")
     return Envelope(msg_type=kind, payload=payload, run_id=run_id, version=version), total
 
 

@@ -160,7 +160,7 @@ def test_05_power_flow_roundtrip_and_divergence():
             solve_power_flow(infeasible)
 
 
-GOLDEN_ACK_HEX = "474d0104000102030405060708090a0b0c0d0e0f000000027b7da3a6bf43"
+GOLDEN_ACK_HEX = "474d0204000102030405060708090a0b0c0d0e0f000000027b7df6c654f4"
 
 
 def test_06_protocol_golden_fuzz_reassembly():
@@ -265,7 +265,7 @@ def test_10_barrier_robustness(tmp_path):
     with criterion(10, "withheld region: exit 3 and the error names exactly it; "
                        "duplicate upload rejected without disturbing the run"):
         proc = _run_demo(["topology", "--profile", "zero", "--withhold-region", "R3",
-                          "--deadline-s", "4", "--out-dir", str(tmp_path / "w")],
+                          "--deadline-s", "1", "--out-dir", str(tmp_path / "w")],
                          timeout=120)
         assert proc.returncode == 3, proc.stdout + proc.stderr
         cloud_log = (tmp_path / "w" / "logs" / "cloud.log").read_text()

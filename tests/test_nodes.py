@@ -346,9 +346,13 @@ class TestTopologyRun:
         cloud, edges, store = cluster
         m = manifest()
         assert cloud.execute_run(m) == 0
-        # every edge fetched and recorded the result (RunResult was acked)
-        for e in edges.values():
-            assert e.core.runs[m.run_id] == "uploaded"
+        # every edge fetched the result and logged the cloud's verdict once
+        result, _ = pipeline.monolithic_topology(case9, {}, FAULT, WS_CFG)
+        size = str(len(store.get(result_key(m.run_id))))
+        for r in edges:
+            recv = [f for _, _, ev, f in read_events(tmp_path / "logs" / f"edge-{r}.log")
+                    if ev == "result_recv" and f["run"] == m.run_id]
+            assert recv == [{"run": m.run_id, "verdict": result.verdict, "bytes": size}]
 
     def test_duplicate_run_open_rejected(self, cluster):
         cloud, edges, store = cluster
@@ -440,8 +444,8 @@ class TestEdgeArtifacts:
         expected = pipeline.edge_topology_blob(
             case9.with_branch_status({9: "Open"}), case9, "R2")
         assert uploaded == expected
-        part, deltas = pipeline.parse_topology_blob(uploaded)
-        assert 9 not in part.branch_ids and deltas == {9: "Open"}
+        parsed = pipeline.parse_upload(uploaded)
+        assert 9 not in parsed["partial"].branch_ids and parsed["status_deltas"] == {9: "Open"}
 
     def test_forecast_report_shapes_dsa_sampling(self, cluster):
         cloud, edges, store = cluster
@@ -454,7 +458,7 @@ class TestEdgeArtifacts:
         m = manifest(mode="DSA", dsa=DsaParams(n_raw=20, k=4, seed=5))
         assert cloud.execute_run(m) == 0
         for r in edges:
-            parsed = pipeline.parse_scenarios_blob(store.get(upload_key(m.run_id, r)))
+            parsed = pipeline.parse_upload(store.get(upload_key(m.run_id, r)))
             assert parsed["forecast_spec"] == spec.to_dict()
             for rep in parsed["scenario_set"].representatives:
                 assert all(0.98 <= v <= 1.02 for v in rep.multipliers)

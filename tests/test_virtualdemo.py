@@ -152,7 +152,7 @@ class TestVirtualDsa:
                                {f"ue-{r}": (r, [item]) for r in ("R1", "R2", "R3")})
         assert out.exit_code == 0
         for r in ("R1", "R2", "R3"):
-            parsed = pipeline.parse_scenarios_blob(store.get(upload_key(RID, r)))
+            parsed = pipeline.parse_upload(store.get(upload_key(RID, r)))
             assert parsed["forecast_spec"] == spec.to_dict()
         _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG,
                                               forecasts=dict.fromkeys(("R1", "R2", "R3"), spec))
@@ -169,7 +169,7 @@ class TestVirtualDsa:
                                {"ue-R1": ("R1", [item]), "ue-R2": ("R2", []),
                                 "ue-R3": ("R3", [])})
         assert out.exit_code == 0
-        specs = {r: pipeline.parse_scenarios_blob(store.get(upload_key(RID, r)))
+        specs = {r: pipeline.parse_upload(store.get(upload_key(RID, r)))
                  ["forecast_spec"] for r in ("R1", "R2", "R3")}
         assert specs["R1"] == spec.to_dict()
         assert specs["R2"] == specs["R3"] == ForecastSpec(
