@@ -14,6 +14,16 @@ clearing instants (both snapped to step boundaries). The run is declared
 Unstable the first time the rotor-angle spread (max pairwise |delta_i -
 delta_j|, equivalently the range about the center of inertia) exceeds the
 configured threshold.
+
+Scenarios that share a topology are prepared and integrated as one batch,
+each array carrying a leading scenario axis: ``prepare_batch`` solves every
+scenario's power flow (``powerflow.solve_batch``, where a scenario freezes
+once its own mismatch passes the tolerance), initializes its machines,
+builds the fault variants of the one dense matrix once and reduces all
+scenarios of each variant in one stacked Kron elimination;
+``simulate_batch`` then steps them all in one RK4 loop. Every scenario gets
+the bytes it gets alone, and the single-case ``reduce_network`` and
+``simulate_dynamics`` are batches of one.
 """
 
 from __future__ import annotations
@@ -24,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FaultSpec, GridCase, validate_fault
-from .powerflow import PowerFlowSolution
+from .powerflow import (Batch, Loads, Machines, PowerFlowSolution, generator_bus_rows,
+                        initialize_batch, solve_batch, solve_each)
 from .ybus import YMatrix, fault_variants
 
 MAX_STORED_POINTS = 5000
@@ -32,13 +43,17 @@ MAX_STORED_POINTS = 5000
 STABLE = "Stable"
 UNSTABLE = "Unstable"
 
+_VARIANTS = ("y_red_pre", "y_red_on", "y_red_post")
+
 
 class DynamicsError(Exception):
     pass
 
 
 class SingularNetworkError(DynamicsError):
-    pass
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 class SwitchTimeError(DynamicsError):
@@ -77,16 +92,19 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class ReducedNetwork:
+    """Pre-, on- and post-fault reduced matrices, (machines, machines) each,
+    or (scenarios, machines, machines) for a batch."""
+
     y_red_pre: np.ndarray
     y_red_on: np.ndarray
     y_red_post: np.ndarray
 
     def __post_init__(self):
-        m = self.y_red_pre.shape[0]
-        for name in ("y_red_pre", "y_red_on", "y_red_post"):
+        shape = self.y_red_pre.shape
+        for name in _VARIANTS:
             mat = getattr(self, name)
-            if mat.shape != (m, m):
-                raise DynamicsError(f"{name} is not {m}x{m}")
+            if mat.shape != shape or shape[-1:] != shape[-2:-1]:
+                raise DynamicsError(f"{name} is not a stack of square matrices like y_red_pre")
             if not np.all(np.isfinite(mat)):
                 raise DynamicsError(f"{name} has non-finite entries")
 
@@ -124,61 +142,110 @@ class SimulationResult:
 
 
 def kron_eliminate(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Eliminate every node not in ``keep``: Y_kk - Y_ke * Y_ee^-1 * Y_ek."""
+    """Eliminate every node not in ``keep``: Y_kk - Y_ke * Y_ee^-1 * Y_ek.
+
+    ``y`` is one matrix or a stack of them on its last two axes; each is
+    reduced bit for bit as it is alone. ``SingularNetworkError.row`` is the
+    first matrix of the stack whose eliminated block is singular.
+    """
     keep = np.asarray(keep, dtype=int)
-    eliminated = np.ones(y.shape[0], dtype=bool)
+    eliminated = np.ones(y.shape[-1], dtype=bool)
     eliminated[keep] = False
     elim = np.flatnonzero(eliminated)
-    ykk = y[np.ix_(keep, keep)]
+    ykk = y[..., keep[:, None], keep]
     if elim.size == 0:
-        return ykk.copy()
-    yke = y[np.ix_(keep, elim)]
-    yek = y[np.ix_(elim, keep)]
-    yee = y[np.ix_(elim, elim)]
-    try:
-        x = np.linalg.solve(yee, yek)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNetworkError("eliminated block is singular") from exc
-    return ykk - yke @ x
+        return ykk
+    yke = y[..., keep[:, None], elim]
+    yek = y[..., elim[:, None], keep]
+    yee = y[..., elim[:, None], elim]
+    stack = (-1,) + yee.shape[-2:]
+    x, singular = solve_each(yee.reshape(stack), yek.reshape((-1,) + yek.shape[-2:]))
+    if singular is not None:
+        raise SingularNetworkError("eliminated block is singular", row=len(x)) from singular
+    return ykk - yke @ x.reshape(yek.shape)
 
 
-def kron_reduce(y: np.ndarray, case: GridCase, sol: PowerFlowSolution) -> np.ndarray:
-    """Reduce the dense bus-level matrix to the generator internal nodes.
+def kron_reduce(y: np.ndarray, case: GridCase, sol: PowerFlowSolution, loads: Loads,
+                batch: Batch) -> np.ndarray:
+    """Reduce the dense bus-level matrix to the generator internal nodes, for
+    scenarios [0, batch.live); ``sol`` and ``loads`` hold one row per scenario.
 
     Loads are converted to constant admittances y_load = (P - jQ)/|V|^2 at the
     solved voltages; each machine couples through 1/(j xd'). Internal nodes are
-    appended after the physical buses, in generator-id order.
+    appended after the physical buses, in generator-id order. A scenario whose
+    eliminated block is singular fails the batch.
+
+    Each load admittance is added in real and imaginary parts, because numpy's
+    complex division differs from Python's ``complex(p, -q) / vm**2`` in the
+    last bit; 1/(j xd') is computed with Python's complex, as one case did.
     """
     n, m = case.n, len(case.generators)
     if m == 0:
         raise DynamicsError("case has no generators")
-    idx = case.bus_index()
-    aug = np.zeros((n + m, n + m), dtype=complex)
-    aug[:n, :n] = y
-    for k, bus in enumerate(case.buses):
-        if bus.p_load != 0.0 or bus.q_load != 0.0:
-            vm = sol.v_mag[k]
-            aug[k, k] += complex(bus.p_load, -bus.q_load) / (vm * vm)
-    for g_i, gen in enumerate(case.generators):
-        b = idx[gen.bus]
-        yg = 1.0 / complex(0.0, gen.xd_p)
-        node = n + g_i
-        aug[node, node] += yg
-        aug[node, b] -= yg
-        aug[b, node] -= yg
-        aug[b, b] += yg
-    return kron_eliminate(aug, np.arange(n, n + m))
+    gen_rows = generator_bus_rows(case)
+    nodes = np.arange(n, n + m)
+    live = batch.live
+    aug = np.zeros((live, n + m, n + m), dtype=complex)
+    aug[:, :n, :n] = y
+    load_cols = [k for k, b in enumerate(case.buses) if b.p_load != 0.0 or b.q_load != 0.0]
+    vm2 = sol.v_mag[:live, load_cols] * sol.v_mag[:live, load_cols]
+    aug.real[:, load_cols, load_cols] += loads.p_load[:live, load_cols] / vm2
+    aug.imag[:, load_cols, load_cols] -= loads.q_load[:live, load_cols] / vm2
+    yg = np.array([1.0 / complex(0.0, g.xd_p) for g in case.generators])
+    aug[:, nodes, nodes] += yg
+    aug[:, nodes, gen_rows] -= yg
+    aug[:, gen_rows, nodes] -= yg
+    aug[:, gen_rows, gen_rows] += yg
+    try:
+        return kron_eliminate(aug, nodes)
+    except SingularNetworkError as exc:
+        batch.fail(exc.row, exc)
+        return kron_eliminate(aug[:exc.row], nodes)
 
 
 def reduce_network(case: GridCase, sol: PowerFlowSolution, fault: FaultSpec,
                    y: YMatrix) -> ReducedNetwork:
-    """Pre/on/post-fault reduced matrices for one fault, sharing one operating point."""
-    y_pre, y_on, y_post = fault_variants(y, case, fault)
-    return ReducedNetwork(
-        y_red_pre=kron_reduce(y_pre, case, sol),
-        y_red_on=kron_reduce(y_on, case, sol),
-        y_red_post=kron_reduce(y_post, case, sol),
-    )
+    """Pre/on/post-fault reduced matrices for one fault, sharing one operating
+    point: ``reduce_batch`` for the case's own loads, a batch of one."""
+    batch = Batch(1)
+    net = reduce_batch(case, sol.batch_of_one(), Loads.of_case(case), fault, y, batch)
+    batch.raise_error()
+    return ReducedNetwork(net.y_red_pre[0], net.y_red_on[0], net.y_red_post[0])
+
+
+def reduce_batch(case: GridCase, sol: PowerFlowSolution, loads: Loads, fault: FaultSpec,
+                 y: YMatrix, batch: Batch) -> ReducedNetwork:
+    """Every scenario's pre/on/post-fault reduced matrices over one set of
+    fault variants; a scenario whose matrices are singular or not finite
+    fails the batch, the first failing variant first."""
+    variants = fault_variants(y, case, fault)
+    reduced = [kron_reduce(v, case, sol, loads, batch) for v in variants]
+    for name, mat in zip(_VARIANTS, reduced):
+        bad = np.flatnonzero(~np.isfinite(mat[:batch.live]).all(axis=(1, 2)))
+        if bad.size:
+            batch.fail(bad[0], DynamicsError(f"{name} has non-finite entries"))
+    return ReducedNetwork(*(mat[:batch.live] for mat in reduced))
+
+
+def prepare_batch(case: GridCase, y: YMatrix, loads: Loads,
+                  fault: FaultSpec) -> tuple[Machines, ReducedNetwork]:
+    """Every scenario's initialized machines and reduced network, over one
+    dense matrix and one set of fault variants.
+
+    The stages run in a scenario-by-scenario loop's order: power flow and
+    machine initialization for every scenario, then, if the first scenario
+    got through them, the fault variants and the reductions. A failing
+    scenario raises the error that loop would meet first, named with its
+    scenario.
+    """
+    batch = Batch(len(loads))
+    sol = solve_batch(case, y.to_dense(), loads, batch)
+    machines = initialize_batch(case, sol, loads, batch)
+    if batch.live == 0:                  # the first scenario never reached its fault
+        batch.raise_error(name_row=True)
+    net = reduce_batch(case, sol, loads, fault, y, batch)
+    batch.raise_error(name_row=True)
+    return machines, net
 
 
 def _snap_step(t: float, dt: float, name: str) -> int:
@@ -190,56 +257,50 @@ def _snap_step(t: float, dt: float, name: str) -> int:
 
 def simulate_dynamics(case: GridCase, net: ReducedNetwork, fault: FaultSpec,
                       cfg: SimulationConfig) -> SimulationResult:
-    """Integrate one machine set through the fault sequence (``simulate_batch``
-    with one scenario)."""
-    return simulate_batch([case], [net], fault, cfg)[0]
+    """Integrate one initialized machine set through the fault sequence
+    (``simulate_batch`` with one scenario)."""
+    validate_fault(case, fault)
+    one = ReducedNetwork(net.y_red_pre[None], net.y_red_on[None], net.y_red_post[None])
+    return simulate_batch(Machines.of_cases([case]), one, fault, cfg)[0]
 
 
-def simulate_batch(cases: list[GridCase], nets: list[ReducedNetwork], fault: FaultSpec,
+def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
                    cfg: SimulationConfig) -> list[SimulationResult]:
     """Integrate the swing equations of every scenario through one fault sequence.
 
-    Scenario s is ``cases[s]`` with its reduced network ``nets[s]``; every case
-    has the same machine count and must have been initialized
-    (powerflow.initialize_machines). All scenarios step together in one RK4
-    loop over a ``(scenarios, 2 * machines)`` state ``[delta | dw]``; each row
-    gets exactly the arithmetic of a one-scenario run, so a trajectory does not
-    depend on the batch it ran in. Trajectories are stored decimated to at most
-    ``MAX_STORED_POINTS`` samples per machine; verdicts are evaluated at full
-    resolution. If any scenario goes non-finite, ``NumericBlowupError`` names
-    the lowest-index one, at the time it blows up on its own.
+    Scenario s is row s of ``machines`` (initialized, e.g. by
+    ``prepare_batch``) and of the stacked reduced network ``net``; the fault
+    must have been checked against the case (``fault_variants`` does). All
+    scenarios step together in one RK4 loop over a ``(scenarios, 2 *
+    machines)`` state ``[delta | dw]``; each row gets exactly the arithmetic
+    of a one-scenario run, so a trajectory does not depend on the batch it
+    ran in. Trajectories are stored decimated to at most ``MAX_STORED_POINTS``
+    samples per machine; verdicts are evaluated at full resolution. If any
+    scenario goes non-finite, ``NumericBlowupError`` names the lowest-index
+    one, at the time it blows up on its own.
     """
-    if len(cases) != len(nets):
-        raise DynamicsError(f"{len(cases)} cases but {len(nets)} reduced networks")
-    if not cases:
+    if len(machines) != len(net.y_red_pre):
+        raise DynamicsError(f"{len(machines)} machine sets but {len(net.y_red_pre)} "
+                            "reduced networks")
+    if not len(machines):
         return []
-    m = len(cases[0].generators)
-    for case, net in zip(cases, nets):
-        validate_fault(case, fault)
-        if len(case.generators) != m:
-            raise DynamicsError("scenarios differ in machine count")
-        if net.y_red_pre.shape[0] != m:
-            raise DynamicsError("reduced network dimension != machine count")
+    n, m = machines.e_mag.shape
+    if net.y_red_pre.shape[1:] != (m, m):
+        raise DynamicsError("reduced network dimension != machine count")
 
-    def per_machine(attr: str) -> np.ndarray:
-        return np.array([[getattr(g, attr) for g in case.generators] for case in cases])
-
-    e = per_machine("e_mag")
-    h = per_machine("h")
-    damp = per_machine("d")
-    pm = per_machine("p_mech")
+    e = machines.e_mag
+    damp = machines.d
+    pm = machines.p_mech
     ee = e[:, :, None] * e[:, None, :]
     ws = cfg.omega_s
-    acc = 1.0 / (2.0 * h)
+    acc = 1.0 / (2.0 * machines.h)
 
     k_fault = _snap_step(fault.t_fault, cfg.dt, "t_fault")
     k_clear = _snap_step(fault.t_clear, cfg.dt, "t_clear")
     n_steps = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
 
-    mats = []
-    for name in ("y_red_pre", "y_red_on", "y_red_post"):
-        y_red = np.array([getattr(net, name) for net in nets])
-        mats.append((ee * y_red.real, ee * y_red.imag))
+    mats = [(ee * y_red.real, ee * y_red.imag)
+            for y_red in (net.y_red_pre, net.y_red_on, net.y_red_post)]
 
     def deriv(state: np.ndarray, phase: int) -> np.ndarray:
         g_ee, b_ee = mats[phase]
@@ -248,8 +309,7 @@ def simulate_batch(cases: list[GridCase], nets: list[ReducedNetwork], fault: Fau
         pe = np.add.reduce(g_ee * np.cos(dij) + b_ee * np.sin(dij), axis=2)
         return np.concatenate([ws * dw, acc * (pm - pe - damp * dw)], axis=1)
 
-    n = len(cases)
-    state = np.concatenate([per_machine("delta0"), np.zeros((n, m))], axis=1)
+    state = np.concatenate([machines.delta0, np.zeros((n, m))], axis=1)
 
     # decimated samples go straight into one buffer; results are views of it
     stride = max(1, math.ceil((n_steps + 1) / MAX_STORED_POINTS))

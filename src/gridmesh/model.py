@@ -151,7 +151,11 @@ class GridCase:
         return part
 
     def regions(self) -> list[str]:
-        seen = set(self.bus_owner().values()) | set(self.branch_partition().values())
+        """Every region that owns a bus or a branch, Open or Closed: a region
+        whose branches are all open still takes part (with an empty partial)."""
+        owners = self.bus_owner()
+        seen = set(owners.values()) | {br.owner_region or owners[br.from_bus]
+                                       for br in self.branches}
         return sorted(seen)
 
     # -- derived cases -------------------------------------------------

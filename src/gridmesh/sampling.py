@@ -16,6 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .model import GridCase
+from .powerflow import Loads
 
 GAUSSIAN = "gaussian"
 UNIFORM = "uniform"
@@ -195,27 +196,48 @@ def reduce_scenarios(samples: list[Scenario], k: int, seed: int) -> ScenarioSet:
     return ScenarioSet(representatives=tuple(reps), weights=tuple(weights), n_raw=n)
 
 
-def apply_scenario(case: GridCase, s: Scenario) -> GridCase:
-    """Scale loads by the scenario multipliers and rebalance generation.
+def scenario_loads(case: GridCase, scenarios: list[Scenario]) -> Loads:
+    """Every scenario's loads and rebalanced generation, as arrays with one row
+    per scenario.
 
     Multipliers align with the case's load buses in ascending bus-id order;
     every p_mech is scaled by the total-load ratio so the subsequent power
-    flow starts near balance.
+    flow starts near balance. Totals are summed bus by bus in id order, as
+    Python's ``sum`` over the buses does.
     """
     load_ids = case.load_bus_ids()
-    if len(s.multipliers) != len(load_ids):
-        raise SamplingError(
-            f"scenario has {len(s.multipliers)} multipliers, case has {len(load_ids)} loads")
-    by_bus = dict(zip(load_ids, s.multipliers))
+    for s in scenarios:
+        if len(s.multipliers) != len(load_ids):
+            raise SamplingError(f"scenario has {len(s.multipliers)} multipliers, "
+                                f"case has {len(load_ids)} loads")
+    base = Loads.of_case(case)
+    size = len(scenarios)
+    p_load = np.repeat(base.p_load, size, axis=0)
+    q_load = np.repeat(base.q_load, size, axis=0)
+    idx = case.bus_index()
+    cols = [idx[b] for b in load_ids]
+    mult = np.array([s.multipliers for s in scenarios], dtype=float).reshape(size, len(cols))
+    p_load[:, cols] *= mult
+    q_load[:, cols] *= mult
+    p_mech = np.repeat(base.p_mech, size, axis=0)
     old_total = sum(b.p_load for b in case.buses)
-    scaled = case.with_bus_loads({b.id: (b.p_load * by_bus[b.id], b.q_load * by_bus[b.id])
-                                  for b in case.buses if b.id in by_bus})
-    new_total = sum(b.p_load for b in scaled.buses)
     if old_total != 0.0:
-        ratio = new_total / old_total
-        gens = tuple(replace(g, p_mech=g.p_mech * ratio) for g in scaled.generators)
-        scaled = replace(scaled, generators=gens)
-    return scaled
+        new_total = np.zeros(size)
+        for col in range(case.n):
+            new_total += p_load[:, col]
+        p_mech *= (new_total / old_total)[:, None]
+    return Loads(p_load=p_load, q_load=q_load, p_mech=p_mech)
+
+
+def apply_scenario(case: GridCase, s: Scenario) -> GridCase:
+    """The case with one scenario's loads and generation (``scenario_loads``
+    for a batch of one)."""
+    loads = scenario_loads(case, [s])
+    scaled = case.with_bus_loads({b.id: (float(loads.p_load[0, k]), float(loads.q_load[0, k]))
+                                  for k, b in enumerate(case.buses)})
+    gens = tuple(replace(g, p_mech=float(loads.p_mech[0, k]))
+                 for k, g in enumerate(scaled.generators))
+    return replace(scaled, generators=gens)
 
 
 def combine_region_sets(region_sets: dict[str, tuple[ScenarioSet, list[int]]],

@@ -1,5 +1,6 @@
 """Shared test fixtures: canonical machine-infinite-bus system, random cases,
-a one-scenario reference integrator and a dense-matmul reference power flow."""
+a one-scenario reference integrator, a dense-matmul reference power flow and
+the scenario-by-scenario preparation the batched one replaced."""
 
 from __future__ import annotations
 
@@ -9,11 +10,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from gridmesh.dynamics import (MAX_STORED_POINTS, STABLE, UNSTABLE, NumericBlowupError,
-                               SimulationResult, _snap_step)
-from gridmesh.model import PQ, PV, Branch, Bus, Generator, GridCase
-from gridmesh.powerflow import (PowerFlowDivergedError, PowerFlowSolution,
-                                SingularJacobianError, _specified_injections)
+from gridmesh.dynamics import (MAX_STORED_POINTS, STABLE, UNSTABLE, DynamicsError,
+                               NumericBlowupError, ReducedNetwork, SimulationResult, SingularNetworkError,
+                               _snap_step)
+from gridmesh.model import PQ, PV, Branch, Bus, CaseError, Generator, GridCase
+from gridmesh.powerflow import (PowerFlowDivergedError, PowerFlowError, PowerFlowSolution,
+                                SingularJacobianError)
+from gridmesh.sampling import SamplingError
+from gridmesh.ybus import fault_variants
 
 INF_H = 1e6          # stand-in for an infinite bus: huge inertia, negligible reactance
 INF_XD = 1e-6
@@ -157,8 +161,7 @@ def reference_solve_power_flow(case: GridCase, y, tol: float = 1e-8,
     and complex matmuls: the assembly ``powerflow.solve_power_flow`` replaced,
     kept here as the oracle its voltages must match to round-off."""
     ybus = y.to_dense()
-    p_spec, q_spec = _specified_injections(case)
-    s_spec = p_spec + 1j * q_spec
+    s_spec = reference_specified_injections(case)
 
     kinds = [b.kind for b in case.buses]
     pv = np.array([i for i, k in enumerate(kinds) if k == PV], dtype=int)
@@ -213,3 +216,181 @@ def reference_solve_power_flow(case: GridCase, y, tol: float = 1e-8,
 
     return PowerFlowSolution(v_mag=vm, v_ang=va, iterations=it, max_mismatch=max_mis,
                              injections=s)
+
+
+# ----------------------------------------------------------------------
+# Scenario-by-scenario preparation: the loop ``dynamics.prepare_batch``
+# replaced, kept with the one-case code it called as the oracle that every
+# batched row must equal bit for bit. That code computes with Python and
+# numpy complex scalars, and three vectorized forms of the same formulas
+# are not bitwise equal to them on this numpy (2.4):
+#   - the vectorized complex ``np.abs`` differs from the scalar ``abs`` in the
+#     last bit, while ``np.hypot(re, im)`` matches it;
+#   - numpy's complex division differs from Python's ``complex(p, -q) / vm**2``
+#     (and the batch does not rely on it for ``1.0 / complex(0, xd')``), so
+#     the load admittance is added in real and imaginary parts;
+#   - the real part of a vectorized complex product differs from the scalar
+#     product's, so it is written ``er*cr - ei*ci``.
+# A stack of ``Y @ v`` is bitwise ``np.matmul(Y, V[..., None])``, not ``V @ Y.T``.
+
+def reference_specified_injections(case: GridCase) -> np.ndarray:
+    """Scheduled complex net injection per bus (generation minus load)."""
+    idx = case.bus_index()
+    p = np.array([-b.p_load for b in case.buses], dtype=float)
+    q = np.array([-b.q_load for b in case.buses], dtype=float)
+    for g in case.generators:
+        if case.bus(g.bus).kind == PQ:
+            raise CaseError(f"generator {g.id} sits on PQ bus {g.bus}; "
+                            "generator buses must be Slack or PV")
+        p[idx[g.bus]] += g.p_mech
+    return p + 1j * q
+
+
+def reference_apply_scenario(case: GridCase, s) -> GridCase:
+    load_ids = case.load_bus_ids()
+    if len(s.multipliers) != len(load_ids):
+        raise SamplingError(
+            f"scenario has {len(s.multipliers)} multipliers, case has {len(load_ids)} loads")
+    by_bus = dict(zip(load_ids, s.multipliers))
+    old_total = sum(b.p_load for b in case.buses)
+    scaled = case.with_bus_loads({b.id: (b.p_load * by_bus[b.id], b.q_load * by_bus[b.id])
+                                  for b in case.buses if b.id in by_bus})
+    new_total = sum(b.p_load for b in scaled.buses)
+    if old_total != 0.0:
+        ratio = new_total / old_total
+        gens = tuple(replace(g, p_mech=g.p_mech * ratio) for g in scaled.generators)
+        scaled = replace(scaled, generators=gens)
+    return scaled
+
+
+def reference_newton_raphson(case: GridCase, y, tol: float = 1e-8,
+                             max_iter: int = 20) -> PowerFlowSolution:
+    """One case's Newton-Raphson with the broadcast Jacobian."""
+    ybus = y.to_dense()
+    s_spec = reference_specified_injections(case)
+    kinds = [b.kind for b in case.buses]
+    pv = np.array([i for i, k in enumerate(kinds) if k == PV], dtype=int)
+    pq = np.array([i for i, k in enumerate(kinds) if k == PQ], dtype=int)
+    pvpq = np.concatenate([pv, pq])
+    vm = np.array([b.v_mag for b in case.buses], dtype=float)
+    va = np.array([b.v_ang for b in case.buses], dtype=float)
+    npv, m, npq = len(pv), len(pvpq), len(pq)
+    y_kept = ybus[pvpq[:, None], pvpq]
+    jac = np.empty((m + npq, m + npq))
+    rows_pvpq = np.arange(m)
+    rows_pq = np.arange(npq)
+    it = 0
+    while True:
+        v = vm * np.exp(1j * va)
+        ibus = ybus @ v
+        s_inj = v * np.conj(ibus)
+        mis = s_inj - s_spec
+        f = np.concatenate([mis[pvpq].real, mis[pq].imag])
+        max_mis = float(np.max(np.abs(f))) if f.size else 0.0
+        if max_mis < tol:
+            break
+        if not np.isfinite(max_mis):
+            raise PowerFlowDivergedError(
+                f"mismatch is not finite at iteration {it}", it, max_mis)
+        if it >= max_iter:
+            raise PowerFlowDivergedError(
+                f"no convergence after {it} iterations (mismatch {max_mis:.3e})",
+                it, max_mis)
+        vk = v[pvpq]
+        t = y_kept * vk
+        np.conjugate(t, out=t)
+        t *= vk[:, None]
+        jac[:m, :m] = t.imag
+        np.negative(t.real[npv:], out=jac[m:, :m])
+        np.divide(t.real[:, npv:], vm[pq], out=jac[:m, m:])
+        np.divide(t.imag[npv:, npv:], vm[pq], out=jac[m:, m:])
+        diag_va = 1j * vk * np.conj(ibus[pvpq])
+        diag_vm = np.conj(ibus[pq]) * (v[pq] / vm[pq])
+        jac[rows_pvpq, rows_pvpq] += diag_va.real
+        jac[m + rows_pq, npv + rows_pq] += diag_va.imag[npv:]
+        jac[npv + rows_pq, m + rows_pq] += diag_vm.real
+        jac[m + rows_pq, m + rows_pq] += diag_vm.imag
+        try:
+            dx = np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(f"singular Jacobian at iteration {it}") from exc
+        va[pvpq] -= dx[:m]
+        vm[pq] -= dx[m:]
+        it += 1
+        if not (np.all(np.isfinite(vm)) and np.all(np.isfinite(va))) or np.any(vm <= 0):
+            raise PowerFlowDivergedError(
+                f"iterate left the feasible region at iteration {it}", it, float("inf"))
+    return PowerFlowSolution(v_mag=vm, v_ang=va, iterations=it, max_mismatch=max_mis,
+                             injections=s_inj)
+
+
+def reference_initialize_machines(case: GridCase, sol: PowerFlowSolution) -> GridCase:
+    idx = case.bus_index()
+    v = sol.voltage()
+    gens = []
+    for g in case.generators:
+        i = idx[g.bus]
+        if sol.v_mag[i] < 1e-9:
+            raise PowerFlowError(f"generator {g.id}: terminal voltage is zero at bus {g.bus}")
+        bus = case.bus(g.bus)
+        s_gen = sol.injections[i] + complex(bus.p_load, bus.q_load)
+        i_gen = np.conj(s_gen / v[i])
+        e = v[i] + 1j * g.xd_p * i_gen
+        p_elec = (e * np.conj(i_gen)).real
+        gens.append(replace(g, e_mag=float(abs(e)), delta0=float(np.angle(e)),
+                            p_mech=float(p_elec)))
+    buses = tuple(replace(b, v_mag=float(sol.v_mag[k]), v_ang=float(sol.v_ang[k]))
+                  for k, b in enumerate(case.buses))
+    return replace(case, buses=buses, generators=tuple(gens))
+
+
+def reference_kron_reduce(y: np.ndarray, case: GridCase, sol: PowerFlowSolution) -> np.ndarray:
+    n, m = case.n, len(case.generators)
+    idx = case.bus_index()
+    aug = np.zeros((n + m, n + m), dtype=complex)
+    aug[:n, :n] = y
+    for k, bus in enumerate(case.buses):
+        if bus.p_load != 0.0 or bus.q_load != 0.0:
+            vm = sol.v_mag[k]
+            aug[k, k] += complex(bus.p_load, -bus.q_load) / (vm * vm)
+    for g_i, gen in enumerate(case.generators):
+        b = idx[gen.bus]
+        yg = 1.0 / complex(0.0, gen.xd_p)
+        node = n + g_i
+        aug[node, node] += yg
+        aug[node, b] -= yg
+        aug[b, node] -= yg
+        aug[b, b] += yg
+    keep = np.arange(n, n + m)
+    elim = np.arange(n)
+    try:
+        x = np.linalg.solve(aug[np.ix_(elim, elim)], aug[np.ix_(elim, keep)])
+    except np.linalg.LinAlgError as exc:
+        raise SingularNetworkError("eliminated block is singular") from exc
+    return aug[np.ix_(keep, keep)] - aug[np.ix_(keep, elim)] @ x
+
+
+def reference_prepare(case: GridCase, y, scenarios, fault):
+    """Each scenario's initialized case, reduced network and power-flow
+    iteration count, one scenario after another."""
+    cases, nets, iterations = [], [], []
+    for s in scenarios:
+        scase = reference_apply_scenario(case, s)
+        sol = reference_newton_raphson(scase, y)
+        mcase = reference_initialize_machines(scase, sol)
+        variants = fault_variants(y, mcase, fault)
+        cases.append(mcase)
+        nets.append(ReducedNetwork(*(reference_kron_reduce(v, mcase, sol) for v in variants)))
+        iterations.append(sol.iterations)
+    return cases, nets, iterations
+
+
+def reference_first_error(case: GridCase, y, scenarios, fault):
+    """The first scenario the scenario-by-scenario loop fails on, and its
+    error; None when every scenario prepares."""
+    for k, s in enumerate(scenarios):
+        try:
+            reference_prepare(case, y, [s], fault)
+        except (PowerFlowError, DynamicsError) as exc:
+            return k, exc
+    return None

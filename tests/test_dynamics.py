@@ -7,17 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gridmesh.dynamics import (DynamicsError, NumericBlowupError, SecurityReport,
-                               SimulationConfig, SimulationResult, SingularNetworkError,
-                               SwitchTimeError, assess_run, kron_eliminate, kron_reduce,
-                               reduce_network, simulate_batch, simulate_dynamics,
-                               write_trajectory_csv)
-from gridmesh.model import FaultSpec, Generator, load_bundled_case
-from gridmesh.powerflow import PowerFlowError, initialize_machines, solve_power_flow
-from gridmesh.sampling import ForecastSpec, apply_scenario, draw_samples
-from gridmesh.ybus import build_ybus
+from gridmesh.dynamics import (DynamicsError, NumericBlowupError, ReducedNetwork,
+                               SecurityReport, SimulationConfig, SimulationResult,
+                               SingularNetworkError, SwitchTimeError, assess_run,
+                               kron_eliminate, kron_reduce, prepare_batch, reduce_network,
+                               simulate_batch, simulate_dynamics, write_trajectory_csv)
+from gridmesh.model import (Branch, Bus, CaseError, FaultSpec, Generator, GridCase,
+                            load_bundled_case)
+from gridmesh.powerflow import (Batch, Loads, Machines, PowerFlowDivergedError,
+                                PowerFlowError, SingularJacobianError, initialize_machines,
+                                solve_batch, solve_each, solve_power_flow)
+from gridmesh.sampling import ForecastSpec, Scenario, draw_samples, scenario_loads
+from gridmesh.ybus import YMatrix, build_ybus
 
-from helpers import perturb_machine, random_connected_case, reference_simulate, smib_case
+from helpers import (perturb_machine, random_connected_case, reference_apply_scenario,
+                     reference_first_error, reference_newton_raphson, reference_prepare,
+                     reference_simulate, smib_case)
 
 WS = 2 * math.pi * 60.0
 
@@ -68,8 +73,9 @@ class TestKron:
     def test_kron_reduce_dimension_is_machine_count(self):
         case = load_bundled_case("case9")
         mcase, sol = solved(case)
-        out = kron_reduce(build_ybus(case).to_dense(), mcase, sol)
-        assert out.shape == (3, 3)
+        out = kron_reduce(build_ybus(case).to_dense(), mcase, sol.batch_of_one(),
+                          Loads.of_case(mcase), Batch(1))
+        assert out.shape == (1, 3, 3)
         assert np.all(np.isfinite(out))
 
 
@@ -204,15 +210,18 @@ class TestSimulate:
 def prepared(case, scenarios, fault):
     """Each scenario's initialized machines and reduced network, as the cloud
     builds them before it integrates."""
-    y = build_ybus(case)
-    cases, nets = [], []
-    for s in scenarios:
-        scase = apply_scenario(case, s)
-        sol = solve_power_flow(scase, y=y)
-        mcase = initialize_machines(scase, sol)
-        cases.append(mcase)
-        nets.append(reduce_network(mcase, sol, fault, y))
+    cases, nets, _ = reference_prepare(case, build_ybus(case), scenarios, fault)
     return cases, nets
+
+
+VARIANTS = ("y_red_pre", "y_red_on", "y_red_post")
+
+
+def stacked(cases, nets):
+    """One batch of initialized cases and their reduced networks, as
+    ``simulate_batch`` takes it."""
+    return Machines.of_cases(cases), ReducedNetwork(
+        *(np.array([getattr(net, name) for net in nets]) for name in VARIANTS))
 
 
 def case9_batch(n):
@@ -247,7 +256,7 @@ class TestBatch:
 
     def test_case9_scenarios_equal_one_at_a_time(self):
         cases, nets, fault = case9_batch(12)
-        batched = simulate_batch(cases, nets, fault, self.CFG)
+        batched = simulate_batch(*stacked(cases, nets), fault, self.CFG)
         assert {r.verdict for r in batched} == {"Stable", "Unstable"}
         for c, net, got in zip(cases, nets, batched):
             assert_same_trajectory(got, reference_simulate(c, net, fault, self.CFG))
@@ -259,16 +268,18 @@ class TestBatch:
         cfg = SimulationConfig(t_end=100.02, dt=0.02, omega_s=WS)
         cases = [mcase, perturb_machine(mcase, 1, 0.1)]
         nets = [reduce_network(c, sol, fault, build_ybus(c)) for c in cases]
-        batched = simulate_batch(cases, nets, fault, cfg)
+        batched = simulate_batch(*stacked(cases, nets), fault, cfg)
         assert len(batched[0].times) == 2502 and batched[0].times[-1] == 5001 * 0.02
         for c, net, got in zip(cases, nets, batched):
             assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
 
     def test_empty_batch_and_mismatched_lengths(self):
         cases, nets, fault = case9_batch(2)
-        assert simulate_batch([], [], fault, self.CFG) == []
+        empty = ReducedNetwork(*[np.empty((0, 3, 3), dtype=complex)] * 3)
+        assert simulate_batch(Machines.of_cases([]), empty, fault, self.CFG) == []
         with pytest.raises(DynamicsError):
-            simulate_batch(cases, nets[:1], fault, self.CFG)
+            simulate_batch(Machines.of_cases(cases), stacked(cases[:1], nets[:1])[1],
+                           fault, self.CFG)
 
     def test_machine_counts_must_agree(self):
         cases, nets, fault = case9_batch(1)
@@ -276,7 +287,8 @@ class TestBatch:
         smib_fault = FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=0.27)
         smib_net = reduce_network(mcase, sol, smib_fault, build_ybus(mcase))
         with pytest.raises(DynamicsError):
-            simulate_batch([cases[0], mcase], [nets[0], smib_net], smib_fault, self.CFG)
+            simulate_batch(Machines.of_cases([cases[0]]), stacked([mcase], [smib_net])[1],
+                           smib_fault, self.CFG)
 
     def test_blowup_names_the_scenario_at_its_own_time(self):
         cases, nets, fault = case9_batch(4)
@@ -286,7 +298,7 @@ class TestBatch:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NumericBlowupError) as batched:
-                simulate_batch(cases, nets, fault, self.CFG)
+                simulate_batch(*stacked(cases, nets), fault, self.CFG)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert batched.value.t == alone.value.t
         assert str(batched.value).startswith("scenario 2: ")
@@ -302,7 +314,7 @@ class TestBatch:
             times.append(alone.value.t)
         assert times[0] > times[1]            # scenario 3 blows up first
         with pytest.raises(NumericBlowupError) as batched:
-            simulate_batch(cases, nets, fault, self.CFG)
+            simulate_batch(*stacked(cases, nets), fault, self.CFG)
         assert batched.value.t == times[0]
         assert str(batched.value).startswith("scenario 1: ")
 
@@ -323,10 +335,185 @@ class TestBatch:
             cases, nets = prepared(case, [samples[i] for i in picks], fault)
         except (PowerFlowError, DynamicsError):
             assume(False)
-        batched = simulate_batch(cases, nets, fault, cfg)
+        batched = simulate_batch(*stacked(cases, nets), fault, cfg)
         assert len(batched) == len(picks)
         for c, net, got in zip(cases, nets, batched):
             assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
+
+
+def preparation_outcome(case, scenarios, fault):
+    """What the batched preparation gives: machines, reduced networks and
+    power-flow iteration counts, or its error's class and message."""
+    y = build_ybus(case)
+    loads = scenario_loads(case, scenarios)
+    try:
+        machines, net = prepare_batch(case, y, loads, fault)
+    except (PowerFlowError, DynamicsError) as exc:
+        return type(exc), str(exc)
+    iterations = solve_batch(case, y.to_dense(), loads, Batch(len(loads))).iterations
+    return machines, net, iterations.tolist()
+
+
+def assert_same_preparation(case, scenarios, fault, cfg):
+    """The batch prepares every scenario bit for bit as the scenario-by-scenario
+    loop does, and integrates to the same trajectories; or it raises the error
+    the loop meets first, named with its scenario. Returns that error's class."""
+    got = preparation_outcome(case, scenarios, fault)
+    first = reference_first_error(case, build_ybus(case), scenarios, fault)
+    if first is not None:
+        k, exc = first
+        assert got == (type(exc), f"scenario {k}: {exc}")
+        return type(exc)
+    machines, net, iterations = got
+    cases, nets, want_iterations = reference_prepare(case, build_ybus(case), scenarios, fault)
+    assert iterations == want_iterations
+    want_machines, want_net = stacked(cases, nets)
+    for name in ("e_mag", "delta0", "p_mech", "h", "d"):
+        assert getattr(machines, name).tobytes() == getattr(want_machines, name).tobytes(), name
+    for name in VARIANTS:
+        assert getattr(net, name).tobytes() == getattr(want_net, name).tobytes(), name
+    for got_sim, want_sim in zip(simulate_batch(machines, net, fault, cfg),
+                                 simulate_batch(want_machines, want_net, fault, cfg)):
+        assert_same_trajectory(got_sim, want_sim)
+    return None
+
+
+def uniform(*multipliers, dims=3):
+    return [Scenario(id=i, multipliers=(m,) * dims, seed_lineage=())
+            for i, m in enumerate(multipliers)]
+
+
+def case9_with_radial_bus(p_load=0.0):
+    """case9 plus PQ bus 10, tied to bus 4 by branch 10 alone: with branch 10
+    cleared, bus 10 keeps nothing but its load in the post-fault network."""
+    case = load_bundled_case("case9")
+    return replace(case, buses=case.buses + (Bus(id=10, kind="PQ", p_load=p_load),),
+                   branches=case.branches + (Branch(id=10, from_bus=4, to_bus=10, r=0.0,
+                                                    x=0.1),))
+
+
+RADIAL_FAULT = FaultSpec(faulted_bus=4, t_fault=0.1, t_clear=0.2, cleared_branch=10)
+
+
+class TestPrepareBatch:
+    """``prepare_batch`` against the scenario-by-scenario loop it replaced,
+    ``helpers.reference_prepare``: the same bytes in every scenario, and the
+    same first error."""
+
+    FAULT = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.27, cleared_branch=6)
+    CFG = SimulationConfig(t_end=1.0, dt=0.01, omega_s=WS)
+
+    def test_case9_rows_freeze_at_their_own_iteration(self):
+        case = load_bundled_case("case9")
+        scenarios = uniform(1.0, 2.0, 1.5, 2.0, 0.5)
+        _, _, iterations = preparation_outcome(case, scenarios, self.FAULT)
+        assert len(set(iterations)) > 1
+        assert assert_same_preparation(case, scenarios, self.FAULT, self.CFG) is None
+
+    @given(seed=st.integers(0, 2**32 - 1), on_case9=st.booleans(),
+           n=st.integers(1, 6), spread=st.floats(0.0, 2.5))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_scenario_by_scenario(self, seed, on_case9, n, spread):
+        rng = random.Random(seed)
+        if on_case9:
+            case, fault = load_bundled_case("case9"), self.FAULT
+        else:
+            case = with_machines(random_connected_case(rng, rng.randint(4, 10), 1), rng)
+            fault = FaultSpec(faulted_bus=rng.choice(case.buses).id, t_fault=0.1, t_clear=0.2)
+        assume(case.load_bus_ids())
+        scenarios = [Scenario(id=i, seed_lineage=(),
+                              multipliers=tuple(rng.uniform(0.2, 1.0 + spread)
+                                                for _ in case.load_bus_ids()))
+                     for i in range(n)]
+        assert_same_preparation(case, scenarios, fault, self.CFG)
+
+    def test_the_lowest_diverging_scenario_names_the_error(self):
+        # scenarios 2 and 4 diverge, 4 in fewer iterations: the loop meets 2 first
+        case = load_bundled_case("case9")
+        for scenarios in (uniform(1.0, 1.5, 3.0, 1.2, 5.0),
+                          uniform(1.0, 3.0, 1.2, 3.0)):   # 1 and 3 in the same iteration
+            got = assert_same_preparation(case, scenarios, self.FAULT, self.CFG)
+            assert got is PowerFlowDivergedError
+
+    def test_rows_stopped_together_fail_at_the_lowest(self):
+        # every row needs 4 or 5 iterations, so all three stop at the cap together
+        case = load_bundled_case("case9")
+        y = build_ybus(case)
+        batch = Batch(3)
+        solve_batch(case, y.to_dense(), scenario_loads(case, uniform(1.0, 2.0, 1.5)), batch,
+                    max_iter=1)
+        with pytest.raises(PowerFlowDivergedError) as alone:
+            reference_newton_raphson(reference_apply_scenario(case, uniform(1.0)[0]), y,
+                                     max_iter=1)
+        assert batch.live == 0
+        assert str(batch.error) == str(alone.value)
+        assert batch.error.iterations == alone.value.iterations == 1
+
+    def test_a_lower_scenario_fails_a_later_stage_first(self):
+        # every scenario's post-fault Kron block is singular, and scenario 2
+        # diverges: the loop meets scenario 0's singular block first
+        case = case9_with_radial_bus()
+        assert assert_same_preparation(case, uniform(1.0, 1.0, 3.0), RADIAL_FAULT,
+                                       self.CFG) is SingularNetworkError
+        # when scenario 0 diverges, its power flow fails before any reduction
+        assert assert_same_preparation(case, uniform(3.0, 1.0), RADIAL_FAULT,
+                                       self.CFG) is PowerFlowDivergedError
+
+    def test_a_bad_fault_is_met_once_the_first_scenario_is_solved(self):
+        case = load_bundled_case("case9").with_branch_status({9: "Open"})
+        fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=9)
+        y = build_ybus(case)
+        with pytest.raises(CaseError, match="not Closed"):
+            reference_prepare(case, y, uniform(1.0, 3.0), fault)
+        with pytest.raises(CaseError, match="not Closed"):
+            prepare_batch(case, y, scenario_loads(case, uniform(1.0, 3.0)), fault)
+        assert preparation_outcome(case, uniform(3.0, 1.0), fault)[0] is PowerFlowDivergedError
+
+    def test_a_singular_kron_block_names_its_scenario(self):
+        # scenario 2 has no load on bus 10, whose post-fault row is then all zero
+        case = case9_with_radial_bus(p_load=0.1)
+        y = build_ybus(case)
+        one = Loads.of_case(case)
+        loads = Loads(*(np.repeat(a, 4, axis=0) for a in (one.p_load, one.q_load, one.p_mech)))
+        loads.p_load[2, case.bus_index()[10]] = 0.0
+        with pytest.raises(SingularNetworkError,
+                           match="^scenario 2: eliminated block is singular$") as info:
+            prepare_batch(case, y, loads, RADIAL_FAULT)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        head = Loads(loads.p_load[:2], loads.q_load[:2], loads.p_mech[:2])
+        _, net = prepare_batch(case, y, head, RADIAL_FAULT)
+        _, alone = prepare_batch(case, y, one, RADIAL_FAULT)
+        for name in VARIANTS:
+            assert getattr(net, name)[1].tobytes() == getattr(alone, name)[0].tobytes()
+
+    def test_a_singular_jacobian_names_its_scenario(self):
+        # bus 3 is tied in by branch 2, but the matrix leaves out its row and column
+        case = GridCase(
+            buses=(Bus(id=1, kind="Slack"), Bus(id=2, kind="PQ", p_load=0.5),
+                   Bus(id=3, kind="PQ", p_load=0.2, q_load=0.1)),
+            branches=(Branch(id=1, from_bus=1, to_bus=2, r=0.01, x=0.1),
+                      Branch(id=2, from_bus=2, to_bus=3, r=0.01, x=0.1)),
+            generators=(Generator(id=1, bus=1, h=5.0, d=0.0, xd_p=0.1),))
+        full = build_ybus(case)
+        y = YMatrix(full.n, {pos: t for pos, t in full.contribs.items() if 2 not in pos})
+        with pytest.raises(SingularJacobianError,
+                           match="^scenario 0: singular Jacobian at iteration 0$") as info:
+            prepare_batch(case, y, scenario_loads(case, uniform(1.0, 1.1, dims=2)),
+                          FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=0.2))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_a_stacked_solve_stops_at_its_first_singular_system(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        b = rng.normal(size=(5, 4, 2)) + 1j * rng.normal(size=(5, 4, 2))
+        a[2] = a[4] = 0.0
+        x, exc = solve_each(a, b)
+        assert len(x) == 2 and isinstance(exc, np.linalg.LinAlgError)
+        for k in range(2):
+            assert x[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
+        with pytest.raises(SingularNetworkError) as info:
+            kron_eliminate(np.concatenate([a[:1], a[2:3]]), np.array([0]))
+        assert info.value.row == 1
 
 
 class TestAssessAndExport:

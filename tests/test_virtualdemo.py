@@ -7,15 +7,17 @@ from gridmesh.core import ACK_TIMEOUT_S, UPLINK, EdgeCore, Send, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import EventLog, read_events
 from gridmesh.linkem import default_5g_sa_profile, zero_impairment_profile
-from gridmesh.model import FaultSpec, load_bundled_case
+from gridmesh.model import Branch, Bus, FaultSpec, Generator, GridCase, load_bundled_case
 from gridmesh.nodes import UeScriptItem
 from gridmesh.pipeline import DsaParams, RunManifest
 from gridmesh.reports import emit_report
-from gridmesh.sampling import ForecastSpec
+from gridmesh.sampling import ForecastSpec, combine_region_sets
 from gridmesh.store import FileStore, upload_key
 from gridmesh.virtualdemo import run_virtual_demo
 from gridmesh.wire import canonical_json
-from gridmesh.ybus import build_partials
+from gridmesh.ybus import build_partials, build_ybus
+
+from helpers import reference_first_error
 
 FAULT = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=6)
 CFG = SimulationConfig(t_end=2.0, dt=0.005)
@@ -51,6 +53,32 @@ class TestVirtualTopology:
         recvs = sorted(r.t_ms for r in report.rows if r.stage == "edge_recv")
         assert len(sends) == len(recvs)
         assert all(0 <= rv - sd < 5.0 for sd, rv in zip(sends, recvs))
+
+    def test_region_owning_only_open_branches_uploads_an_empty_partial(self, tmp_path):
+        # R2 owns no bus, only branch 3 in parallel with R1's branch 1; once
+        # its UE opens branch 3 the region has nothing left to stamp
+        case = GridCase(
+            buses=(Bus(id=1, kind="Slack", owner_region="R1"),
+                   Bus(id=2, kind="PV", owner_region="R1")),
+            branches=(Branch(id=1, from_bus=1, to_bus=2, r=0.0, x=0.4),
+                      Branch(id=3, from_bus=1, to_bus=2, r=0.0, x=0.4, owner_region="R2")),
+            generators=(Generator(id=1, bus=1, h=1e6, d=0.0, xd_p=1e-6),
+                        Generator(id=2, bus=2, h=3.0, d=0.0, xd_p=0.3, p_mech=0.8)))
+        fault = FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=0.2)
+        manifest = RunManifest(run_id=RID, expected_regions=("R1", "R2"), mode="Topology",
+                               fault=fault, sim_cfg=CFG)
+        opens = UeScriptItem(at_s=0.2, kind="topology",
+                             branches=({"id": 3, "status": "Open"},))
+        store = FileStore(tmp_path / "store")
+        out = run_virtual_demo(case, manifest, store, tmp_path / "logs",
+                               zero_impairment_profile(),
+                               {"ue-1": ("R1", []), "ue-2": ("R2", [opens])})
+        assert out.exit_code == 0
+        upload = pipeline.parse_upload(store.get(upload_key(RID, "R2")))
+        assert upload["partial"].branch_ids == frozenset() and not upload["partial"].contribs
+        assert upload["status_deltas"] == {3: "Open"}
+        _, expected = pipeline.monolithic_topology(case, {3: "Open"}, fault, CFG)
+        assert out.result_blob == expected
 
     @pytest.mark.parametrize("mode", ["Topology", "DSA"])
     def test_every_frame_sent_has_a_reader(self, mode, tmp_path, monkeypatch):
@@ -182,6 +210,25 @@ class TestVirtualDsa:
             case, {}, dsa, FAULT, CFG, forecasts=dict.fromkeys(("R1", "R2", "R3"), spec))
         _, default = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG)
         assert expected not in (everywhere, default)
+
+
+    def test_a_diverging_scenario_fails_the_run_as_the_loop_would(self, tmp_path):
+        # loads of up to 3.5 times their base: some joint scenario's power flow diverges
+        case = load_bundled_case("case9")
+        spec = ForecastSpec(n_dims=1, dist="uniform", half_width=2.5)
+        dsa = DsaParams(n_raw=20, k=3, seed=5)
+        item = UeScriptItem(at_s=0.0, kind="forecast", forecast=spec.to_dict())
+        logs = tmp_path / "logs"
+        out = run_virtual_demo(case, dsa_manifest(dsa), FileStore(tmp_path / "store"), logs,
+                               zero_impairment_profile(),
+                               {f"ue-{r}": (r, [item]) for r in ("R1", "R2", "R3")})
+        assert out.exit_code == 2
+        joint, _ = combine_region_sets({r: pipeline.region_scenarios(case, r, dsa, spec)[:2]
+                                        for r in ("R1", "R2", "R3")})
+        k, exc = reference_first_error(case, build_ybus(case), joint.representatives, FAULT)
+        failed = [f for ev, f in _events(logs, "cloud") if ev == "run_failed"]
+        assert [f["reason"] for f in failed] == [type(exc).__name__]
+        assert failed[0]["detail"] == f"scenario {k}: {exc}".replace(" ", "_")
 
 
 class TestDsaOracle:
