@@ -13,7 +13,7 @@ from .powerflow import (Loads, Machines, PowerFlowSolution, initialize_machines,
 from .ybus import (PartialAdmittance, YMatrix, build_partial, build_partials,
                    build_ybus, fault_variants, merge_partials)
 from .dynamics import (ReducedNetwork, SecurityReport, SimulationConfig,
-                       SimulationResult, assess_run, kron_eliminate, kron_reduce,
+                       SimulationResult, assess_run, kron_eliminate,
                        prepare_batch, reduce_network, simulate_batch, simulate_dynamics)
 from .sampling import (ForecastSpec, Scenario, ScenarioSet, apply_scenario,
                        combine_region_sets, draw_samples, reduce_scenarios, scenario_loads)
@@ -32,7 +32,7 @@ __all__ = [
     "PartialAdmittance", "YMatrix", "build_partial", "build_partials",
     "build_ybus", "fault_variants", "merge_partials",
     "ReducedNetwork", "SecurityReport", "SimulationConfig", "SimulationResult",
-    "assess_run", "kron_eliminate", "kron_reduce", "prepare_batch", "reduce_network",
+    "assess_run", "kron_eliminate", "prepare_batch", "reduce_network",
     "simulate_batch", "simulate_dynamics",
     "ForecastSpec", "Scenario", "ScenarioSet", "apply_scenario",
     "combine_region_sets", "draw_samples", "reduce_scenarios", "scenario_loads",

@@ -23,19 +23,22 @@ builds the fault variants of the one dense matrix once and reduces all
 scenarios of each variant in one stacked Kron elimination;
 ``simulate_batch`` then steps them all in one RK4 loop. Every scenario gets
 the bytes it gets alone, and the single-case ``reduce_network`` and
-``simulate_dynamics`` are batches of one.
+``simulate_dynamics`` are batches of one. The stacked Jacobians and
+augmented matrices grow with scenarios x buses^2, so ``prepare_batch``
+takes the scenarios in consecutive chunks whose working arrays fit in
+``PREPARE_BUDGET_BYTES``; on a small case one chunk holds them all.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .model import FaultSpec, GridCase, validate_fault
-from .powerflow import (Batch, Loads, Machines, PowerFlowSolution, generator_bus_rows,
-                        initialize_batch, solve_batch, solve_each)
+from .powerflow import (Batch, BatchSolution, Loads, Machines, PowerFlowSolution,
+                        generator_bus_rows, initialize_batch, solve_batch, solve_each)
 from .ybus import YMatrix, fault_variants
 
 MAX_STORED_POINTS = 5000
@@ -44,6 +47,10 @@ STABLE = "Stable"
 UNSTABLE = "Unstable"
 
 _VARIANTS = ("y_red_pre", "y_red_on", "y_red_post")
+
+# The working arrays of the scenarios prepared at once stay under this many
+# bytes, whatever the case's size and the number of scenarios.
+PREPARE_BUDGET_BYTES = 64 << 20
 
 
 class DynamicsError(Exception):
@@ -165,10 +172,12 @@ def kron_eliminate(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return ykk - yke @ x.reshape(yek.shape)
 
 
-def kron_reduce(y: np.ndarray, case: GridCase, sol: PowerFlowSolution, loads: Loads,
+def kron_reduce(y: np.ndarray, case: GridCase, sol: BatchSolution, loads: Loads,
                 batch: Batch) -> np.ndarray:
     """Reduce the dense bus-level matrix to the generator internal nodes, for
     scenarios [0, batch.live); ``sol`` and ``loads`` hold one row per scenario.
+    ``reduce_batch`` calls it once per fault variant (``bench/tracing.py``
+    times it by this name).
 
     Loads are converted to constant admittances y_load = (P - jQ)/|V|^2 at the
     solved voltages; each machine couples through 1/(j xd'). Internal nodes are
@@ -208,17 +217,17 @@ def reduce_network(case: GridCase, sol: PowerFlowSolution, fault: FaultSpec,
     """Pre/on/post-fault reduced matrices for one fault, sharing one operating
     point: ``reduce_batch`` for the case's own loads, a batch of one."""
     batch = Batch(1)
-    net = reduce_batch(case, sol.batch_of_one(), Loads.of_case(case), fault, y, batch)
+    net = reduce_batch(case, BatchSolution.of(sol), Loads.of_case(case),
+                       fault_variants(y, case, fault), batch)
     batch.raise_error()
     return ReducedNetwork(net.y_red_pre[0], net.y_red_on[0], net.y_red_post[0])
 
 
-def reduce_batch(case: GridCase, sol: PowerFlowSolution, loads: Loads, fault: FaultSpec,
-                 y: YMatrix, batch: Batch) -> ReducedNetwork:
-    """Every scenario's pre/on/post-fault reduced matrices over one set of
-    fault variants; a scenario whose matrices are singular or not finite
-    fails the batch, the first failing variant first."""
-    variants = fault_variants(y, case, fault)
+def reduce_batch(case: GridCase, sol: BatchSolution, loads: Loads,
+                 variants: tuple[np.ndarray, ...], batch: Batch) -> ReducedNetwork:
+    """Every scenario's reduced matrices of the pre/on/post-fault ``variants``
+    (from ``fault_variants``); a scenario whose matrices are singular or not
+    finite fails the batch, the first failing variant first."""
     reduced = [kron_reduce(v, case, sol, loads, batch) for v in variants]
     for name, mat in zip(_VARIANTS, reduced):
         bad = np.flatnonzero(~np.isfinite(mat[:batch.live]).all(axis=(1, 2)))
@@ -227,25 +236,55 @@ def reduce_batch(case: GridCase, sol: PowerFlowSolution, loads: Loads, fault: Fa
     return ReducedNetwork(*(mat[:batch.live] for mat in reduced))
 
 
+def chunk_rows(case: GridCase) -> int:
+    """How many scenarios ``prepare_batch`` prepares at once.
+
+    One scenario's working arrays take under 64 (n + g)^2 bytes for n buses
+    and g machines: a Newton step holds a Jacobian of at most 2n x 2n floats
+    and either the complex products it is built from or the copy that
+    ``np.linalg.solve`` makes, and the Kron stage a complex augmented matrix
+    of (n + g)^2 entries and its eliminated block.
+    """
+    row_bytes = 64 * (case.n + len(case.generators)) ** 2
+    return max(1, PREPARE_BUDGET_BYTES // row_bytes)
+
+
 def prepare_batch(case: GridCase, y: YMatrix, loads: Loads,
                   fault: FaultSpec) -> tuple[Machines, ReducedNetwork]:
     """Every scenario's initialized machines and reduced network, over one
     dense matrix and one set of fault variants.
 
-    The stages run in a scenario-by-scenario loop's order: power flow and
-    machine initialization for every scenario, then, if the first scenario
-    got through them, the fault variants and the reductions. A failing
-    scenario raises the error that loop would meet first, named with its
-    scenario.
+    The scenarios go through in consecutive chunks of ``chunk_rows``; each
+    row is computed as it is alone, so the chunking changes no byte. The
+    stages run in a scenario-by-scenario loop's order: power flow and
+    machine initialization for every scenario of a chunk, then, if the
+    run's first scenario got through them, the fault variants (built once)
+    and the chunk's reductions. A failing scenario raises the error that
+    loop would meet first, named with its scenario, and later chunks are
+    not prepared.
     """
-    batch = Batch(len(loads))
-    sol = solve_batch(case, y.to_dense(), loads, batch)
-    machines = initialize_batch(case, sol, loads, batch)
-    if batch.live == 0:                  # the first scenario never reached its fault
+    dense = y.to_dense()
+    size = chunk_rows(case)
+    variants = None
+    parts = []
+    for first in range(0, max(len(loads), 1), size):
+        chunk = loads[first:first + size]
+        batch = Batch(len(chunk), first)
+        sol = solve_batch(case, dense, chunk, batch)
+        machines = initialize_batch(case, sol, chunk, batch)
+        if batch.live == 0:              # the chunk's first scenario never reached its fault
+            batch.raise_error(name_row=True)
+        if variants is None:
+            variants = fault_variants(y, case, fault)
+        net = reduce_batch(case, sol, chunk, variants, batch)
         batch.raise_error(name_row=True)
-    net = reduce_batch(case, sol, loads, fault, y, batch)
-    batch.raise_error(name_row=True)
-    return machines, net
+        parts.append((machines, net))
+    if len(parts) == 1:
+        return parts[0]
+    return (Machines(*(np.concatenate([getattr(m, f.name) for m, _ in parts])
+                       for f in fields(Machines))),
+            ReducedNetwork(*(np.concatenate([getattr(net, name) for _, net in parts])
+                             for name in _VARIANTS)))
 
 
 def _snap_step(t: float, dt: float, name: str) -> int:

@@ -55,10 +55,12 @@ class Batch:
     ``fail`` records a scenario's error; from then on only the scenarios
     before it are computed, and ``raise_error`` raises the error of the
     lowest failing scenario, the one a scenario-by-scenario loop meets first.
+    Row 0 is scenario ``first`` of the run.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, first: int = 0):
         self.live = size
+        self.first = first
         self.error: Exception | None = None
 
     def fail(self, row: int, error: Exception) -> None:
@@ -71,7 +73,7 @@ class Batch:
         if self.error is None:
             return
         if name_row:
-            self.error.args = (f"scenario {self.live}: {self.error}",)
+            self.error.args = (f"scenario {self.first + self.live}: {self.error}",)
         raise self.error
 
 
@@ -102,6 +104,9 @@ class Loads:
     def __len__(self) -> int:
         return len(self.p_load)
 
+    def __getitem__(self, rows: slice) -> "Loads":
+        return Loads(self.p_load[rows], self.q_load[rows], self.p_mech[rows])
+
     @classmethod
     def of_case(cls, case: GridCase) -> "Loads":
         """The case's own loads and mechanical power, as a batch of one."""
@@ -112,8 +117,7 @@ class Loads:
 
 @dataclass(frozen=True, eq=False)
 class PowerFlowSolution:
-    """One operating point. From ``solve_batch`` every field has a leading
-    scenario axis, so ``iterations`` and ``max_mismatch`` are arrays too."""
+    """One operating point."""
 
     v_mag: np.ndarray       # per bus, ascending id order
     v_ang: np.ndarray       # rad
@@ -125,10 +129,29 @@ class PowerFlowSolution:
         """Complex bus voltage phasors."""
         return self.v_mag * np.exp(1j * self.v_ang)
 
-    def batch_of_one(self) -> "PowerFlowSolution":
-        return PowerFlowSolution(self.v_mag[None], self.v_ang[None],
-                                 np.array([self.iterations]),
-                                 np.array([self.max_mismatch]), self.injections[None])
+
+@dataclass(frozen=True, eq=False)
+class BatchSolution:
+    """One operating point per scenario: ``PowerFlowSolution``'s fields with
+    a leading scenario axis, (scenarios, buses) or (scenarios,)."""
+
+    v_mag: np.ndarray
+    v_ang: np.ndarray
+    iterations: np.ndarray
+    max_mismatch: np.ndarray
+    injections: np.ndarray
+
+    @classmethod
+    def of(cls, sol: PowerFlowSolution) -> "BatchSolution":
+        """One solution as a batch of one."""
+        return cls(sol.v_mag[None], sol.v_ang[None], np.array([sol.iterations]),
+                   np.array([sol.max_mismatch]), sol.injections[None])
+
+    def row(self, k: int) -> PowerFlowSolution:
+        return PowerFlowSolution(v_mag=self.v_mag[k], v_ang=self.v_ang[k],
+                                 iterations=int(self.iterations[k]),
+                                 max_mismatch=float(self.max_mismatch[k]),
+                                 injections=self.injections[k])
 
 
 def generator_bus_rows(case: GridCase) -> np.ndarray:
@@ -149,7 +172,7 @@ def _specified_injections(case: GridCase, loads: Loads) -> np.ndarray:
 
 
 def solve_batch(case: GridCase, ybus: np.ndarray, loads: Loads, batch: Batch,
-                tol: float = 1e-8, max_iter: int = 20) -> PowerFlowSolution:
+                tol: float = 1e-8, max_iter: int = 20) -> BatchSolution:
     """Newton-Raphson in polar form with an analytic Jacobian, for every
     scenario of ``loads`` over one dense matrix. Rows from ``batch.live`` on
     hold no solution."""
@@ -169,10 +192,9 @@ def solve_batch(case: GridCase, ybus: np.ndarray, loads: Loads, batch: Batch,
     diag_pq = np.arange(npq)
 
     size = len(loads)
-    out = PowerFlowSolution(v_mag=np.empty((size, case.n)), v_ang=np.empty((size, case.n)),
-                            iterations=np.zeros(size, dtype=int),
-                            max_mismatch=np.zeros(size),
-                            injections=np.empty((size, case.n), dtype=complex))
+    out = BatchSolution(v_mag=np.empty((size, case.n)), v_ang=np.empty((size, case.n)),
+                        iterations=np.zeros(size, dtype=int), max_mismatch=np.zeros(size),
+                        injections=np.empty((size, case.n), dtype=complex))
     rows = np.arange(batch.live)             # the scenario of each working row
     jacobians = np.empty((len(rows), m + npq, m + npq))
     vm = np.tile(np.array([b.v_mag for b in case.buses], dtype=float), (len(rows), 1))
@@ -259,10 +281,7 @@ def solve_power_flow(case: GridCase, tol: float = 1e-8, max_iter: int = 20,
     batch = Batch(1)
     sol = solve_batch(case, y.to_dense(), Loads.of_case(case), batch, tol, max_iter)
     batch.raise_error()
-    return PowerFlowSolution(v_mag=sol.v_mag[0], v_ang=sol.v_ang[0],
-                             iterations=int(sol.iterations[0]),
-                             max_mismatch=float(sol.max_mismatch[0]),
-                             injections=sol.injections[0])
+    return sol.row(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +307,7 @@ class Machines:
         return cls(*(per_machine(a) for a in ("e_mag", "delta0", "p_mech", "h", "d")))
 
 
-def initialize_batch(case: GridCase, sol: PowerFlowSolution, loads: Loads,
+def initialize_batch(case: GridCase, sol: BatchSolution, loads: Loads,
                      batch: Batch) -> Machines:
     """Internal EMF, rotor angle and mechanical power of every machine, per scenario.
 
@@ -333,7 +352,7 @@ def initialize_machines(case: GridCase, sol: PowerFlowSolution) -> GridCase:
     (``initialize_batch`` for a batch of one) and its buses at the solved
     voltages."""
     batch = Batch(1)
-    machines = initialize_batch(case, sol.batch_of_one(), Loads.of_case(case), batch)
+    machines = initialize_batch(case, BatchSolution.of(sol), Loads.of_case(case), batch)
     batch.raise_error()
     gens = tuple(replace(g, e_mag=float(machines.e_mag[0, k]),
                          delta0=float(machines.delta0[0, k]),

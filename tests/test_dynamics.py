@@ -1,22 +1,26 @@
 import math
 import random
+import tracemalloc
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gridmesh import dynamics
 from gridmesh.dynamics import (DynamicsError, NumericBlowupError, ReducedNetwork,
                                SecurityReport, SimulationConfig, SimulationResult,
-                               SingularNetworkError, SwitchTimeError, assess_run,
+                               SingularNetworkError, SwitchTimeError, assess_run, chunk_rows,
                                kron_eliminate, kron_reduce, prepare_batch, reduce_network,
                                simulate_batch, simulate_dynamics, write_trajectory_csv)
 from gridmesh.model import (Branch, Bus, CaseError, FaultSpec, Generator, GridCase,
                             load_bundled_case)
-from gridmesh.powerflow import (Batch, Loads, Machines, PowerFlowDivergedError,
-                                PowerFlowError, SingularJacobianError, initialize_machines,
-                                solve_batch, solve_each, solve_power_flow)
+from gridmesh.powerflow import (Batch, BatchSolution, Loads, Machines,
+                                PowerFlowDivergedError, PowerFlowError, SingularJacobianError,
+                                initialize_machines, solve_batch, solve_each, solve_power_flow)
 from gridmesh.sampling import ForecastSpec, Scenario, draw_samples, scenario_loads
 from gridmesh.ybus import YMatrix, build_ybus
 
@@ -73,7 +77,7 @@ class TestKron:
     def test_kron_reduce_dimension_is_machine_count(self):
         case = load_bundled_case("case9")
         mcase, sol = solved(case)
-        out = kron_reduce(build_ybus(case).to_dense(), mcase, sol.batch_of_one(),
+        out = kron_reduce(build_ybus(case).to_dense(), mcase, BatchSolution.of(sol),
                           Loads.of_case(mcase), Batch(1))
         assert out.shape == (1, 3, 3)
         assert np.all(np.isfinite(out))
@@ -383,6 +387,31 @@ def uniform(*multipliers, dims=3):
             for i, m in enumerate(multipliers)]
 
 
+def row_bytes(case):
+    return 64 * (case.n + len(case.generators)) ** 2
+
+
+@contextmanager
+def chunks_of(case, rows):
+    """``prepare_batch`` takes the scenarios of ``case`` ``rows`` at a time."""
+    with mock.patch.object(dynamics, "PREPARE_BUDGET_BYTES", rows * row_bytes(case)):
+        assert chunk_rows(case) == rows
+        yield
+
+
+def chain_case(n, machines=1):
+    """Machines on the first buses of a chain (a slack, then PV buses), the
+    other buses lightly loaded PQ buses."""
+    buses = tuple(Bus(id=i, kind="Slack" if i == 1 else "PV" if i <= machines else "PQ",
+                      p_load=0.002 if i > machines else 0.0,
+                      q_load=0.001 if i > machines else 0.0) for i in range(1, n + 1))
+    branches = tuple(Branch(id=i, from_bus=i, to_bus=i + 1, r=0.0005, x=0.005)
+                     for i in range(1, n))
+    return GridCase(buses=buses, branches=branches,
+                    generators=tuple(Generator(id=i, bus=i, h=5.0, d=1.0, xd_p=0.2)
+                                     for i in range(1, machines + 1)))
+
+
 def case9_with_radial_bus(p_load=0.0):
     """case9 plus PQ bus 10, tied to bus 4 by branch 10 alone: with branch 10
     cleared, bus 10 keeps nothing but its load in the post-fault network."""
@@ -411,9 +440,9 @@ class TestPrepareBatch:
         assert assert_same_preparation(case, scenarios, self.FAULT, self.CFG) is None
 
     @given(seed=st.integers(0, 2**32 - 1), on_case9=st.booleans(),
-           n=st.integers(1, 6), spread=st.floats(0.0, 2.5))
+           n=st.integers(1, 6), spread=st.floats(0.0, 2.5), rows=st.integers(1, 7))
     @settings(max_examples=40, deadline=None)
-    def test_batch_equals_scenario_by_scenario(self, seed, on_case9, n, spread):
+    def test_batch_equals_scenario_by_scenario(self, seed, on_case9, n, spread, rows):
         rng = random.Random(seed)
         if on_case9:
             case, fault = load_bundled_case("case9"), self.FAULT
@@ -425,14 +454,17 @@ class TestPrepareBatch:
                               multipliers=tuple(rng.uniform(0.2, 1.0 + spread)
                                                 for _ in case.load_bus_ids()))
                      for i in range(n)]
-        assert_same_preparation(case, scenarios, fault, self.CFG)
+        with chunks_of(case, rows):
+            assert_same_preparation(case, scenarios, fault, self.CFG)
 
-    def test_the_lowest_diverging_scenario_names_the_error(self):
+    @pytest.mark.parametrize("rows", [5, 2, 1])
+    def test_the_lowest_diverging_scenario_names_the_error(self, rows):
         # scenarios 2 and 4 diverge, 4 in fewer iterations: the loop meets 2 first
         case = load_bundled_case("case9")
         for scenarios in (uniform(1.0, 1.5, 3.0, 1.2, 5.0),
                           uniform(1.0, 3.0, 1.2, 3.0)):   # 1 and 3 in the same iteration
-            got = assert_same_preparation(case, scenarios, self.FAULT, self.CFG)
+            with chunks_of(case, rows):
+                got = assert_same_preparation(case, scenarios, self.FAULT, self.CFG)
             assert got is PowerFlowDivergedError
 
     def test_rows_stopped_together_fail_at_the_lowest(self):
@@ -449,36 +481,42 @@ class TestPrepareBatch:
         assert str(batch.error) == str(alone.value)
         assert batch.error.iterations == alone.value.iterations == 1
 
-    def test_a_lower_scenario_fails_a_later_stage_first(self):
+    @pytest.mark.parametrize("rows", [3, 1])
+    def test_a_lower_scenario_fails_a_later_stage_first(self, rows):
         # every scenario's post-fault Kron block is singular, and scenario 2
         # diverges: the loop meets scenario 0's singular block first
         case = case9_with_radial_bus()
-        assert assert_same_preparation(case, uniform(1.0, 1.0, 3.0), RADIAL_FAULT,
-                                       self.CFG) is SingularNetworkError
-        # when scenario 0 diverges, its power flow fails before any reduction
-        assert assert_same_preparation(case, uniform(3.0, 1.0), RADIAL_FAULT,
-                                       self.CFG) is PowerFlowDivergedError
+        with chunks_of(case, rows):
+            assert assert_same_preparation(case, uniform(1.0, 1.0, 3.0), RADIAL_FAULT,
+                                           self.CFG) is SingularNetworkError
+            # when scenario 0 diverges, its power flow fails before any reduction
+            assert assert_same_preparation(case, uniform(3.0, 1.0), RADIAL_FAULT,
+                                           self.CFG) is PowerFlowDivergedError
 
-    def test_a_bad_fault_is_met_once_the_first_scenario_is_solved(self):
+    @pytest.mark.parametrize("rows", [2, 1])
+    def test_a_bad_fault_is_met_once_the_first_scenario_is_solved(self, rows):
         case = load_bundled_case("case9").with_branch_status({9: "Open"})
         fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=9)
         y = build_ybus(case)
         with pytest.raises(CaseError, match="not Closed"):
             reference_prepare(case, y, uniform(1.0, 3.0), fault)
-        with pytest.raises(CaseError, match="not Closed"):
-            prepare_batch(case, y, scenario_loads(case, uniform(1.0, 3.0)), fault)
-        assert preparation_outcome(case, uniform(3.0, 1.0), fault)[0] is PowerFlowDivergedError
+        with chunks_of(case, rows):
+            with pytest.raises(CaseError, match="not Closed"):
+                prepare_batch(case, y, scenario_loads(case, uniform(1.0, 3.0)), fault)
+            assert (preparation_outcome(case, uniform(3.0, 1.0), fault)[0]
+                    is PowerFlowDivergedError)
 
-    def test_a_singular_kron_block_names_its_scenario(self):
+    @pytest.mark.parametrize("rows", [4, 2])
+    def test_a_singular_kron_block_names_its_scenario(self, rows):
         # scenario 2 has no load on bus 10, whose post-fault row is then all zero
         case = case9_with_radial_bus(p_load=0.1)
         y = build_ybus(case)
         one = Loads.of_case(case)
         loads = Loads(*(np.repeat(a, 4, axis=0) for a in (one.p_load, one.q_load, one.p_mech)))
         loads.p_load[2, case.bus_index()[10]] = 0.0
-        with pytest.raises(SingularNetworkError,
-                           match="^scenario 2: eliminated block is singular$") as info:
+        with chunks_of(case, rows), pytest.raises(SingularNetworkError) as info:
             prepare_batch(case, y, loads, RADIAL_FAULT)
+        assert str(info.value) == "scenario 2: eliminated block is singular"
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
         head = Loads(loads.p_load[:2], loads.q_load[:2], loads.p_mech[:2])
         _, net = prepare_batch(case, y, head, RADIAL_FAULT)
@@ -514,6 +552,46 @@ class TestPrepareBatch:
         with pytest.raises(SingularNetworkError) as info:
             kron_eliminate(np.concatenate([a[:1], a[2:3]]), np.array([0]))
         assert info.value.row == 1
+
+
+class TestPrepareChunks:
+    """``prepare_batch`` bounds its working memory by preparing the scenarios
+    ``chunk_rows`` at a time."""
+
+    def test_chunks_fit_the_budget_on_a_large_case(self):
+        # the bench's 509-bus lattice has three machines; 1000 scenarios at
+        # once would need gigabytes
+        large = chain_case(509, machines=3)
+        rows = chunk_rows(large)
+        assert 1 <= rows < 1000
+        assert rows * row_bytes(large) <= dynamics.PREPARE_BUDGET_BYTES
+        # a DSA run on case9 at k=10 still prepares its 1000 scenarios at once
+        assert chunk_rows(load_bundled_case("case9")) >= 1000
+        with mock.patch.object(dynamics, "PREPARE_BUDGET_BYTES", 1):
+            assert chunk_rows(large) == 1
+
+    def test_traced_peak_follows_the_chunk_not_the_scenario_count(self):
+        case = chain_case(150)
+        y = build_ybus(case)
+        loads = scenario_loads(case, uniform(*np.linspace(0.8, 1.2, 12), dims=case.n - 1))
+        fault = FaultSpec(faulted_bus=75, t_fault=0.1, t_clear=0.2)
+        per_run = 4 * 16 * case.n ** 2      # the dense matrix and its three fault variants
+
+        def peak(rows):
+            with chunks_of(case, rows):
+                tracemalloc.start()
+                try:
+                    got = prepare_batch(case, y, loads, fault)
+                    return tracemalloc.get_traced_memory()[1], got
+                finally:
+                    tracemalloc.stop()
+
+        chunked, (machines, net) = peak(2)
+        whole, (want_machines, want_net) = peak(12)
+        assert chunked <= 2 * row_bytes(case) + per_run < whole
+        assert machines.e_mag.tobytes() == want_machines.e_mag.tobytes()
+        for name in VARIANTS:
+            assert getattr(net, name).tobytes() == getattr(want_net, name).tobytes()
 
 
 class TestAssessAndExport:
