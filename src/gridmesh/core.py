@@ -21,7 +21,9 @@ It performs the actions in list order, by one rule:
 - ``Done(code)``: record the UE's or the run's exit code once every sent frame is delivered.
 
 ``handle`` never raises on malformed input: it adds an error reply, or for a
-UE an error line, to the actions decided before the fault. No frame goes to a
+UE an error line, to the actions decided before the fault. An edge or the
+cloud answers a frame kind it does not take with ``unexpected_kind`` and
+one reject log line, and changes no state. No frame goes to a
 receiver that ignores it: a UE's frames and RunResults are acked, but not an
 edge's Hello or Ready, since the cloud's barrier reads the store. An edge
 uploads once per run (one store put, one Ready), and its rejection of a UE
@@ -214,6 +216,13 @@ class UeCore:
         return self._send(seq, item.envelope(seq), 0)
 
 
+def _unexpected(peer, env: Envelope, reject: str, of: int | None = None) -> list:
+    """The reply and the reject log line for a frame kind its receiver does not take."""
+    kind = int(env.msg_type)
+    return [Send(peer, wire.error_msg("unexpected_kind", f"msg_type {kind}", env.run_id, of)),
+            Log(reject, reason="unexpected_kind", kind=kind)]
+
+
 def _apply_topology(view: GridCase, obj: dict) -> GridCase:
     """Apply a topology report's absolute assignments; raises before mutating."""
     assignments = {int(br["id"]): str(br["status"]) for br in obj.get("branches", [])}
@@ -274,8 +283,7 @@ class EdgeCore:
                 out.append(Log("edge_recv", kind="forecast", seq=seq))
                 self.forecast = ForecastSpec.from_dict(obj["spec"])
             else:
-                return [Send(peer, wire.error_msg("unexpected_kind",
-                                                  f"msg_type {int(env.msg_type)}", of=seq))]
+                return _unexpected(peer, env, "edge_reject", of=seq)
             out.append(Send(peer, wire.ack(seq)))
         except Exception as exc:             # malformed input must not kill the node
             out += [Send(peer, wire.error_msg("bad_report", str(exc), of=seq)),
@@ -302,6 +310,8 @@ class EdgeCore:
         elif env.msg_type == MessageKind.ERROR:
             obj = env.obj()
             out.append(Log("cloud_error", code=obj.get("code", "?"), text=obj.get("text", "")))
+        else:
+            out += _unexpected(UPLINK, env, "edge_reject")
 
     def run_compute(self, now: float, step: Compute) -> list:
         """Compute the region's upload, or store and announce the computed one."""
@@ -403,6 +413,8 @@ class CloudCore:
         elif env.msg_type == MessageKind.ERROR:
             out.append(Log("edge_error_recv", code=obj.get("code", "?"),
                            text=obj.get("text", "")))
+        else:
+            out += _unexpected(peer, env, "cloud_reject")
 
     def on_timer(self, now: float, timer: Timer) -> list:
         m = self.manifest

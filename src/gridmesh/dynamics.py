@@ -26,7 +26,9 @@ the bytes it gets alone, and the single-case ``reduce_network`` and
 ``simulate_dynamics`` are batches of one. The stacked Jacobians and
 augmented matrices grow with scenarios x buses^2, so ``prepare_batch``
 takes the scenarios in consecutive chunks whose working arrays fit in
-``PREPARE_BUDGET_BYTES``; on a small case one chunk holds them all.
+``PREPARE_BUDGET_BYTES``; on a small case one chunk holds them all. A
+stage raises the first error it meets; a chunk that fails is prepared again
+in two halves, lower half first, down to the one scenario that fails.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import FaultSpec, GridCase, validate_fault
-from .powerflow import (Batch, BatchSolution, Loads, Machines, PowerFlowSolution,
-                        generator_bus_rows, initialize_batch, solve_batch, solve_each)
+from .powerflow import (BatchSolution, Loads, Machines, PowerFlowError, PowerFlowSolution,
+                        generator_bus_rows, initialize_batch, solve_batch)
 from .ybus import YMatrix, fault_variants
 
 MAX_STORED_POINTS = 5000
@@ -58,9 +60,7 @@ class DynamicsError(Exception):
 
 
 class SingularNetworkError(DynamicsError):
-    def __init__(self, message: str, row: int = 0):
-        super().__init__(message)
-        self.row = row
+    pass
 
 
 class SwitchTimeError(DynamicsError):
@@ -152,8 +152,8 @@ def kron_eliminate(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Eliminate every node not in ``keep``: Y_kk - Y_ke * Y_ee^-1 * Y_ek.
 
     ``y`` is one matrix or a stack of them on its last two axes; each is
-    reduced bit for bit as it is alone. ``SingularNetworkError.row`` is the
-    first matrix of the stack whose eliminated block is singular.
+    reduced bit for bit as it is alone. If any eliminated block is singular,
+    raises ``SingularNetworkError``.
     """
     keep = np.asarray(keep, dtype=int)
     eliminated = np.ones(y.shape[-1], dtype=bool)
@@ -165,24 +165,23 @@ def kron_eliminate(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
     yke = y[..., keep[:, None], elim]
     yek = y[..., elim[:, None], keep]
     yee = y[..., elim[:, None], elim]
-    stack = (-1,) + yee.shape[-2:]
-    x, singular = solve_each(yee.reshape(stack), yek.reshape((-1,) + yek.shape[-2:]))
-    if singular is not None:
-        raise SingularNetworkError("eliminated block is singular", row=len(x)) from singular
-    return ykk - yke @ x.reshape(yek.shape)
+    try:
+        x = np.linalg.solve(yee, yek)
+    except np.linalg.LinAlgError as exc:
+        raise SingularNetworkError("eliminated block is singular") from exc
+    return ykk - yke @ x
 
 
-def kron_reduce(y: np.ndarray, case: GridCase, sol: BatchSolution, loads: Loads,
-                batch: Batch) -> np.ndarray:
+def kron_reduce(y: np.ndarray, case: GridCase, sol: BatchSolution, loads: Loads) -> np.ndarray:
     """Reduce the dense bus-level matrix to the generator internal nodes, for
-    scenarios [0, batch.live); ``sol`` and ``loads`` hold one row per scenario.
+    every scenario; ``sol`` and ``loads`` hold one row per scenario.
     ``reduce_batch`` calls it once per fault variant (``bench/tracing.py``
     times it by this name).
 
     Loads are converted to constant admittances y_load = (P - jQ)/|V|^2 at the
     solved voltages; each machine couples through 1/(j xd'). Internal nodes are
-    appended after the physical buses, in generator-id order. A scenario whose
-    eliminated block is singular fails the batch.
+    appended after the physical buses, in generator-id order. A singular
+    eliminated block raises ``SingularNetworkError``.
 
     Each load admittance is added in real and imaginary parts, because numpy's
     complex division differs from Python's ``complex(p, -q) / vm**2`` in the
@@ -193,47 +192,35 @@ def kron_reduce(y: np.ndarray, case: GridCase, sol: BatchSolution, loads: Loads,
         raise DynamicsError("case has no generators")
     gen_rows = generator_bus_rows(case)
     nodes = np.arange(n, n + m)
-    live = batch.live
-    aug = np.zeros((live, n + m, n + m), dtype=complex)
+    aug = np.zeros((len(loads), n + m, n + m), dtype=complex)
     aug[:, :n, :n] = y
     load_cols = [k for k, b in enumerate(case.buses) if b.p_load != 0.0 or b.q_load != 0.0]
-    vm2 = sol.v_mag[:live, load_cols] * sol.v_mag[:live, load_cols]
-    aug.real[:, load_cols, load_cols] += loads.p_load[:live, load_cols] / vm2
-    aug.imag[:, load_cols, load_cols] -= loads.q_load[:live, load_cols] / vm2
+    vm2 = sol.v_mag[:, load_cols] * sol.v_mag[:, load_cols]
+    aug.real[:, load_cols, load_cols] += loads.p_load[:, load_cols] / vm2
+    aug.imag[:, load_cols, load_cols] -= loads.q_load[:, load_cols] / vm2
     yg = np.array([1.0 / complex(0.0, g.xd_p) for g in case.generators])
     aug[:, nodes, nodes] += yg
     aug[:, nodes, gen_rows] -= yg
     aug[:, gen_rows, nodes] -= yg
     aug[:, gen_rows, gen_rows] += yg
-    try:
-        return kron_eliminate(aug, nodes)
-    except SingularNetworkError as exc:
-        batch.fail(exc.row, exc)
-        return kron_eliminate(aug[:exc.row], nodes)
+    return kron_eliminate(aug, nodes)
 
 
 def reduce_network(case: GridCase, sol: PowerFlowSolution, fault: FaultSpec,
                    y: YMatrix) -> ReducedNetwork:
     """Pre/on/post-fault reduced matrices for one fault, sharing one operating
     point: ``reduce_batch`` for the case's own loads, a batch of one."""
-    batch = Batch(1)
     net = reduce_batch(case, BatchSolution.of(sol), Loads.of_case(case),
-                       fault_variants(y, case, fault), batch)
-    batch.raise_error()
+                       fault_variants(y, case, fault))
     return ReducedNetwork(net.y_red_pre[0], net.y_red_on[0], net.y_red_post[0])
 
 
 def reduce_batch(case: GridCase, sol: BatchSolution, loads: Loads,
-                 variants: tuple[np.ndarray, ...], batch: Batch) -> ReducedNetwork:
+                 variants: tuple[np.ndarray, ...]) -> ReducedNetwork:
     """Every scenario's reduced matrices of the pre/on/post-fault ``variants``
-    (from ``fault_variants``); a scenario whose matrices are singular or not
-    finite fails the batch, the first failing variant first."""
-    reduced = [kron_reduce(v, case, sol, loads, batch) for v in variants]
-    for name, mat in zip(_VARIANTS, reduced):
-        bad = np.flatnonzero(~np.isfinite(mat[:batch.live]).all(axis=(1, 2)))
-        if bad.size:
-            batch.fail(bad[0], DynamicsError(f"{name} has non-finite entries"))
-    return ReducedNetwork(*(mat[:batch.live] for mat in reduced))
+    (from ``fault_variants``). Raises the first failing variant's error: a
+    singular eliminated block, then a reduced matrix that is not finite."""
+    return ReducedNetwork(*(kron_reduce(v, case, sol, loads) for v in variants))
 
 
 def chunk_rows(case: GridCase) -> int:
@@ -255,30 +242,38 @@ def prepare_batch(case: GridCase, y: YMatrix, loads: Loads,
     dense matrix and one set of fault variants.
 
     The scenarios go through in consecutive chunks of ``chunk_rows``; each
-    row is computed as it is alone, so the chunking changes no byte. The
-    stages run in a scenario-by-scenario loop's order: power flow and
-    machine initialization for every scenario of a chunk, then, if the
-    run's first scenario got through them, the fault variants (built once)
-    and the chunk's reductions. A failing scenario raises the error that
-    loop would meet first, named with its scenario, and later chunks are
-    not prepared.
+    row is computed as it is alone, so the chunking changes no byte. A chunk
+    runs the stages in a scenario-by-scenario loop's order: power flow and
+    machine initialization, then the fault variants (built once, when the
+    first chunk gets that far) and the reductions. A chunk whose stages
+    raise a ``PowerFlowError`` or ``DynamicsError`` is prepared again as two
+    halves, lower half first, and so on down to a single failing scenario,
+    whose error is raised named ``scenario <k>: ``. Since the lower half
+    always goes first, that is the error the loop meets first, and no later
+    scenario is prepared.
     """
     dense = y.to_dense()
-    size = chunk_rows(case)
     variants = None
-    parts = []
-    for first in range(0, max(len(loads), 1), size):
-        chunk = loads[first:first + size]
-        batch = Batch(len(chunk), first)
-        sol = solve_batch(case, dense, chunk, batch)
-        machines = initialize_batch(case, sol, chunk, batch)
-        if batch.live == 0:              # the chunk's first scenario never reached its fault
-            batch.raise_error(name_row=True)
-        if variants is None:
-            variants = fault_variants(y, case, fault)
-        net = reduce_batch(case, sol, chunk, variants, batch)
-        batch.raise_error(name_row=True)
-        parts.append((machines, net))
+
+    def prepare(first: int, chunk: Loads) -> list[tuple[Machines, ReducedNetwork]]:
+        nonlocal variants
+        try:
+            sol = solve_batch(case, dense, chunk)
+            machines = initialize_batch(case, sol, chunk)
+            if variants is None:
+                variants = fault_variants(y, case, fault)
+            return [(machines, reduce_batch(case, sol, chunk, variants))]
+        except (PowerFlowError, DynamicsError) as exc:
+            if len(chunk) == 1:
+                exc.args = (f"scenario {first}: {exc}",)
+            if len(chunk) < 2:
+                raise
+        half = len(chunk) // 2
+        return prepare(first, chunk[:half]) + prepare(first + half, chunk[half:])
+
+    size = chunk_rows(case)
+    parts = [part for first in range(0, max(len(loads), 1), size)
+             for part in prepare(first, loads[first:first + size])]
     if len(parts) == 1:
         return parts[0]
     return (Machines(*(np.concatenate([getattr(m, f.name) for m, _ in parts])

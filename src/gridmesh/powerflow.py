@@ -19,9 +19,10 @@ assembly costs O(n^2) per iteration. The dense solve of the Jacobian, O(n^3),
 is what remains of the cost on large cases.
 
 A solution carries the injections V * conj(Y V) of its final mismatch
-evaluation. A mismatch that is not finite is a divergence. A ``Batch`` keeps
-the error of the lowest failing scenario, the one a scenario-by-scenario loop
-meets first; once scenario s fails, no stage computes the scenarios after it.
+evaluation. A mismatch that is not finite is a divergence. Each batched stage
+raises the first error it meets. Which scenario a scenario-by-scenario loop
+would fail on first is found by ``dynamics.prepare_batch``, which prepares a
+failing chunk again in halves.
 """
 
 from __future__ import annotations
@@ -47,49 +48,6 @@ class PowerFlowDivergedError(PowerFlowError):
 
 class SingularJacobianError(PowerFlowError):
     pass
-
-
-class Batch:
-    """The scenarios of a batch that stages still compute: rows [0, live).
-
-    ``fail`` records a scenario's error; from then on only the scenarios
-    before it are computed, and ``raise_error`` raises the error of the
-    lowest failing scenario, the one a scenario-by-scenario loop meets first.
-    Row 0 is scenario ``first`` of the run.
-    """
-
-    def __init__(self, size: int, first: int = 0):
-        self.live = size
-        self.first = first
-        self.error: Exception | None = None
-
-    def fail(self, row: int, error: Exception) -> None:
-        if row < self.live:
-            self.live, self.error = int(row), error
-
-    def raise_error(self, name_row: bool = False) -> None:
-        """Raise the recorded error, its message prefixed with the failing
-        scenario when ``name_row`` is set."""
-        if self.error is None:
-            return
-        if name_row:
-            self.error.args = (f"scenario {self.first + self.live}: {self.error}",)
-        raise self.error
-
-
-def solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, Exception | None]:
-    """``np.linalg.solve`` over a stack of systems, each solved bit for bit as
-    it is alone. If one is singular, returns the solutions of the systems
-    before the first singular one, and that one's ``LinAlgError``."""
-    try:
-        return np.linalg.solve(a, b), None
-    except np.linalg.LinAlgError:
-        for k in range(len(a)):
-            try:
-                np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError as exc:
-                return np.linalg.solve(a[:k], b[:k]), exc
-        raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,11 +129,13 @@ def _specified_injections(case: GridCase, loads: Loads) -> np.ndarray:
     return p + 1j * -loads.q_load
 
 
-def solve_batch(case: GridCase, ybus: np.ndarray, loads: Loads, batch: Batch,
+def solve_batch(case: GridCase, ybus: np.ndarray, loads: Loads,
                 tol: float = 1e-8, max_iter: int = 20) -> BatchSolution:
     """Newton-Raphson in polar form with an analytic Jacobian, for every
-    scenario of ``loads`` over one dense matrix. Rows from ``batch.live`` on
-    hold no solution."""
+    scenario of ``loads`` over one dense matrix. Raises the first failure:
+    at the first iteration where a scenario is stuck, the lowest stuck
+    scenario's divergence; a singular Jacobian anywhere in the stack; an
+    iterate leaving the feasible region."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if ybus.shape != (case.n, case.n):
@@ -195,10 +155,10 @@ def solve_batch(case: GridCase, ybus: np.ndarray, loads: Loads, batch: Batch,
     out = BatchSolution(v_mag=np.empty((size, case.n)), v_ang=np.empty((size, case.n)),
                         iterations=np.zeros(size, dtype=int), max_mismatch=np.zeros(size),
                         injections=np.empty((size, case.n), dtype=complex))
-    rows = np.arange(batch.live)             # the scenario of each working row
-    jacobians = np.empty((len(rows), m + npq, m + npq))
-    vm = np.tile(np.array([b.v_mag for b in case.buses], dtype=float), (len(rows), 1))
-    va = np.tile(np.array([b.v_ang for b in case.buses], dtype=float), (len(rows), 1))
+    rows = np.arange(size)                   # the scenario of each working row
+    jacobians = np.empty((size, m + npq, m + npq))
+    vm = np.tile(np.array([b.v_mag for b in case.buses], dtype=float), (size, 1))
+    va = np.tile(np.array([b.v_ang for b in case.buses], dtype=float), (size, 1))
 
     it = 0
     while True:
@@ -220,10 +180,10 @@ def solve_batch(case: GridCase, ybus: np.ndarray, loads: Loads, batch: Batch,
             reason = (f"mismatch is not finite at iteration {it}"
                       if not np.isfinite(max_mis[a]) else
                       f"no convergence after {it} iterations (mismatch {max_mis[a]:.3e})")
-            batch.fail(rows[a], PowerFlowDivergedError(reason, it, float(max_mis[a])))
-        keep = ~done & (rows < batch.live)
-        if not keep.any():
+            raise PowerFlowDivergedError(reason, it, float(max_mis[a]))
+        if done.all():
             break
+        keep = ~done
         rows, vm, va, v, ibus, f = rows[keep], vm[keep], va[keep], v[keep], ibus[keep], f[keep]
 
         # dSbus_dV entry by entry, with t_ik = V_i * conj(Y_ik * V_k):
@@ -246,26 +206,17 @@ def solve_batch(case: GridCase, ybus: np.ndarray, loads: Loads, batch: Batch,
         jac[:, m + diag_pq, npv + diag_pq] += diag_va.imag[:, npv:]
         jac[:, npv + diag_pq, m + diag_pq] += diag_vm.real
         jac[:, m + diag_pq, m + diag_pq] += diag_vm.imag
-        dx, singular = solve_each(jac, f[:, :, None])
-        if singular is not None:
-            error = SingularJacobianError(f"singular Jacobian at iteration {it}")
-            error.__cause__ = singular
-            batch.fail(rows[len(dx)], error)
-            rows, vm, va = rows[:len(dx)], vm[:len(dx)], va[:len(dx)]
-            if not len(rows):
-                break
+        try:
+            dx = np.linalg.solve(jac, f[:, :, None])
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(f"singular Jacobian at iteration {it}") from exc
 
         va[:, pvpq] -= dx[:, :m, 0]
         vm[:, pq] -= dx[:, m:, 0]
         it += 1
-        feasible = np.isfinite(vm).all(axis=1) & np.isfinite(va).all(axis=1) & (vm > 0).all(axis=1)
-        if not feasible.all():
-            batch.fail(rows[np.argmin(feasible)], PowerFlowDivergedError(
-                f"iterate left the feasible region at iteration {it}", it, float("inf")))
-        keep = rows < batch.live
-        rows, vm, va = rows[keep], vm[keep], va[keep]
-        if not len(rows):
-            break
+        if not (np.isfinite(vm).all() and np.isfinite(va).all() and (vm > 0).all()):
+            raise PowerFlowDivergedError(
+                f"iterate left the feasible region at iteration {it}", it, float("inf"))
     return out
 
 
@@ -278,10 +229,7 @@ def solve_power_flow(case: GridCase, tol: float = 1e-8, max_iter: int = 20,
     """
     if y is None:
         y = build_ybus(case)
-    batch = Batch(1)
-    sol = solve_batch(case, y.to_dense(), Loads.of_case(case), batch, tol, max_iter)
-    batch.raise_error()
-    return sol.row(0)
+    return solve_batch(case, y.to_dense(), Loads.of_case(case), tol, max_iter).row(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,14 +255,13 @@ class Machines:
         return cls(*(per_machine(a) for a in ("e_mag", "delta0", "p_mech", "h", "d")))
 
 
-def initialize_batch(case: GridCase, sol: BatchSolution, loads: Loads,
-                     batch: Batch) -> Machines:
+def initialize_batch(case: GridCase, sol: BatchSolution, loads: Loads) -> Machines:
     """Internal EMF, rotor angle and mechanical power of every machine, per scenario.
 
     E∠δ0 = V + j·xd' · I_gen with I_gen from the generator's electrical output
     (the solution's net injection plus local load); p_mech is set to the
     machine's electrical power so the dynamic simulation starts at equilibrium.
-    ``sol`` must hold rows [0, batch.live).
+    A zero terminal voltage raises, the lowest such scenario's first.
 
     Products and magnitudes are written out in real and imaginary parts, so
     that each row is bitwise what one generator's complex scalars give: the
@@ -323,17 +270,15 @@ def initialize_batch(case: GridCase, sol: BatchSolution, loads: Loads,
     ``np.hypot(re, im)`` and ``er*cr - ei*ci`` match them.
     """
     gen_rows = generator_bus_rows(case)
-    low = sol.v_mag[:batch.live, gen_rows] < 1e-9
+    low = sol.v_mag[:, gen_rows] < 1e-9
     bad = np.flatnonzero(low.any(axis=1))
     if bad.size:
         g = case.generators[int(np.argmax(low[bad[0]]))]
-        batch.fail(bad[0], PowerFlowError(
-            f"generator {g.id}: terminal voltage is zero at bus {g.bus}"))
-    live = batch.live
-    v = (sol.v_mag[:live] * np.exp(1j * sol.v_ang[:live]))[:, gen_rows]
-    s_gen = sol.injections[:live, gen_rows]
-    s_gen.real += loads.p_load[:live, gen_rows]
-    s_gen.imag += loads.q_load[:live, gen_rows]
+        raise PowerFlowError(f"generator {g.id}: terminal voltage is zero at bus {g.bus}")
+    v = (sol.v_mag * np.exp(1j * sol.v_ang))[:, gen_rows]
+    s_gen = sol.injections[:, gen_rows]
+    s_gen.real += loads.p_load[:, gen_rows]
+    s_gen.imag += loads.q_load[:, gen_rows]
     i_gen = np.conj(s_gen / v)
     igr, igi = i_gen.real, i_gen.imag
     xd = np.array([g.xd_p for g in case.generators])
@@ -351,9 +296,7 @@ def initialize_machines(case: GridCase, sol: PowerFlowSolution) -> GridCase:
     """The case with its machines initialized at the solved operating point
     (``initialize_batch`` for a batch of one) and its buses at the solved
     voltages."""
-    batch = Batch(1)
-    machines = initialize_batch(case, BatchSolution.of(sol), Loads.of_case(case), batch)
-    batch.raise_error()
+    machines = initialize_batch(case, BatchSolution.of(sol), Loads.of_case(case))
     gens = tuple(replace(g, e_mag=float(machines.e_mag[0, k]),
                          delta0=float(machines.delta0[0, k]),
                          p_mech=float(machines.p_mech[0, k]))

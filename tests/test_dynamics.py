@@ -18,9 +18,9 @@ from gridmesh.dynamics import (DynamicsError, NumericBlowupError, ReducedNetwork
                                simulate_batch, simulate_dynamics, write_trajectory_csv)
 from gridmesh.model import (Branch, Bus, CaseError, FaultSpec, Generator, GridCase,
                             load_bundled_case)
-from gridmesh.powerflow import (Batch, BatchSolution, Loads, Machines,
+from gridmesh.powerflow import (BatchSolution, Loads, Machines,
                                 PowerFlowDivergedError, PowerFlowError, SingularJacobianError,
-                                initialize_machines, solve_batch, solve_each, solve_power_flow)
+                                initialize_machines, solve_batch, solve_power_flow)
 from gridmesh.sampling import ForecastSpec, Scenario, draw_samples, scenario_loads
 from gridmesh.ybus import YMatrix, build_ybus
 
@@ -78,7 +78,7 @@ class TestKron:
         case = load_bundled_case("case9")
         mcase, sol = solved(case)
         out = kron_reduce(build_ybus(case).to_dense(), mcase, BatchSolution.of(sol),
-                          Loads.of_case(mcase), Batch(1))
+                          Loads.of_case(mcase))
         assert out.shape == (1, 3, 3)
         assert np.all(np.isfinite(out))
 
@@ -354,7 +354,7 @@ def preparation_outcome(case, scenarios, fault):
         machines, net = prepare_batch(case, y, loads, fault)
     except (PowerFlowError, DynamicsError) as exc:
         return type(exc), str(exc)
-    iterations = solve_batch(case, y.to_dense(), loads, Batch(len(loads))).iterations
+    iterations = solve_batch(case, y.to_dense(), loads).iterations
     return machines, net, iterations.tolist()
 
 
@@ -471,15 +471,15 @@ class TestPrepareBatch:
         # every row needs 4 or 5 iterations, so all three stop at the cap together
         case = load_bundled_case("case9")
         y = build_ybus(case)
-        batch = Batch(3)
-        solve_batch(case, y.to_dense(), scenario_loads(case, uniform(1.0, 2.0, 1.5)), batch,
-                    max_iter=1)
+        with pytest.raises(PowerFlowDivergedError) as batched:
+            solve_batch(case, y.to_dense(), scenario_loads(case, uniform(1.0, 2.0, 1.5)),
+                        max_iter=1)
         with pytest.raises(PowerFlowDivergedError) as alone:
             reference_newton_raphson(reference_apply_scenario(case, uniform(1.0)[0]), y,
                                      max_iter=1)
-        assert batch.live == 0
-        assert str(batch.error) == str(alone.value)
-        assert batch.error.iterations == alone.value.iterations == 1
+        assert str(batched.value) == str(alone.value)
+        assert batched.value.iterations == alone.value.iterations == 1
+        assert batched.value.max_mismatch == alone.value.max_mismatch
 
     @pytest.mark.parametrize("rows", [3, 1])
     def test_a_lower_scenario_fails_a_later_stage_first(self, rows):
@@ -524,6 +524,27 @@ class TestPrepareBatch:
         for name in VARIANTS:
             assert getattr(net, name)[1].tobytes() == getattr(alone, name)[0].tobytes()
 
+    def test_a_failing_chunk_is_halved_down_to_its_scenario(self):
+        # a chunk of 64 whose last scenario has no load on bus 10: each failing
+        # chunk is prepared again as two halves, so the power flow runs
+        # 1 + 2 * 6 times before scenario 63 is found alone
+        case = case9_with_radial_bus(p_load=0.1)
+        one = Loads.of_case(case)
+        loads = Loads(*(np.repeat(a, 64, axis=0) for a in (one.p_load, one.q_load, one.p_mech)))
+        loads.p_load[63, case.bus_index()[10]] = 0.0
+        calls = []
+
+        def counting(case, ybus, chunk, *args, **kwargs):
+            calls.append(len(chunk))
+            return solve_batch(case, ybus, chunk, *args, **kwargs)
+
+        with chunks_of(case, 64), mock.patch.object(dynamics, "solve_batch", counting), \
+                pytest.raises(SingularNetworkError) as info:
+            prepare_batch(case, build_ybus(case), loads, RADIAL_FAULT)
+        assert str(info.value) == "scenario 63: eliminated block is singular"
+        assert len(calls) <= 2 * math.ceil(math.log2(64)) + 1
+        assert calls == [64, 32, 32, 16, 16, 8, 8, 4, 4, 2, 2, 1, 1]
+
     def test_a_singular_jacobian_names_its_scenario(self):
         # bus 3 is tied in by branch 2, but the matrix leaves out its row and column
         case = GridCase(
@@ -543,15 +564,16 @@ class TestPrepareBatch:
     def test_a_stacked_solve_stops_at_its_first_singular_system(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
-        b = rng.normal(size=(5, 4, 2)) + 1j * rng.normal(size=(5, 4, 2))
         a[2] = a[4] = 0.0
-        x, exc = solve_each(a, b)
-        assert len(x) == 2 and isinstance(exc, np.linalg.LinAlgError)
-        for k in range(2):
-            assert x[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
+        keep = np.array([0])
         with pytest.raises(SingularNetworkError) as info:
-            kron_eliminate(np.concatenate([a[:1], a[2:3]]), np.array([0]))
-        assert info.value.row == 1
+            kron_eliminate(a, keep)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        # the regular matrices of the stack reduce bit for bit as they do alone
+        regular = a[[0, 1, 3]]
+        reduced = kron_eliminate(regular, keep)
+        for k in range(3):
+            assert reduced[k].tobytes() == kron_eliminate(regular[k], keep).tobytes()
 
 
 class TestPrepareChunks:

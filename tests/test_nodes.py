@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import json
 import socket
 import threading
@@ -544,6 +545,57 @@ class TestDuplicateUpload:
         store.put(key, b"first")
         with pytest.raises(AlreadyExistsError):
             store.put(key, b"second")
+
+
+def core_state(c) -> dict:
+    """A core's attributes, its containers copied and its seq counter left out."""
+    return {k: copy.copy(v) if isinstance(v, (dict, set, list)) else v
+            for k, v in vars(c).items() if k != "_seq"}
+
+
+class TestUnexpectedKinds:
+    """A core answers a frame kind it does not take with one
+    ``unexpected_kind`` reply and one reject log line, and keeps its state."""
+
+    RID = bytes.fromhex(new_run_id())
+
+    @pytest.mark.parametrize("env", [
+        wire.topology_report([{"id": 9, "status": "Open"}], 2),
+        wire.forecast_report(ForecastSpec(n_dims=1).to_dict(), 3),
+        wire.run_result("runs/x/result", "verdict: Stable", 1, RID),
+        wire.run_open(manifest().to_payload(), RID),
+    ], ids=lambda env: env.msg_type.name)
+    def test_cloud_rejects_a_kind_edges_do_not_send(self, env, case9, tmp_path):
+        cloud = CloudCore(case9, FileStore(tmp_path / "store"))
+        link = object()
+        cloud.handle(0.0, link, wire.hello("edge-R1", "edge", 1, region="R1"))
+        cloud.open_run(0.0, manifest(regions=("R1",)))
+        before = core_state(cloud)
+        out = cloud.handle(0.1, link, env)
+        assert core_state(cloud) == before
+        [reply, log] = out
+        assert isinstance(reply, Send) and reply.peer is link
+        assert reply.env.obj()["code"] == "unexpected_kind"
+        assert (log.event, log.fields) == ("cloud_reject", {"reason": "unexpected_kind",
+                                                            "kind": int(env.msg_type)})
+
+    @pytest.mark.parametrize("env", [
+        wire.hello("cloud", "cloud", 1),
+        wire.ack(1),
+        wire.topology_report([{"id": 9, "status": "Open"}], 2),
+        wire.forecast_report(ForecastSpec(n_dims=1).to_dict(), 3),
+        wire.upload_ready("R2", "runs/x/regions/R2/upload", RID),
+    ], ids=lambda env: env.msg_type.name)
+    def test_edge_rejects_a_kind_the_cloud_does_not_send(self, env, case9, tmp_path):
+        edge = EdgeCore("R1", case9, FileStore(tmp_path / "store"))
+        before = core_state(edge)
+        out = edge.handle(0.0, UPLINK, env)
+        assert core_state(edge) == before
+        [reply, log] = out
+        assert isinstance(reply, Send) and reply.peer is UPLINK
+        assert reply.env.obj()["code"] == "unexpected_kind"
+        assert (log.event, log.fields) == ("edge_reject", {"reason": "unexpected_kind",
+                                                           "kind": int(env.msg_type)})
 
 
 class TestDsaRun:

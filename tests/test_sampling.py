@@ -88,22 +88,26 @@ class TestDrawSamples:
 
 
 def brute_force_two_clusters(points):
-    """Optimal 2-clustering by exhaustive bipartition (k-means objective)."""
-    n = len(points)
-    best = (math.inf, None)
+    """Optimal 2-clustering by exhaustive bipartition (k-means objective).
+
+    Point 0 stays in cluster A; bit i of each mask in [1, 2^(n-1)) puts point
+    i in cluster B. A cluster's sum of squared distances to its mean is
+    sum |x|^2 - |sum x|^2 / size, and sum |x|^2 over both clusters is the same
+    for every bipartition, so the masks are ranked by the other terms alone.
+    """
     x = np.array(points)
-    for mask in range(1, 2 ** (n - 1)):      # fix point 0 in cluster A
-        a = [i for i in range(n) if not (mask >> i) & 1 or i == 0]
-        b = [i for i in range(n) if i not in a]
-        if not b:
-            continue
-        cost = 0.0
-        for grp in (a, b):
-            c = x[grp].mean(axis=0)
-            cost += float(((x[grp] - c) ** 2).sum())
-        if cost < best[0]:
-            best = (cost, (frozenset(a), frozenset(b)))
-    return best[1]
+    n = len(x)
+    masks = np.arange(1, 2 ** (n - 1))
+    in_b = (masks[:, None] >> np.arange(n)) & 1 == 1
+    in_b[:, 0] = False
+    size_b = in_b.sum(axis=1)
+    sum_b = in_b @ x
+    sum_a = x.sum(axis=0) - sum_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = -(sum_a ** 2).sum(axis=1) / (n - size_b) - (sum_b ** 2).sum(axis=1) / size_b
+    cost[size_b == 0] = math.inf
+    b = in_b[np.argmin(cost)]
+    return frozenset(np.flatnonzero(~b).tolist()), frozenset(np.flatnonzero(b).tolist())
 
 
 class TestReduceScenarios:
