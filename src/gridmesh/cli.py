@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -84,7 +85,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("simulate", help="monolithic fault simulation of a case")
     sp.add_argument("case")
     sp.add_argument("fault", help="e.g. bus=7,t_fault=0.1,t_clear=0.3,branch=6")
-    sp.add_argument("--dt", type=float, default=0.005)
+    sp.add_argument("--dt", type=float, default=SimulationConfig.dt)
     sp.add_argument("--t-end", type=float, default=5.0)
     sp.add_argument("--out", help="trajectory CSV path")
 
@@ -216,11 +217,8 @@ def _cmd_simulate(args) -> int:
     fault = _parse_fault(args.fault)
     cfg = SimulationConfig(t_end=args.t_end, dt=args.dt,
                            omega_s=2 * np.pi * case.freq_hz)
-    result, _ = pipeline.monolithic_topology(case, {}, fault, cfg)
-    if result.t_unstable is not None:
-        print(f"verdict: {result.verdict} at t={result.t_unstable}s")
-    else:
-        print(f"verdict: {result.verdict}")
+    result, blob = pipeline.monolithic_topology(case, {}, fault, cfg)
+    print(pipeline.result_summary(blob))
     if args.out:
         write_trajectory_csv(result, args.out)
         print(f"trajectory written to {args.out}")
@@ -231,10 +229,10 @@ def _cmd_sample(args) -> int:
     kv = _parse_kv(args.spec)
     spec = ForecastSpec(
         n_dims=int(kv.get("dims", 1)),
-        dist=kv.get("dist", "gaussian"),
-        sigma=float(kv.get("sigma", 0.05)),
-        half_width=float(kv.get("half_width", 0.0)),
-        trunc_sigmas=float(kv.get("trunc_sigmas", 3.0)),
+        dist=kv.get("dist", ForecastSpec.dist),
+        sigma=float(kv.get("sigma", ForecastSpec.sigma)),
+        half_width=float(kv.get("half_width", ForecastSpec.half_width)),
+        trunc_sigmas=float(kv.get("trunc_sigmas", ForecastSpec.trunc_sigmas)),
     )
     samples = draw_samples(spec, args.n_raw, args.seed)
     sset = reduce_scenarios(samples, args.k, args.seed)
@@ -347,7 +345,8 @@ def _demo_setup(args):
     (out / "logs").mkdir(parents=True, exist_ok=True)
     profile = _resolve_profile(args, cfg)
     seed = resolve(args.seed, cfg, "run.seed", 42)
-    deadline = float(resolve(args.deadline_s, cfg, "run.deadline_s", 30.0))
+    deadline = float(resolve(args.deadline_s, cfg, "run.deadline_s",
+                             pipeline.DEFAULT_DEADLINE_S))
     return cfg, out, profile, int(seed), deadline
 
 
@@ -358,8 +357,7 @@ def _demo_manifest(which: str, seed: int, deadline: float, regions, case: GridCa
         expected_regions=tuple(regions),
         mode=pipeline.MODE_TOPOLOGY if which == "topology" else pipeline.MODE_DSA,
         fault=DEMO_FAULT[which],
-        sim_cfg=SimulationConfig(t_end=DEMO_SIM_T_END, dt=0.005,
-                                 omega_s=2 * np.pi * case.freq_hz),
+        sim_cfg=SimulationConfig(t_end=DEMO_SIM_T_END, omega_s=2 * np.pi * case.freq_hz),
         deadline_s=deadline,
         dsa=dsa,
     )
@@ -511,6 +509,10 @@ def _demo_checks(which: str, case: GridCase, manifest: RunManifest,
             case, deltas, manifest.dsa, manifest.fault, manifest.sim_cfg)
         print(f"brute-force insecurity probability ({manifest.dsa.n_raw} joint raw "
               f"draws): {p_brute:.4f}")
+        se = math.sqrt(p_brute * (1 - p_brute) / manifest.dsa.n_raw)
+        within = "yes" if abs(p_rep - p_brute) <= 2 * se else "no"
+        print(f"brute-force standard error sqrt(p(1-p)/{manifest.dsa.n_raw}): {se:.4f}; "
+              f"representative within 2 SE: {within}")
         print(f"difference: {abs(p_rep - p_brute):.4f}")
     return EXIT_OK
 

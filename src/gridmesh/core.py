@@ -248,7 +248,7 @@ class EdgeCore:
         self.view = base
         self.store = store
         self.forecast: ForecastSpec | None = None
-        self.runs: dict[str, str] = {}          # run id -> computing | uploaded
+        self.runs: set[str] = set()             # ids of the runs opened here
 
     def hello(self) -> list:
         return [Send(UPLINK, wire.hello(f"edge-{self.region}", "edge", 1, region=self.region))]
@@ -299,7 +299,7 @@ class EdgeCore:
                             env.run_id)),
                         Log("run_open_duplicate", run=m.run_id)]
                 return
-            self.runs[m.run_id] = "computing"
+            self.runs.add(m.run_id)
             out += [Log("run_open_recv", run=m.run_id, mode=m.mode), Compute(m)]
         elif env.msg_type == MessageKind.RUN_RESULT:
             obj = env.obj()
@@ -330,7 +330,6 @@ class EdgeCore:
         except Exception as exc:
             return [Send(UPLINK, wire.error_msg("compute_failure", str(exc), m.run_id_bytes)),
                     Log("compute_failure", run=rid, detail=str(exc))]
-        self.runs[rid] = "uploaded"
         return [Log("store_put_done", run=rid, key=key),
                 Send(UPLINK, wire.upload_ready(self.region, key, m.run_id_bytes))]
 

@@ -194,7 +194,8 @@ def kron_reduce(y: np.ndarray, case: GridCase, sol: BatchSolution, loads: Loads)
     nodes = np.arange(n, n + m)
     aug = np.zeros((len(loads), n + m, n + m), dtype=complex)
     aug[:, :n, :n] = y
-    load_cols = [k for k, b in enumerate(case.buses) if b.p_load != 0.0 or b.q_load != 0.0]
+    idx = case.bus_index()
+    load_cols = [idx[b] for b in case.load_bus_ids()]
     vm2 = sol.v_mag[:, load_cols] * sol.v_mag[:, load_cols]
     aug.real[:, load_cols, load_cols] += loads.p_load[:, load_cols] / vm2
     aug.imag[:, load_cols, load_cols] -= loads.q_load[:, load_cols] / vm2

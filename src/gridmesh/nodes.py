@@ -242,7 +242,6 @@ class EdgeNode(_SocketNode):
                  profile: LinkProfile | None = None, log: EventLog | None = None):
         super().__init__(f"edge-{region}", EdgeCore(region, base_case, store), profile, log,
                          listen)
-        self.region = region
         self.cloud_addr = cloud_addr
 
     def start(self) -> tuple[str, int]:

@@ -29,7 +29,6 @@ from .ybus import PartialAdmittance, YMatrix, build_partial, build_ybus, merge_p
 MODE_TOPOLOGY = "Topology"
 MODE_DSA = "DSA"
 
-DEFAULT_FORECAST_SIGMA = 0.05
 DEFAULT_DEADLINE_S = 30.0
 
 
@@ -121,8 +120,8 @@ def region_seed(seed: int, region: str) -> int:
 
 
 def region_load_bus_ids(case: GridCase, region: str) -> list[int]:
-    return [b.id for b in case.buses
-            if b.owner_region == region and (b.p_load != 0.0 or b.q_load != 0.0)]
+    owner = case.bus_owner()
+    return [b for b in case.load_bus_ids() if owner[b] == region]
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +150,7 @@ def region_samples(view: GridCase, region: str, dsa: DsaParams,
     """Draw the raw forecast scenarios for one region's loads, with its edge's seed."""
     load_ids = region_load_bus_ids(view, region)
     if forecast is None:
-        forecast = ForecastSpec(n_dims=len(load_ids), sigma=DEFAULT_FORECAST_SIGMA)
+        forecast = ForecastSpec(n_dims=len(load_ids))
     if forecast.n_dims != len(load_ids):
         raise ManifestError(
             f"forecast spec has {forecast.n_dims} dims, region {region} has "

@@ -9,7 +9,6 @@ writer of a key wins. Safe for concurrent use from multiple processes on one hos
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 import uuid
@@ -65,13 +64,6 @@ def result_key(run_id: str) -> str:
 
 
 @dataclass(frozen=True)
-class Receipt:
-    key: str
-    length: int
-    sha256: str
-
-
-@dataclass(frozen=True)
 class WaitResult:
     complete: bool
     missing: tuple[str, ...] = ()
@@ -88,7 +80,7 @@ class FileStore:
         validate_key(key)
         return self.root / key
 
-    def put(self, key: str, blob: bytes) -> Receipt:
+    def put(self, key: str, blob: bytes) -> None:
         """Atomic, immutable write; a second put to the same key fails."""
         path = self._path(key)
         if path.exists():
@@ -105,8 +97,6 @@ class FileStore:
             raise AlreadyExistsError(f"key already written: {key}") from None
         finally:
             tmp.unlink(missing_ok=True)
-        return Receipt(key=key, length=len(blob),
-                       sha256=hashlib.sha256(blob).hexdigest())
 
     def get(self, key: str) -> bytes:
         path = self._path(key)

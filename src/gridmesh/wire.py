@@ -76,7 +76,6 @@ class Envelope:
     msg_type: MessageKind
     payload: bytes = b"{}"
     run_id: bytes = ZERO_RUN_ID
-    version: int = VERSION
 
     def obj(self) -> dict:
         return json.loads(self.payload.decode("utf-8"))
@@ -87,9 +86,7 @@ def make_envelope(kind: MessageKind, obj: dict, run_id: bytes = ZERO_RUN_ID) -> 
 
 
 def encode(env: Envelope) -> bytes:
-    """Serialize one envelope to its frame bytes."""
-    if env.version != VERSION:
-        raise VersionError(f"cannot encode version {env.version:#x}")
+    """Serialize one envelope to its frame bytes, at ``VERSION``."""
     try:
         kind = MessageKind(env.msg_type)
     except ValueError:
@@ -98,7 +95,7 @@ def encode(env: Envelope) -> bytes:
         raise FramingError(f"run_id must be {RUN_ID_LEN} bytes")
     if len(env.payload) > MAX_PAYLOAD:
         raise FramingError(f"payload of {len(env.payload)} bytes exceeds {MAX_PAYLOAD}")
-    head = (MAGIC + struct.pack(">BB", env.version, int(kind)) + env.run_id
+    head = (MAGIC + struct.pack(">BB", VERSION, int(kind)) + env.run_id
             + struct.pack(">I", len(env.payload)))
     crc = zlib.crc32(env.payload, zlib.crc32(head))
     return head + env.payload + struct.pack(">I", crc)
@@ -132,7 +129,7 @@ def decode_prefix(data: bytes | bytearray, start: int = 0) -> tuple[Envelope, in
     actual = zlib.crc32(payload, zlib.crc32(head))
     if crc != actual:
         raise CorruptionError(f"crc mismatch: frame says {crc:#010x}, frame is {actual:#010x}")
-    return Envelope(msg_type=kind, payload=payload, run_id=run_id, version=version), total
+    return Envelope(msg_type=kind, payload=payload, run_id=run_id), total
 
 
 def decode(data: bytes) -> Envelope:

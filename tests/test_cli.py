@@ -139,7 +139,9 @@ class TestDemoChecks:
     @pytest.mark.parametrize("which,expected", [
         (["topology"], ["monolithic equivalence: PASS (bitwise)"]),
         (["dsa", "--n-raw", "20", "--k", "2"],
-         ["brute-force insecurity probability (20 joint raw draws): ", "difference: "]),
+         ["brute-force insecurity probability (20 joint raw draws): ",
+          "brute-force standard error sqrt(p(1-p)/20): ", "representative within 2 SE: ",
+          "difference: "]),
     ])
     def test_virtual_demo_runs_its_oracle_check(self, which, expected, tmp_path, capsys):
         code = main(["demo", *which, "--virtual-time", "--profile", "zero",

@@ -90,16 +90,16 @@ class TestDrawSamples:
 def brute_force_two_clusters(points):
     """Optimal 2-clustering by exhaustive bipartition (k-means objective).
 
-    Point 0 stays in cluster A; bit i of each mask in [1, 2^(n-1)) puts point
-    i in cluster B. A cluster's sum of squared distances to its mean is
+    Point 0 stays in cluster A; bit i - 1 of each mask in [1, 2^(n-1)) puts
+    point i in cluster B, for i = 1..n-1. A cluster's sum of squared distances to its mean is
     sum |x|^2 - |sum x|^2 / size, and sum |x|^2 over both clusters is the same
     for every bipartition, so the masks are ranked by the other terms alone.
     """
     x = np.array(points)
     n = len(x)
     masks = np.arange(1, 2 ** (n - 1))
-    in_b = (masks[:, None] >> np.arange(n)) & 1 == 1
-    in_b[:, 0] = False
+    in_b = np.zeros((len(masks), n), dtype=bool)
+    in_b[:, 1:] = (masks[:, None] >> np.arange(n - 1)) & 1 == 1
     size_b = in_b.sum(axis=1)
     sum_b = in_b @ x
     sum_a = x.sum(axis=0) - sum_b
@@ -149,10 +149,8 @@ class TestReduceScenarios:
                               for r in sset.representatives])
                 == sset.representatives.index(rep))
             got.append((members, w))
-        sizes = sorted(round(w * len(pts)) for _, w in got)
-        oracle_sizes = sorted([len(oracle_a), len(oracle_b)])
-        assert abs(sizes[0] - oracle_sizes[0]) <= 1
-        assert abs(sizes[1] - oracle_sizes[1]) <= 1
+        assert {members for members, _ in got} == {oracle_a, oracle_b}
+        assert all(w == pytest.approx(len(members) / len(pts)) for members, w in got)
         # each representative is an actual sample
         pts_set = {tuple(p) for p in pts}
         assert all(r.multipliers in pts_set for r in sset.representatives)

@@ -40,14 +40,8 @@ class TestKeys:
 class TestPutGet:
     def test_roundtrip(self, store):
         key = upload_key(RID, "R1")
-        receipt = store.put(key, b"hello world")
-        assert receipt.key == key and receipt.length == 11
+        store.put(key, b"hello world")
         assert store.get(key) == b"hello world"
-
-    def test_receipt_hash(self, store):
-        import hashlib
-        receipt = store.put(result_key(RID), b"abc")
-        assert receipt.sha256 == hashlib.sha256(b"abc").hexdigest()
 
     def test_duplicate_put_rejected(self, store):
         key = upload_key(RID, "R1")
@@ -58,7 +52,8 @@ class TestPutGet:
 
     def test_empty_blob(self, store):
         key = upload_key(RID, "R2")
-        assert store.put(key, b"").length == 0
+        store.put(key, b"")
+        assert store.exists(key)
         assert store.get(key) == b""
 
     def test_get_absent(self, store):
@@ -155,11 +150,9 @@ class TestConcurrency:
 
     def test_content_hash_stable(self, store):
         key = result_key(RID)
-        receipt = store.put(key, b"fixed")
+        store.put(key, b"fixed")
         for _ in range(3):
             assert store.get(key) == b"fixed"
         with pytest.raises(AlreadyExistsError):
             store.put(key, b"mutation attempt")
         assert store.get(key) == b"fixed"
-        import hashlib
-        assert hashlib.sha256(store.get(key)).hexdigest() == receipt.sha256

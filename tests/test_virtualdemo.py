@@ -200,8 +200,7 @@ class TestVirtualDsa:
         specs = {r: pipeline.parse_upload(store.get(upload_key(RID, r)))
                  ["forecast_spec"] for r in ("R1", "R2", "R3")}
         assert specs["R1"] == spec.to_dict()
-        assert specs["R2"] == specs["R3"] == ForecastSpec(
-            n_dims=1, sigma=pipeline.DEFAULT_FORECAST_SIGMA).to_dict()
+        assert specs["R2"] == specs["R3"] == ForecastSpec(n_dims=1).to_dict()
         _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG,
                                               forecasts={"R1": spec})
         assert out.result_blob == expected

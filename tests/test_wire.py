@@ -31,7 +31,6 @@ class TestGolden:
         assert env.msg_type == MessageKind.ACK
         assert env.payload == b"{}"
         assert env.run_id == GOLDEN_RUN_ID
-        assert env.version == 2
 
     def test_flipped_crc_byte_is_corruption(self):
         raw = bytearray(bytes.fromhex(GOLDEN_ACK_HEX))
