@@ -237,8 +237,8 @@ def _cmd_sample(args) -> int:
     samples = draw_samples(spec, args.n_raw, args.seed)
     sset = reduce_scenarios(samples, args.k, args.seed)
     print("id,weight," + ",".join(f"m{i+1}" for i in range(spec.n_dims)))
-    for s, w in zip(sset.representatives, sset.weights):
-        print(f"{s.id},{w!r}," + ",".join(repr(m) for m in s.multipliers))
+    for i, w, row in zip(sset.ids.tolist(), sset.weights.tolist(), sset.multipliers.tolist()):
+        print(f"{i},{w!r}," + ",".join(repr(m) for m in row))
     return EXIT_OK
 
 

@@ -420,8 +420,7 @@ class SecurityReport:
                    rows=tuple(d["rows"]))
 
 
-def assess_run(results: list[tuple[float, SimulationResult]],
-               scenario_ids: list | None = None) -> SecurityReport:
+def assess_run(results: list[tuple[float, SimulationResult]]) -> SecurityReport:
     """Weighted probability that the system is insecure across scenarios."""
     if not results:
         raise DynamicsError("assess_run needs at least one scenario result")
@@ -435,7 +434,7 @@ def assess_run(results: list[tuple[float, SimulationResult]],
     for i, (w, r) in enumerate(results):
         rows.append({
             "index": i,
-            "scenario_id": scenario_ids[i] if scenario_ids else i,
+            "scenario_id": i,
             "weight": w,
             "verdict": r.verdict,
             "t_unstable": r.t_unstable,

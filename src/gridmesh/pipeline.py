@@ -16,12 +16,14 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .dynamics import (SecurityReport, SimulationConfig, SimulationResult, assess_run,
                        prepare_batch, reduce_network, simulate_batch, simulate_dynamics)
 from .model import FaultSpec, GridCase, fault_from_dict, fault_to_dict
 from .powerflow import initialize_machines, solve_power_flow
 # apply_scenario is not called here, but the benchmark's tracer wraps it by this name
-from .sampling import (ForecastSpec, Scenario, ScenarioSet, apply_scenario,
+from .sampling import (ForecastSpec, ScenarioSet, apply_scenario,
                        combine_region_sets, draw_samples, reduce_scenarios, scenario_loads)
 from .wire import canonical_json
 from .ybus import PartialAdmittance, YMatrix, build_partial, build_ybus, merge_partials
@@ -146,7 +148,7 @@ def edge_topology_blob(view: GridCase, base: GridCase, region: str) -> bytes:
 
 def region_samples(view: GridCase, region: str, dsa: DsaParams,
                    forecast: ForecastSpec | None = None,
-                   ) -> tuple[list[Scenario], list[int], ForecastSpec, int]:
+                   ) -> tuple[np.ndarray, list[int], ForecastSpec, int]:
     """Draw the raw forecast scenarios for one region's loads, with its edge's seed."""
     load_ids = region_load_bus_ids(view, region)
     if forecast is None:
@@ -248,11 +250,11 @@ def topology_result_blob(result: SimulationResult) -> bytes:
     return canonical_json({"mode": MODE_TOPOLOGY, "result": result.to_payload()})
 
 
-def simulate_scenarios(view: GridCase, y: YMatrix, scenarios: list[Scenario],
+def simulate_scenarios(view: GridCase, y: YMatrix, multipliers: np.ndarray,
                        fault: FaultSpec, cfg: SimulationConfig) -> list[SimulationResult]:
-    """Every scenario's operating point and reduced network, prepared in one
-    batch over the run's one matrix, then one batched integration of them all."""
-    machines, net = prepare_batch(view, y, scenario_loads(view, scenarios), fault)
+    """Every multiplier row's operating point and reduced network, prepared in
+    one batch over the run's one matrix, then one batched integration of them all."""
+    machines, net = prepare_batch(view, y, scenario_loads(view, multipliers), fault)
     return simulate_batch(machines, net, fault, cfg)
 
 
@@ -260,14 +262,12 @@ def dsa_compute(view: GridCase, y: YMatrix,
                 region_sets: dict[str, tuple[ScenarioSet, list[int]]],
                 fault: FaultSpec, cfg: SimulationConfig) -> SecurityReport:
     """Simulate every joint representative scenario in one batch and aggregate."""
-    combined, bus_ids = combine_region_sets(region_sets)
+    multipliers, weights, bus_ids = combine_region_sets(region_sets)
     if bus_ids != view.load_bus_ids():
         raise ManifestError(
             f"scenario load buses {bus_ids} do not match case loads {view.load_bus_ids()}")
-    reps = combined.representatives
-    sims = simulate_scenarios(view, y, reps, fault, cfg)
-    weighted = list(zip(combined.weights, sims))
-    return assess_run(weighted, scenario_ids=[s.id for s in reps])
+    sims = simulate_scenarios(view, y, multipliers, fault, cfg)
+    return assess_run(list(zip(weights.tolist(), sims)))
 
 
 def dsa_result_blob(report: SecurityReport) -> bytes:
@@ -335,12 +335,10 @@ def dsa_bruteforce_probability(base: GridCase, deltas: dict[int, str], dsa: DsaP
     with that region's spec from ``forecasts`` (its default when missing)."""
     forecasts = forecasts or {}
     view = base.with_branch_status(deltas)
-    draws = [region_samples(view, r, dsa, forecasts.get(r))[:2] for r in load_regions(view)]
-    joint = []
-    for i in range(dsa.n_raw):
-        by_bus = {b: m for samples, ids in draws
-                  for b, m in zip(ids, samples[i].multipliers)}
-        joint.append(Scenario(id=i, multipliers=tuple(by_bus[b] for b in view.load_bus_ids()),
-                              seed_lineage=()))
+    col = {b: j for j, b in enumerate(view.load_bus_ids())}
+    joint = np.empty((dsa.n_raw, len(col)))
+    for r in load_regions(view):
+        draws, ids = region_samples(view, r, dsa, forecasts.get(r))[:2]
+        joint[:, [col[b] for b in ids]] = draws
     sims = simulate_scenarios(view, build_ybus(view), joint, fault, cfg)
     return assess_run([(1.0, r) for r in sims]).insecurity_probability

@@ -1,10 +1,14 @@
 """Forecast-error scenario sampling and reduction.
 
-Raw scenarios come from Latin-hypercube stratification mapped through the
-truncated inverse CDF of the per-load relative-error model; the raw set is
-then reduced to a small weighted representative set with seeded k-means
-(greedy farthest-point init, representatives snapped to the nearest actual
-sample, weights proportional to cluster population).
+A scenario is a row of load multipliers, one column per load, and a set of
+scenarios is an array of such rows from the raw draw to the simulation. Raw
+draws come from Latin-hypercube stratification mapped through the truncated
+inverse CDF of the per-load relative-error model; the raw array is then
+reduced to a small weighted ``ScenarioSet`` with seeded k-means (greedy
+farthest-point init, representatives snapped to the nearest actual draw,
+whose row index is the representative's id, and weights proportional to
+cluster population). The cloud combines the regions' sets into one joint
+array whose columns are the case's load buses in ascending id order.
 """
 
 from __future__ import annotations
@@ -69,50 +73,39 @@ class ForecastSpec:
 
 
 @dataclass(frozen=True)
-class Scenario:
-    id: int
-    multipliers: tuple[float, ...]
-    seed_lineage: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(m <= 0 for m in self.multipliers):
-            raise SamplingError("scenario multipliers must be > 0")
-
-
-@dataclass(frozen=True)
 class ScenarioSet:
-    representatives: tuple[Scenario, ...]
-    weights: tuple[float, ...]
+    """A reduced set: row i of ``multipliers`` is raw draw ``ids[i]`` of the
+    ``n_raw`` drawn, standing for the share ``weights[i]`` of them."""
+
+    multipliers: np.ndarray      # (k, dims)
+    weights: np.ndarray          # (k,)
+    ids: np.ndarray              # (k,) raw-draw indices
     n_raw: int
 
     def __post_init__(self):
-        if len(self.representatives) != len(self.weights):
-            raise SamplingError("representatives and weights differ in length")
-        if any(w < 0 for w in self.weights):
+        k = len(self.weights)
+        if (k == 0 or self.multipliers.ndim != 2 or len(self.multipliers) != k
+                or self.weights.shape != (k,) or self.ids.shape != (k,)):
+            raise SamplingError("a scenario set needs one or more scenarios, each with "
+                                "one multiplier row, weight and id")
+        if not (np.isfinite(self.multipliers).all() and np.isfinite(self.weights).all()):
+            raise SamplingError("multipliers and weights must be finite")
+        if (self.multipliers <= 0).any():
+            raise SamplingError("scenario multipliers must be > 0")
+        if (self.weights < 0).any():
             raise SamplingError("weights must be >= 0")
-        if self.weights and abs(sum(self.weights) - 1.0) > 1e-9:
+        if abs(sum(self.weights.tolist()) - 1.0) > 1e-9:
             raise SamplingError("weights must sum to 1")
 
     def to_payload(self) -> dict:
-        return {
-            "n_raw": self.n_raw,
-            "weights": list(self.weights),
-            "representatives": [
-                {"id": s.id, "multipliers": list(s.multipliers),
-                 "seed_lineage": list(s.seed_lineage)}
-                for s in self.representatives
-            ],
-        }
+        return {"n_raw": self.n_raw, "ids": self.ids.tolist(),
+                "weights": self.weights.tolist(), "multipliers": self.multipliers.tolist()}
 
     @classmethod
     def from_payload(cls, d: dict) -> "ScenarioSet":
-        reps = tuple(
-            Scenario(id=int(r["id"]), multipliers=tuple(float(x) for x in r["multipliers"]),
-                     seed_lineage=tuple(int(x) for x in r["seed_lineage"]))
-            for r in d["representatives"]
-        )
-        return cls(representatives=reps, weights=tuple(float(w) for w in d["weights"]),
-                   n_raw=int(d["n_raw"]))
+        return cls(multipliers=np.array(d["multipliers"], dtype=float),
+                   weights=np.array(d["weights"], dtype=float),
+                   ids=np.array(d["ids"], dtype=int), n_raw=int(d["n_raw"]))
 
 
 def _inverse_cdf(spec: ForecastSpec, u: float) -> float:
@@ -124,8 +117,9 @@ def _inverse_cdf(spec: ForecastSpec, u: float) -> float:
     return spec.sigma * _STD_NORMAL.inv_cdf(lo + u * (hi - lo))
 
 
-def draw_samples(spec: ForecastSpec, n_raw: int, seed: int) -> list[Scenario]:
-    """Latin-hypercube draw: one stratified coordinate per (sample, dimension).
+def draw_samples(spec: ForecastSpec, n_raw: int, seed: int) -> np.ndarray:
+    """Latin-hypercube draw of an ``(n_raw, n_dims)`` multiplier array: one
+    stratified coordinate per (sample, dimension).
 
     Per dimension the strata order is a seeded permutation and each stratum is
     jittered uniformly, so the empirical marginals match the error model with
@@ -134,17 +128,13 @@ def draw_samples(spec: ForecastSpec, n_raw: int, seed: int) -> list[Scenario]:
     if n_raw < 1:
         raise SamplingError("n_raw must be >= 1")
     rng = np.random.default_rng(seed)
-    cols = []
-    for _ in range(spec.n_dims):
+    x = np.empty((n_raw, spec.n_dims))
+    for d in range(spec.n_dims):
         perm = rng.permutation(n_raw)
         jitter = rng.random(n_raw)
         u = (perm + jitter) / n_raw
-        cols.append([max(1.0 + _inverse_cdf(spec, ui), MIN_MULTIPLIER) for ui in u])
-    return [
-        Scenario(id=i, multipliers=tuple(col[i] for col in cols),
-                 seed_lineage=(int(seed), i))
-        for i in range(n_raw)
-    ]
+        x[:, d] = [max(1.0 + _inverse_cdf(spec, ui), MIN_MULTIPLIER) for ui in u]
+    return x
 
 
 def _farthest_point_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,16 +149,16 @@ def _farthest_point_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return np.array(centers)
 
 
-def reduce_scenarios(samples: list[Scenario], k: int, seed: int) -> ScenarioSet:
-    """Seeded k-means reduction to at most ``k`` weighted representatives.
+def reduce_scenarios(x: np.ndarray, k: int, seed: int) -> ScenarioSet:
+    """Seeded k-means reduction of the raw draws ``x`` (one per row) to at
+    most ``k`` weighted representatives.
 
     Each representative is the sample nearest its cluster centroid; empty
     clusters are dropped. Assignment ties break toward the lowest index.
     """
-    n = len(samples)
+    n = len(x)
     if not (1 <= k <= n):
         raise SamplingError(f"need 1 <= k <= n_raw, got k={k}, n_raw={n}")
-    x = np.array([s.multipliers for s in samples], dtype=float).reshape(n, -1)
     rng = np.random.default_rng(seed)
     centers = _farthest_point_init(x, k, rng)
 
@@ -184,41 +174,40 @@ def reduce_scenarios(samples: list[Scenario], k: int, seed: int) -> ScenarioSet:
             if len(members):
                 centers[c] = members.mean(axis=0)
 
-    reps: list[Scenario] = []
+    ids: list[int] = []
     weights: list[float] = []
     for c in range(k):
         member_idx = np.nonzero(assign == c)[0]
         if member_idx.size == 0:
             continue
         d2 = np.sum((x[member_idx] - centers[c]) ** 2, axis=1)
-        reps.append(samples[int(member_idx[int(np.argmin(d2))])])
+        ids.append(int(member_idx[int(np.argmin(d2))]))
         weights.append(member_idx.size / n)
-    return ScenarioSet(representatives=tuple(reps), weights=tuple(weights), n_raw=n)
+    return ScenarioSet(multipliers=x[ids], weights=np.array(weights), ids=np.array(ids),
+                       n_raw=n)
 
 
-def scenario_loads(case: GridCase, scenarios: list[Scenario]) -> Loads:
+def scenario_loads(case: GridCase, multipliers: np.ndarray) -> Loads:
     """Every scenario's loads and rebalanced generation, as arrays with one row
-    per scenario.
+    per row of ``multipliers``.
 
-    Multipliers align with the case's load buses in ascending bus-id order;
+    Multiplier columns align with the case's load buses in ascending bus-id order;
     every p_mech is scaled by the total-load ratio so the subsequent power
     flow starts near balance. Totals are summed bus by bus in id order, as
     Python's ``sum`` over the buses does.
     """
     load_ids = case.load_bus_ids()
-    for s in scenarios:
-        if len(s.multipliers) != len(load_ids):
-            raise SamplingError(f"scenario has {len(s.multipliers)} multipliers, "
-                                f"case has {len(load_ids)} loads")
+    if multipliers.shape[1] != len(load_ids):
+        raise SamplingError(f"scenarios have {multipliers.shape[1]} multipliers, "
+                            f"case has {len(load_ids)} loads")
     base = Loads.of_case(case)
-    size = len(scenarios)
+    size = len(multipliers)
     p_load = np.repeat(base.p_load, size, axis=0)
     q_load = np.repeat(base.q_load, size, axis=0)
     idx = case.bus_index()
     cols = [idx[b] for b in load_ids]
-    mult = np.array([s.multipliers for s in scenarios], dtype=float).reshape(size, len(cols))
-    p_load[:, cols] *= mult
-    q_load[:, cols] *= mult
+    p_load[:, cols] *= multipliers
+    q_load[:, cols] *= multipliers
     p_mech = np.repeat(base.p_mech, size, axis=0)
     old_total = sum(b.p_load for b in case.buses)
     if old_total != 0.0:
@@ -229,10 +218,10 @@ def scenario_loads(case: GridCase, scenarios: list[Scenario]) -> Loads:
     return Loads(p_load=p_load, q_load=q_load, p_mech=p_mech)
 
 
-def apply_scenario(case: GridCase, s: Scenario) -> GridCase:
-    """The case with one scenario's loads and generation (``scenario_loads``
-    for a batch of one)."""
-    loads = scenario_loads(case, [s])
+def apply_scenario(case: GridCase, row: np.ndarray) -> GridCase:
+    """The case with one multiplier row's loads and generation
+    (``scenario_loads`` for a batch of one)."""
+    loads = scenario_loads(case, np.reshape(row, (1, -1)))
     scaled = case.with_bus_loads({b.id: (float(loads.p_load[0, k]), float(loads.q_load[0, k]))
                                   for k, b in enumerate(case.buses)})
     gens = tuple(replace(g, p_mech=float(loads.p_mech[0, k]))
@@ -241,42 +230,30 @@ def apply_scenario(case: GridCase, s: Scenario) -> GridCase:
 
 
 def combine_region_sets(region_sets: dict[str, tuple[ScenarioSet, list[int]]],
-                        ) -> tuple[ScenarioSet, list[int]]:
-    """Cross-region product of independently sampled scenario sets.
+                        ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Cross-region product of independently sampled scenario sets: the joint
+    multipliers, their weights and the load bus id of each column.
 
-    Regions combine in ascending region-id order; joint multipliers are
-    re-ordered to ascending bus id, joint weights are products, and the joint
-    raw count is the product of the per-region raw counts.
+    Regions combine in ascending region-id order, the last varying fastest.
+    Each region's rows go into its load buses' columns, in ascending bus-id
+    order; joint weights are products, normalized by their sequential sum.
     """
     if not region_sets:
         raise SamplingError("no region scenario sets to combine")
     regions = sorted(region_sets)
-    all_bus_ids: list[int] = []
-    for r in regions:
-        all_bus_ids.extend(region_sets[r][1])
+    all_bus_ids = [b for r in regions for b in region_sets[r][1]]
     if len(set(all_bus_ids)) != len(all_bus_ids):
         raise SamplingError("regions share load buses")
-    order = np.argsort(all_bus_ids, kind="stable")
-    sorted_bus_ids = [all_bus_ids[i] for i in order]
-
-    combos: list[tuple[tuple[float, ...], float, tuple[int, ...]]] = [((), 1.0, ())]
+    bus_ids = sorted(all_bus_ids)
+    col = {b: j for j, b in enumerate(bus_ids)}
+    mult = np.empty((1, len(bus_ids)))
+    weights = np.ones(1)
     for r in regions:
-        sset, _ = region_sets[r]
-        combos = [
-            (mult + s.multipliers, w * sw, lineage + s.seed_lineage)
-            for mult, w, lineage in combos
-            for s, sw in zip(sset.representatives, sset.weights)
-        ]
-    reps = []
-    weights = []
-    for i, (mult, w, lineage) in enumerate(combos):
-        joint = tuple(mult[j] for j in order)
-        reps.append(Scenario(id=i, multipliers=joint, seed_lineage=lineage))
-        weights.append(w)
-    total = sum(weights)
-    weights = [w / total for w in weights]
-    n_raw = 1
-    for r in regions:
-        n_raw *= region_sets[r][0].n_raw
-    return ScenarioSet(representatives=tuple(reps), weights=tuple(weights),
-                       n_raw=n_raw), sorted_bus_ids
+        sset, ids = region_sets[r]
+        if sset.multipliers.shape[1] != len(ids):
+            raise SamplingError(f"region {r} has {sset.multipliers.shape[1]} multipliers "
+                                f"per scenario for {len(ids)} load buses")
+        mult = np.repeat(mult, len(sset.weights), axis=0)
+        mult[:, [col[b] for b in ids]] = np.tile(sset.multipliers, (len(weights), 1))
+        weights = np.outer(weights, sset.weights).ravel()
+    return mult, weights / sum(weights.tolist()), bus_ids

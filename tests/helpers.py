@@ -1,6 +1,7 @@
 """Shared test fixtures: canonical machine-infinite-bus system, random cases,
-a one-scenario reference integrator, a dense-matmul reference power flow and
-the scenario-by-scenario preparation the batched one replaced."""
+a one-scenario reference integrator, a dense-matmul reference power flow,
+the scenario-by-scenario preparation the batched one replaced and the
+tuple-by-tuple cross-region scenario product."""
 
 from __future__ import annotations
 
@@ -246,12 +247,13 @@ def reference_specified_injections(case: GridCase) -> np.ndarray:
     return p + 1j * q
 
 
-def reference_apply_scenario(case: GridCase, s) -> GridCase:
+def reference_apply_scenario(case: GridCase, row) -> GridCase:
     load_ids = case.load_bus_ids()
-    if len(s.multipliers) != len(load_ids):
+    multipliers = np.asarray(row).tolist()
+    if len(multipliers) != len(load_ids):
         raise SamplingError(
-            f"scenario has {len(s.multipliers)} multipliers, case has {len(load_ids)} loads")
-    by_bus = dict(zip(load_ids, s.multipliers))
+            f"scenario has {len(multipliers)} multipliers, case has {len(load_ids)} loads")
+    by_bus = dict(zip(load_ids, multipliers))
     old_total = sum(b.p_load for b in case.buses)
     scaled = case.with_bus_loads({b.id: (b.p_load * by_bus[b.id], b.q_load * by_bus[b.id])
                                   for b in case.buses if b.id in by_bus})
@@ -370,12 +372,12 @@ def reference_kron_reduce(y: np.ndarray, case: GridCase, sol: PowerFlowSolution)
     return aug[np.ix_(keep, keep)] - aug[np.ix_(keep, elim)] @ x
 
 
-def reference_prepare(case: GridCase, y, scenarios, fault):
-    """Each scenario's initialized case, reduced network and power-flow
-    iteration count, one scenario after another."""
+def reference_prepare(case: GridCase, y, multipliers, fault):
+    """Each multiplier row's initialized case, reduced network and power-flow
+    iteration count, one row after another."""
     cases, nets, iterations = [], [], []
-    for s in scenarios:
-        scase = reference_apply_scenario(case, s)
+    for row in multipliers:
+        scase = reference_apply_scenario(case, row)
         sol = reference_newton_raphson(scase, y)
         mcase = reference_initialize_machines(scase, sol)
         variants = fault_variants(y, mcase, fault)
@@ -385,12 +387,35 @@ def reference_prepare(case: GridCase, y, scenarios, fault):
     return cases, nets, iterations
 
 
-def reference_first_error(case: GridCase, y, scenarios, fault):
-    """The first scenario the scenario-by-scenario loop fails on, and its
-    error; None when every scenario prepares."""
-    for k, s in enumerate(scenarios):
+def reference_first_error(case: GridCase, y, multipliers, fault):
+    """The first multiplier row the scenario-by-scenario loop fails on, and
+    its error; None when every row prepares."""
+    for k, row in enumerate(multipliers):
         try:
-            reference_prepare(case, y, [s], fault)
+            reference_prepare(case, y, [row], fault)
         except (PowerFlowError, DynamicsError) as exc:
             return k, exc
     return None
+
+
+# ----------------------------------------------------------------------
+# The cross-region product built one tuple at a time, as it was before
+# ``sampling.combine_region_sets`` built it with numpy: the oracle whose
+# multipliers and weights the array product must equal bit for bit.
+
+def reference_combine(region_sets):
+    """Joint multiplier tuples (columns in ascending load-bus id), their
+    normalized weights and the sorted load bus ids."""
+    regions = sorted(region_sets)
+    all_bus_ids = [b for r in regions for b in region_sets[r][1]]
+    order = np.argsort(all_bus_ids, kind="stable")
+    combos = [((), 1.0)]
+    for r in regions:
+        sset, _ = region_sets[r]
+        combos = [(mult + tuple(row), w * sw)
+                  for mult, w in combos
+                  for row, sw in zip(sset.multipliers.tolist(), sset.weights.tolist())]
+    multipliers = [tuple(mult[j] for j in order) for mult, _ in combos]
+    weights = [w for _, w in combos]
+    total = sum(weights)
+    return multipliers, [w / total for w in weights], sorted(all_bus_ids)

@@ -4,7 +4,9 @@ A change that drops one of them must fail here rather than in the bench."""
 
 import importlib
 import importlib.util
+import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from gridmesh import pipeline, virtualdemo
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.linkem import zero_impairment_profile
 from gridmesh.model import FaultSpec, load_bundled_case
-from gridmesh.pipeline import RunManifest
+from gridmesh.pipeline import DsaParams, RunManifest
 from gridmesh.store import FileStore
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -60,16 +62,20 @@ def test_tracer_times_a_virtual_run(tmp_path):
         run_id="ef" * 16, expected_regions=("R1", "R2", "R3"), mode="Topology",
         fault=FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=6),
         sim_cfg=SimulationConfig(t_end=1.0, dt=0.005))
+    dsa_manifest = replace(manifest, run_id="fe" * 16, mode="DSA",
+                           dsa=DsaParams(n_raw=20, k=2, seed=1))
     original = pipeline.topology_compute
     tracer.install()
     try:
-        tracer.run = 0
-        out = virtualdemo.run_virtual_demo(load_bundled_case("case9"), manifest,
-                                           FileStore(tmp_path / "store"), tmp_path / "logs",
-                                           zero_impairment_profile(), {})
+        outs = []
+        for run, m in enumerate((manifest, dsa_manifest)):
+            tracer.run = run
+            outs.append(virtualdemo.run_virtual_demo(
+                load_bundled_case("case9"), m, FileStore(tmp_path / "store"),
+                tmp_path / f"logs{run}", zero_impairment_profile(), {}))
     finally:
         tracer.uninstall()
-    assert out.exit_code == 0
+    assert [out.exit_code for out in outs] == [0, 0]
     assert pipeline.topology_compute is original
     row = tracer.per_run()[0]
     for metric in ("virtualdemo.run_ms", "pipeline.edge_topology_blob_ms",
@@ -79,3 +85,9 @@ def test_tracer_times_a_virtual_run(tmp_path):
     # Y is densified once for the power flow and once for the three fault variants
     assert row["ybus.to_dense_calls"] == 2
     assert row["powerflow.solves"] == 1
+    # the bench writes both as JSON: a counter must be a plain number
+    json.dumps(tracer.to_json())
+    json.dumps(tracer.per_run())
+    dsa_row = tracer.per_run()[1]
+    for metric in ("sampling.draw_ms", "sampling.reduce_ms", "sampling.combine_ms"):
+        assert dsa_row[metric] > 0, metric

@@ -70,15 +70,18 @@ class TestSimulate:
 
 
 class TestSample:
-    def test_prints_representatives(self, capsys):
-        code = main(["sample", "dist=gaussian,sigma=0.05,dims=2",
-                     "--n-raw", "50", "--k", "4", "--seed", "9"])
+    @pytest.mark.parametrize("spec", ["dist=gaussian,sigma=0.05,dims=2",
+                                      "dist=uniform,half_width=0.05,dims=2"],
+                             ids=["gaussian", "uniform"])
+    def test_prints_representatives(self, spec, capsys):
+        code = main(["sample", spec, "--n-raw", "50", "--k", "4", "--seed", "9"])
         assert code == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "id,weight,m1,m2"
         assert 2 <= len(lines) <= 5
-        w = sum(float(l.split(",")[1]) for l in lines[1:])
-        assert w == pytest.approx(1.0, abs=1e-9)
+        rows = [[float(cell) for cell in line.split(",")[1:]] for line in lines[1:]]
+        assert sum(row[0] for row in rows) == pytest.approx(1.0, abs=1e-9)
+        assert all(0.85 <= m <= 1.15 for row in rows for m in row[1:])
 
 
 class TestReportCommand:

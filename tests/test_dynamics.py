@@ -21,7 +21,7 @@ from gridmesh.model import (Branch, Bus, CaseError, FaultSpec, Generator, GridCa
 from gridmesh.powerflow import (BatchSolution, Loads, Machines,
                                 PowerFlowDivergedError, PowerFlowError, SingularJacobianError,
                                 initialize_machines, solve_batch, solve_power_flow)
-from gridmesh.sampling import ForecastSpec, Scenario, draw_samples, scenario_loads
+from gridmesh.sampling import ForecastSpec, draw_samples, scenario_loads
 from gridmesh.ybus import YMatrix, build_ybus
 
 from helpers import (perturb_machine, random_connected_case, reference_apply_scenario,
@@ -383,8 +383,7 @@ def assert_same_preparation(case, scenarios, fault, cfg):
 
 
 def uniform(*multipliers, dims=3):
-    return [Scenario(id=i, multipliers=(m,) * dims, seed_lineage=())
-            for i, m in enumerate(multipliers)]
+    return np.array([(m,) * dims for m in multipliers], dtype=float)
 
 
 def row_bytes(case):
@@ -450,10 +449,8 @@ class TestPrepareBatch:
             case = with_machines(random_connected_case(rng, rng.randint(4, 10), 1), rng)
             fault = FaultSpec(faulted_bus=rng.choice(case.buses).id, t_fault=0.1, t_clear=0.2)
         assume(case.load_bus_ids())
-        scenarios = [Scenario(id=i, seed_lineage=(),
-                              multipliers=tuple(rng.uniform(0.2, 1.0 + spread)
-                                                for _ in case.load_bus_ids()))
-                     for i in range(n)]
+        scenarios = np.array([[rng.uniform(0.2, 1.0 + spread) for _ in case.load_bus_ids()]
+                              for _ in range(n)])
         with chunks_of(case, rows):
             assert_same_preparation(case, scenarios, fault, self.CFG)
 
@@ -646,7 +643,7 @@ class TestAssessAndExport:
 
     def test_report_payload_roundtrip(self):
         rep = assess_run([(0.7, self._result("Stable")),
-                          (0.3, self._result("Unstable", 0.5))], scenario_ids=[4, 9])
+                          (0.3, self._result("Unstable", 0.5))])
         again = SecurityReport.from_payload(rep.to_payload())
         assert again.insecurity_probability == rep.insecurity_probability
         assert again.rows == rep.rows

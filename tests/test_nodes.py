@@ -461,8 +461,8 @@ class TestEdgeArtifacts:
         for r in edges:
             parsed = pipeline.parse_upload(store.get(upload_key(m.run_id, r)))
             assert parsed["forecast_spec"] == spec.to_dict()
-            for rep in parsed["scenario_set"].representatives:
-                assert all(0.98 <= v <= 1.02 for v in rep.multipliers)
+            for row in parsed["scenario_set"].multipliers.tolist():
+                assert all(0.98 <= v <= 1.02 for v in row)
 
 
 def _log(log_dir, name):

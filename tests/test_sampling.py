@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmesh.model import load_bundled_case
 from gridmesh.powerflow import solve_power_flow
-from gridmesh.sampling import (ForecastSpec, SamplingError, Scenario, ScenarioSet,
-                               apply_scenario, combine_region_sets, draw_samples,
-                               reduce_scenarios)
+from gridmesh.sampling import (ForecastSpec, SamplingError, ScenarioSet, apply_scenario,
+                               combine_region_sets, draw_samples, reduce_scenarios)
+
+from helpers import reference_combine
 
 
 def gaussian_spec(dims=3, sigma=0.05):
@@ -34,49 +37,50 @@ class TestForecastSpec:
 class TestDrawSamples:
     def test_zero_variance_gives_exact_unity(self):
         spec = ForecastSpec(n_dims=4, dist="uniform", half_width=0.0)
-        for s in draw_samples(spec, 50, seed=3):
-            assert s.multipliers == (1.0, 1.0, 1.0, 1.0)
+        for row in draw_samples(spec, 50, seed=3).tolist():
+            assert row == [1.0, 1.0, 1.0, 1.0]
 
     def test_same_seed_identical(self):
         a = draw_samples(gaussian_spec(), 100, seed=42)
         b = draw_samples(gaussian_spec(), 100, seed=42)
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
     def test_different_seed_differs(self):
         a = draw_samples(gaussian_spec(), 100, seed=42)
         b = draw_samples(gaussian_spec(), 100, seed=43)
-        assert a != b
+        assert a.tobytes() != b.tobytes()
 
     def test_large_sample_marginal_statistics(self):
         # law of large numbers with LHS variance reduction; truncation at 3 sigma
         # shrinks the std slightly (factor ~0.9733)
         spec = gaussian_spec(dims=3, sigma=0.05)
-        samples = draw_samples(spec, 10_000, seed=7)
-        x = np.array([s.multipliers for s in samples])
+        x = draw_samples(spec, 10_000, seed=7)
         for d in range(3):
             assert abs(x[:, d].mean() - 1.0) < 0.002
             assert abs(x[:, d].std() - 0.05) < 0.003
 
     def test_truncation_bounds_respected(self):
         spec = gaussian_spec(dims=2, sigma=0.1)
-        x = np.array([s.multipliers for s in draw_samples(spec, 2000, seed=1)])
+        x = draw_samples(spec, 2000, seed=1)
         assert np.all(x >= 1.0 - 0.3 - 1e-12) and np.all(x <= 1.0 + 0.3 + 1e-12)
 
     def test_uniform_bounds(self):
         spec = ForecastSpec(n_dims=1, dist="uniform", half_width=0.2)
-        x = np.array([s.multipliers for s in draw_samples(spec, 2000, seed=1)])
+        x = draw_samples(spec, 2000, seed=1)
         assert np.all(x >= 0.8 - 1e-12) and np.all(x <= 1.2 + 1e-12)
 
     def test_lineage_and_ids(self):
+        # a representative's id is its row in the raw draw
         samples = draw_samples(gaussian_spec(), 10, seed=5)
-        assert [s.id for s in samples] == list(range(10))
-        assert all(s.seed_lineage == (5, s.id) for s in samples)
+        sset = reduce_scenarios(samples, 10, seed=5)
+        assert sorted(sset.ids.tolist()) == list(range(10))
+        assert sset.multipliers.tobytes() == samples[sset.ids].tobytes()
 
     def test_stratification_one_sample_per_stratum(self):
         # LHS property: per dimension, exactly one sample in each 1/n quantile bin
         spec = ForecastSpec(n_dims=2, dist="uniform", half_width=0.5)
         n = 64
-        x = np.array([s.multipliers for s in draw_samples(spec, n, seed=9)])
+        x = draw_samples(spec, n, seed=9)
         for d in range(2):
             u = (x[:, d] - 0.5)  # back to [0,1)
             bins = np.floor(u * n).astype(int)
@@ -111,21 +115,17 @@ def brute_force_two_clusters(points):
 
 
 class TestReduceScenarios:
-    def _scenarios(self, vectors):
-        return [Scenario(id=i, multipliers=tuple(v), seed_lineage=(0, i))
-                for i, v in enumerate(vectors)]
-
     def test_k_equals_n_returns_samples(self):
         samples = draw_samples(gaussian_spec(dims=2), 12, seed=2)
         sset = reduce_scenarios(samples, 12, seed=2)
-        assert sorted(s.id for s in sset.representatives) == list(range(12))
+        assert sorted(sset.ids.tolist()) == list(range(12))
         assert all(w == pytest.approx(1 / 12) for w in sset.weights)
 
     def test_identical_samples_collapse(self):
-        samples = self._scenarios([(1.1, 0.9)] * 20)
+        samples = np.array([(1.1, 0.9)] * 20)
         sset = reduce_scenarios(samples, 5, seed=0)
-        assert len(sset.representatives) == 1
-        assert sset.representatives[0].multipliers == (1.1, 0.9)
+        assert len(sset.multipliers) == 1
+        assert sset.multipliers[0].tolist() == [1.1, 0.9]
         assert sum(sset.weights) == pytest.approx(1.0)
 
     def test_two_blobs_against_bruteforce_oracle(self):
@@ -135,51 +135,47 @@ class TestReduceScenarios:
         pts = np.vstack([blob_a, blob_b])
         order = rng.permutation(len(pts))
         pts = pts[order]
-        samples = self._scenarios([tuple(p) for p in pts])
         oracle_a, oracle_b = brute_force_two_clusters([tuple(p) for p in pts])
 
-        sset = reduce_scenarios(samples, 2, seed=4)
-        assert len(sset.representatives) == 2
+        sset = reduce_scenarios(pts, 2, seed=4)
+        assert len(sset.multipliers) == 2
         got = []
         x = pts
-        for rep, w in zip(sset.representatives, sset.weights):
+        for c, w in enumerate(sset.weights):
             members = frozenset(
                 i for i in range(len(x))
-                if np.argmin([np.sum((x[i] - r.multipliers) ** 2 * [1, 1])
-                              for r in sset.representatives])
-                == sset.representatives.index(rep))
+                if np.argmin([np.sum((x[i] - r) ** 2 * [1, 1]) for r in sset.multipliers])
+                == c)
             got.append((members, w))
         assert {members for members, _ in got} == {oracle_a, oracle_b}
         assert all(w == pytest.approx(len(members) / len(pts)) for members, w in got)
         # each representative is an actual sample
-        pts_set = {tuple(p) for p in pts}
-        assert all(r.multipliers in pts_set for r in sset.representatives)
+        pts_set = {tuple(p) for p in pts.tolist()}
+        assert all(tuple(r) in pts_set for r in sset.multipliers.tolist())
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(SamplingError):
-            reduce_scenarios(self._scenarios([(1.0,)] * 3), 4, seed=0)
+            reduce_scenarios(np.ones((3, 1)), 4, seed=0)
 
     def test_weights_sum_to_one(self):
         samples = draw_samples(gaussian_spec(), 200, seed=11)
         sset = reduce_scenarios(samples, 10, seed=11)
         assert abs(sum(sset.weights) - 1.0) <= 1e-9
         assert all(w > 0 for w in sset.weights)
-        assert len(sset.representatives) <= 10
+        assert len(sset.multipliers) <= 10
 
     def test_deterministic(self):
         samples = draw_samples(gaussian_spec(), 200, seed=11)
         a = reduce_scenarios(samples, 10, seed=11)
         b = reduce_scenarios(samples, 10, seed=11)
-        assert a == b
+        assert a.to_payload() == b.to_payload()
 
     def test_representative_mean_tracks_raw_mean(self):
         spec = gaussian_spec(dims=3, sigma=0.05)
         n = 400
         samples = draw_samples(spec, n, seed=13)
         sset = reduce_scenarios(samples, 12, seed=13)
-        raw = np.array([s.multipliers for s in samples])
-        reps = np.array([s.multipliers for s in sset.representatives])
-        w = np.array(sset.weights)
+        raw, reps, w = samples, sset.multipliers, sset.weights
         for d in range(3):
             tol = 2 * 0.05 / math.sqrt(n)
             assert abs((reps[:, d] * w).sum() - raw[:, d].mean()) < tol
@@ -188,19 +184,20 @@ class TestReduceScenarios:
         samples = draw_samples(gaussian_spec(), 50, seed=3)
         sset = reduce_scenarios(samples, 5, seed=3)
         again = ScenarioSet.from_payload(sset.to_payload())
-        assert again == sset
+        assert again.to_payload() == sset.to_payload()
+        assert again.n_raw == sset.n_raw
+        for name in ("multipliers", "weights", "ids"):
+            assert getattr(again, name).tobytes() == getattr(sset, name).tobytes(), name
 
 
 class TestApplyScenario:
     def test_identity_multipliers(self):
         case = load_bundled_case("case9")
-        s = Scenario(id=0, multipliers=(1.0, 1.0, 1.0), seed_lineage=(0, 0))
-        assert apply_scenario(case, s) == case
+        assert apply_scenario(case, np.array([1.0, 1.0, 1.0])) == case
 
     def test_single_load_scaling(self):
         case = load_bundled_case("case9")
-        s = Scenario(id=0, multipliers=(1.1, 1.0, 1.0), seed_lineage=(0, 0))
-        out = apply_scenario(case, s)
+        out = apply_scenario(case, np.array([1.1, 1.0, 1.0]))
         assert out.bus(5).p_load == pytest.approx(1.25 * 1.1)
         assert out.bus(5).q_load == pytest.approx(0.5 * 1.1)
         old_total = 1.25 + 0.9 + 1.0
@@ -211,52 +208,69 @@ class TestApplyScenario:
     def test_dimension_mismatch_rejected(self):
         case = load_bundled_case("case9")
         with pytest.raises(SamplingError, match="multipliers"):
-            apply_scenario(case, Scenario(id=0, multipliers=(1.0,), seed_lineage=(0, 0)))
+            apply_scenario(case, np.array([1.0]))
 
     def test_scenarios_within_15pct_solve(self):
         # empirical: the bundled nine-bus case tolerates +-15% load scenarios
         case = load_bundled_case("case9")
         rng = np.random.default_rng(17)
         for _ in range(20):
-            mult = tuple(1.0 + rng.uniform(-0.15, 0.15) for _ in range(3))
-            s = Scenario(id=0, multipliers=mult, seed_lineage=(0, 0))
-            sol = solve_power_flow(apply_scenario(case, s))
+            mult = np.array([1.0 + rng.uniform(-0.15, 0.15) for _ in range(3)])
+            sol = solve_power_flow(apply_scenario(case, mult))
             assert sol.max_mismatch < 1e-8
 
 
 class TestCombineRegionSets:
-    def _set(self, reps, weights, n_raw, start_id=0):
-        return ScenarioSet(
-            representatives=tuple(Scenario(id=start_id + i, multipliers=tuple(m),
-                                           seed_lineage=(9, i))
-                                  for i, m in enumerate(reps)),
-            weights=tuple(weights), n_raw=n_raw)
+    def _set(self, reps, weights, n_raw):
+        return ScenarioSet(multipliers=np.array(reps, dtype=float),
+                           weights=np.array(weights, dtype=float),
+                           ids=np.arange(len(weights)), n_raw=n_raw)
 
     def test_single_region_passthrough(self):
         sset = self._set([(1.1,), (0.9,)], [0.5, 0.5], 10)
-        combined, bus_ids = combine_region_sets({"R1": (sset, [5])})
+        mult, weights, bus_ids = combine_region_sets({"R1": (sset, [5])})
         assert bus_ids == [5]
-        assert [s.multipliers for s in combined.representatives] == [(1.1,), (0.9,)]
-        assert combined.n_raw == 10
+        assert mult.tolist() == [[1.1], [0.9]]
+        assert weights.tolist() == [0.5, 0.5]
 
     def test_cartesian_product_weights_multiply(self):
         a = self._set([(1.1,), (0.9,)], [0.25, 0.75], 4)
         b = self._set([(1.2,)], [1.0], 3)
-        combined, bus_ids = combine_region_sets({"R2": (b, [8]), "R1": (a, [5])})
+        mult, weights, bus_ids = combine_region_sets({"R2": (b, [8]), "R1": (a, [5])})
         assert bus_ids == [5, 8]
-        assert combined.n_raw == 12
-        assert len(combined.representatives) == 2
-        assert combined.weights == (0.25, 0.75)
-        assert combined.representatives[0].multipliers == (1.1, 1.2)
+        assert len(mult) == 2
+        assert weights.tolist() == [0.25, 0.75]
+        assert mult[0].tolist() == [1.1, 1.2]
 
     def test_multiplier_order_follows_bus_ids(self):
         a = self._set([(1.5,)], [1.0], 1)          # region owning bus 8
         b = self._set([(0.5,)], [1.0], 1)          # region owning bus 5
-        combined, bus_ids = combine_region_sets({"R1": (a, [8]), "R2": (b, [5])})
+        mult, _, bus_ids = combine_region_sets({"R1": (a, [8]), "R2": (b, [5])})
         assert bus_ids == [5, 8]
-        assert combined.representatives[0].multipliers == (0.5, 1.5)
+        assert mult[0].tolist() == [0.5, 1.5]
 
     def test_shared_bus_rejected(self):
         a = self._set([(1.0,)], [1.0], 1)
         with pytest.raises(SamplingError, match="share"):
             combine_region_sets({"R1": (a, [5]), "R2": (a, [5])})
+
+    @given(data=st.data(),
+           shapes=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)),
+                           min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_array_product_equals_tuple_product(self, data, shapes):
+        # (k, dims) per region; the regions' load buses interleave in a drawn order
+        bus_ids = data.draw(st.permutations(range(sum(d for _, d in shapes))))
+        region_sets, start = {}, 0
+        for r, (k, dims) in enumerate(shapes):
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            n_raw = data.draw(st.integers(k, 12))
+            sset = reduce_scenarios(draw_samples(gaussian_spec(dims=dims, sigma=0.1),
+                                                 n_raw, seed), k, seed)
+            region_sets[f"R{r}"] = (sset, list(bus_ids[start:start + dims]))
+            start += dims
+        mult, weights, got_ids = combine_region_sets(region_sets)
+        want_mult, want_weights, want_ids = reference_combine(region_sets)
+        assert got_ids == want_ids
+        assert mult.tobytes() == np.array(want_mult).tobytes()
+        assert weights.tobytes() == np.array(want_weights).tobytes()

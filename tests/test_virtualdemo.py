@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -222,9 +223,9 @@ class TestVirtualDsa:
                                zero_impairment_profile(),
                                {f"ue-{r}": (r, [item]) for r in ("R1", "R2", "R3")})
         assert out.exit_code == 2
-        joint, _ = combine_region_sets({r: pipeline.region_scenarios(case, r, dsa, spec)[:2]
-                                        for r in ("R1", "R2", "R3")})
-        k, exc = reference_first_error(case, build_ybus(case), joint.representatives, FAULT)
+        joint, _, _ = combine_region_sets({r: pipeline.region_scenarios(case, r, dsa, spec)[:2]
+                                           for r in ("R1", "R2", "R3")})
+        k, exc = reference_first_error(case, build_ybus(case), joint, FAULT)
         failed = [f for ev, f in _events(logs, "cloud") if ev == "run_failed"]
         assert [f["reason"] for f in failed] == [type(exc).__name__]
         assert failed[0]["detail"] == f"scenario {k}: {exc}".replace(" ", "_")
@@ -275,6 +276,27 @@ class TestVirtualBadInput:
         assert out.exit_code == 2 and out.result_blob is None
         failed = [f["reason"] for ev, f in _events(logs, "cloud") if ev == "run_failed"]
         assert failed == ["PartialPayloadError"]
+
+    @pytest.mark.parametrize("tamper", [
+        lambda sset: dict(sset, weights=[float("nan")] * len(sset["weights"])),
+        lambda sset: dict(sset, multipliers=[[float("inf")]] + sset["multipliers"][1:]),
+        lambda sset: dict(sset, multipliers=[row * 2 for row in sset["multipliers"]]),
+    ], ids=["nan_weights", "infinite_multiplier", "a_column_per_load_too_many"])
+    def test_tampered_scenario_set_fails_the_run(self, tamper, tmp_path):
+        # R1's DSA upload is in the store before its edge computes, its
+        # scenario set altered; the cloud rejects it instead of simulating it
+        case = load_bundled_case("case9")
+        dsa = DsaParams(n_raw=20, k=2, seed=1)
+        upload = json.loads(pipeline.edge_scenarios_blob(case, case, "R1", dsa))
+        upload["scenario_set"] = tamper(upload["scenario_set"])
+        store = FileStore(tmp_path / "store")
+        store.put(upload_key(RID, "R1"), canonical_json(upload))
+        logs = tmp_path / "logs"
+        out = run_virtual_demo(case, dsa_manifest(dsa), store, logs,
+                               zero_impairment_profile(), {})
+        assert out.exit_code == 2 and out.result_blob is None
+        failed = [f["reason"] for ev, f in _events(logs, "cloud") if ev == "run_failed"]
+        assert failed == ["SamplingError"]
 
     def test_bad_input_never_crashes_the_scheduler(self, tmp_path):
         # a report naming an unknown branch is rejected and the run completes
