@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from . import pipeline, wire
-from .model import GridCase
+from .model import CaseError, GridCase
 from .pipeline import RunManifest
 from .sampling import ForecastSpec
 from .store import AlreadyExistsError, FileStore, POLL_INTERVAL_S, result_key, upload_key
@@ -223,11 +223,17 @@ def _unexpected(peer, env: Envelope, reject: str, of: int | None = None) -> list
             Log(reject, reason="unexpected_kind", kind=kind)]
 
 
-def _apply_topology(view: GridCase, obj: dict) -> GridCase:
-    """Apply a topology report's absolute assignments; raises before mutating."""
+def _apply_topology(view: GridCase, region: str, obj: dict) -> GridCase:
+    """Apply a topology report's absolute assignments; raises before mutating,
+    also when the report names a branch or bus that ``region`` does not own."""
     assignments = {int(br["id"]): str(br["status"]) for br in obj.get("branches", [])}
     loads = {int(b["id"]): (float(b["p_load"]), float(b["q_load"]))
              for b in obj.get("buses", [])}
+    for what, ids, owner in (("branch", assignments, view.branch_owners()),
+                             ("bus", loads, view.bus_owner())):
+        foreign = sorted(i for i in ids if owner.get(i, region) != region)
+        if foreign:
+            raise CaseError(f"{what} ids {foreign} are not owned by region {region}")
     out = view
     if assignments:
         out = out.with_branch_status(assignments)
@@ -276,7 +282,7 @@ class EdgeCore:
                                node=obj.get("node_id", "?")))
             elif env.msg_type == MessageKind.TOPOLOGY_REPORT:
                 out.append(Log("edge_recv", kind="topology", seq=seq))
-                self.view = _apply_topology(self.view, obj)
+                self.view = _apply_topology(self.view, self.region, obj)
                 out += [Log("delta_applied", branch=int(br["id"]), status=br["status"])
                         for br in obj.get("branches", [])]
             elif env.msg_type == MessageKind.FORECAST_REPORT:

@@ -141,22 +141,20 @@ class GridCase:
     def bus_owner(self) -> dict[int, str]:
         return {b.id: b.owner_region for b in self.buses}
 
-    def branch_partition(self) -> dict[int, str]:
-        """Region owning each Closed branch (blank owner inherits from_bus)."""
+    def branch_owners(self) -> dict[int, str]:
+        """Region owning each branch, Open or Closed (blank owner inherits from_bus)."""
         owners = self.bus_owner()
-        part = {}
-        for br in self.branches:
-            if br.closed:
-                part[br.id] = br.owner_region or owners[br.from_bus]
-        return part
+        return {br.id: br.owner_region or owners[br.from_bus] for br in self.branches}
+
+    def branch_partition(self) -> dict[int, str]:
+        """Region owning each Closed branch."""
+        owners = self.branch_owners()
+        return {br.id: owners[br.id] for br in self.branches if br.closed}
 
     def regions(self) -> list[str]:
         """Every region that owns a bus or a branch, Open or Closed: a region
         whose branches are all open still takes part (with an empty partial)."""
-        owners = self.bus_owner()
-        seen = set(owners.values()) | {br.owner_region or owners[br.from_bus]
-                                       for br in self.branches}
-        return sorted(seen)
+        return sorted(set(self.bus_owner().values()) | set(self.branch_owners().values()))
 
     # -- derived cases -------------------------------------------------
 

@@ -137,8 +137,8 @@ def status_deltas(view: GridCase, base: GridCase) -> list[list]:
 
 
 def _topology_upload(view: GridCase, base: GridCase, region: str) -> dict:
-    partial = build_partial(view, region, view.branch_partition(), view.bus_owner())
-    return {"partial": partial.to_payload(), "status_deltas": status_deltas(view, base)}
+    return {"partial": build_partial(view, region).to_payload(),
+            "status_deltas": status_deltas(view, base)}
 
 
 def edge_topology_blob(view: GridCase, base: GridCase, region: str) -> bytes:
@@ -224,17 +224,14 @@ def cloud_result(base: GridCase, manifest: RunManifest,
 
 def cloud_merge(base: GridCase, uploads: dict[str, dict]) -> tuple[GridCase, YMatrix]:
     """Reassemble the full matrix and topology view from parsed region uploads."""
-    parts = []
     merged_deltas: dict[int, str] = {}
-    for region in sorted(uploads):
-        parts.append(uploads[region]["partial"])
-        for bid, status in uploads[region]["status_deltas"].items():
+    for upload in uploads.values():
+        for bid, status in upload["status_deltas"].items():
             if merged_deltas.get(bid, status) != status:
                 raise ManifestError(f"regions disagree on branch {bid} status")
             merged_deltas[bid] = status
     view = base.with_branch_status(merged_deltas)
-    y = merge_partials(parts, view.closed_branch_ids())
-    return view, y
+    return view, merge_partials(view, [u["partial"] for u in uploads.values()])
 
 
 def topology_compute(view: GridCase, y: YMatrix, fault: FaultSpec,

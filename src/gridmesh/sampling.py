@@ -96,6 +96,8 @@ class ScenarioSet:
             raise SamplingError("weights must be >= 0")
         if abs(sum(self.weights.tolist()) - 1.0) > 1e-9:
             raise SamplingError("weights must sum to 1")
+        if len(set(self.ids.tolist())) != k or ((self.ids < 0) | (self.ids >= self.n_raw)).any():
+            raise SamplingError("ids must be distinct raw-draw indices in [0, n_raw)")
 
     def to_payload(self) -> dict:
         return {"n_raw": self.n_raw, "ids": self.ids.tolist(),

@@ -1,12 +1,16 @@
 """Sparse complex admittance matrix: construction, region partials, merging, fault variants.
 
-Every matrix keeps its per-entry contribution list keyed by origin (branch id
-or bus shunt). One stamp helper makes the terms, and one helper puts each
-entry's terms in canonical order (branches by ascending id, then shunts by
-ascending bus id) for a whole build, a region partial, a partial read back
-from its payload and a merge alike, so merged region partials fold
-bit-for-bit to the whole build. ``fault_variants`` adds a fault shunt after
-an entry's terms and re-folds only the entries a cleared branch touches.
+A region partial carries stamp values, not matrix positions: the three
+admittance terms of each Closed branch its region owns and the nonzero shunt
+of each bus its region owns. The same two helpers compute those values for
+a whole build and a region partial, and one helper places them at the case's
+own bus indices and folds every entry's terms in canonical order (branches by
+ascending id, then shunts by ascending bus id), for a whole build and a merge
+alike, so merged region partials fold bit-for-bit to the whole build. The
+merge first checks that the partials cover exactly the case's Closed branches
+and nonzero shunts, each once. Every matrix keeps its per-entry terms keyed by
+origin, so ``fault_variants`` adds a fault shunt after an entry's terms and
+re-folds only the entries a cleared branch touches.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ _KIND_SHUNT = 1
 Entry = tuple[int, int]
 ContribKey = tuple[int, int]
 Terms = tuple[tuple[ContribKey, complex], ...]
+Stamp = tuple[complex, complex, complex]      # from-diagonal, to-diagonal, off-diagonal
 
 
 class YBusError(CaseError):
@@ -34,21 +39,16 @@ class UnknownRegionError(YBusError):
     pass
 
 
-class PartitionError(YBusError):
-    """Partition or bus-ownership map does not cover the case."""
-
-
 class DuplicateCoverageError(YBusError):
     """Two partials claim the same branch (or bus shunt)."""
 
 
 class IncompleteCoverageError(YBusError):
-    """Merged branch set does not match the expected set."""
+    """The partials' branches or shunts do not match the case's."""
 
 
 class PartialPayloadError(YBusError):
-    """A partial's term lies outside its matrix or belongs to a branch or
-    shunt the partial does not declare."""
+    """A partial names one branch or bus shunt twice."""
 
 
 class YMatrix:
@@ -90,38 +90,44 @@ def _fold(terms: Terms) -> complex:
     return total
 
 
-def _canonical(terms: Iterable[tuple[Entry, ContribKey, complex]]) -> dict[Entry, Terms]:
-    """Group (pos, key, value) terms by entry, each entry's terms in key order."""
-    acc: dict[Entry, list[tuple[ContribKey, complex]]] = {}
-    for pos, key, value in terms:
-        acc.setdefault(pos, []).append((key, value))
-    return {pos: tuple(sorted(ts, key=lambda t: t[0])) for pos, ts in acc.items()}
+def _branch_stamps(branches: Iterable[Branch]) -> dict[int, Stamp]:
+    """The stamp of each given branch that is Closed.
 
-
-def _stamps(case: GridCase, branches: Iterable[Branch], shunt_buses: Iterable[Bus]):
-    """The (pos, key, value) terms of the given closed branches and bus shunts.
-
-    Per branch with series admittance y = 1/(r + jx): off-diagonals get
-    -y/tap, diagonal(from) y/tap^2 + j*b_charge/2, diagonal(to) y + j*b_charge/2.
+    With series admittance y = 1/(r + jx): off-diagonals get -y/tap,
+    diagonal(from) y/tap^2 + j*b_charge/2, diagonal(to) y + j*b_charge/2.
     """
-    idx = case.bus_index()
+    stamps = {}
     for br in branches:
-        y = 1.0 / complex(br.r, br.x)
-        half_charge = complex(0.0, 0.5 * br.b_charge)
-        f, t = idx[br.from_bus], idx[br.to_bus]
-        off = -(y / br.tap)
-        key = (_KIND_BRANCH, br.id)
-        yield (f, f), key, y / (br.tap * br.tap) + half_charge
-        yield (t, t), key, y + half_charge
-        yield (f, t), key, off
-        yield (t, f), key, off
-    for bus in shunt_buses:
-        i = idx[bus.id]
-        yield (i, i), (_KIND_SHUNT, bus.id), complex(bus.shunt_g, bus.shunt_b)
+        if br.closed:
+            y = 1.0 / complex(br.r, br.x)
+            half_charge = complex(0.0, 0.5 * br.b_charge)
+            stamps[br.id] = (y / (br.tap * br.tap) + half_charge, y + half_charge,
+                             -(y / br.tap))
+    return stamps
 
 
-def _has_shunt(bus: Bus) -> bool:
-    return bus.shunt_g != 0.0 or bus.shunt_b != 0.0
+def _shunts(buses: Iterable[Bus]) -> dict[int, complex]:
+    """The shunt of each given bus whose shunt is nonzero."""
+    return {bus.id: complex(bus.shunt_g, bus.shunt_b) for bus in buses
+            if bus.shunt_g != 0.0 or bus.shunt_b != 0.0}
+
+
+def _place(case: GridCase, stamps: dict[int, Stamp], shunts: dict[int, complex]) -> YMatrix:
+    """The matrix of the given stamps at the case's own bus indices, each
+    entry's terms folded in key order."""
+    idx = case.bus_index()
+    ends = {br.id: (idx[br.from_bus], idx[br.to_bus]) for br in case.branches}
+    acc: dict[Entry, list[tuple[ContribKey, complex]]] = {}
+    for bid, (ff, tt, off) in stamps.items():
+        f, t = ends[bid]
+        key = (_KIND_BRANCH, bid)
+        for pos, value in (((f, f), ff), ((t, t), tt), ((f, t), off), ((t, f), off)):
+            acc.setdefault(pos, []).append((key, value))
+    for bus_id, value in shunts.items():
+        i = idx[bus_id]
+        acc.setdefault((i, i), []).append(((_KIND_SHUNT, bus_id), value))
+    return YMatrix(case.n, {pos: tuple(sorted(ts, key=lambda t: t[0]))
+                            for pos, ts in acc.items()})
 
 
 def build_ybus(case: GridCase) -> YMatrix:
@@ -129,129 +135,86 @@ def build_ybus(case: GridCase) -> YMatrix:
 
     Open branches contribute nothing; zero shunts are not stamped.
     """
-    branches = [br for br in case.branches if br.closed]
-    shunts = [bus for bus in case.buses if _has_shunt(bus)]
-    return YMatrix(case.n, _canonical(_stamps(case, branches, shunts)))
+    return _place(case, _branch_stamps(case.branches), _shunts(case.buses))
 
 
 class PartialAdmittance:
-    """One region's additive share of the full matrix.
+    """One region's additive share of the full matrix: the stamp of each
+    Closed branch it owns, by branch id, and the nonzero shunt of each bus it
+    owns, by bus id."""
 
-    Carries the branch stamps it owns plus the shunts of its owned buses, with
-    provenance, so merging can re-fold contributions in canonical order.
-    """
+    __slots__ = ("region", "branches", "shunts")
 
-    __slots__ = ("region", "n", "branch_ids", "shunt_bus_ids", "contribs")
-
-    def __init__(self, region: str, n: int, branch_ids: set[int], shunt_bus_ids: set[int],
-                 contribs: dict[Entry, Terms]):
+    def __init__(self, region: str, branches: dict[int, Stamp], shunts: dict[int, complex]):
         self.region = region
-        self.n = n
-        self.branch_ids = frozenset(branch_ids)
-        self.shunt_bus_ids = frozenset(shunt_bus_ids)
-        self.contribs = contribs
+        self.branches = branches
+        self.shunts = shunts
 
     def __repr__(self) -> str:
-        return (f"PartialAdmittance(region={self.region!r}, n={self.n}, "
-                f"branches={len(self.branch_ids)}, nnz={len(self.contribs)})")
+        return (f"PartialAdmittance(region={self.region!r}, "
+                f"branches={len(self.branches)}, shunts={len(self.shunts)})")
 
     def to_payload(self) -> dict:
-        terms = []
-        for (i, j) in sorted(self.contribs):
-            for (kind, kid), v in self.contribs[(i, j)]:
-                terms.append([i, j, kind, kid, v.real, v.imag])
         return {
             "region": self.region,
-            "n": self.n,
-            "branch_ids": sorted(self.branch_ids),
-            "shunt_bus_ids": sorted(self.shunt_bus_ids),
-            "terms": terms,
+            "branches": [[bid] + [x for v in stamp for x in (v.real, v.imag)]
+                         for bid, stamp in sorted(self.branches.items())],
+            "shunts": [[bus_id, v.real, v.imag] for bus_id, v in sorted(self.shunts.items())],
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PartialAdmittance":
-        """Read a partial back; every term must lie in the n x n matrix and
-        belong to a branch or bus shunt the partial declares."""
-        n = int(payload["n"])
-        owned = {_KIND_BRANCH: set(payload["branch_ids"]),
-                 _KIND_SHUNT: set(payload["shunt_bus_ids"])}
-        terms = []
-        for i, j, kind, kid, re, im in payload["terms"]:
-            pos, key = (int(i), int(j)), (int(kind), int(kid))
-            if not (0 <= pos[0] < n and 0 <= pos[1] < n):
-                raise PartialPayloadError(f"term at {pos} lies outside the {n}x{n} matrix")
-            if key[1] not in owned.get(key[0], ()):
-                raise PartialPayloadError(f"term {key} at {pos} belongs to no branch or "
-                                          f"shunt of region {payload['region']!r}")
-            terms.append((pos, key, complex(re, im)))
-        return cls(region=payload["region"], n=n, branch_ids=owned[_KIND_BRANCH],
-                   shunt_bus_ids=owned[_KIND_SHUNT], contribs=_canonical(terms))
+        """Read a partial back; it may name each branch and bus shunt once."""
+        branches = {int(bid): (complex(ff_re, ff_im), complex(tt_re, tt_im),
+                               complex(off_re, off_im))
+                    for bid, ff_re, ff_im, tt_re, tt_im, off_re, off_im in payload["branches"]}
+        shunts = {int(bus_id): complex(g, b) for bus_id, g, b in payload["shunts"]}
+        if len(branches) < len(payload["branches"]) or len(shunts) < len(payload["shunts"]):
+            raise PartialPayloadError("partial names a branch or bus shunt twice")
+        return cls(payload["region"], branches, shunts)
 
 
-def build_partial(case: GridCase, region: str, partition: dict[int, str],
-                  bus_owner: dict[int, str]) -> PartialAdmittance:
-    """Stamp exactly the branches assigned to ``region`` plus its owned bus shunts."""
-    closed = case.closed_branch_ids()
-    missing = closed - set(partition)
-    if missing:
-        raise PartitionError(f"partition does not cover closed branches {sorted(missing)}")
-    uncovered = {b.id for b in case.buses} - set(bus_owner)
-    if uncovered:
-        raise PartitionError(f"bus_owner does not cover buses {sorted(uncovered)}")
-    known = set(partition.values()) | set(bus_owner.values()) | set(case.regions())
-    if region not in known:
+def build_partial(case: GridCase, region: str) -> PartialAdmittance:
+    """Stamp the Closed branches and nonzero bus shunts the case gives ``region``."""
+    if region not in case.regions():
         raise UnknownRegionError(f"region {region!r} not declared anywhere in the case")
-
-    branches = [br for br in case.branches if br.closed and partition[br.id] == region]
-    shunts = [bus for bus in case.buses if bus_owner[bus.id] == region and _has_shunt(bus)]
-    return PartialAdmittance(region, case.n, {br.id for br in branches},
-                             {bus.id for bus in shunts},
-                             _canonical(_stamps(case, branches, shunts)))
+    owner = case.branch_owners()
+    return PartialAdmittance(
+        region, _branch_stamps(br for br in case.branches if owner[br.id] == region),
+        _shunts(bus for bus in case.buses if bus.owner_region == region))
 
 
 def build_partials(case: GridCase) -> dict[str, PartialAdmittance]:
     """One partial per region using the case's declared ownership."""
-    partition = case.branch_partition()
-    owners = case.bus_owner()
-    return {r: build_partial(case, r, partition, owners) for r in case.regions()}
+    return {r: build_partial(case, r) for r in case.regions()}
 
 
-def merge_partials(parts: list[PartialAdmittance], expected_branches: set[int]) -> YMatrix:
-    """Combine disjoint region partials into the full matrix.
-
-    Contributions from all partials are re-folded in the canonical stamp order,
-    so the merge of a valid full partition reproduces :func:`build_ybus` exactly.
-    """
-    if not parts:
-        raise IncompleteCoverageError("no partials to merge")
-    dims = {p.n for p in parts}
-    if len(dims) != 1:
-        raise YBusError(f"partials disagree on dimension: {sorted(dims)}")
-
-    parts = sorted(parts, key=lambda p: p.region)
-    seen_branches: set[int] = set()
-    seen_shunts: set[int] = set()
-    for p in parts:
-        dup = seen_branches & p.branch_ids
+def _cover(what: str, claims: list[Iterable[int]], expected: set[int]) -> None:
+    """Raise unless the claims name every expected id exactly once, and no other."""
+    seen: set[int] = set()
+    for ids in claims:
+        dup = seen & set(ids)
         if dup:
-            raise DuplicateCoverageError(
-                f"branches {sorted(dup)} stamped by more than one region")
-        dup_sh = seen_shunts & p.shunt_bus_ids
-        if dup_sh:
-            raise DuplicateCoverageError(
-                f"bus shunts {sorted(dup_sh)} stamped by more than one region")
-        seen_branches |= p.branch_ids
-        seen_shunts |= p.shunt_bus_ids
-
-    if seen_branches != set(expected_branches):
-        missing = sorted(set(expected_branches) - seen_branches)
-        extra = sorted(seen_branches - set(expected_branches))
+            raise DuplicateCoverageError(f"{what} {sorted(dup)} stamped by more than one region")
+        seen |= set(ids)
+    if seen != expected:
         raise IncompleteCoverageError(
-            f"branch coverage mismatch: missing={missing} unexpected={extra}")
+            f"{what} coverage mismatch: missing={sorted(expected - seen)} "
+            f"unexpected={sorted(seen - expected)}")
 
-    return YMatrix(parts[0].n, _canonical(
-        (pos, key, value) for p in parts
-        for pos, terms in p.contribs.items() for key, value in terms))
+
+def merge_partials(case: GridCase, parts: list[PartialAdmittance]) -> YMatrix:
+    """Place region partials at the case's own bus indices.
+
+    The partials must cover exactly the case's Closed branches and nonzero bus
+    shunts, each once. Their stamps are then placed and folded as
+    :func:`build_ybus` places and folds a whole build's, so the merge of every
+    region's partial reproduces it exactly.
+    """
+    _cover("branches", [p.branches for p in parts], case.closed_branch_ids())
+    _cover("bus shunts", [p.shunts for p in parts], set(_shunts(case.buses)))
+    return _place(case, {bid: s for p in parts for bid, s in p.branches.items()},
+                  {bus_id: v for p in parts for bus_id, v in p.shunts.items()})
 
 
 def fault_variants(y: YMatrix, case: GridCase,

@@ -56,8 +56,7 @@ def test_01_merge_equivalence_bitwise():
         for _ in range(100):
             case = random_connected_case(rng, rng.randint(5, 30), rng.randint(1, 5))
             y = build_ybus(case)
-            merged = merge_partials(list(build_partials(case).values()),
-                                    case.closed_branch_ids())
+            merged = merge_partials(case, list(build_partials(case).values()))
             assert merged.n == y.n and set(merged.entries) == set(y.entries)
             for k, v in y.entries.items():
                 mv = merged.entries[k]

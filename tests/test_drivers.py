@@ -16,7 +16,7 @@ from gridmesh.core import EdgeCore, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import EventLog, read_events
 from gridmesh.linkem import default_5g_sa_profile, zero_impairment_profile
-from gridmesh.model import FaultSpec, load_bundled_case
+from gridmesh.model import Branch, Bus, FaultSpec, load_bundled_case
 from gridmesh.nodes import CloudNode, EdgeNode, UeScriptItem, ue_agent
 from gridmesh.pipeline import DsaParams, RunManifest
 from gridmesh.store import FileStore
@@ -95,16 +95,24 @@ def test_socket_and_virtual_runs_are_identical(mode, profile, tmp_path):
 
 def test_concurrent_reports_under_fast_thread_switching(tmp_path):
     # each edge calls its core from its one loop: 24 UE threads on two
-    # cores, switching every 10 us, each set a different bus load at their
-    # edge; a lost update would drop one from the edge's view
-    case = load_bundled_case("case9")
+    # cores, switching every 10 us, each set the load of a different bus
+    # their edge owns; a lost update would drop one from the edge's view
+    base = load_bundled_case("case9")
+    # eight load-free stub buses per region, each on a branch from a bus the region owns
+    hubs = {"R1": 4, "R2": 8, "R3": 9}
+    owner = {10 + i: r for i, r in enumerate(r for r in REGIONS for _ in range(8))}
+    case = replace(
+        base,
+        buses=base.buses + tuple(Bus(id=b, kind="PQ", owner_region=r) for b, r in owner.items()),
+        branches=base.branches + tuple(Branch(id=b, from_bus=hubs[r], to_bus=b, r=0.01, x=0.1)
+                                       for b, r in owner.items()))
     manifest = RunManifest(run_id="cd" * 16, expected_regions=REGIONS, mode="Topology",
                            fault=FAULT, sim_cfg=CFG, deadline_s=15.0)
     store = FileStore(tmp_path / "store")
     cloud = CloudNode(case, store, profile=ZERO)
     cloud_addr = cloud.start()
     edges = {r: EdgeNode(r, case, store, cloud_addr, profile=ZERO) for r in REGIONS}
-    load = {bus: (0.5 + bus / 100, 0.1) for bus in range(1, 9)}
+    load = {bus: (0.5 + bus / 100, 0.1) for bus in owner}
 
     def script(region, bus):
         branches = ({"id": 9, "status": "Open"},) if region == "R2" else ()
@@ -114,7 +122,7 @@ def test_concurrent_reports_under_fast_thread_switching(tmp_path):
     results = []
     threads = [threading.Thread(target=lambda r=r, b=b: results.append(ue_agent(
                    f"ue-{r}-{b}", script(r, b), edges[r].bound_addr, profile=ZERO)))
-               for r in REGIONS for b in load]
+               for b, r in owner.items()]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -132,9 +140,9 @@ def test_concurrent_reports_under_fast_thread_switching(tmp_path):
             e.close()
         cloud.close()
     assert len(results) == 24 and all(r.clean for r in results)
-    for e in edges.values():
-        buses = e.core.view.buses
-        assert {b.id: (b.p_load, b.q_load) for b in buses if b.id in load} == load
+    for r, e in edges.items():
+        assert {b.id: (b.p_load, b.q_load) for b in e.core.view.buses
+                if b.id in load} == {b: load[b] if owner[b] == r else (0.0, 0.0) for b in load}
     assert edges["R2"].core.view.branch(9).status == "Open"
     assert code == 0
 

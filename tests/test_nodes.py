@@ -99,9 +99,9 @@ class TestUeAgent:
         # oracle: applying the deltas directly, bypassing the network
         _, edges, _ = cluster
         script = [UeScriptItem(at_s=0.0, kind="topology",
-                               branches=({"id": 9, "status": "Open"},
+                               branches=({"id": 6, "status": "Open"},
                                          {"id": 4, "status": "Closed"}))]
-        expected = case9.with_branch_status({9: "Open", 4: "Closed"})
+        expected = case9.with_branch_status({6: "Open", 4: "Closed"})
 
         reports = []
         def run_one(i):
@@ -446,7 +446,7 @@ class TestEdgeArtifacts:
             case9.with_branch_status({9: "Open"}), case9, "R2")
         assert uploaded == expected
         parsed = pipeline.parse_upload(uploaded)
-        assert 9 not in parsed["partial"].branch_ids and parsed["status_deltas"] == {9: "Open"}
+        assert 9 not in parsed["partial"].branches and parsed["status_deltas"] == {9: "Open"}
 
     def test_forecast_report_shapes_dsa_sampling(self, cluster):
         cloud, edges, store = cluster

@@ -76,7 +76,7 @@ class TestVirtualTopology:
                                {"ue-1": ("R1", []), "ue-2": ("R2", [opens])})
         assert out.exit_code == 0
         upload = pipeline.parse_upload(store.get(upload_key(RID, "R2")))
-        assert upload["partial"].branch_ids == frozenset() and not upload["partial"].contribs
+        assert upload["partial"].branches == {} and upload["partial"].shunts == {}
         assert upload["status_deltas"] == {3: "Open"}
         _, expected = pipeline.monolithic_topology(case, {3: "Open"}, fault, CFG)
         assert out.result_blob == expected
@@ -261,12 +261,12 @@ class TestVirtualBadInput:
             [(ev, f.get("code")) for ev, f in _events(logs, "edge-R1")]
 
     def test_tampered_partial_fails_the_run(self, tmp_path):
-        # R1's upload is in the store before its edge computes, with a term
-        # of R2's branch 8 added; the cloud rejects it instead of merging it
+        # R1's upload is in the store before its edge computes, with R2's
+        # branch 8 stamp added; the cloud rejects it instead of merging it
         case = load_bundled_case("case9")
         payloads = {r: p.to_payload() for r, p in build_partials(case).items()}
-        stolen = next(t for t in payloads["R2"]["terms"] if t[2:4] == [0, 8])
-        payloads["R1"]["terms"].append(stolen)
+        payloads["R1"]["branches"].append(
+            next(b for b in payloads["R2"]["branches"] if b[0] == 8))
         store = FileStore(tmp_path / "store")
         store.put(upload_key(RID, "R1"),
                   canonical_json({"partial": payloads["R1"], "status_deltas": []}))
@@ -275,13 +275,15 @@ class TestVirtualBadInput:
                                zero_impairment_profile(), SCRIPTS)
         assert out.exit_code == 2 and out.result_blob is None
         failed = [f["reason"] for ev, f in _events(logs, "cloud") if ev == "run_failed"]
-        assert failed == ["PartialPayloadError"]
+        assert failed == ["DuplicateCoverageError"]
 
     @pytest.mark.parametrize("tamper", [
         lambda sset: dict(sset, weights=[float("nan")] * len(sset["weights"])),
         lambda sset: dict(sset, multipliers=[[float("inf")]] + sset["multipliers"][1:]),
         lambda sset: dict(sset, multipliers=[row * 2 for row in sset["multipliers"]]),
-    ], ids=["nan_weights", "infinite_multiplier", "a_column_per_load_too_many"])
+        lambda sset: dict(sset, ids=[999, 999]),
+    ], ids=["nan_weights", "infinite_multiplier", "a_column_per_load_too_many",
+            "ids_repeated_and_past_n_raw"])
     def test_tampered_scenario_set_fails_the_run(self, tamper, tmp_path):
         # R1's DSA upload is in the store before its edge computes, its
         # scenario set altered; the cloud rejects it instead of simulating it
@@ -335,6 +337,25 @@ class TestVirtualBadInput:
         assert ("edge_error_recv", "compute_failure") in \
             [(ev, f.get("code")) for ev, f in cloud]
         assert cloud[-1] == ("run_aborted", {"run": RID, "missing": "R1"})
+
+    @pytest.mark.parametrize("item", [
+        {"branches": ({"id": 9, "status": "Open"},)},
+        {"buses": ({"id": 8, "p_load": 2.5, "q_load": 0.5},)},
+    ], ids=["branch", "bus_load"])
+    def test_a_report_on_another_regions_item_is_rejected(self, item, tmp_path):
+        # branch 9 and bus 8 belong to R2: R1's edge rejects the report
+        # before its ack, so the run neither fails nor loses what was acked
+        case = load_bundled_case("case9")
+        logs = tmp_path / "logs"
+        script = [UeScriptItem(at_s=0.0, kind="topology", **item)]
+        out = run_virtual_demo(case, topo_manifest(), FileStore(tmp_path / "store"), logs,
+                               zero_impairment_profile(), {"ue-1": ("R1", script)})
+        assert out.exit_code == 0
+        assert _events(logs, "ue-1")[-1] == \
+            ("ue_done", {"delivered": "0", "failed": "0", "rejected": "1"})
+        assert ("edge_reject", {"reason": "CaseError"}) in _events(logs, "edge-R1")
+        _, expected = pipeline.monolithic_topology(case, {}, FAULT, CFG)
+        assert out.result_blob == expected
 
     def test_a_rejection_names_the_frames_seq_when_it_parsed(self, tmp_path):
         edge = EdgeCore("R1", load_bundled_case("case9"), FileStore(tmp_path / "store"))

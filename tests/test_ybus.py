@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from gridmesh.model import Branch, Bus, CaseError, FaultSpec, GridCase, load_bun
 from gridmesh.powerflow import PowerFlowError, solve_power_flow
 from gridmesh.wire import canonical_json
 from gridmesh.ybus import (DuplicateCoverageError, IncompleteCoverageError,
-                           PartialAdmittance, PartialPayloadError, PartitionError,
-                           UnknownRegionError, YMatrix,
+                           PartialAdmittance, PartialPayloadError, UnknownRegionError,
                            build_partial, build_partials, build_ybus, fault_variants,
                            merge_partials)
 
@@ -22,9 +22,15 @@ def shipped(part):
     return PartialAdmittance.from_payload(json.loads(canonical_json(part.to_payload())))
 
 
-def folded(part):
-    """A partial's entry values, folded as the full matrix folds them."""
-    return YMatrix(part.n, part.contribs).entries
+def with_owners(case, region, branches=None, buses=None):
+    """The case with every bus and branch owned by ``region`` except those
+    given, by id, in ``branches`` and ``buses``."""
+    branches, buses = branches or {}, buses or {}
+    return replace(
+        case,
+        buses=tuple(replace(b, owner_region=buses.get(b.id, region)) for b in case.buses),
+        branches=tuple(replace(br, owner_region=branches.get(br.id, region))
+                       for br in case.branches))
 
 
 def two_bus_case():
@@ -102,55 +108,64 @@ class TestBuildYbus:
 
 class TestBuildPartial:
     def test_single_region_equals_full(self):
-        case = load_bundled_case("case9")
-        partition = {bid: "R1" for bid in case.closed_branch_ids()}
-        owners = {b.id: "R1" for b in case.buses}
-        part = build_partial(case, "R1", partition, owners)
-        assert part.contribs == build_ybus(case).contribs
+        case = with_owners(load_bundled_case("case9"), "R1")
+        [part] = build_partials(case).values()
+        assert set(part.branches) == case.closed_branch_ids()
+        assert bitwise_equal(merge_partials(case, [part]).to_dense(),
+                             build_ybus(case).to_dense())
 
     def test_triangle_split_sums_to_full(self):
-        case = load_bundled_case("case3")
-        partition = {1: "R1", 2: "R1", 3: "R2"}
-        owners = {1: "R1", 2: "R2", 3: "R1"}
-        p1 = build_partial(case, "R1", partition, owners)
-        p2 = build_partial(case, "R2", partition, owners)
-        full = build_ybus(case)
-        e1, e2 = folded(p1), folded(p2)
-        keys = set(e1) | set(e2)
-        assert keys == set(full.entries)
-        for k in keys:
-            total = e1.get(k, 0) + e2.get(k, 0)
-            assert total == pytest.approx(full.entries[k], abs=1e-15)
+        case = with_owners(load_bundled_case("case3"), "R1", branches={3: "R2"},
+                           buses={2: "R2"})
+        p1, p2 = build_partial(case, "R1"), build_partial(case, "R2")
+        assert (set(p1.branches), set(p2.branches)) == ({1, 2}, {3})
+        assert bitwise_equal(merge_partials(case, [p1, p2]).to_dense(),
+                             build_ybus(case).to_dense())
+
+    def test_stamp_values_and_payload(self):
+        # hand computation for one tapped, charged branch and one shunt; the
+        # payload holds stamp values by id, no matrix positions
+        case = GridCase(
+            buses=(Bus(id=1, kind="Slack", shunt_g=0.1, shunt_b=-0.2), Bus(id=2, kind="PQ")),
+            branches=(Branch(id=1, from_bus=1, to_bus=2, r=0.01, x=0.1,
+                             b_charge=0.2, tap=0.98),),
+            generators=())
+        part = build_partial(case, "R1")
+        ys = 1.0 / complex(0.01, 0.1)
+        ff, tt, off = ys / (0.98 * 0.98) + complex(0, 0.1), ys + complex(0, 0.1), -(ys / 0.98)
+        assert part.branches == {1: (ff, tt, off)}
+        assert part.shunts == {1: complex(0.1, -0.2)}
+        assert part.to_payload() == {
+            "region": "R1",
+            "branches": [[1, ff.real, ff.imag, tt.real, tt.imag, off.real, off.imag]],
+            "shunts": [[1, 0.1, -0.2]]}
 
     def test_empty_region_known_from_case(self):
-        case = load_bundled_case("case3")     # declares R1, R2
-        partition = {bid: "R1" for bid in case.closed_branch_ids()}
-        owners = {b.id: "R1" for b in case.buses}
-        part = build_partial(case, "R2", partition, owners)
-        assert part.contribs == {} and part.branch_ids == frozenset()
+        # R2 keeps bus 2, which has no shunt, and no branch
+        case = with_owners(load_bundled_case("case3"), "R1", buses={2: "R2"})
+        part = build_partial(case, "R2")
+        assert part.branches == {} and part.shunts == {}
 
     def test_unknown_region_rejected(self):
-        case = load_bundled_case("case3")
-        partition = case.branch_partition()
-        owners = case.bus_owner()
         with pytest.raises(UnknownRegionError):
-            build_partial(case, "Rx", partition, owners)
-
-    def test_partition_must_cover_closed_branches(self):
-        case = load_bundled_case("case3")
-        with pytest.raises(PartitionError, match="partition"):
-            build_partial(case, "R1", {1: "R1"}, case.bus_owner())
-        with pytest.raises(PartitionError, match="bus_owner"):
-            build_partial(case, "R1", case.branch_partition(), {1: "R1"})
+            build_partial(load_bundled_case("case3"), "Rx")
 
     def test_payload_roundtrip(self):
         case = load_bundled_case("case9")
         part = build_partials(case)["R2"]
         again = shipped(part)
         assert again.region == part.region
-        assert again.branch_ids == part.branch_ids
-        assert again.shunt_bus_ids == part.shunt_bus_ids
-        assert again.contribs == part.contribs
+        assert again.branches == part.branches
+        assert again.shunts == part.shunts
+
+    def test_a_shunt_named_twice_is_rejected(self):
+        case = GridCase(buses=(Bus(id=1, kind="Slack", shunt_b=0.1), Bus(id=2, kind="PQ")),
+                        branches=(Branch(id=1, from_bus=1, to_bus=2, r=0.0, x=0.1),),
+                        generators=())
+        payload = build_partial(case, "R1").to_payload()
+        payload["shunts"].append(payload["shunts"][0])
+        with pytest.raises(PartialPayloadError, match="twice"):
+            PartialAdmittance.from_payload(payload)
 
 
 class TestMergePartials:
@@ -159,71 +174,64 @@ class TestMergePartials:
         for _ in range(25):
             case = random_connected_case(rng, rng.randint(5, 30), rng.randint(1, 5))
             y = build_ybus(case)
-            merged = merge_partials(list(build_partials(case).values()),
-                                    case.closed_branch_ids())
+            merged = merge_partials(case, [shipped(p) for p in build_partials(case).values()])
             assert merged == y
-            for k, v in y.entries.items():
-                mv = merged.entries[k]
-                assert mv.real == v.real and mv.imag == v.imag
+            assert bitwise_equal(merged.to_dense(), y.to_dense())
 
     def test_merge_survives_payload_roundtrip(self):
         case = load_bundled_case("case9")
         parts = [shipped(p) for p in build_partials(case).values()]
-        assert merge_partials(parts, case.closed_branch_ids()) == build_ybus(case)
+        assert merge_partials(case, parts) == build_ybus(case)
 
     def test_single_part_identity(self):
-        case = load_bundled_case("case9")
-        partition = {bid: "R1" for bid in case.closed_branch_ids()}
-        owners = {b.id: "R1" for b in case.buses}
-        part = build_partial(case, "R1", partition, owners)
-        merged = merge_partials([part], case.closed_branch_ids())
-        assert merged.contribs == part.contribs
+        case = with_owners(load_bundled_case("case9"), "R1")
+        [part] = build_partials(case).values()
+        assert merge_partials(case, [part]).contribs == build_ybus(case).contribs
 
     def test_overlapping_branch_rejected(self):
         case = load_bundled_case("case9")
-        partition = case.branch_partition()
-        owners = case.bus_owner()
-        p1 = build_partial(case, "R1", partition, owners)
-        p2 = build_partial(case, "R2", partition, owners)
-        p3 = build_partial(case, "R3", partition, owners)
-        clash = PartialAdmittance("R9", p2.n, set(p2.branch_ids) | {7},
-                                  set(), p2.contribs)
-        with pytest.raises(DuplicateCoverageError):
-            merge_partials([p1, clash, p3], case.closed_branch_ids())
+        p1, p2, p3 = build_partials(case).values()
+        clash = PartialAdmittance("R9", {**p2.branches, 7: p3.branches[7]}, p2.shunts)
+        with pytest.raises(DuplicateCoverageError, match="branches"):
+            merge_partials(case, [p1, clash, p3])
 
     def test_incomplete_coverage_rejected(self):
         case = load_bundled_case("case9")
         parts = list(build_partials(case).values())
         with pytest.raises(IncompleteCoverageError, match="missing"):
-            merge_partials(parts[:-1], case.closed_branch_ids())
+            merge_partials(case, parts[:-1])
         with pytest.raises(IncompleteCoverageError, match="unexpected"):
-            merge_partials(parts, case.closed_branch_ids() - {1})
+            merge_partials(case.with_branch_status({9: "Open"}), parts)
+
+    def test_a_left_out_shunt_is_rejected(self):
+        # accepted, the merge would differ from build_ybus by bus 7's shunt
+        case = random_connected_case(random.Random(0), 8, 3)
+        owner = case.bus(7).owner_region
+        assert case.bus(7).shunt_g != 0.0 or case.bus(7).shunt_b != 0.0
+        payloads = {r: p.to_payload() for r, p in build_partials(case).items()}
+        payloads[owner]["shunts"] = [s for s in payloads[owner]["shunts"] if s[0] != 7]
+        parts = [PartialAdmittance.from_payload(p) for p in payloads.values()]
+        with pytest.raises(IncompleteCoverageError, match=r"missing=\[7\]"):
+            merge_partials(case, parts)
 
     def test_valid_payloads_keep_their_bytes(self):
         for part in build_partials(load_bundled_case("case9")).values():
             payload = canonical_json(part.to_payload())
             assert canonical_json(shipped(part).to_payload()) == payload
 
-    @pytest.mark.parametrize("tamper", ["row -1", "R2 branch term"])
-    def test_tampered_payload_rejected(self, tamper):
-        # accepted, both would merge into a Y that differs from build_ybus
+    @pytest.mark.parametrize("tamper, error", [
+        ("R2 branch term", DuplicateCoverageError),
+        ("R1 branch named twice", PartialPayloadError),
+    ], ids=["R2 branch term", "R1 branch named twice"])
+    def test_tampered_payload_rejected(self, tamper, error):
+        # accepted, either would stamp a branch twice
         case = load_bundled_case("case9")
         payloads = {r: p.to_payload() for r, p in build_partials(case).items()}
-        terms = payloads["R1"]["terms"]
-        if tamper == "row -1":
-            terms[0][0] = -1
-        else:
-            terms.append(next(t for t in payloads["R2"]["terms"] if t[2] == 0))
-        with pytest.raises(PartialPayloadError):
-            PartialAdmittance.from_payload(payloads["R1"])
-
-    def test_dimension_mismatch_rejected(self):
-        case = load_bundled_case("case9")
-        parts = list(build_partials(case).values())
-        bad = PartialAdmittance(parts[0].region, 5, parts[0].branch_ids,
-                                parts[0].shunt_bus_ids, parts[0].contribs)
-        with pytest.raises(Exception, match="dimension"):
-            merge_partials([bad] + parts[1:], case.closed_branch_ids())
+        rows = payloads["R1"]["branches"]
+        rows.append(next(b for b in payloads["R2"]["branches"] if b[0] == 8)
+                    if tamper == "R2 branch term" else rows[0])
+        with pytest.raises(error):
+            merge_partials(case, [PartialAdmittance.from_payload(p) for p in payloads.values()])
 
 
 def bitwise_equal(a, b):
