@@ -21,7 +21,9 @@ scenario's power flow (``powerflow.solve_batch``, where a scenario freezes
 once its own mismatch passes the tolerance), initializes its machines,
 builds the fault variants of the one dense matrix once and reduces all
 scenarios of each variant in one stacked Kron elimination;
-``simulate_batch`` then steps them all in one RK4 loop. Every scenario gets
+``simulate_batch`` then steps them all in one RK4 loop over buffers
+allocated once per call, and checks and samples their states once per block
+of ``BLOCK_STEPS`` steps rather than at every step. Every scenario gets
 the bytes it gets alone, and the single-case ``reduce_network`` and
 ``simulate_dynamics`` are batches of one. The stacked Jacobians and
 augmented matrices grow with scenarios x buses^2, so ``prepare_batch``
@@ -44,6 +46,10 @@ from .powerflow import (BatchSolution, Loads, Machines, PowerFlowError, PowerFlo
 from .ybus import YMatrix, fault_variants
 
 MAX_STORED_POINTS = 5000
+
+# RK4 steps whose full-resolution states simulate_batch holds before it checks
+# and samples them: a (BLOCK_STEPS + 1, scenarios, 2 * machines) float buffer.
+BLOCK_STEPS = 32
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -83,8 +89,10 @@ class SimulationConfig:
     def __post_init__(self):
         if not (0 < self.dt <= 0.02):
             raise DynamicsError(f"dt must lie in (0, 0.02], got {self.dt}")
-        if self.t_end <= 0:
-            raise DynamicsError("t_end must be > 0")
+        for name in ("t_end", "omega_s", "angle_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DynamicsError(f"{name} must be finite and > 0, got {value}")
 
     def to_dict(self) -> dict:
         return {"t_end": self.t_end, "dt": self.dt, "omega_s": self.omega_s,
@@ -299,6 +307,14 @@ def simulate_dynamics(case: GridCase, net: ReducedNetwork, fault: FaultSpec,
     return simulate_batch(Machines.of_cases([case]), one, fault, cfg)[0]
 
 
+def _mark_first(at: np.ndarray, hits: np.ndarray, first_step: int) -> None:
+    """Set ``at[s]``, where still -1, to the first step whose row of ``hits``
+    is true in column s; row i of ``hits`` is step ``first_step + i``."""
+    hit = hits.any(axis=0) & (at < 0)
+    if hit.any():
+        at[hit] = first_step + hits.argmax(axis=0)[hit]
+
+
 def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
                    cfg: SimulationConfig) -> list[SimulationResult]:
     """Integrate the swing equations of every scenario through one fault sequence.
@@ -309,10 +325,14 @@ def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
     scenarios step together in one RK4 loop over a ``(scenarios, 2 *
     machines)`` state ``[delta | dw]``; each row gets exactly the arithmetic
     of a one-scenario run, so a trajectory does not depend on the batch it
-    ran in. Trajectories are stored decimated to at most ``MAX_STORED_POINTS``
-    samples per machine; verdicts are evaluated at full resolution. If any
-    scenario goes non-finite, ``NumericBlowupError`` names the lowest-index
-    one, at the time it blows up on its own.
+    ran in. Every working array is allocated once per call and written in
+    place. The loop keeps the full-resolution states of ``BLOCK_STEPS``
+    steps; after each block, one vectorized pass finds each scenario's first
+    non-finite step and first step over the angle threshold, and copies out
+    the decimated samples (at most ``MAX_STORED_POINTS`` per machine, the
+    last step always among them). If any scenario goes non-finite,
+    ``NumericBlowupError`` names the lowest-index one, at the time it blows
+    up on its own; the loop stops after the block in which scenario 0 does.
     """
     if len(machines) != len(net.y_red_pre):
         raise DynamicsError(f"{len(machines)} machine sets but {len(net.y_red_pre)} "
@@ -327,24 +347,69 @@ def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
     damp = machines.d
     pm = machines.p_mech
     ee = e[:, :, None] * e[:, None, :]
-    ws = cfg.omega_s
     acc = 1.0 / (2.0 * machines.h)
+    dt = cfg.dt
 
-    k_fault = _snap_step(fault.t_fault, cfg.dt, "t_fault")
-    k_clear = _snap_step(fault.t_clear, cfg.dt, "t_clear")
-    n_steps = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
+    k_fault = _snap_step(fault.t_fault, dt, "t_fault")
+    k_clear = _snap_step(fault.t_clear, dt, "t_clear")
+    n_steps = int(math.floor(cfg.t_end / dt + 1e-9))
 
-    mats = [(ee * y_red.real, ee * y_red.imag)
-            for y_red in (net.y_red_pre, net.y_red_on, net.y_red_post)]
+    # Per phase, G*EE and B*EE are one (2, scenarios, m, m) block, so that one
+    # multiply by the cos/sin block of the same layout forms both products.
+    gb = np.empty((3, 2, n, m, m))
+    for phase, y_red in enumerate((net.y_red_pre, net.y_red_on, net.y_red_post)):
+        np.multiply(ee, y_red.real, out=gb[phase, 0])
+        np.multiply(ee, y_red.imag, out=gb[phase, 1])
+    phase_gb = list(gb)
+    dij = np.empty((n, m, m))
+    cs = np.empty((2, n, m, m))
+    cos_dij, sin_dij = cs
+    prod = np.empty((2, n, m, m))
+    g_terms, b_terms = prod
+    pe = np.empty((n, m))
+    damped = np.empty((n, m))
 
-    def deriv(state: np.ndarray, phase: int) -> np.ndarray:
-        g_ee, b_ee = mats[phase]
-        delta, dw = state[:, :m], state[:, m:]
-        dij = delta[:, :, None] - delta[:, None, :]
-        pe = np.add.reduce(g_ee * np.cos(dij) + b_ee * np.sin(dij), axis=2)
-        return np.concatenate([ws * dw, acc * (pm - pe - damp * dw)], axis=1)
+    def views(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """delta as a column and as a row, and dw, of the states ``x``."""
+        return x[:, :m, None], x[:, None, :m], x[:, m:]
 
-    state = np.concatenate([machines.delta0, np.zeros((n, m))], axis=1)
+    # The loop makes some 56 numpy calls per step on small arrays, so it binds
+    # their names once, and its scalars as 0-d arrays that numpy does not
+    # convert again on every call.
+    add, subtract, multiply, cos, sin = np.add, np.subtract, np.multiply, np.cos, np.sin
+    add_reduce = np.add.reduce
+    ws, dt_, half_dt, sixth_dt, two = (np.array(v) for v in
+                                       (cfg.omega_s, dt, 0.5 * dt, dt / 6.0, 2.0))
+
+    def deriv(x: tuple, out: tuple, g: np.ndarray) -> None:
+        """Write into ``out`` (the delta and dw halves of one k buffer) the
+        derivative at the states whose ``views`` are ``x``, in phase ``g``."""
+        dcol, drow, dw = x
+        subtract(dcol, drow, out=dij)
+        cos(dij, out=cos_dij)
+        sin(dij, out=sin_dij)
+        multiply(g, cs, out=prod)
+        add(g_terms, b_terms, out=g_terms)
+        add_reduce(g_terms, axis=-1, out=pe)
+        multiply(ws, dw, out=out[0])
+        subtract(pm, pe, out=pe)
+        multiply(damp, dw, out=damped)
+        subtract(pe, damped, out=pe)
+        multiply(acc, pe, out=out[1])
+
+    ks = np.empty((4, n, 2 * m))
+    k1, k2, k3, k4 = ks
+    k_out = [(k[:, :m], k[:, m:]) for k in ks]
+    k2_k3 = ks[1:3]
+    stage = np.empty((n, 2 * m))
+    stage_x = views(stage)
+
+    # row 0 holds the state before the block, row j the state after its step j
+    block = np.empty((BLOCK_STEPS + 1, n, 2 * m))
+    block[0, :, :m] = machines.delta0
+    block[0, :, m:] = 0.0
+    rows = list(block)
+    rows_x = [views(row) for row in rows]
 
     # decimated samples go straight into one buffer; results are views of it
     stride = max(1, math.ceil((n_steps + 1) / MAX_STORED_POINTS))
@@ -352,46 +417,55 @@ def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
     if keep[-1] != n_steps:
         keep.append(n_steps)
     samples = np.empty((n, 2 * m, len(keep)))
-    samples[:, :, 0] = state
-
     unstable_at = np.full(n, -1)         # first step over the threshold, per scenario
-    blown_at = np.zeros(n, dtype=int)    # first non-finite step, per scenario
+    blown_at = np.full(n, -1)            # first non-finite step, per scenario
 
-    def mark_unstable(step: int) -> bool:
-        """Record the scenarios first over the threshold at ``step``; called
-        while one is still below it, returns whether one still is."""
-        delta = state[:, :m]
-        over = (np.maximum.reduce(delta, axis=1) - np.minimum.reduce(delta, axis=1)
-                > cfg.angle_threshold)
-        if not over.any():
-            return True
-        unstable_at[over & (unstable_at < 0)] = step
-        return bool((unstable_at < 0).any())
+    def check(k0: int, held: np.ndarray) -> None:
+        """The per-step checks and sampling, over the states of steps
+        ``k0``, ``k0 + 1``, ... held in ``held``."""
+        delta = held[:, :, :m]
+        spread = np.maximum.reduce(delta, axis=2) - np.minimum.reduce(delta, axis=2)
+        _mark_first(unstable_at, spread > cfg.angle_threshold, k0)
+        _mark_first(blown_at, ~np.isfinite(held[1:]).all(axis=2), k0 + 1)
+        first = -(-k0 // stride) * stride
+        picked = held[first - k0::stride]
+        samples[:, :, first // stride:first // stride + len(picked)] = np.moveaxis(picked, 0, -1)
+        if k0 + len(held) - 1 == n_steps and n_steps % stride:
+            samples[:, :, -1] = held[-1]
 
-    pending = mark_unstable(0)
-    dt = cfg.dt
     with np.errstate(all="ignore"):
-        for k in range(n_steps):
-            phase = 0 if k < k_fault else (1 if k < k_clear else 2)
-            k1 = deriv(state, phase)
-            k2 = deriv(state + 0.5 * dt * k1, phase)
-            k3 = deriv(state + 0.5 * dt * k2, phase)
-            k4 = deriv(state + dt * k3, phase)
-            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            step = k + 1
-            if not np.isfinite(state).all():
-                blown_at[~np.isfinite(state).all(axis=1) & (blown_at == 0)] = step
-                if blown_at[0]:
-                    break                  # no lower index is left to blow up
-            if step % stride == 0:
-                samples[:, :, step // stride] = state
-            elif step == n_steps:
-                samples[:, :, -1] = state
-            if pending:
-                pending = mark_unstable(step)
+        for k0 in range(0, max(n_steps, 1), BLOCK_STEPS):
+            if k0:
+                np.copyto(rows[0], rows[BLOCK_STEPS])
+            nb = min(BLOCK_STEPS, n_steps - k0)
+            for j in range(1, nb + 1):
+                k = k0 + j - 1
+                g = phase_gb[0 if k < k_fault else (1 if k < k_clear else 2)]
+                state = rows[j - 1]
+                deriv(rows_x[j - 1], k_out[0], g)
+                multiply(half_dt, k1, out=stage)
+                add(state, stage, out=stage)
+                deriv(stage_x, k_out[1], g)
+                multiply(half_dt, k2, out=stage)
+                add(state, stage, out=stage)
+                deriv(stage_x, k_out[2], g)
+                multiply(dt_, k3, out=stage)
+                add(state, stage, out=stage)
+                deriv(stage_x, k_out[3], g)
+                # state + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+                multiply(two, k2_k3, out=k2_k3)
+                add(k1, k2, out=k1)
+                add(k1, k3, out=k1)
+                add(k1, k4, out=k1)
+                multiply(sixth_dt, k1, out=k1)
+                add(state, k1, out=rows[j])
+            check(k0, block[:nb + 1])
+            if blown_at[0] >= 0:
+                break                      # no lower index is left to blow up
 
-    if blown_at.any():
-        s = int(np.flatnonzero(blown_at)[0])
+    blown = np.flatnonzero(blown_at >= 0)
+    if blown.size:
+        s = int(blown[0])
         t = int(blown_at[s]) * dt
         raise NumericBlowupError(f"scenario {s}: non-finite state at t={t:.6f}s", t)
 

@@ -15,6 +15,7 @@ re-folds only the entries a cleared branch touches.
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Iterable
 
 import numpy as np
@@ -48,7 +49,8 @@ class IncompleteCoverageError(YBusError):
 
 
 class PartialPayloadError(YBusError):
-    """A partial names one branch or bus shunt twice."""
+    """A partial names one branch or bus shunt twice, or carries a value
+    that is not finite."""
 
 
 class YMatrix:
@@ -164,13 +166,17 @@ class PartialAdmittance:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PartialAdmittance":
-        """Read a partial back; it may name each branch and bus shunt once."""
+        """Read a partial back; it may name each branch and bus shunt once,
+        and every value must be finite."""
         branches = {int(bid): (complex(ff_re, ff_im), complex(tt_re, tt_im),
                                complex(off_re, off_im))
                     for bid, ff_re, ff_im, tt_re, tt_im, off_re, off_im in payload["branches"]}
         shunts = {int(bus_id): complex(g, b) for bus_id, g, b in payload["shunts"]}
         if len(branches) < len(payload["branches"]) or len(shunts) < len(payload["shunts"]):
             raise PartialPayloadError("partial names a branch or bus shunt twice")
+        values = [v for stamp in branches.values() for v in stamp] + list(shunts.values())
+        if not all(cmath.isfinite(v) for v in values):
+            raise PartialPayloadError("partial carries a non-finite value")
         return cls(payload["region"], branches, shunts)
 
 

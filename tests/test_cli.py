@@ -60,6 +60,17 @@ class TestSimulate:
         header = out_csv.read_text().splitlines()[0]
         assert header.startswith("t,delta_1")
 
+    @pytest.mark.parametrize("t_end", ["nan", "inf"])
+    def test_a_non_finite_t_end_fails_before_the_power_flow(self, t_end, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the run started")
+        monkeypatch.setattr(cli.pipeline, "monolithic_topology", never)
+        code = main(["simulate", CASE9, "bus=7,t_fault=0.1,t_clear=0.2,branch=6",
+                     "--t-end", t_end])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == \
+            f"error: DynamicsError: t_end must be finite and > 0, got {t_end}\n"
+
     def test_fault_spec_needs_bus(self):
         assert main(["simulate", CASE9, "t_fault=0.1,t_clear=0.2"]) == EXIT_USAGE
 

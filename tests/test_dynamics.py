@@ -2,7 +2,7 @@ import math
 import random
 import tracemalloc
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from unittest import mock
 
@@ -24,6 +24,7 @@ from gridmesh.powerflow import (BatchSolution, Loads, Machines,
 from gridmesh.sampling import ForecastSpec, draw_samples, scenario_loads
 from gridmesh.ybus import YMatrix, build_ybus
 
+import helpers
 from helpers import (perturb_machine, random_connected_case, reference_apply_scenario,
                      reference_first_error, reference_newton_raphson, reference_prepare,
                      reference_simulate, smib_case)
@@ -209,6 +210,16 @@ class TestSimulate:
             SimulationConfig(t_end=1.0, dt=0.5)
         with pytest.raises(DynamicsError):
             SimulationConfig(t_end=-1.0)
+        # at one time each was accepted: a nan threshold read every scenario
+        # Stable, and a nan or inf t_end failed in math.floor after the power flow
+        for bad in ({"t_end": math.nan}, {"t_end": math.inf}, {"omega_s": math.nan},
+                    {"omega_s": math.inf}, {"omega_s": 0.0}, {"omega_s": -WS},
+                    {"angle_threshold": math.nan}, {"angle_threshold": math.inf},
+                    {"angle_threshold": 0.0}, {"angle_threshold": -1.0}, {"dt": math.nan}):
+            with pytest.raises(DynamicsError, match=next(iter(bad))):
+                SimulationConfig(**{"t_end": 1.0, **bad})
+            with pytest.raises(DynamicsError):
+                SimulationConfig.from_dict({**SimulationConfig(t_end=1.0).to_dict(), **bad})
 
 
 def prepared(case, scenarios, fault):
@@ -343,6 +354,104 @@ class TestBatch:
         assert len(batched) == len(picks)
         for c, net, got in zip(cases, nets, batched):
             assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
+
+
+def blowup_step(case, net, fault, cfg):
+    """The step at which ``case`` goes non-finite when integrated alone."""
+    with pytest.raises(NumericBlowupError) as alone, np.errstate(all="ignore"):
+        reference_simulate(case, net, fault, cfg)
+    return round(alone.value.t / cfg.dt)
+
+
+def blocks_of(steps):
+    """``simulate_batch`` checks every ``steps`` steps (None: as it ships)."""
+    if steps is None:
+        return nullcontext()
+    return mock.patch.object(dynamics, "BLOCK_STEPS", steps)
+
+
+class TestBatchBlocks:
+    """``simulate_batch`` holds ``BLOCK_STEPS`` steps at a time and checks and
+    samples them together; at every edge of a block it gives the answer of
+    the one-at-a-time loop."""
+
+    B = dynamics.BLOCK_STEPS
+    CFG = TestBatch.CFG
+
+    @pytest.mark.parametrize("n_steps, max_points", [
+        (0, 5000), (B - 1, 5000), (B, 5000), (B + 1, 5000), (100, 10), (3 * B, 7)])
+    def test_block_edges_equal_one_at_a_time(self, n_steps, max_points):
+        # the threshold puts some scenarios over it at step 0; with fewer
+        # stored points the sampling stride falls across the block edges
+        cases, nets, fault = case9_batch(6)
+        spreads = sorted(np.ptp([g.delta0 for g in c.generators]) for c in cases)
+        cfg = SimulationConfig(t_end=max(n_steps, 0.5) * 0.005, dt=0.005, omega_s=WS,
+                               angle_threshold=spreads[3])
+        with mock.patch.object(dynamics, "MAX_STORED_POINTS", max_points), \
+                mock.patch.object(helpers, "MAX_STORED_POINTS", max_points):
+            batched = simulate_batch(*stacked(cases, nets), fault, cfg)
+            for c, net, got in zip(cases, nets, batched):
+                assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
+        assert {r.t_unstable == 0.0 for r in batched} == {True, False}
+
+    @pytest.mark.parametrize("offset", [None, 5, 0, -1], ids=[
+        "as_shipped", "inside_the_first_block", "at_the_first_blocks_last_step",
+        "at_the_second_blocks_first_step"])
+    def test_a_blowup_is_met_at_its_own_step(self, offset):
+        cases, nets, fault = case9_batch(4)
+        cases[2] = with_inertia(cases[2], 1, 1e-306)
+        step = blowup_step(cases[2], nets[2], fault, self.CFG)
+        assert step > 2
+        with blocks_of(None if offset is None else step + offset):
+            with pytest.raises(NumericBlowupError) as batched:
+                simulate_batch(*stacked(cases, nets), fault, self.CFG)
+        assert batched.value.t == step * self.CFG.dt
+        assert str(batched.value) == f"scenario 2: non-finite state at t={step * 0.005:.6f}s"
+
+    @pytest.mark.parametrize("same_block", [True, False], ids=["same_block", "later_block"])
+    def test_scenario_0_blowing_up_after_a_higher_one_is_named(self, same_block):
+        cases, nets, fault = case9_batch(4)
+        cases[0] = with_inertia(cases[0], 1, 10 ** -305.7)
+        cases[3] = with_inertia(cases[3], 1, 1e-307)
+        first, later = (blowup_step(cases[s], nets[s], fault, self.CFG) for s in (3, 0))
+        assert first < later
+        with blocks_of(later if same_block else first):
+            with pytest.raises(NumericBlowupError) as batched:
+                simulate_batch(*stacked(cases, nets), fault, self.CFG)
+        assert batched.value.t == later * self.CFG.dt
+        assert str(batched.value).startswith("scenario 0: ")
+
+    def test_ten_machines_sum_as_one_at_a_time(self):
+        # from 8 terms on, numpy's add.reduce sums pairwise, not left to right
+        rng = random.Random(5)
+        case = with_machines(random_connected_case(rng, 14, 1), rng)
+        assert len(case.generators) == 10
+        samples = draw_samples(ForecastSpec(n_dims=len(case.load_bus_ids()), sigma=0.1), 3, 5)
+        fault = FaultSpec(faulted_bus=case.buses[3].id, t_fault=0.1, t_clear=0.2)
+        cases, nets = prepared(case, list(samples), fault)
+        cfg = SimulationConfig(t_end=1.0, dt=0.01, omega_s=WS)
+        batched = simulate_batch(*stacked(cases, nets), fault, cfg)
+        for c, net, got in zip(cases, nets, batched):
+            assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
+
+    def test_traced_peak_is_the_samples_and_a_fixed_working_set(self):
+        # 1000 case9 scenarios over 200 steps store 9.2 MB of samples; the
+        # working arrays, the block of states and the block checks take ~3.2 MB
+        # more, and holding every step's state would take another 9.2 MB
+        case = load_bundled_case("case9")
+        fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.27, cleared_branch=6)
+        samples = draw_samples(ForecastSpec(n_dims=3, sigma=0.05), 1000, 1)
+        machines, net = prepare_batch(case, build_ybus(case), scenario_loads(case, samples),
+                                      fault)
+        cfg = SimulationConfig(t_end=1.0, omega_s=WS)
+        tracemalloc.start()
+        try:
+            results = simulate_batch(machines, net, fault, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = len(results) * 2 * 3 * len(results[0].times) * 8
+        assert peak - stored <= 5 << 20
 
 
 def preparation_outcome(case, scenarios, fault):

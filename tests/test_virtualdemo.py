@@ -277,6 +277,26 @@ class TestVirtualBadInput:
         failed = [f["reason"] for ev, f in _events(logs, "cloud") if ev == "run_failed"]
         assert failed == ["DuplicateCoverageError"]
 
+    @pytest.mark.parametrize("column, value", [(1, float("nan")), (6, float("inf"))],
+                             ids=["nan_from_diagonal", "infinite_off_diagonal"])
+    def test_a_non_finite_stamp_fails_the_run(self, column, value, tmp_path):
+        # R1's upload is in the store before its edge computes, one value of
+        # its branch 1 stamp replaced; the cloud rejects the partial as it
+        # reads it, where a NaN once failed the run only at the Kron reduction
+        case = load_bundled_case("case9")
+        partial = build_partials(case)["R1"].to_payload()
+        stamp = next(b for b in partial["branches"] if b[0] == 1)
+        stamp[column] = value
+        store = FileStore(tmp_path / "store")
+        store.put(upload_key(RID, "R1"),
+                  canonical_json({"partial": partial, "status_deltas": []}))
+        logs = tmp_path / "logs"
+        out = run_virtual_demo(case, topo_manifest(), store, logs,
+                               zero_impairment_profile(), SCRIPTS)
+        assert out.exit_code == 2 and out.result_blob is None
+        failed = [f["reason"] for ev, f in _events(logs, "cloud") if ev == "run_failed"]
+        assert failed == ["PartialPayloadError"]
+
     @pytest.mark.parametrize("tamper", [
         lambda sset: dict(sset, weights=[float("nan")] * len(sset["weights"])),
         lambda sset: dict(sset, multipliers=[[float("inf")]] + sset["multipliers"][1:]),

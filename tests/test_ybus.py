@@ -214,6 +214,13 @@ class TestMergePartials:
         with pytest.raises(IncompleteCoverageError, match=r"missing=\[7\]"):
             merge_partials(case, parts)
 
+    def test_a_non_finite_shunt_is_rejected(self):
+        case = random_connected_case(random.Random(0), 8, 3)
+        payload = build_partial(case, case.bus(7).owner_region).to_payload()
+        next(s for s in payload["shunts"] if s[0] == 7)[2] = float("nan")
+        with pytest.raises(PartialPayloadError, match="non-finite"):
+            PartialAdmittance.from_payload(payload)
+
     def test_valid_payloads_keep_their_bytes(self):
         for part in build_partials(load_bundled_case("case9")).values():
             payload = canonical_json(part.to_payload())
