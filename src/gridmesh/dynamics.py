@@ -325,8 +325,8 @@ def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
     scenarios step together in one RK4 loop over a ``(scenarios, 2 *
     machines)`` state ``[delta | dw]``; each row gets exactly the arithmetic
     of a one-scenario run, so a trajectory does not depend on the batch it
-    ran in. Every working array is allocated once per call and written in
-    place. The loop keeps the full-resolution states of ``BLOCK_STEPS``
+    ran in. Every array the steps write is allocated once per call and
+    written in place. The loop keeps the full-resolution states of ``BLOCK_STEPS``
     steps; after each block, one vectorized pass finds each scenario's first
     non-finite step and first step over the angle threshold, and copies out
     the decimated samples (at most ``MAX_STORED_POINTS`` per machine, the

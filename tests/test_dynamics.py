@@ -435,9 +435,9 @@ class TestBatchBlocks:
             assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
 
     def test_traced_peak_is_the_samples_and_a_fixed_working_set(self):
-        # 1000 case9 scenarios over 200 steps store 9.2 MB of samples; the
-        # working arrays, the block of states and the block checks take ~3.2 MB
-        # more, and holding every step's state would take another 9.2 MB
+        # 1000 case9 scenarios over 200 steps store 9.2 MiB of samples; the
+        # working arrays, the block of states and the block checks take ~3.2 MiB
+        # more, and holding every step's state would take another 9.2 MiB
         case = load_bundled_case("case9")
         fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.27, cleared_branch=6)
         samples = draw_samples(ForecastSpec(n_dims=3, sigma=0.05), 1000, 1)
