@@ -198,10 +198,9 @@ def _parse_fault(text: str) -> FaultSpec:
 
 def _cmd_ybus(args) -> int:
     case = load_case(args.case)
-    y = build_ybus(case)
-    dense = y.to_dense()
+    dense = build_ybus(case).to_dense()
     ids = [b.id for b in case.buses]
-    print(f"# {case.n} buses, {len(y.entries)} nonzero entries; rows/cols by bus id")
+    print(f"# {case.n} buses, {np.count_nonzero(dense)} nonzero entries; rows/cols by bus id")
     print("bus," + ",".join(str(i) for i in ids))
     for r in range(case.n):
         cells = []

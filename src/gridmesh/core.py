@@ -245,12 +245,11 @@ def _apply_topology(view: GridCase, region: str, obj: dict) -> GridCase:
 class EdgeCore:
     """One region's aggregation point: folds UE reports into the region view
     and, for each run the cloud opens, computes, stores and announces the
-    region's one upload: its partial admittance and status deltas, plus in
-    DSA its reduced scenario set."""
+    region's one upload: its partial admittance, plus in DSA its reduced
+    scenario set."""
 
     def __init__(self, region: str, base: GridCase, store: FileStore):
         self.region = region
-        self.base = base
         self.view = base
         self.store = store
         self.forecast: ForecastSpec | None = None
@@ -326,8 +325,7 @@ class EdgeCore:
         key = upload_key(rid, self.region)
         try:
             if step.blob is None:
-                blob = pipeline.edge_upload(self.view, self.base, self.region, m,
-                                            self.forecast)
+                blob = pipeline.edge_upload(self.view, self.region, m, self.forecast)
                 return [Log("edge_compute_done", run=rid), replace(step, blob=blob)]
             self.store.put(key, step.blob)
         except AlreadyExistsError as exc:

@@ -508,7 +508,6 @@ def assess_run(results: list[tuple[float, SimulationResult]]) -> SecurityReport:
     for i, (w, r) in enumerate(results):
         rows.append({
             "index": i,
-            "scenario_id": i,
             "weight": w,
             "verdict": r.verdict,
             "t_unstable": r.t_unstable,

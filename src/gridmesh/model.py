@@ -131,9 +131,6 @@ class GridCase:
                 return br
         raise CaseError(f"unknown branch id {branch_id}")
 
-    def closed_branch_ids(self) -> set[int]:
-        return {br.id for br in self.branches if br.closed}
-
     def load_bus_ids(self) -> list[int]:
         """Ids of buses carrying load (nonzero P or Q), ascending."""
         return [b.id for b in self.buses if b.p_load != 0.0 or b.q_load != 0.0]
@@ -336,8 +333,8 @@ def load_bundled_case(name: str) -> GridCase:
 
 
 def validate_fault(case: GridCase, fault: FaultSpec) -> None:
-    if not (0 <= fault.t_fault < fault.t_clear):
-        raise CaseError("fault times must satisfy 0 <= t_fault < t_clear")
+    if not (0 <= fault.t_fault < fault.t_clear < math.inf):
+        raise CaseError("fault times must be finite and satisfy 0 <= t_fault < t_clear")
     case.bus(fault.faulted_bus)
     if fault.cleared_branch is not None:
         br = case.branch(fault.cleared_branch)

@@ -3,6 +3,8 @@ distributed nodes and oracles.
 
 Only this module builds or parses a region's upload or a run's result, in
 either mode: an edge calls ``edge_upload`` and the cloud ``cloud_result``.
+An upload states the region's network only as its partial's stamps; the
+cloud reads each branch's status from them (``ybus.merge_partials``).
 Everything here is pure: the socket nodes, the virtual-time demo and the
 monolithic single-process oracle all call the same functions, which is what
 makes distributed results comparable bit-for-bit with in-process ones.
@@ -129,21 +131,13 @@ def region_load_bus_ids(case: GridCase, region: str) -> list[int]:
 # ----------------------------------------------------------------------
 # Edge-side uploads: one per region per run
 
-def status_deltas(view: GridCase, base: GridCase) -> list[list]:
-    """Branch status assignments that turn ``base`` into ``view``."""
-    base_status = {br.id: br.status for br in base.branches}
-    return sorted([br.id, br.status] for br in view.branches
-                  if base_status.get(br.id) != br.status)
+def _topology_upload(view: GridCase, region: str) -> dict:
+    return {"partial": build_partial(view, region).to_payload()}
 
 
-def _topology_upload(view: GridCase, base: GridCase, region: str) -> dict:
-    return {"partial": build_partial(view, region).to_payload(),
-            "status_deltas": status_deltas(view, base)}
-
-
-def edge_topology_blob(view: GridCase, base: GridCase, region: str) -> bytes:
-    """A Topology run's upload: the region partial and the status deltas it reflects."""
-    return canonical_json(_topology_upload(view, base, region))
+def edge_topology_blob(view: GridCase, region: str) -> bytes:
+    """A Topology run's upload: the region partial of the edge's view."""
+    return canonical_json(_topology_upload(view, region))
 
 
 def region_samples(view: GridCase, region: str, dsa: DsaParams,
@@ -169,13 +163,13 @@ def region_scenarios(view: GridCase, region: str, dsa: DsaParams,
     return reduce_scenarios(samples, dsa.k, seed), load_ids, forecast, seed
 
 
-def edge_scenarios_blob(view: GridCase, base: GridCase, region: str, dsa: DsaParams,
+def edge_scenarios_blob(view: GridCase, region: str, dsa: DsaParams,
                         forecast: ForecastSpec | None = None) -> bytes:
     """A DSA run's upload: the Topology upload's fields plus the region's
     reduced scenario set and what it was drawn with."""
     sset, load_ids, spec, seed = region_scenarios(view, region, dsa, forecast)
     return canonical_json({
-        **_topology_upload(view, base, region),
+        **_topology_upload(view, region),
         "load_bus_ids": load_ids,
         "scenario_set": sset.to_payload(),
         "forecast_spec": spec.to_dict(),
@@ -183,20 +177,19 @@ def edge_scenarios_blob(view: GridCase, base: GridCase, region: str, dsa: DsaPar
     })
 
 
-def edge_upload(view: GridCase, base: GridCase, region: str, manifest: RunManifest,
+def edge_upload(view: GridCase, region: str, manifest: RunManifest,
                 forecast: ForecastSpec | None = None) -> bytes:
     """The region's one upload for the run, in the manifest's mode."""
     if manifest.mode == MODE_TOPOLOGY:
-        return edge_topology_blob(view, base, region)
-    return edge_scenarios_blob(view, base, region, manifest.dsa, forecast)
+        return edge_topology_blob(view, region)
+    return edge_scenarios_blob(view, region, manifest.dsa, forecast)
 
 
 def parse_upload(blob: bytes) -> dict:
-    """Either mode's upload with its partial and status deltas parsed, and in
-    DSA its scenario set and load bus ids too."""
+    """Either mode's upload with its partial parsed, and in DSA its scenario
+    set and load bus ids too."""
     obj = json.loads(blob.decode())
     obj["partial"] = PartialAdmittance.from_payload(obj["partial"])
-    obj["status_deltas"] = {int(bid): status for bid, status in obj["status_deltas"]}
     if "scenario_set" in obj:
         obj["scenario_set"] = ScenarioSet.from_payload(obj["scenario_set"])
         obj["load_bus_ids"] = [int(b) for b in obj["load_bus_ids"]]
@@ -223,15 +216,8 @@ def cloud_result(base: GridCase, manifest: RunManifest,
 
 
 def cloud_merge(base: GridCase, uploads: dict[str, dict]) -> tuple[GridCase, YMatrix]:
-    """Reassemble the full matrix and topology view from parsed region uploads."""
-    merged_deltas: dict[int, str] = {}
-    for upload in uploads.values():
-        for bid, status in upload["status_deltas"].items():
-            if merged_deltas.get(bid, status) != status:
-                raise ManifestError(f"regions disagree on branch {bid} status")
-            merged_deltas[bid] = status
-    view = base.with_branch_status(merged_deltas)
-    return view, merge_partials(view, [u["partial"] for u in uploads.values()])
+    """The topology view and full matrix that the parsed region uploads state."""
+    return merge_partials(base, {r: u["partial"] for r, u in uploads.items()})
 
 
 def topology_compute(view: GridCase, y: YMatrix, fault: FaultSpec,

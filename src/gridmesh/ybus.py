@@ -1,16 +1,15 @@
-"""Sparse complex admittance matrix: construction, region partials, merging, fault variants.
+"""Admittance matrix construction, region partials, merging and fault variants.
 
 A region partial carries stamp values, not matrix positions: the three
 admittance terms of each Closed branch its region owns and the nonzero shunt
-of each bus its region owns. The same two helpers compute those values for
-a whole build and a region partial, and one helper places them at the case's
-own bus indices and folds every entry's terms in canonical order (branches by
-ascending id, then shunts by ascending bus id), for a whole build and a merge
-alike, so merged region partials fold bit-for-bit to the whole build. The
-merge first checks that the partials cover exactly the case's Closed branches
-and nonzero shunts, each once. Every matrix keeps its per-entry terms keyed by
-origin, so ``fault_variants`` adds a fault shunt after an entry's terms and
-re-folds only the entries a cleared branch touches.
+of each bus its region owns. The same two helpers compute those values for a
+whole build and a region partial. A ``YMatrix`` is its stamps and shunts and
+the case whose bus indices place them; one helper adds every term into a
+zeroed dense array in canonical order (branches by ascending id, then shunts
+by ascending bus id), so merged region partials place bit-for-bit as the
+whole build. The merge reads each branch's status from its owner's partial: a
+branch is Closed exactly when that partial stamps it. ``fault_variants``
+places the same stamps without the cleared branch for the post-fault matrix.
 """
 
 from __future__ import annotations
@@ -20,15 +19,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .model import Branch, Bus, CaseError, FaultSpec, GridCase, validate_fault
+from .model import CLOSED, OPEN, Branch, Bus, CaseError, FaultSpec, GridCase, validate_fault
 
-# contribution sort keys: (kind, id); kind 0 = branch, 1 = bus shunt
-_KIND_BRANCH = 0
-_KIND_SHUNT = 1
-
-Entry = tuple[int, int]
-ContribKey = tuple[int, int]
-Terms = tuple[tuple[ContribKey, complex], ...]
 Stamp = tuple[complex, complex, complex]      # from-diagonal, to-diagonal, off-diagonal
 
 
@@ -40,56 +32,34 @@ class UnknownRegionError(YBusError):
     pass
 
 
-class DuplicateCoverageError(YBusError):
-    """Two partials claim the same branch (or bus shunt)."""
-
-
-class IncompleteCoverageError(YBusError):
-    """The partials' branches or shunts do not match the case's."""
+class PartialMismatchError(YBusError):
+    """The partials to merge do not match the case: a region's partial is
+    missing or unknown, stamps a branch its region does not own or the case
+    does not have, or does not carry exactly its region's nonzero shunts."""
 
 
 class PartialPayloadError(YBusError):
-    """A partial names one branch or bus shunt twice, or carries a value
-    that is not finite."""
+    """A partial row is malformed, names one branch or bus shunt twice, or
+    carries a value that is not finite."""
 
 
 class YMatrix:
-    """Structurally symmetric sparse complex nodal admittance matrix.
+    """Nodal admittance matrix as its stamps: branch id -> stamp and bus id ->
+    shunt, placed at the bus indices of ``case`` (ascending bus id)."""
 
-    ``entries`` maps (row, col) -> complex value; rows/cols index buses in
-    ascending-id order. ``contribs`` maps (row, col) -> sorted tuple of
-    ((kind, id), complex) terms whose ordered sum is the entry value.
-    """
+    __slots__ = ("case", "branches", "shunts")
 
-    __slots__ = ("n", "entries", "contribs")
-
-    def __init__(self, n: int, contribs: dict[Entry, Terms]):
-        self.n = n
-        self.contribs = contribs
-        self.entries: dict[Entry, complex] = {
-            pos: _fold(terms) for pos, terms in contribs.items()
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, YMatrix):
-            return NotImplemented
-        return self.n == other.n and self.entries == other.entries
+    def __init__(self, case: GridCase, branches: dict[int, Stamp], shunts: dict[int, complex]):
+        self.case = case
+        self.branches = branches
+        self.shunts = shunts
 
     def __repr__(self) -> str:
-        return f"YMatrix(n={self.n}, nnz={len(self.entries)})"
+        return (f"YMatrix(n={self.case.n}, branches={len(self.branches)}, "
+                f"shunts={len(self.shunts)})")
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.n), dtype=complex)
-        for (i, j), v in self.entries.items():
-            dense[i, j] = v
-        return dense
-
-
-def _fold(terms: Terms) -> complex:
-    total = complex(0.0, 0.0)
-    for _, value in terms:
-        total += value
-    return total
+        return _place(self.case, self.branches, self.shunts)
 
 
 def _branch_stamps(branches: Iterable[Branch]) -> dict[int, Stamp]:
@@ -114,22 +84,30 @@ def _shunts(buses: Iterable[Bus]) -> dict[int, complex]:
             if bus.shunt_g != 0.0 or bus.shunt_b != 0.0}
 
 
-def _place(case: GridCase, stamps: dict[int, Stamp], shunts: dict[int, complex]) -> YMatrix:
-    """The matrix of the given stamps at the case's own bus indices, each
-    entry's terms folded in key order."""
+def _place(case: GridCase, stamps: dict[int, Stamp], shunts: dict[int, complex]) -> np.ndarray:
+    """The dense matrix of the given stamps and shunts: every term added into
+    a zeroed array at the case's own bus indices, one at a time in canonical
+    order. The array is allocated last: allocated before the term arrays, it
+    raised the peak RSS of runs on a 509-bus case by one matrix (4 MB) in
+    most runs, through the heap's layout."""
     idx = case.bus_index()
     ends = {br.id: (idx[br.from_bus], idx[br.to_bus]) for br in case.branches}
-    acc: dict[Entry, list[tuple[ContribKey, complex]]] = {}
-    for bid, (ff, tt, off) in stamps.items():
+    rows, cols, values = [], [], []
+    for bid in sorted(stamps):
         f, t = ends[bid]
-        key = (_KIND_BRANCH, bid)
-        for pos, value in (((f, f), ff), ((t, t), tt), ((f, t), off), ((t, f), off)):
-            acc.setdefault(pos, []).append((key, value))
-    for bus_id, value in shunts.items():
-        i = idx[bus_id]
-        acc.setdefault((i, i), []).append(((_KIND_SHUNT, bus_id), value))
-    return YMatrix(case.n, {pos: tuple(sorted(ts, key=lambda t: t[0]))
-                            for pos, ts in acc.items()})
+        ff, tt, off = stamps[bid]
+        rows += (f, t, f, t)
+        cols += (f, t, t, f)
+        values += (ff, tt, off, off)
+    for bus_id in sorted(shunts):
+        rows.append(idx[bus_id])
+        cols.append(idx[bus_id])
+        values.append(shunts[bus_id])
+    at = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+    values = np.array(values, dtype=complex)
+    dense = np.zeros((case.n, case.n), dtype=complex)
+    np.add.at(dense, at, values)
+    return dense
 
 
 def build_ybus(case: GridCase) -> YMatrix:
@@ -137,7 +115,7 @@ def build_ybus(case: GridCase) -> YMatrix:
 
     Open branches contribute nothing; zero shunts are not stamped.
     """
-    return _place(case, _branch_stamps(case.branches), _shunts(case.buses))
+    return YMatrix(case, _branch_stamps(case.branches), _shunts(case.buses))
 
 
 class PartialAdmittance:
@@ -145,20 +123,17 @@ class PartialAdmittance:
     Closed branch it owns, by branch id, and the nonzero shunt of each bus it
     owns, by bus id."""
 
-    __slots__ = ("region", "branches", "shunts")
+    __slots__ = ("branches", "shunts")
 
-    def __init__(self, region: str, branches: dict[int, Stamp], shunts: dict[int, complex]):
-        self.region = region
+    def __init__(self, branches: dict[int, Stamp], shunts: dict[int, complex]):
         self.branches = branches
         self.shunts = shunts
 
     def __repr__(self) -> str:
-        return (f"PartialAdmittance(region={self.region!r}, "
-                f"branches={len(self.branches)}, shunts={len(self.shunts)})")
+        return f"PartialAdmittance(branches={len(self.branches)}, shunts={len(self.shunts)})"
 
     def to_payload(self) -> dict:
         return {
-            "region": self.region,
             "branches": [[bid] + [x for v in stamp for x in (v.real, v.imag)]
                          for bid, stamp in sorted(self.branches.items())],
             "shunts": [[bus_id, v.real, v.imag] for bus_id, v in sorted(self.shunts.items())],
@@ -166,18 +141,32 @@ class PartialAdmittance:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PartialAdmittance":
-        """Read a partial back; it may name each branch and bus shunt once,
-        and every value must be finite."""
-        branches = {int(bid): (complex(ff_re, ff_im), complex(tt_re, tt_im),
-                               complex(off_re, off_im))
-                    for bid, ff_re, ff_im, tt_re, tt_im, off_re, off_im in payload["branches"]}
-        shunts = {int(bus_id): complex(g, b) for bus_id, g, b in payload["shunts"]}
+        """Read a partial back: each branch row is an integer id and six
+        numbers, each shunt row an integer id and two; it may name each branch
+        and bus shunt once, and every value must be finite."""
+        try:
+            branches = {bid: (complex(*v[0:2]), complex(*v[2:4]), complex(*v[4:6]))
+                        for bid, *v in _rows(payload["branches"], 6)}
+            shunts = {bus_id: complex(*v) for bus_id, *v in _rows(payload["shunts"], 2)}
+        except OverflowError:                # an integer past the float range
+            raise PartialPayloadError("partial carries a non-finite value") from None
         if len(branches) < len(payload["branches"]) or len(shunts) < len(payload["shunts"]):
             raise PartialPayloadError("partial names a branch or bus shunt twice")
         values = [v for stamp in branches.values() for v in stamp] + list(shunts.values())
         if not all(cmath.isfinite(v) for v in values):
             raise PartialPayloadError("partial carries a non-finite value")
-        return cls(payload["region"], branches, shunts)
+        return cls(branches, shunts)
+
+
+def _rows(rows: list, n_values: int) -> list:
+    """``rows``, once each is a list of an integer id and ``n_values`` ints or
+    floats (a bool or a string is neither)."""
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == n_values + 1 and type(row[0]) is int
+                and all(type(v) in (int, float) for v in row[1:])):
+            raise PartialPayloadError(
+                f"partial row {row!r} is not an integer id and {n_values} numbers")
+    return rows
 
 
 def build_partial(case: GridCase, region: str) -> PartialAdmittance:
@@ -186,7 +175,7 @@ def build_partial(case: GridCase, region: str) -> PartialAdmittance:
         raise UnknownRegionError(f"region {region!r} not declared anywhere in the case")
     owner = case.branch_owners()
     return PartialAdmittance(
-        region, _branch_stamps(br for br in case.branches if owner[br.id] == region),
+        _branch_stamps(br for br in case.branches if owner[br.id] == region),
         _shunts(bus for bus in case.buses if bus.owner_region == region))
 
 
@@ -195,32 +184,38 @@ def build_partials(case: GridCase) -> dict[str, PartialAdmittance]:
     return {r: build_partial(case, r) for r in case.regions()}
 
 
-def _cover(what: str, claims: list[Iterable[int]], expected: set[int]) -> None:
-    """Raise unless the claims name every expected id exactly once, and no other."""
-    seen: set[int] = set()
-    for ids in claims:
-        dup = seen & set(ids)
-        if dup:
-            raise DuplicateCoverageError(f"{what} {sorted(dup)} stamped by more than one region")
-        seen |= set(ids)
-    if seen != expected:
-        raise IncompleteCoverageError(
-            f"{what} coverage mismatch: missing={sorted(expected - seen)} "
-            f"unexpected={sorted(seen - expected)}")
+def merge_partials(base: GridCase, parts: dict[str, PartialAdmittance],
+                   ) -> tuple[GridCase, YMatrix]:
+    """The view the region partials state, and its matrix.
 
-
-def merge_partials(case: GridCase, parts: list[PartialAdmittance]) -> YMatrix:
-    """Place region partials at the case's own bus indices.
-
-    The partials must cover exactly the case's Closed branches and nonzero bus
-    shunts, each once. Their stamps are then placed and folded as
-    :func:`build_ybus` places and folds a whole build's, so the merge of every
-    region's partial reproduces it exactly.
+    ``parts`` holds one partial for each region of ``base``. Each may stamp
+    only branches its region owns, and must carry exactly the nonzero shunts
+    of its region's buses. A branch is Closed in the view exactly when its
+    owner's partial stamps it. The matrix places the partials' stamps as
+    :func:`build_ybus` places a whole build's, so the merge of every region's
+    partial of a view reproduces that view's build exactly.
     """
-    _cover("branches", [p.branches for p in parts], case.closed_branch_ids())
-    _cover("bus shunts", [p.shunts for p in parts], set(_shunts(case.buses)))
-    return _place(case, {bid: s for p in parts for bid, s in p.branches.items()},
-                  {bus_id: v for p in parts for bus_id, v in p.shunts.items()})
+    regions = set(base.regions())
+    problems = [f"{what} regions {sorted(ids)}" for what, ids in (
+        ("missing", regions - parts.keys()), ("unknown", parts.keys() - regions)) if ids]
+    owner, bus_owner, shunts = base.branch_owners(), base.bus_owner(), _shunts(base.buses)
+    for region in sorted(regions & parts.keys()):
+        stamped, carried = parts[region].branches.keys(), parts[region].shunts.keys()
+        own_shunts = {bus_id for bus_id in shunts if bus_owner[bus_id] == region}
+        for what, ids in (("stamps unknown branches", stamped - owner.keys()),
+                          ("stamps foreign branches",
+                           {bid for bid in stamped if owner.get(bid, region) != region}),
+                          ("leaves out the shunts of buses", own_shunts - carried),
+                          ("carries extra shunts of buses", carried - own_shunts)):
+            if ids:
+                problems.append(f"{region} {what} {sorted(ids)}")
+    if problems:
+        raise PartialMismatchError("; ".join(problems))
+    stamps = {bid: s for part in parts.values() for bid, s in part.branches.items()}
+    view = base.with_branch_status({br.id: CLOSED if br.id in stamps else OPEN
+                                    for br in base.branches if br.closed != (br.id in stamps)})
+    return view, YMatrix(view, stamps,
+                         {bus_id: v for part in parts.values() for bus_id, v in part.shunts.items()})
 
 
 def fault_variants(y: YMatrix, case: GridCase,
@@ -228,9 +223,9 @@ def fault_variants(y: YMatrix, case: GridCase,
     """Dense pre-, on- and post-fault matrices for one fault specification.
 
     Y_pre is ``y.to_dense()``. Y_on adds the fault shunt to the faulted bus's
-    diagonal, after that entry's other terms. Y_post re-folds only the cleared
-    branch's four entries without its terms, so it is bitwise a fresh build of
-    the case with that branch Open; with nothing cleared, Y_post is Y_pre.
+    diagonal, after that entry's other terms. Y_post places the same stamps
+    without the cleared branch's, so it is bitwise a fresh build of the case
+    with that branch Open; with nothing cleared, Y_post is Y_pre.
     """
     validate_fault(case, fault)
     f = case.bus_index()[fault.faulted_bus]
@@ -239,12 +234,5 @@ def fault_variants(y: YMatrix, case: GridCase,
     on[f, f] += fault.y_fault
     if fault.cleared_branch is None:
         return pre, on, pre
-
-    drop = (_KIND_BRANCH, fault.cleared_branch)
-    touched = [pos for pos, terms in y.contribs.items() if any(k == drop for k, _ in terms)]
-    if not touched:
-        raise YBusError(f"cleared branch {fault.cleared_branch} is not stamped in the matrix")
-    post = pre.copy()
-    for pos in touched:
-        post[pos] = _fold(tuple(t for t in y.contribs[pos] if t[0] != drop))
-    return pre, on, post
+    kept = {bid: s for bid, s in y.branches.items() if bid != fault.cleared_branch}
+    return pre, on, _place(y.case, kept, y.shunts)

@@ -1,5 +1,6 @@
 """Shared test fixtures: canonical machine-infinite-bus system, random cases,
-a one-scenario reference integrator, a dense-matmul reference power flow,
+an entry-by-entry reference placement of Y's stamps, a one-scenario
+reference integrator, a dense-matmul reference power flow,
 the scenario-by-scenario preparation the batched one replaced and the
 tuple-by-tuple cross-region scenario product."""
 
@@ -82,6 +83,27 @@ def random_connected_case(rng: random.Random, n_buses: int, n_regions: int) -> G
         bid += 1
     gens = (Generator(id=1, bus=1, h=5.0, d=0.0, xd_p=0.1),)
     return GridCase(buses=tuple(buses), branches=tuple(branches), generators=gens)
+
+
+def reference_dense(y) -> np.ndarray:
+    """``y``'s dense matrix, each entry folded as complex 0 plus its terms in
+    canonical order: the stamps by ascending branch id, then the shunt."""
+    idx = y.case.bus_index()
+    ends = {br.id: (idx[br.from_bus], idx[br.to_bus]) for br in y.case.branches}
+    terms: dict[tuple[int, int], list[complex]] = {}
+    for bid in sorted(y.branches):
+        (f, t), (ff, tt, off) = ends[bid], y.branches[bid]
+        for pos, value in (((f, f), ff), ((t, t), tt), ((f, t), off), ((t, f), off)):
+            terms.setdefault(pos, []).append(value)
+    for bus_id in sorted(y.shunts):
+        terms.setdefault((idx[bus_id], idx[bus_id]), []).append(y.shunts[bus_id])
+    dense = np.zeros((y.case.n, y.case.n), dtype=complex)
+    for pos, values in terms.items():
+        total = complex(0.0, 0.0)
+        for value in values:
+            total += value
+        dense[pos] = total
+    return dense
 
 
 def reference_simulate(case: GridCase, net, fault, cfg):

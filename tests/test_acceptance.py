@@ -56,11 +56,8 @@ def test_01_merge_equivalence_bitwise():
         for _ in range(100):
             case = random_connected_case(rng, rng.randint(5, 30), rng.randint(1, 5))
             y = build_ybus(case)
-            merged = merge_partials(case, list(build_partials(case).values()))
-            assert merged.n == y.n and set(merged.entries) == set(y.entries)
-            for k, v in y.entries.items():
-                mv = merged.entries[k]
-                assert mv.real == v.real and mv.imag == v.imag
+            _, merged = merge_partials(case, build_partials(case))
+            assert merged.to_dense().tobytes() == y.to_dense().tobytes()
         assert time.perf_counter() - t0 < 10.0
 
 
@@ -313,7 +310,7 @@ def test_10_barrier_robustness(tmp_path):
         while time.time() < deadline and len(cloud.edges) < 3:
             time.sleep(0.01)
         key = upload_key(m.run_id, "R3")
-        store.put(key, pipeline.edge_topology_blob(case, case, "R3"))
+        store.put(key, pipeline.edge_topology_blob(case, "R3"))
         for _ in range(2):
             sock.sendall(encode(wire.upload_ready("R3", key, m.run_id_bytes)))
         code = cloud.execute_run(m)

@@ -80,7 +80,8 @@ def test_tracer_times_a_virtual_run(tmp_path):
     row = tracer.per_run()[0]
     for metric in ("virtualdemo.run_ms", "pipeline.edge_topology_blob_ms",
                    "pipeline.cloud_merge_ms", "pipeline.topology_compute_ms",
-                   "pipeline.result_blob_ms", "ybus.fault_variants_ms", "dynamics.kron_ms"):
+                   "pipeline.result_blob_ms", "ybus.build_partial_ms",
+                   "ybus.merge_partials_ms", "ybus.fault_variants_ms", "dynamics.kron_ms"):
         assert row[metric] > 0, metric
     # Y is densified once for the power flow and once for the three fault variants
     assert row["ybus.to_dense_calls"] == 2

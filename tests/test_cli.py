@@ -42,8 +42,7 @@ class TestYbus:
         assert len(lines) == 4
         # spot value: self-admittance of bus 1 from the two attached branches
         from gridmesh.ybus import build_ybus
-        y = build_ybus(load_bundled_case("case3"))
-        v = y.entries[(0, 0)]
+        v = build_ybus(load_bundled_case("case3")).to_dense()[0, 0]
         assert f"{v.real:+.4f}{v.imag:+.4f}j" in lines[1]
 
     def test_missing_case_file(self, capsys):
@@ -70,6 +69,13 @@ class TestSimulate:
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err == \
             f"error: DynamicsError: t_end must be finite and > 0, got {t_end}\n"
+
+    def test_an_infinite_t_clear_is_a_case_error(self, capsys):
+        code = main(["simulate", CASE9, "bus=7,t_fault=0.1,t_clear=inf,branch=6",
+                     "--t-end", "1.0"])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == ("error: CaseError: fault times must be finite "
+                                           "and satisfy 0 <= t_fault < t_clear\n")
 
     def test_fault_spec_needs_bus(self):
         assert main(["simulate", CASE9, "t_fault=0.1,t_clear=0.2"]) == EXIT_USAGE

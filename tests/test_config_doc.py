@@ -21,9 +21,8 @@ def documented() -> dict[str, set[str]]:
 
 def written() -> dict[str, set[str]]:
     case = load_bundled_case("case9")
-    topo = json.loads(pipeline.edge_topology_blob(case, case, "R1"))
-    dsa = json.loads(pipeline.edge_scenarios_blob(case, case, "R1",
-                                                  DsaParams(n_raw=20, k=2, seed=1)))
+    topo = json.loads(pipeline.edge_topology_blob(case, "R1"))
+    dsa = json.loads(pipeline.edge_scenarios_blob(case, "R1", DsaParams(n_raw=20, k=2, seed=1)))
     return {"Topology upload": set(topo), "DSA upload": set(dsa),
             "`partial`": set(topo["partial"]), "`scenario_set`": set(dsa["scenario_set"])}
 

@@ -652,7 +652,8 @@ class TestPrepareBatch:
         assert calls == [64, 32, 32, 16, 16, 8, 8, 4, 4, 2, 2, 1, 1]
 
     def test_a_singular_jacobian_names_its_scenario(self):
-        # bus 3 is tied in by branch 2, but the matrix leaves out its row and column
+        # bus 3 is tied in by branch 2, but the matrix leaves out branch 2's
+        # stamp, so bus 3's row and column are empty
         case = GridCase(
             buses=(Bus(id=1, kind="Slack"), Bus(id=2, kind="PQ", p_load=0.5),
                    Bus(id=3, kind="PQ", p_load=0.2, q_load=0.1)),
@@ -660,7 +661,7 @@ class TestPrepareBatch:
                       Branch(id=2, from_bus=2, to_bus=3, r=0.01, x=0.1)),
             generators=(Generator(id=1, bus=1, h=5.0, d=0.0, xd_p=0.1),))
         full = build_ybus(case)
-        y = YMatrix(full.n, {pos: t for pos, t in full.contribs.items() if 2 not in pos})
+        y = YMatrix(case, {1: full.branches[1]}, full.shunts)
         with pytest.raises(SingularJacobianError,
                            match="^scenario 0: singular Jacobian at iteration 0$") as info:
             prepare_batch(case, y, scenario_loads(case, uniform(1.0, 1.1, dims=2)),

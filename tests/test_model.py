@@ -132,6 +132,13 @@ class TestFaultSpec:
         with pytest.raises(CaseError, match="t_fault < t_clear"):
             validate_fault(case, FaultSpec(faulted_bus=7, t_fault=0.3, t_clear=0.1))
 
+    @pytest.mark.parametrize("t_fault, t_clear", [
+        (0.1, math.inf), (math.nan, 0.3), (0.1, math.nan), (math.inf, math.inf)])
+    def test_times_finite(self, t_fault, t_clear):
+        case = load_bundled_case("case9")
+        with pytest.raises(CaseError, match="must be finite"):
+            validate_fault(case, FaultSpec(faulted_bus=7, t_fault=t_fault, t_clear=t_clear))
+
     def test_faulted_bus_exists(self):
         case = load_bundled_case("case9")
         with pytest.raises(CaseError, match="unknown bus"):

@@ -442,11 +442,9 @@ class TestEdgeArtifacts:
         m = manifest()
         assert cloud.execute_run(m) == 0
         uploaded = store.get(upload_key(m.run_id, "R2"))
-        expected = pipeline.edge_topology_blob(
-            case9.with_branch_status({9: "Open"}), case9, "R2")
+        expected = pipeline.edge_topology_blob(case9.with_branch_status({9: "Open"}), "R2")
         assert uploaded == expected
-        parsed = pipeline.parse_upload(uploaded)
-        assert 9 not in parsed["partial"].branches and parsed["status_deltas"] == {9: "Open"}
+        assert 9 not in pipeline.parse_upload(uploaded)["partial"].branches
 
     def test_forecast_report_shapes_dsa_sampling(self, cluster):
         cloud, edges, store = cluster
@@ -501,8 +499,8 @@ class TestDuplicateUpload:
         dsa = DsaParams(n_raw=20, k=2, seed=3) if mode == "DSA" else None
         m = manifest(mode=mode, dsa=dsa)
         key = upload_key(m.run_id, "R3")
-        store.put(key, pipeline.edge_scenarios_blob(case9, case9, "R3", dsa) if dsa
-                  else pipeline.edge_topology_blob(case9, case9, "R3"))
+        store.put(key, pipeline.edge_scenarios_blob(case9, "R3", dsa) if dsa
+                  else pipeline.edge_topology_blob(case9, "R3"))
         for _ in range(2):
             sched.at(0.1, r3.send, cloud, wire.upload_ready("R3", key, m.run_id_bytes), UP)
         sched.at(1.0, cloud.call, cloud.core.open_run, m)

@@ -22,7 +22,7 @@ FAULT = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.25, cleared_branch=6)
 def distributed(base, view, manifest, forecasts=None):
     """Each region's edge uploads from ``view``; the cloud computes the result."""
     forecasts = forecasts or {}
-    blobs = {r: pipeline.edge_upload(view, base, r, manifest, forecasts.get(r))
+    blobs = {r: pipeline.edge_upload(view, r, manifest, forecasts.get(r))
              for r in manifest.expected_regions}
     return pipeline.cloud_result(base, manifest, blobs)
 
@@ -50,7 +50,7 @@ def test_topology_result_is_the_oracle_bytes(seed, n_buses, n_regions, data):
             continue
         deltas = flipped
     view = base.with_branch_status(deltas)
-    closed = sorted(view.closed_branch_ids())
+    closed = [br.id for br in view.branches if br.closed]
     fault = FaultSpec(faulted_bus=data.draw(st.sampled_from([b.id for b in base.buses])),
                       t_fault=0.1, t_clear=0.2,
                       cleared_branch=data.draw(st.sampled_from([None, *closed])))

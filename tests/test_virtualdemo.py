@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from operator import setitem
 
 import pytest
 
@@ -77,7 +78,8 @@ class TestVirtualTopology:
         assert out.exit_code == 0
         upload = pipeline.parse_upload(store.get(upload_key(RID, "R2")))
         assert upload["partial"].branches == {} and upload["partial"].shunts == {}
-        assert upload["status_deltas"] == {3: "Open"}
+        parts = {r: pipeline.parse_upload(store.get(upload_key(RID, r))) for r in ("R1", "R2")}
+        assert pipeline.cloud_merge(case, parts)[0] == case.with_branch_status({3: "Open"})
         _, expected = pipeline.monolithic_topology(case, {3: "Open"}, fault, CFG)
         assert out.result_blob == expected
 
@@ -268,28 +270,38 @@ class TestVirtualBadInput:
         payloads["R1"]["branches"].append(
             next(b for b in payloads["R2"]["branches"] if b[0] == 8))
         store = FileStore(tmp_path / "store")
-        store.put(upload_key(RID, "R1"),
-                  canonical_json({"partial": payloads["R1"], "status_deltas": []}))
+        store.put(upload_key(RID, "R1"), canonical_json({"partial": payloads["R1"]}))
         logs = tmp_path / "logs"
         out = run_virtual_demo(case, topo_manifest(), store, logs,
                                zero_impairment_profile(), SCRIPTS)
         assert out.exit_code == 2 and out.result_blob is None
         failed = [f["reason"] for ev, f in _events(logs, "cloud") if ev == "run_failed"]
-        assert failed == ["DuplicateCoverageError"]
+        assert failed == ["PartialMismatchError"]
 
-    @pytest.mark.parametrize("column, value", [(1, float("nan")), (6, float("inf"))],
-                             ids=["nan_from_diagonal", "infinite_off_diagonal"])
-    def test_a_non_finite_stamp_fails_the_run(self, column, value, tmp_path):
-        # R1's upload is in the store before its edge computes, one value of
-        # its branch 1 stamp replaced; the cloud rejects the partial as it
-        # reads it, where a NaN once failed the run only at the Kron reduction
+    @pytest.mark.parametrize("tamper", [
+        lambda p: setitem(p["branches"][0], 1, float("nan")),
+        lambda p: setitem(p["branches"][0], 6, float("inf")),
+        lambda p: p["branches"][0].pop(),
+        lambda p: setitem(p["branches"][0], 0, 1.5),
+        lambda p: setitem(p["branches"][0], 0, True),
+        lambda p: setitem(p["branches"][0], 2, True),
+        lambda p: setitem(p["branches"][0], 2, "0.1"),
+        lambda p: setitem(p["branches"][0], 2, 10**400),
+        lambda p: p["shunts"].append([4, 0.1]),
+    ], ids=["nan_from_diagonal", "infinite_off_diagonal", "six_number_branch_row",
+            "fractional_branch_id", "bool_branch_id", "bool_value", "string_value",
+            "integer_past_the_float_range", "two_number_shunt_row"])
+    def test_a_non_finite_stamp_fails_the_run(self, tamper, tmp_path):
+        # R1's upload is in the store before its edge computes, its branch 1
+        # stamp (row 0) made non-finite or malformed, or a short shunt row
+        # added; the cloud rejects the partial as it reads it, before a NaN
+        # could reach the Kron reduction or an id of 1.5 or a value of true
+        # could be read as a number
         case = load_bundled_case("case9")
         partial = build_partials(case)["R1"].to_payload()
-        stamp = next(b for b in partial["branches"] if b[0] == 1)
-        stamp[column] = value
+        tamper(partial)
         store = FileStore(tmp_path / "store")
-        store.put(upload_key(RID, "R1"),
-                  canonical_json({"partial": partial, "status_deltas": []}))
+        store.put(upload_key(RID, "R1"), canonical_json({"partial": partial}))
         logs = tmp_path / "logs"
         out = run_virtual_demo(case, topo_manifest(), store, logs,
                                zero_impairment_profile(), SCRIPTS)
@@ -309,7 +321,7 @@ class TestVirtualBadInput:
         # scenario set altered; the cloud rejects it instead of simulating it
         case = load_bundled_case("case9")
         dsa = DsaParams(n_raw=20, k=2, seed=1)
-        upload = json.loads(pipeline.edge_scenarios_blob(case, case, "R1", dsa))
+        upload = json.loads(pipeline.edge_scenarios_blob(case, "R1", dsa))
         upload["scenario_set"] = tamper(upload["scenario_set"])
         store = FileStore(tmp_path / "store")
         store.put(upload_key(RID, "R1"), canonical_json(upload))
@@ -339,7 +351,7 @@ class TestVirtualBadInput:
         edge = [ev for ev, _ in _events(logs, "edge-R3")]
         assert "edge_reject" in edge and "delta_applied" not in edge
         assert store.get(upload_key(RID, "R3")) == \
-            pipeline.edge_topology_blob(case, case, "R3")      # view unchanged
+            pipeline.edge_topology_blob(case, "R3")      # view unchanged
         _, expected = pipeline.monolithic_topology(case, {9: "Open"}, FAULT, CFG)
         assert out.result_blob == expected
 

@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 from gridmesh.model import Branch, Bus, CaseError, FaultSpec, GridCase, load_bundled_case
 from gridmesh.powerflow import PowerFlowError, solve_power_flow
 from gridmesh.wire import canonical_json
-from gridmesh.ybus import (DuplicateCoverageError, IncompleteCoverageError,
-                           PartialAdmittance, PartialPayloadError, UnknownRegionError,
-                           build_partial, build_partials, build_ybus, fault_variants,
-                           merge_partials)
+from gridmesh.ybus import (PartialAdmittance, PartialMismatchError, PartialPayloadError,
+                           UnknownRegionError, build_partial, build_partials,
+                           build_ybus, fault_variants, merge_partials)
 
-from helpers import random_connected_case
+from helpers import random_connected_case, reference_dense
 
 
 def shipped(part):
@@ -45,27 +44,23 @@ class TestBuildYbus:
     def test_two_bus_pure_reactance(self):
         # hand computation: y = 1/(j0.1) = -10j; no charging, tap 1
         y = build_ybus(two_bus_case())
-        assert y.n == 2
-        assert y.entries[(0, 0)] == complex(0, -10)
-        assert y.entries[(1, 1)] == complex(0, -10)
-        assert y.entries[(0, 1)] == complex(0, 10)
-        assert y.entries[(1, 0)] == complex(0, 10)
+        assert y.to_dense().tolist() == [[complex(0, -10), complex(0, 10)],
+                                         [complex(0, 10), complex(0, -10)]]
 
     def test_all_branches_open_only_shunts(self):
         # connectivity is checked over Closed branches, so a single bus stands in
         solo = GridCase(buses=(Bus(id=1, kind="Slack", shunt_g=0.1, shunt_b=-0.2),),
                         branches=(), generators=())
-        y = build_ybus(solo)
-        assert y.entries == {(0, 0): complex(0.1, -0.2)}
+        assert build_ybus(solo).to_dense().tolist() == [[complex(0.1, -0.2)]]
         no_shunt = GridCase(buses=(Bus(id=1, kind="Slack"),), branches=(), generators=())
-        assert build_ybus(no_shunt).entries == {}
+        assert bitwise_equal(build_ybus(no_shunt).to_dense(), np.zeros((1, 1), complex))
 
     def test_open_branch_contributes_nothing(self):
         case = load_bundled_case("case9")
         extra = case.branches + (Branch(id=99, from_bus=4, to_bus=9, r=0.01, x=0.2,
                                         status="Open", owner_region="R1"),)
         case2 = GridCase(buses=case.buses, branches=extra, generators=case.generators)
-        assert build_ybus(case2) == build_ybus(case)
+        assert bitwise_equal(build_ybus(case2).to_dense(), build_ybus(case).to_dense())
 
     def test_tap_and_charging_stamp(self):
         case = GridCase(
@@ -74,21 +69,19 @@ class TestBuildYbus:
                              b_charge=0.2, tap=0.98),),
             generators=(),
         )
-        y = build_ybus(case)
+        y = build_ybus(case).to_dense()
         ys = 1.0 / complex(0.01, 0.1)
-        assert y.entries[(0, 0)] == ys / (0.98 * 0.98) + complex(0, 0.1)
-        assert y.entries[(1, 1)] == ys + complex(0, 0.1)
-        assert y.entries[(0, 1)] == -(ys / 0.98)
-        assert y.entries[(1, 0)] == -(ys / 0.98)
+        assert y[0, 0] == ys / (0.98 * 0.98) + complex(0, 0.1)
+        assert y[1, 1] == ys + complex(0, 0.1)
+        assert y[0, 1] == -(ys / 0.98)
+        assert y[1, 0] == -(ys / 0.98)
 
     def test_structural_symmetry_and_value_symmetry(self):
         rng = random.Random(7)
         for _ in range(10):
             case = random_connected_case(rng, rng.randint(4, 20), 2)
-            y = build_ybus(case)
-            for (i, j) in y.entries:
-                assert (j, i) in y.entries
-                assert y.entries[(i, j)] == y.entries[(j, i)]
+            y = build_ybus(case).to_dense()
+            assert bitwise_equal(y, y.T)
 
     def test_zero_row_sums_without_shunts_or_charging(self):
         rng = random.Random(11)
@@ -109,9 +102,9 @@ class TestBuildYbus:
 class TestBuildPartial:
     def test_single_region_equals_full(self):
         case = with_owners(load_bundled_case("case9"), "R1")
-        [part] = build_partials(case).values()
-        assert set(part.branches) == case.closed_branch_ids()
-        assert bitwise_equal(merge_partials(case, [part]).to_dense(),
+        parts = build_partials(case)
+        assert set(parts["R1"].branches) == {br.id for br in case.branches if br.closed}
+        assert bitwise_equal(merge_partials(case, parts)[1].to_dense(),
                              build_ybus(case).to_dense())
 
     def test_triangle_split_sums_to_full(self):
@@ -119,7 +112,7 @@ class TestBuildPartial:
                            buses={2: "R2"})
         p1, p2 = build_partial(case, "R1"), build_partial(case, "R2")
         assert (set(p1.branches), set(p2.branches)) == ({1, 2}, {3})
-        assert bitwise_equal(merge_partials(case, [p1, p2]).to_dense(),
+        assert bitwise_equal(merge_partials(case, {"R1": p1, "R2": p2})[1].to_dense(),
                              build_ybus(case).to_dense())
 
     def test_stamp_values_and_payload(self):
@@ -136,7 +129,6 @@ class TestBuildPartial:
         assert part.branches == {1: (ff, tt, off)}
         assert part.shunts == {1: complex(0.1, -0.2)}
         assert part.to_payload() == {
-            "region": "R1",
             "branches": [[1, ff.real, ff.imag, tt.real, tt.imag, off.real, off.imag]],
             "shunts": [[1, 0.1, -0.2]]}
 
@@ -154,7 +146,6 @@ class TestBuildPartial:
         case = load_bundled_case("case9")
         part = build_partials(case)["R2"]
         again = shipped(part)
-        assert again.region == part.region
         assert again.branches == part.branches
         assert again.shunts == part.shunts
 
@@ -168,40 +159,100 @@ class TestBuildPartial:
             PartialAdmittance.from_payload(payload)
 
 
+def shipped_partials(view):
+    """Every region's partial of ``view`` as the cloud reads it back."""
+    return {r: shipped(p) for r, p in build_partials(view).items()}
+
+
+def flipped_view(case, rng):
+    """The case with a random subset of its branches flipped between Open and
+    Closed, each by its own region's edge; a flip that would disconnect the
+    case is skipped."""
+    view = case
+    for br in rng.sample(case.branches, len(case.branches)):
+        if rng.random() < 0.5:
+            try:
+                view = view.with_branch_status(
+                    {br.id: "Open" if view.branch(br.id).closed else "Closed"})
+            except CaseError:
+                pass
+    return view
+
+
+def case9_with_shunt():
+    """case9 with a shunt at bus 5, which R1 owns."""
+    case = load_bundled_case("case9")
+    return replace(case, buses=tuple(replace(b, shunt_b=0.1) if b.id == 5 else b
+                                     for b in case.buses))
+
+
+# how a tamper with the case9_with_shunt payloads reads in the merge's error
+MISMATCHES = {
+    "foreign_branch": (lambda p: p["R1"]["branches"].append(
+        next(b for b in p["R2"]["branches"] if b[0] == 8)), r"R1 stamps foreign branches \[8\]"),
+    "unknown_branch": (lambda p: p["R1"]["branches"].append([99] + [0.1] * 6),
+                       r"R1 stamps unknown branches \[99\]"),
+    "missing_region": (lambda p: p.pop("R3"), r"missing regions \['R3'\]"),
+    "unknown_region": (lambda p: p.update(R9={"branches": [], "shunts": []}),
+                       r"unknown regions \['R9'\]"),
+    "missing_shunt": (lambda p: p["R1"]["shunts"].clear(),
+                      r"R1 leaves out the shunts of buses \[5\]"),
+    "extra_shunt": (lambda p: p["R1"]["shunts"].append([4, 0.0, 0.1]),
+                    r"R1 carries extra shunts of buses \[4\]"),
+}
+
+
 class TestMergePartials:
     def test_merge_equals_build_bitwise_random_cases(self):
         rng = random.Random(1234)
         for _ in range(25):
             case = random_connected_case(rng, rng.randint(5, 30), rng.randint(1, 5))
             y = build_ybus(case)
-            merged = merge_partials(case, [shipped(p) for p in build_partials(case).values()])
-            assert merged == y
+            _, merged = merge_partials(case, shipped_partials(case))
+            assert (merged.branches, merged.shunts) == (y.branches, y.shunts)
             assert bitwise_equal(merged.to_dense(), y.to_dense())
 
     def test_merge_survives_payload_roundtrip(self):
         case = load_bundled_case("case9")
-        parts = [shipped(p) for p in build_partials(case).values()]
-        assert merge_partials(case, parts) == build_ybus(case)
+        view, y = merge_partials(case, shipped_partials(case))
+        assert view == case
+        assert bitwise_equal(y.to_dense(), build_ybus(case).to_dense())
 
     def test_single_part_identity(self):
         case = with_owners(load_bundled_case("case9"), "R1")
-        [part] = build_partials(case).values()
-        assert merge_partials(case, [part]).contribs == build_ybus(case).contribs
+        _, merged = merge_partials(case, build_partials(case))
+        whole = build_ybus(case)
+        assert (merged.branches, merged.shunts) == (whole.branches, whole.shunts)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_buses=st.integers(2, 14),
+           n_regions=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_merge_states_the_view_its_regions_flipped(self, seed, n_buses, n_regions):
+        """The cloud reads every branch's status from its owner's partial."""
+        rng = random.Random(seed)
+        base = random_connected_case(rng, n_buses, n_regions)
+        view = flipped_view(base, rng)
+        merged, y = merge_partials(base, shipped_partials(view))
+        assert merged == view
+        assert bitwise_equal(y.to_dense(), build_ybus(view).to_dense())
+        assert bitwise_equal(y.to_dense(), reference_dense(y))
 
     def test_overlapping_branch_rejected(self):
+        # a branch comes from its owner's partial only: R2 may not stamp R3's branch 7
         case = load_bundled_case("case9")
-        p1, p2, p3 = build_partials(case).values()
-        clash = PartialAdmittance("R9", {**p2.branches, 7: p3.branches[7]}, p2.shunts)
-        with pytest.raises(DuplicateCoverageError, match="branches"):
-            merge_partials(case, [p1, clash, p3])
+        parts = build_partials(case)
+        parts["R2"] = PartialAdmittance({**parts["R2"].branches, 7: parts["R3"].branches[7]},
+                                        parts["R2"].shunts)
+        with pytest.raises(PartialMismatchError, match=r"R2 stamps foreign branches \[7\]"):
+            merge_partials(case, parts)
 
     def test_incomplete_coverage_rejected(self):
         case = load_bundled_case("case9")
-        parts = list(build_partials(case).values())
-        with pytest.raises(IncompleteCoverageError, match="missing"):
-            merge_partials(case, parts[:-1])
-        with pytest.raises(IncompleteCoverageError, match="unexpected"):
-            merge_partials(case.with_branch_status({9: "Open"}), parts)
+        parts = build_partials(case)
+        with pytest.raises(PartialMismatchError, match="missing regions"):
+            merge_partials(case, {r: p for r, p in parts.items() if r != "R3"})
+        with pytest.raises(PartialMismatchError, match="unknown regions"):
+            merge_partials(case, {**parts, "R9": PartialAdmittance({}, {})})
 
     def test_a_left_out_shunt_is_rejected(self):
         # accepted, the merge would differ from build_ybus by bus 7's shunt
@@ -210,8 +261,17 @@ class TestMergePartials:
         assert case.bus(7).shunt_g != 0.0 or case.bus(7).shunt_b != 0.0
         payloads = {r: p.to_payload() for r, p in build_partials(case).items()}
         payloads[owner]["shunts"] = [s for s in payloads[owner]["shunts"] if s[0] != 7]
-        parts = [PartialAdmittance.from_payload(p) for p in payloads.values()]
-        with pytest.raises(IncompleteCoverageError, match=r"missing=\[7\]"):
+        parts = {r: PartialAdmittance.from_payload(p) for r, p in payloads.items()}
+        with pytest.raises(PartialMismatchError, match=r"leaves out the shunts of buses \[7\]"):
+            merge_partials(case, parts)
+
+    @pytest.mark.parametrize("tamper, message", MISMATCHES.values(), ids=list(MISMATCHES))
+    def test_a_mismatch_is_rejected(self, tamper, message):
+        case = case9_with_shunt()
+        payloads = {r: p.to_payload() for r, p in build_partials(case).items()}
+        tamper(payloads)
+        parts = {r: PartialAdmittance.from_payload(p) for r, p in payloads.items()}
+        with pytest.raises(PartialMismatchError, match=f"^{message}$"):
             merge_partials(case, parts)
 
     def test_a_non_finite_shunt_is_rejected(self):
@@ -227,7 +287,7 @@ class TestMergePartials:
             assert canonical_json(shipped(part).to_payload()) == payload
 
     @pytest.mark.parametrize("tamper, error", [
-        ("R2 branch term", DuplicateCoverageError),
+        ("R2 branch term", PartialMismatchError),
         ("R1 branch named twice", PartialPayloadError),
     ], ids=["R2 branch term", "R1 branch named twice"])
     def test_tampered_payload_rejected(self, tamper, error):
@@ -238,7 +298,8 @@ class TestMergePartials:
         rows.append(next(b for b in payloads["R2"]["branches"] if b[0] == 8)
                     if tamper == "R2 branch term" else rows[0])
         with pytest.raises(error):
-            merge_partials(case, [PartialAdmittance.from_payload(p) for p in payloads.values()])
+            merge_partials(case, {r: PartialAdmittance.from_payload(p)
+                                  for r, p in payloads.items()})
 
 
 def bitwise_equal(a, b):
@@ -259,7 +320,7 @@ class TestFaultVariants:
         fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.2)
         pre, on, _ = fault_variants(y, case, fault)
         f = case.bus_index()[7]
-        assert on[f, f] == y.entries[(f, f)] + fault.y_fault
+        assert on[f, f] == y.to_dense()[f, f] + fault.y_fault
         on[f, f] = pre[f, f]
         assert bitwise_equal(on, pre)
 
@@ -286,7 +347,8 @@ class TestFaultVariants:
         b = fault_variants(y, case, fault)
         for ya, yb in zip(a, b):
             assert bitwise_equal(ya, yb)
-        assert y == build_ybus(case)
+        fresh = build_ybus(case)
+        assert (y.branches, y.shunts) == (fresh.branches, fresh.shunts)
 
     def test_absent_faulted_bus(self):
         case = load_bundled_case("case9")
@@ -294,14 +356,16 @@ class TestFaultVariants:
         with pytest.raises(Exception, match="unknown bus"):
             fault_variants(y, case, FaultSpec(faulted_bus=42, t_fault=0.1, t_clear=0.2))
 
-    @given(seed=st.integers(0, 2**32 - 1), n_buses=st.integers(2, 12))
+    @given(seed=st.integers(0, 2**32 - 1), n_buses=st.integers(2, 14),
+           n_regions=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
-    def test_variants_match_fresh_builds_random_cases(self, seed, n_buses):
-        """Small random cases often carry parallel branches, so a cleared
-        branch's off-diagonal entries keep another branch's term."""
+    def test_variants_match_fresh_builds_random_cases(self, seed, n_buses, n_regions):
+        """Over the merged matrix of a view whose regions flipped some of
+        their branches. Small random cases often carry parallel branches, so
+        a cleared branch's off-diagonal entries keep another branch's term."""
         rng = random.Random(seed)
-        case = random_connected_case(rng, n_buses, 2)
-        y = build_ybus(case)
+        base = random_connected_case(rng, n_buses, n_regions)
+        case, y = merge_partials(base, shipped_partials(flipped_view(base, rng)))
         idx = case.bus_index()
         for br in case.branches:
             if not br.closed:
