@@ -33,6 +33,7 @@ frame names that frame's seq, so the UE stops waiting for it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 from . import pipeline, wire
@@ -91,6 +92,8 @@ class UeScriptItem:
     def __post_init__(self):
         if self.kind not in ("topology", "forecast"):
             raise ValueError(f"unknown script item kind {self.kind!r}")
+        if not (math.isfinite(self.at_s) and self.at_s >= 0):
+            raise ValueError(f"script item at_s must be finite and >= 0, got {self.at_s}")
 
     def envelope(self, seq: int) -> Envelope:
         if self.kind == "topology":

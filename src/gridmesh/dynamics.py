@@ -24,13 +24,14 @@ scenarios of each variant in one stacked Kron elimination;
 ``simulate_batch`` then steps them all in one RK4 loop over buffers
 allocated once per call, and checks and samples their states once per block
 of ``BLOCK_STEPS`` steps rather than at every step. Every scenario gets
-the bytes it gets alone, and the single-case ``reduce_network`` and
-``simulate_dynamics`` are batches of one. The stacked Jacobians and
-augmented matrices grow with scenarios x buses^2, so ``prepare_batch``
-takes the scenarios in consecutive chunks whose working arrays fit in
-``PREPARE_BUDGET_BYTES``; on a small case one chunk holds them all. A
-stage raises the first error it meets; a chunk that fails is prepared again
-in two halves, lower half first, down to the one scenario that fails.
+the bytes it gets alone, and a Topology run's ``reduce_network`` and
+``simulate_dynamics`` are ``reduce_batch`` and ``simulate_batch`` for a
+batch of one. The stacked Jacobians and augmented matrices grow with
+scenarios x buses^2, so ``prepare_batch`` takes the scenarios in
+consecutive chunks whose working arrays fit in ``PREPARE_BUDGET_BYTES``; on
+a small case one chunk holds them all. A stage raises the first error it
+meets; a chunk that fails is prepared again in two halves, lower half
+first, down to the one scenario that fails.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import FaultSpec, GridCase, validate_fault
+from .model import FaultSpec, GridCase
 from .powerflow import (BatchSolution, Loads, Machines, PowerFlowError, PowerFlowSolution,
                         generator_bus_rows, initialize_batch, solve_batch)
 from .ybus import YMatrix, fault_variants
@@ -107,8 +108,8 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class ReducedNetwork:
-    """Pre-, on- and post-fault reduced matrices, (machines, machines) each,
-    or (scenarios, machines, machines) for a batch."""
+    """Pre-, on- and post-fault reduced matrices, (scenarios, machines,
+    machines) each."""
 
     y_red_pre: np.ndarray
     y_red_on: np.ndarray
@@ -217,11 +218,11 @@ def kron_reduce(y: np.ndarray, case: GridCase, sol: BatchSolution, loads: Loads)
 
 def reduce_network(case: GridCase, sol: PowerFlowSolution, fault: FaultSpec,
                    y: YMatrix) -> ReducedNetwork:
-    """Pre/on/post-fault reduced matrices for one fault, sharing one operating
-    point: ``reduce_batch`` for the case's own loads, a batch of one."""
-    net = reduce_batch(case, BatchSolution.of(sol), Loads.of_case(case),
-                       fault_variants(y, case, fault))
-    return ReducedNetwork(net.y_red_pre[0], net.y_red_on[0], net.y_red_post[0])
+    """Pre/on/post-fault reduced matrices for one fault at one solved
+    operating point with the case's own loads: ``reduce_batch`` for a batch
+    of one, each matrix a stack of one."""
+    return reduce_batch(case, BatchSolution.of(sol), Loads.of_case(case),
+                        fault_variants(y, case, fault))
 
 
 def reduce_batch(case: GridCase, sol: BatchSolution, loads: Loads,
@@ -298,13 +299,11 @@ def _snap_step(t: float, dt: float, name: str) -> int:
     return k
 
 
-def simulate_dynamics(case: GridCase, net: ReducedNetwork, fault: FaultSpec,
+def simulate_dynamics(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
                       cfg: SimulationConfig) -> SimulationResult:
-    """Integrate one initialized machine set through the fault sequence
-    (``simulate_batch`` with one scenario)."""
-    validate_fault(case, fault)
-    one = ReducedNetwork(net.y_red_pre[None], net.y_red_on[None], net.y_red_post[None])
-    return simulate_batch(Machines.of_cases([case]), one, fault, cfg)[0]
+    """Integrate one scenario, a one-row ``machines`` and ``net``, through the
+    fault sequence: ``simulate_batch`` for a batch of one."""
+    return simulate_batch(machines, net, fault, cfg)[0]
 
 
 def _mark_first(at: np.ndarray, hits: np.ndarray, first_step: int) -> None:
@@ -343,10 +342,8 @@ def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
     if net.y_red_pre.shape[1:] != (m, m):
         raise DynamicsError("reduced network dimension != machine count")
 
-    e = machines.e_mag
     damp = machines.d
     pm = machines.p_mech
-    ee = e[:, :, None] * e[:, None, :]
     acc = 1.0 / (2.0 * machines.h)
     dt = cfg.dt
 
@@ -357,9 +354,6 @@ def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
     # Per phase, G*EE and B*EE are one (2, scenarios, m, m) block, so that one
     # multiply by the cos/sin block of the same layout forms both products.
     gb = np.empty((3, 2, n, m, m))
-    for phase, y_red in enumerate((net.y_red_pre, net.y_red_on, net.y_red_post)):
-        np.multiply(ee, y_red.real, out=gb[phase, 0])
-        np.multiply(ee, y_red.imag, out=gb[phase, 1])
     phase_gb = list(gb)
     dij = np.empty((n, m, m))
     cs = np.empty((2, n, m, m))
@@ -434,6 +428,10 @@ def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
             samples[:, :, -1] = held[-1]
 
     with np.errstate(all="ignore"):
+        ee = machines.e_mag[:, :, None] * machines.e_mag[:, None, :]
+        for phase, y_red in enumerate((net.y_red_pre, net.y_red_on, net.y_red_post)):
+            np.multiply(ee, y_red.real, out=gb[phase, 0])
+            np.multiply(ee, y_red.imag, out=gb[phase, 1])
         for k0 in range(0, max(n_steps, 1), BLOCK_STEPS):
             if k0:
                 np.copyto(rows[0], rows[BLOCK_STEPS])

@@ -143,8 +143,3 @@ class LinkEmulator:
         return FrameSchedule(delivery=delivery, serialization_s=serialization,
                              delay_ms=delay_ms, jitter_ms=jitter_ms,
                              queued_s=start - now)
-
-    def schedule_frame(self, frame_len: int, direction: str, now: float):
-        """Delivery time in seconds, or DROPPED."""
-        sched = self.schedule_frame_ex(frame_len, direction, now)
-        return sched if sched is DROPPED else sched.delivery

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import (SecurityReport, SimulationConfig, SimulationResult, assess_run,
                        prepare_batch, reduce_network, simulate_batch, simulate_dynamics)
-from .model import FaultSpec, GridCase, fault_from_dict, fault_to_dict
+from .model import FaultSpec, GridCase, fault_from_dict, fault_to_dict, validate_fault
 from .powerflow import initialize_machines, solve_power_flow
 # apply_scenario is not called here, but the benchmark's tracer wraps it by this name
 from .sampling import (ForecastSpec, ScenarioSet, apply_scenario,
@@ -222,11 +222,16 @@ def cloud_merge(base: GridCase, uploads: dict[str, dict]) -> tuple[GridCase, YMa
 
 def topology_compute(view: GridCase, y: YMatrix, fault: FaultSpec,
                      cfg: SimulationConfig) -> SimulationResult:
-    """Power flow, machine initialization, reduction and simulation over one matrix."""
+    """Power flow, machine initialization, reduction and simulation over one
+    matrix, each a batch of one, after the fault is checked against the view."""
+    validate_fault(view, fault)
+    # each stage is its own call, looked up by name, because the benchmark's
+    # tracer times solve_power_flow, initialize_machines and simulate_dynamics
+    # here, and reduce_network's fault_variants and kron_reduce in dynamics
     sol = solve_power_flow(view, y=y)
-    mcase = initialize_machines(view, sol)
-    net = reduce_network(mcase, sol, fault, y)
-    return simulate_dynamics(mcase, net, fault, cfg)
+    machines = initialize_machines(view, sol)
+    net = reduce_network(view, sol, fault, y)
+    return simulate_dynamics(machines, net, fault, cfg)
 
 
 def topology_result_blob(result: SimulationResult) -> bytes:
@@ -288,22 +293,18 @@ def monolithic_topology(base: GridCase, deltas: dict[int, str], fault: FaultSpec
     return result, topology_result_blob(result)
 
 
-def load_regions(view: GridCase) -> list[str]:
-    """The regions that own at least one load, and so sample scenarios."""
-    return [r for r in view.regions() if region_load_bus_ids(view, r)]
-
-
 def monolithic_dsa(base: GridCase, deltas: dict[int, str], dsa: DsaParams,
                    fault: FaultSpec, cfg: SimulationConfig,
                    forecasts: dict[str, ForecastSpec] | None = None,
                    ) -> tuple[SecurityReport, bytes]:
     """``forecasts`` holds the spec each region's edge was given; a region
-    that is missing samples with its default spec, as its edge does."""
+    that is missing samples with its default spec. Every region samples, as
+    every edge does, so a spec that does not fit its region raises."""
     forecasts = forecasts or {}
     view = base.with_branch_status(deltas)
     y = build_ybus(view)
     region_sets = {}
-    for r in load_regions(view):
+    for r in view.regions():
         sset, load_ids, _, _ = region_scenarios(view, r, dsa, forecasts.get(r))
         region_sets[r] = (sset, load_ids)
     report = dsa_compute(view, y, region_sets, fault, cfg)
@@ -314,13 +315,13 @@ def dsa_bruteforce_probability(base: GridCase, deltas: dict[int, str], dsa: DsaP
                                fault: FaultSpec, cfg: SimulationConfig,
                                forecasts: dict[str, ForecastSpec] | None = None) -> float:
     """Equal-weight insecurity probability over the raw draws the representatives
-    stand for: joint scenario i takes raw draw i of every load region, drawn
-    with that region's spec from ``forecasts`` (its default when missing)."""
+    stand for: joint scenario i takes raw draw i of every region, drawn with
+    that region's spec from ``forecasts`` (its default when missing)."""
     forecasts = forecasts or {}
     view = base.with_branch_status(deltas)
     col = {b: j for j, b in enumerate(view.load_bus_ids())}
     joint = np.empty((dsa.n_raw, len(col)))
-    for r in load_regions(view):
+    for r in view.regions():
         draws, ids = region_samples(view, r, dsa, forecasts.get(r))[:2]
         joint[:, [col[b] for b in ids]] = draws
     sims = simulate_scenarios(view, build_ybus(view), joint, fault, cfg)

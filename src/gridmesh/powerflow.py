@@ -27,7 +27,7 @@ failing chunk again in halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,14 +246,6 @@ class Machines:
     def __len__(self) -> int:
         return len(self.e_mag)
 
-    @classmethod
-    def of_cases(cls, cases: list[GridCase]) -> "Machines":
-        """The generators of initialized cases with equal machine counts, stacked."""
-        def per_machine(attr: str) -> np.ndarray:
-            return np.array([[getattr(g, attr) for g in case.generators] for case in cases],
-                            dtype=float)
-        return cls(*(per_machine(a) for a in ("e_mag", "delta0", "p_mech", "h", "d")))
-
 
 def initialize_batch(case: GridCase, sol: BatchSolution, loads: Loads) -> Machines:
     """Internal EMF, rotor angle and mechanical power of every machine, per scenario.
@@ -292,15 +284,7 @@ def initialize_batch(case: GridCase, sol: BatchSolution, loads: Loads) -> Machin
                     d=np.broadcast_to([g.d for g in case.generators], shape))
 
 
-def initialize_machines(case: GridCase, sol: PowerFlowSolution) -> GridCase:
-    """The case with its machines initialized at the solved operating point
-    (``initialize_batch`` for a batch of one) and its buses at the solved
-    voltages."""
-    machines = initialize_batch(case, BatchSolution.of(sol), Loads.of_case(case))
-    gens = tuple(replace(g, e_mag=float(machines.e_mag[0, k]),
-                         delta0=float(machines.delta0[0, k]),
-                         p_mech=float(machines.p_mech[0, k]))
-                 for k, g in enumerate(case.generators))
-    buses = tuple(replace(b, v_mag=float(sol.v_mag[k]), v_ang=float(sol.v_ang[k]))
-                  for k, b in enumerate(case.buses))
-    return replace(case, buses=buses, generators=gens)
+def initialize_machines(case: GridCase, sol: PowerFlowSolution) -> Machines:
+    """The case's machines initialized at one solved operating point with its
+    own loads: ``initialize_batch`` for a batch of one, a one-row ``Machines``."""
+    return initialize_batch(case, BatchSolution.of(sol), Loads.of_case(case))

@@ -74,13 +74,13 @@ class CoreNode:
 
     def send(self, dst, env: Envelope, direction: str) -> None:
         frame = wire.encode(env)
-        delivery = self.emulator.schedule_frame(len(frame), direction, self.sched.now)
-        if delivery is DROPPED:
+        slot = self.emulator.schedule_frame_ex(len(frame), direction, self.sched.now)
+        if slot is DROPPED:
             self.log.log("frame_dropped", ts=self.sched.now, direction=direction,
                          kind=int(env.msg_type))
             return
-        self._delivered_by = max(self._delivered_by, delivery)
-        self.sched.at(delivery, self.transmit, dst, frame)
+        self._delivered_by = max(self._delivered_by, slot.delivery)
+        self.sched.at(slot.delivery, self.transmit, dst, frame)
 
     def transmit(self, dst: "CoreNode", frame: bytes) -> None:
         dst.handle(self, wire.decode(frame))

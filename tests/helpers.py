@@ -1,4 +1,5 @@
-"""Shared test fixtures: canonical machine-infinite-bus system, random cases,
+"""Shared test fixtures: canonical machine-infinite-bus system, one case's
+machines and reduced networks as batches of one, random cases,
 an entry-by-entry reference placement of Y's stamps, a one-scenario
 reference integrator, a dense-matmul reference power flow,
 the scenario-by-scenario preparation the batched one replaced and the
@@ -14,12 +15,13 @@ import numpy as np
 
 from gridmesh.dynamics import (MAX_STORED_POINTS, STABLE, UNSTABLE, DynamicsError,
                                NumericBlowupError, ReducedNetwork, SimulationResult, SingularNetworkError,
-                               _snap_step)
+                               _snap_step, reduce_batch)
 from gridmesh.model import PQ, PV, Branch, Bus, CaseError, Generator, GridCase
-from gridmesh.powerflow import (PowerFlowDivergedError, PowerFlowError, PowerFlowSolution,
-                                SingularJacobianError)
+from gridmesh.powerflow import (BatchSolution, Loads, Machines, PowerFlowDivergedError,
+                                PowerFlowError, PowerFlowSolution, SingularJacobianError,
+                                initialize_batch, solve_batch)
 from gridmesh.sampling import SamplingError
-from gridmesh.ybus import fault_variants
+from gridmesh.ybus import build_ybus, fault_variants
 
 INF_H = 1e6          # stand-in for an infinite bus: huge inertia, negligible reactance
 INF_XD = 1e-6
@@ -37,11 +39,25 @@ def smib_case(p_mech: float = 0.8, x_line: float = 0.4, xd_p: float = 0.3,
     )
 
 
-def perturb_machine(case: GridCase, machine_idx: int, d_delta: float) -> GridCase:
-    gens = list(case.generators)
-    gens[machine_idx] = replace(gens[machine_idx],
-                                delta0=gens[machine_idx].delta0 + d_delta)
-    return replace(case, generators=tuple(gens))
+def initialized(case: GridCase, loads: Loads | None = None) -> tuple[Machines, BatchSolution]:
+    """The case's machines initialized at its power flow, for its own loads
+    or ``loads``, and that solution, each a batch of one."""
+    loads = Loads.of_case(case) if loads is None else loads
+    sol = solve_batch(case, build_ybus(case).to_dense(), loads)
+    return initialize_batch(case, sol, loads), sol
+
+
+def reduced(case: GridCase, sol: BatchSolution, fault) -> ReducedNetwork:
+    """The case's reduced networks for ``fault`` at the solved operating point."""
+    return reduce_batch(case, sol, Loads.of_case(case),
+                        fault_variants(build_ybus(case), case, fault))
+
+
+def perturb_machine(machines: Machines, machine_idx: int, d_delta: float) -> Machines:
+    """``machines`` with one machine's initial rotor angle moved by ``d_delta``."""
+    delta0 = machines.delta0.copy()
+    delta0[:, machine_idx] += d_delta
+    return replace(machines, delta0=delta0)
 
 
 def random_connected_case(rng: random.Random, n_buses: int, n_regions: int) -> GridCase:
@@ -106,15 +122,14 @@ def reference_dense(y) -> np.ndarray:
     return dense
 
 
-def reference_simulate(case: GridCase, net, fault, cfg):
-    """One scenario integrated on its own: the per-scenario RK4 loop that
-    ``dynamics.simulate_batch`` replaced, kept here as the oracle that a
-    batched trajectory must equal bit for bit."""
-    m = len(case.generators)
-    e = np.array([g.e_mag for g in case.generators])
-    h = np.array([g.h for g in case.generators])
-    damp = np.array([g.d for g in case.generators])
-    pm = np.array([g.p_mech for g in case.generators])
+def reference_simulate(machines: Machines, net, fault, cfg):
+    """One scenario, the one row of ``machines`` and ``net``, integrated on
+    its own: the per-scenario RK4 loop that ``dynamics.simulate_batch``
+    replaced, kept here as the oracle that a batched trajectory must equal
+    bit for bit."""
+    e, h, damp, pm, delta0 = (getattr(machines, name)[0]
+                              for name in ("e_mag", "h", "d", "p_mech", "delta0"))
+    m = len(e)
     ee = np.outer(e, e)
     ws = cfg.omega_s
     acc = 1.0 / (2.0 * h)
@@ -124,7 +139,7 @@ def reference_simulate(case: GridCase, net, fault, cfg):
     n_steps = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
 
     mats = []
-    for y_red in (net.y_red_pre, net.y_red_on, net.y_red_post):
+    for y_red in (net.y_red_pre[0], net.y_red_on[0], net.y_red_post[0]):
         mats.append((ee * y_red.real, ee * y_red.imag))
 
     def electrical_power(delta, phase):
@@ -137,7 +152,7 @@ def reference_simulate(case: GridCase, net, fault, cfg):
         pe = electrical_power(delta, phase)
         return np.concatenate([ws * dw, acc * (pm - pe - damp * dw)])
 
-    state = np.concatenate([np.array([g.delta0 for g in case.generators]), np.zeros(m)])
+    state = np.concatenate([delta0, np.zeros(m)])
     deltas = np.empty((n_steps + 1, m))
     omegas = np.empty((n_steps + 1, m))
     deltas[0] = state[:m]
@@ -348,10 +363,11 @@ def reference_newton_raphson(case: GridCase, y, tol: float = 1e-8,
                              injections=s_inj)
 
 
-def reference_initialize_machines(case: GridCase, sol: PowerFlowSolution) -> GridCase:
+def reference_initialize_machines(case: GridCase, sol: PowerFlowSolution) -> Machines:
+    """The case's machines at ``sol``, one generator at a time, as one row."""
     idx = case.bus_index()
     v = sol.voltage()
-    gens = []
+    rows = []
     for g in case.generators:
         i = idx[g.bus]
         if sol.v_mag[i] < 1e-9:
@@ -361,11 +377,8 @@ def reference_initialize_machines(case: GridCase, sol: PowerFlowSolution) -> Gri
         i_gen = np.conj(s_gen / v[i])
         e = v[i] + 1j * g.xd_p * i_gen
         p_elec = (e * np.conj(i_gen)).real
-        gens.append(replace(g, e_mag=float(abs(e)), delta0=float(np.angle(e)),
-                            p_mech=float(p_elec)))
-    buses = tuple(replace(b, v_mag=float(sol.v_mag[k]), v_ang=float(sol.v_ang[k]))
-                  for k, b in enumerate(case.buses))
-    return replace(case, buses=buses, generators=tuple(gens))
+        rows.append((float(abs(e)), float(np.angle(e)), float(p_elec), g.h, g.d))
+    return Machines(*(np.array([column], dtype=float) for column in zip(*rows)))
 
 
 def reference_kron_reduce(y: np.ndarray, case: GridCase, sol: PowerFlowSolution) -> np.ndarray:
@@ -395,18 +408,18 @@ def reference_kron_reduce(y: np.ndarray, case: GridCase, sol: PowerFlowSolution)
 
 
 def reference_prepare(case: GridCase, y, multipliers, fault):
-    """Each multiplier row's initialized case, reduced network and power-flow
-    iteration count, one row after another."""
-    cases, nets, iterations = [], [], []
+    """Each multiplier row's initialized machines, reduced network (each a
+    batch of one) and power-flow iteration count, one row after another."""
+    machines, nets, iterations = [], [], []
     for row in multipliers:
         scase = reference_apply_scenario(case, row)
         sol = reference_newton_raphson(scase, y)
-        mcase = reference_initialize_machines(scase, sol)
-        variants = fault_variants(y, mcase, fault)
-        cases.append(mcase)
-        nets.append(ReducedNetwork(*(reference_kron_reduce(v, mcase, sol) for v in variants)))
+        machines.append(reference_initialize_machines(scase, sol))
+        variants = fault_variants(y, scase, fault)
+        nets.append(ReducedNetwork(*(reference_kron_reduce(v, scase, sol)[None]
+                                     for v in variants)))
         iterations.append(sol.iterations)
-    return cases, nets, iterations
+    return machines, nets, iterations
 
 
 def reference_first_error(case: GridCase, y, multipliers, fault):

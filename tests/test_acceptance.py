@@ -21,18 +21,17 @@ import pytest
 
 import gridmesh.wire as wire
 from gridmesh import pipeline
-from gridmesh.dynamics import SimulationConfig, reduce_network, simulate_dynamics
+from gridmesh.dynamics import SimulationConfig, simulate_batch
 from gridmesh.linkem import LinkEmulator, UP, default_5g_sa_profile, \
     zero_impairment_profile
 from gridmesh.model import Bus, FaultSpec, GridCase, load_bundled_case
 from gridmesh.nodes import CloudNode, EdgeNode
-from gridmesh.powerflow import PowerFlowDivergedError, initialize_machines, \
-    solve_power_flow
+from gridmesh.powerflow import PowerFlowDivergedError, solve_power_flow
 from gridmesh.store import FileStore, result_key, upload_key
 from gridmesh.wire import StreamDecoder, decode, encode
 from gridmesh.ybus import build_partials, build_ybus, merge_partials
 
-from helpers import random_connected_case, smib_case, perturb_machine
+from helpers import initialized, perturb_machine, random_connected_case, reduced, smib_case
 
 WS = 2 * math.pi * 60.0
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -65,12 +64,10 @@ def test_02_dynamics_equilibrium():
     with criterion(2, "nine-bus equilibrium drift < 1e-6 rad over 5s, <5s runtime"):
         t0 = time.perf_counter()
         case = load_bundled_case("case9")
-        sol = solve_power_flow(case)
-        mcase = initialize_machines(case, sol)
+        machines, sol = initialized(case)
         fault = FaultSpec(faulted_bus=7, t_fault=1e6, t_clear=2e6)
-        net = reduce_network(mcase, sol, fault, build_ybus(mcase))
-        res = simulate_dynamics(mcase, net, fault,
-                                SimulationConfig(t_end=5.0, dt=0.005, omega_s=WS))
+        res = simulate_batch(machines, reduced(case, sol, fault), fault,
+                             SimulationConfig(t_end=5.0, dt=0.005, omega_s=WS))[0]
         assert res.verdict == "Stable"
         assert np.max(np.abs(res.delta - res.delta[:, :1])) < 1e-6
         assert time.perf_counter() - t0 < 5.0
@@ -81,17 +78,15 @@ def test_03_smib_oscillation_frequency():
         t0 = time.perf_counter()
         h, x_line, xd_p = 3.0, 0.4, 0.3
         case = smib_case(p_mech=0.8, x_line=x_line, xd_p=xd_p, h=h)
-        sol = solve_power_flow(case)
-        mcase = initialize_machines(case, sol)
-        g_inf, g_m = mcase.generators
-        pmax = g_inf.e_mag * g_m.e_mag / (xd_p + x_line + 1e-6)
-        wn = math.sqrt(WS * pmax * math.cos(g_m.delta0 - g_inf.delta0) / (2 * h))
+        machines, sol = initialized(case)
+        (e_inf, e_m), (d_inf, d_m) = machines.e_mag[0], machines.delta0[0]
+        pmax = e_inf * e_m / (xd_p + x_line + 1e-6)
+        wn = math.sqrt(WS * pmax * math.cos(d_m - d_inf) / (2 * h))
 
-        pert = perturb_machine(mcase, 1, 0.02)
+        pert = perturb_machine(machines, 1, 0.02)
         fault = FaultSpec(faulted_bus=2, t_fault=1e6, t_clear=2e6)
-        net = reduce_network(pert, sol, fault, build_ybus(pert))
-        res = simulate_dynamics(pert, net, fault,
-                                SimulationConfig(t_end=5.0, dt=0.005, omega_s=WS))
+        res = simulate_batch(pert, reduced(case, sol, fault), fault,
+                             SimulationConfig(t_end=5.0, dt=0.005, omega_s=WS))[0]
         rel = res.delta[1] - res.delta[0]
         x = rel - rel.mean()
         ups = [res.times[i] + (res.times[i + 1] - res.times[i]) * (-x[i]) / (x[i + 1] - x[i])
@@ -104,20 +99,18 @@ def test_03_smib_oscillation_frequency():
 def test_04_instability_detection_and_monotonicity():
     with criterion(4, "sustained SMIB fault unstable within 2s; clearing sweep monotone"):
         case = smib_case()
-        sol = solve_power_flow(case)
-        mcase = initialize_machines(case, sol)
+        machines, sol = initialized(case)
         cfg = SimulationConfig(t_end=3.0, dt=0.005, omega_s=WS)
 
         sustained = FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=1e6)
-        net = reduce_network(mcase, sol, sustained, build_ybus(mcase))
-        res = simulate_dynamics(mcase, net, sustained, cfg)
+        res = simulate_batch(machines, reduced(case, sol, sustained), sustained, cfg)[0]
         assert res.verdict == "Unstable" and res.t_unstable <= 2.0
 
         verdicts = []
         for k in range(1, 11):
             fault = FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=0.1 + 0.05 * k)
-            net = reduce_network(mcase, sol, fault, build_ybus(mcase))
-            verdicts.append(simulate_dynamics(mcase, net, fault, cfg).verdict)
+            verdicts.append(simulate_batch(machines, reduced(case, sol, fault), fault,
+                                           cfg)[0].verdict)
         boundary = verdicts.index("Unstable") if "Unstable" in verdicts else len(verdicts)
         assert all(v == "Stable" for v in verdicts[:boundary])
         assert all(v == "Unstable" for v in verdicts[boundary:])

@@ -86,6 +86,10 @@ def test_tracer_times_a_virtual_run(tmp_path):
     # Y is densified once for the power flow and once for the three fault variants
     assert row["ybus.to_dense_calls"] == 2
     assert row["powerflow.solves"] == 1
+    # Topology's batches of one are kept for these spans: each runs once per run
+    assert row["powerflow.initialize_ms"] > 0 and row["dynamics.rk4_ms"] > 0
+    assert row["dynamics.simulations"] == 1
+    assert row["dynamics.rk4_steps"] == 200
     # the bench writes both as JSON: a counter must be a plain number
     json.dumps(tracer.to_json())
     json.dumps(tracer.per_run())

@@ -3,7 +3,7 @@ import random
 import tracemalloc
 import warnings
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -14,27 +14,26 @@ from gridmesh import dynamics
 from gridmesh.dynamics import (DynamicsError, NumericBlowupError, ReducedNetwork,
                                SecurityReport, SimulationConfig, SimulationResult,
                                SingularNetworkError, SwitchTimeError, assess_run, chunk_rows,
-                               kron_eliminate, kron_reduce, prepare_batch, reduce_network,
-                               simulate_batch, simulate_dynamics, write_trajectory_csv)
+                               kron_eliminate, kron_reduce, prepare_batch, simulate_batch,
+                               write_trajectory_csv)
 from gridmesh.model import (Branch, Bus, CaseError, FaultSpec, Generator, GridCase,
                             load_bundled_case)
-from gridmesh.powerflow import (BatchSolution, Loads, Machines,
-                                PowerFlowDivergedError, PowerFlowError, SingularJacobianError,
-                                initialize_machines, solve_batch, solve_power_flow)
+from gridmesh.powerflow import (Loads, Machines, PowerFlowDivergedError, PowerFlowError,
+                                SingularJacobianError, solve_batch)
 from gridmesh.sampling import ForecastSpec, draw_samples, scenario_loads
 from gridmesh.ybus import YMatrix, build_ybus
 
 import helpers
-from helpers import (perturb_machine, random_connected_case, reference_apply_scenario,
-                     reference_first_error, reference_newton_raphson, reference_prepare,
-                     reference_simulate, smib_case)
+from helpers import (initialized, perturb_machine, random_connected_case, reduced,
+                     reference_apply_scenario, reference_first_error, reference_newton_raphson,
+                     reference_prepare, reference_simulate, smib_case)
 
 WS = 2 * math.pi * 60.0
 
 
-def solved(case):
-    sol = solve_power_flow(case)
-    return initialize_machines(case, sol), sol
+def simulate(machines, net, fault, cfg):
+    """The one scenario of ``machines`` and ``net``, integrated."""
+    return simulate_batch(machines, net, fault, cfg)[0]
 
 
 def no_switch_fault(bus=2):
@@ -77,37 +76,37 @@ class TestKron:
 
     def test_kron_reduce_dimension_is_machine_count(self):
         case = load_bundled_case("case9")
-        mcase, sol = solved(case)
-        out = kron_reduce(build_ybus(case).to_dense(), mcase, BatchSolution.of(sol),
-                          Loads.of_case(mcase))
+        _, sol = initialized(case)
+        out = kron_reduce(build_ybus(case).to_dense(), case, sol, Loads.of_case(case))
         assert out.shape == (1, 3, 3)
         assert np.all(np.isfinite(out))
 
 
 class TestSimulate:
     def test_equilibrium_holds_five_seconds(self):
-        mcase, sol = solved(load_bundled_case("case9"))
+        case = load_bundled_case("case9")
+        machines, sol = initialized(case)
         fault = no_switch_fault(bus=7)
-        net = reduce_network(mcase, sol, fault, build_ybus(mcase))
+        net = reduced(case, sol, fault)
         cfg = SimulationConfig(t_end=5.0, dt=0.005, omega_s=WS)
-        res = simulate_dynamics(mcase, net, fault, cfg)
+        res = simulate(machines, net, fault, cfg)
         assert res.verdict == "Stable"
         assert np.max(np.abs(res.delta - res.delta[:, :1])) < 1e-6
 
     def test_smib_oscillation_frequency_matches_linearization(self):
         # oracle: wn = sqrt(ws * Pmax * cos(delta0) / (2H)) for the classical model
         h, x_line, xd_p = 3.0, 0.4, 0.3
-        mcase, sol = solved(smib_case(p_mech=0.8, x_line=x_line, xd_p=xd_p, h=h))
-        g_inf, g_m = mcase.generators
-        pmax = g_inf.e_mag * g_m.e_mag / (xd_p + x_line + 1e-6)
-        d0 = g_m.delta0 - g_inf.delta0
+        case = smib_case(p_mech=0.8, x_line=x_line, xd_p=xd_p, h=h)
+        machines, sol = initialized(case)
+        (e_inf, e_m), (d_inf, d_m) = machines.e_mag[0], machines.delta0[0]
+        pmax = e_inf * e_m / (xd_p + x_line + 1e-6)
+        d0 = d_m - d_inf
         wn = math.sqrt(WS * pmax * math.cos(d0) / (2 * h))
 
-        pert = perturb_machine(mcase, 1, 0.02)
+        pert = perturb_machine(machines, 1, 0.02)
         fault = no_switch_fault()
-        net = reduce_network(pert, sol, fault, build_ybus(pert))
-        res = simulate_dynamics(pert, net, fault,
-                                SimulationConfig(t_end=5.0, dt=0.005, omega_s=WS))
+        net = reduced(case, sol, fault)
+        res = simulate(pert, net, fault, SimulationConfig(t_end=5.0, dt=0.005, omega_s=WS))
         rel = res.delta[1] - res.delta[0]
         x = rel - rel.mean()
         ups = []
@@ -121,40 +120,41 @@ class TestSimulate:
 
     def test_sustained_terminal_fault_unstable(self):
         # equal-area: a bolted machine-terminal fault leaves no decelerating area
-        mcase, sol = solved(smib_case())
+        case = smib_case()
+        machines, sol = initialized(case)
         fault = FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=1e6)
-        net = reduce_network(mcase, sol, fault, build_ybus(mcase))
-        res = simulate_dynamics(mcase, net, fault,
-                                SimulationConfig(t_end=3.0, dt=0.005, omega_s=WS))
+        net = reduced(case, sol, fault)
+        res = simulate(machines, net, fault, SimulationConfig(t_end=3.0, dt=0.005, omega_s=WS))
         assert res.verdict == "Unstable"
         assert res.t_unstable is not None and res.t_unstable < 2.0
 
     def test_energy_conserved_lossless_smib(self):
         # E(delta, dw) = H*(ws*dw)^2/ws - Pm*d12 - Pmax*cos(d12) is a first integral
         h, x_line, xd_p = 3.0, 0.4, 0.3
-        mcase, sol = solved(smib_case(p_mech=0.8, x_line=x_line, xd_p=xd_p, h=h, d=0.0))
-        g_inf, g_m = mcase.generators
-        pmax = g_inf.e_mag * g_m.e_mag / (xd_p + x_line + 1e-6)
-        pert = perturb_machine(mcase, 1, 0.1)
+        case = smib_case(p_mech=0.8, x_line=x_line, xd_p=xd_p, h=h, d=0.0)
+        machines, sol = initialized(case)
+        e_inf, e_m = machines.e_mag[0]
+        pmax = e_inf * e_m / (xd_p + x_line + 1e-6)
+        pert = perturb_machine(machines, 1, 0.1)
         fault = no_switch_fault()
-        net = reduce_network(pert, sol, fault, build_ybus(pert))
-        res = simulate_dynamics(pert, net, fault,
-                                SimulationConfig(t_end=5.0, dt=0.005, omega_s=WS))
+        net = reduced(case, sol, fault)
+        res = simulate(pert, net, fault, SimulationConfig(t_end=5.0, dt=0.005, omega_s=WS))
         d12 = res.delta[1] - res.delta[0]
         w = WS * res.omega_dev[1]
-        energy = 0.5 * (2 * h / WS) * w ** 2 - g_m.p_mech * d12 - pmax * np.cos(d12)
+        energy = 0.5 * (2 * h / WS) * w ** 2 - machines.p_mech[0, 1] * d12 - pmax * np.cos(d12)
         swing = energy.max() - energy.min()
         assert swing / abs(energy.mean()) < 1e-3
 
     def test_step_halving_fourth_order(self):
-        mcase, sol = solved(smib_case())
-        pert = perturb_machine(mcase, 1, 0.1)
+        case = smib_case()
+        machines, sol = initialized(case)
+        pert = perturb_machine(machines, 1, 0.1)
         fault = no_switch_fault()
-        net = reduce_network(pert, sol, fault, build_ybus(pert))
+        net = reduced(case, sol, fault)
 
         def final_angle(dt):
             cfg = SimulationConfig(t_end=1.0, dt=dt, omega_s=WS)
-            return simulate_dynamics(pert, net, fault, cfg).delta[1][-1]
+            return simulate(pert, net, fault, cfg).delta[1][-1]
 
         ref = final_angle(0.00125)
         err_coarse = abs(final_angle(0.01) - ref)
@@ -162,14 +162,15 @@ class TestSimulate:
         assert err_coarse / err_fine >= 8.0
 
     def test_clearing_time_monotonicity(self):
-        mcase, sol = solved(smib_case())
+        case = smib_case()
+        machines, sol = initialized(case)
         cfg = SimulationConfig(t_end=3.0, dt=0.005, omega_s=WS)
         verdicts = []
         for k in range(1, 11):
             t_clear = 0.1 + 0.05 * k
             fault = FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=t_clear)
-            net = reduce_network(mcase, sol, fault, build_ybus(mcase))
-            res = simulate_dynamics(mcase, net, fault, cfg)
+            net = reduced(case, sol, fault)
+            res = simulate(machines, net, fault, cfg)
             verdicts.append(res.verdict)
         # once unstable, later clearings stay unstable
         first_bad = verdicts.index("Unstable") if "Unstable" in verdicts else len(verdicts)
@@ -178,30 +179,32 @@ class TestSimulate:
         assert 0 < first_bad < len(verdicts)   # the sweep actually brackets the boundary
 
     def test_determinism_bitwise(self):
-        mcase, sol = solved(load_bundled_case("case9"))
+        case = load_bundled_case("case9")
+        machines, sol = initialized(case)
         fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=6)
-        net = reduce_network(mcase, sol, fault, build_ybus(mcase))
+        net = reduced(case, sol, fault)
         cfg = SimulationConfig(t_end=2.0, dt=0.005, omega_s=WS)
-        a = simulate_dynamics(mcase, net, fault, cfg)
-        b = simulate_dynamics(mcase, net, fault, cfg)
+        a = simulate(machines, net, fault, cfg)
+        b = simulate(machines, net, fault, cfg)
         assert np.array_equal(a.delta, b.delta)
         assert np.array_equal(a.omega_dev, b.omega_dev)
         assert a.verdict == b.verdict and a.t_unstable == b.t_unstable
 
     def test_switch_times_must_sit_on_grid(self):
-        mcase, sol = solved(smib_case())
+        case = smib_case()
+        machines, sol = initialized(case)
         fault = FaultSpec(faulted_bus=2, t_fault=0.1003, t_clear=0.3)
-        net = reduce_network(mcase, sol, fault, build_ybus(mcase))
+        net = reduced(case, sol, fault)
         with pytest.raises(SwitchTimeError):
-            simulate_dynamics(mcase, net, fault,
-                              SimulationConfig(t_end=1.0, dt=0.005, omega_s=WS))
+            simulate(machines, net, fault, SimulationConfig(t_end=1.0, dt=0.005, omega_s=WS))
 
     def test_trajectories_decimated(self):
-        mcase, sol = solved(smib_case())
+        case = smib_case()
+        machines, sol = initialized(case)
         fault = no_switch_fault()
-        net = reduce_network(mcase, sol, fault, build_ybus(mcase))
+        net = reduced(case, sol, fault)
         cfg = SimulationConfig(t_end=30.0, dt=0.005, omega_s=WS)   # 6001 raw steps
-        res = simulate_dynamics(mcase, net, fault, cfg)
+        res = simulate(machines, net, fault, cfg)
         assert len(res.times) <= 5000
         assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(30.0)
 
@@ -223,20 +226,22 @@ class TestSimulate:
 
 
 def prepared(case, scenarios, fault):
-    """Each scenario's initialized machines and reduced network, as the cloud
-    builds them before it integrates."""
-    cases, nets, _ = reference_prepare(case, build_ybus(case), scenarios, fault)
-    return cases, nets
+    """Each scenario's initialized machines and reduced network, each a batch
+    of one, as the cloud builds them before it integrates."""
+    machines, nets, _ = reference_prepare(case, build_ybus(case), scenarios, fault)
+    return machines, nets
 
 
 VARIANTS = ("y_red_pre", "y_red_on", "y_red_post")
 
 
-def stacked(cases, nets):
-    """One batch of initialized cases and their reduced networks, as
-    ``simulate_batch`` takes it."""
-    return Machines.of_cases(cases), ReducedNetwork(
-        *(np.array([getattr(net, name) for net in nets]) for name in VARIANTS))
+def stacked(machines, nets):
+    """Scenarios of one row each, as one batch of machines and reduced
+    networks in ``simulate_batch``'s layout."""
+    return (Machines(*(np.concatenate([getattr(m, f.name) for m in machines])
+                       for f in fields(Machines))),
+            ReducedNetwork(*(np.concatenate([getattr(net, name) for net in nets])
+                             for name in VARIANTS)))
 
 
 def case9_batch(n):
@@ -246,10 +251,10 @@ def case9_batch(n):
     return (*prepared(case, samples, fault), fault)
 
 
-def with_inertia(case, machine, h):
-    gens = list(case.generators)
-    gens[machine] = replace(gens[machine], h=h)
-    return replace(case, generators=tuple(gens))
+def with_inertia(machines, machine, h):
+    inertia = machines.h.copy()
+    inertia[:, machine] = h
+    return replace(machines, h=inertia)
 
 
 def with_machines(case, rng):
@@ -270,66 +275,67 @@ class TestBatch:
     CFG = SimulationConfig(t_end=3.0, dt=0.005, omega_s=WS)
 
     def test_case9_scenarios_equal_one_at_a_time(self):
-        cases, nets, fault = case9_batch(12)
-        batched = simulate_batch(*stacked(cases, nets), fault, self.CFG)
+        machines, nets, fault = case9_batch(12)
+        batched = simulate_batch(*stacked(machines, nets), fault, self.CFG)
         assert {r.verdict for r in batched} == {"Stable", "Unstable"}
-        for c, net, got in zip(cases, nets, batched):
-            assert_same_trajectory(got, reference_simulate(c, net, fault, self.CFG))
+        for m, net, got in zip(machines, nets, batched):
+            assert_same_trajectory(got, reference_simulate(m, net, fault, self.CFG))
 
     def test_decimated_batch_equals_one_at_a_time(self):
         # 5001 steps: stride 2, and the last step is appended to the samples
-        mcase, sol = solved(smib_case())
+        case = smib_case()
+        machines, sol = initialized(case)
         fault = FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=0.2)
         cfg = SimulationConfig(t_end=100.02, dt=0.02, omega_s=WS)
-        cases = [mcase, perturb_machine(mcase, 1, 0.1)]
-        nets = [reduce_network(c, sol, fault, build_ybus(c)) for c in cases]
-        batched = simulate_batch(*stacked(cases, nets), fault, cfg)
+        rows = [machines, perturb_machine(machines, 1, 0.1)]
+        nets = [reduced(case, sol, fault)] * 2
+        batched = simulate_batch(*stacked(rows, nets), fault, cfg)
         assert len(batched[0].times) == 2502 and batched[0].times[-1] == 5001 * 0.02
-        for c, net, got in zip(cases, nets, batched):
-            assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
+        for m, net, got in zip(rows, nets, batched):
+            assert_same_trajectory(got, reference_simulate(m, net, fault, cfg))
 
     def test_empty_batch_and_mismatched_lengths(self):
-        cases, nets, fault = case9_batch(2)
+        machines, nets, fault = case9_batch(2)
         empty = ReducedNetwork(*[np.empty((0, 3, 3), dtype=complex)] * 3)
-        assert simulate_batch(Machines.of_cases([]), empty, fault, self.CFG) == []
+        assert simulate_batch(Machines(*[np.empty((0, 3))] * 5), empty, fault, self.CFG) == []
         with pytest.raises(DynamicsError):
-            simulate_batch(Machines.of_cases(cases), stacked(cases[:1], nets[:1])[1],
+            simulate_batch(stacked(machines, nets)[0], stacked(machines[:1], nets[:1])[1],
                            fault, self.CFG)
 
     def test_machine_counts_must_agree(self):
-        cases, nets, fault = case9_batch(1)
-        mcase, sol = solved(smib_case())
+        machines, nets, fault = case9_batch(1)
+        case = smib_case()
+        _, sol = initialized(case)
         smib_fault = FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=0.27)
-        smib_net = reduce_network(mcase, sol, smib_fault, build_ybus(mcase))
+        smib_net = reduced(case, sol, smib_fault)
         with pytest.raises(DynamicsError):
-            simulate_batch(Machines.of_cases([cases[0]]), stacked([mcase], [smib_net])[1],
-                           smib_fault, self.CFG)
+            simulate_batch(machines[0], smib_net, smib_fault, self.CFG)
 
     def test_blowup_names_the_scenario_at_its_own_time(self):
-        cases, nets, fault = case9_batch(4)
-        cases[2] = with_inertia(cases[2], 1, 1e-308)
+        machines, nets, fault = case9_batch(4)
+        machines[2] = with_inertia(machines[2], 1, 1e-308)
         with pytest.raises(NumericBlowupError) as alone:
-            simulate_dynamics(cases[2], nets[2], fault, self.CFG)
+            simulate(machines[2], nets[2], fault, self.CFG)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NumericBlowupError) as batched:
-                simulate_batch(*stacked(cases, nets), fault, self.CFG)
+                simulate_batch(*stacked(machines, nets), fault, self.CFG)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert batched.value.t == alone.value.t
         assert str(batched.value).startswith("scenario 2: ")
 
     def test_lowest_blown_scenario_wins_even_when_later(self):
-        cases, nets, fault = case9_batch(4)
-        cases[1] = with_inertia(cases[1], 1, 1e-306)
-        cases[3] = with_inertia(cases[3], 1, 1e-308)
+        machines, nets, fault = case9_batch(4)
+        machines[1] = with_inertia(machines[1], 1, 1e-306)
+        machines[3] = with_inertia(machines[3], 1, 1e-308)
         times = []
         for s in (1, 3):
             with pytest.raises(NumericBlowupError) as alone:
-                simulate_dynamics(cases[s], nets[s], fault, self.CFG)
+                simulate(machines[s], nets[s], fault, self.CFG)
             times.append(alone.value.t)
         assert times[0] > times[1]            # scenario 3 blows up first
         with pytest.raises(NumericBlowupError) as batched:
-            simulate_batch(*stacked(cases, nets), fault, self.CFG)
+            simulate_batch(*stacked(machines, nets), fault, self.CFG)
         assert batched.value.t == times[0]
         assert str(batched.value).startswith("scenario 1: ")
 
@@ -347,19 +353,20 @@ class TestBatch:
         cfg = SimulationConfig(t_end=1.0, dt=0.01, omega_s=WS,
                                angle_threshold=rng.uniform(0.05, 3.2))
         try:
-            cases, nets = prepared(case, [samples[i] for i in picks], fault)
+            machines, nets = prepared(case, [samples[i] for i in picks], fault)
         except (PowerFlowError, DynamicsError):
             assume(False)
-        batched = simulate_batch(*stacked(cases, nets), fault, cfg)
+        batched = simulate_batch(*stacked(machines, nets), fault, cfg)
         assert len(batched) == len(picks)
-        for c, net, got in zip(cases, nets, batched):
-            assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
+        for m, net, got in zip(machines, nets, batched):
+            assert_same_trajectory(got, reference_simulate(m, net, fault, cfg))
 
 
-def blowup_step(case, net, fault, cfg):
-    """The step at which ``case`` goes non-finite when integrated alone."""
+def blowup_step(machines, net, fault, cfg):
+    """The step at which the one scenario of ``machines`` goes non-finite
+    when integrated alone."""
     with pytest.raises(NumericBlowupError) as alone, np.errstate(all="ignore"):
-        reference_simulate(case, net, fault, cfg)
+        reference_simulate(machines, net, fault, cfg)
     return round(alone.value.t / cfg.dt)
 
 
@@ -383,41 +390,41 @@ class TestBatchBlocks:
     def test_block_edges_equal_one_at_a_time(self, n_steps, max_points):
         # the threshold puts some scenarios over it at step 0; with fewer
         # stored points the sampling stride falls across the block edges
-        cases, nets, fault = case9_batch(6)
-        spreads = sorted(np.ptp([g.delta0 for g in c.generators]) for c in cases)
+        machines, nets, fault = case9_batch(6)
+        spreads = sorted(np.ptp(m.delta0[0]) for m in machines)
         cfg = SimulationConfig(t_end=max(n_steps, 0.5) * 0.005, dt=0.005, omega_s=WS,
                                angle_threshold=spreads[3])
         with mock.patch.object(dynamics, "MAX_STORED_POINTS", max_points), \
                 mock.patch.object(helpers, "MAX_STORED_POINTS", max_points):
-            batched = simulate_batch(*stacked(cases, nets), fault, cfg)
-            for c, net, got in zip(cases, nets, batched):
-                assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
+            batched = simulate_batch(*stacked(machines, nets), fault, cfg)
+            for m, net, got in zip(machines, nets, batched):
+                assert_same_trajectory(got, reference_simulate(m, net, fault, cfg))
         assert {r.t_unstable == 0.0 for r in batched} == {True, False}
 
     @pytest.mark.parametrize("offset", [None, 5, 0, -1], ids=[
         "as_shipped", "inside_the_first_block", "at_the_first_blocks_last_step",
         "at_the_second_blocks_first_step"])
     def test_a_blowup_is_met_at_its_own_step(self, offset):
-        cases, nets, fault = case9_batch(4)
-        cases[2] = with_inertia(cases[2], 1, 1e-306)
-        step = blowup_step(cases[2], nets[2], fault, self.CFG)
+        machines, nets, fault = case9_batch(4)
+        machines[2] = with_inertia(machines[2], 1, 1e-306)
+        step = blowup_step(machines[2], nets[2], fault, self.CFG)
         assert step > 2
         with blocks_of(None if offset is None else step + offset):
             with pytest.raises(NumericBlowupError) as batched:
-                simulate_batch(*stacked(cases, nets), fault, self.CFG)
+                simulate_batch(*stacked(machines, nets), fault, self.CFG)
         assert batched.value.t == step * self.CFG.dt
         assert str(batched.value) == f"scenario 2: non-finite state at t={step * 0.005:.6f}s"
 
     @pytest.mark.parametrize("same_block", [True, False], ids=["same_block", "later_block"])
     def test_scenario_0_blowing_up_after_a_higher_one_is_named(self, same_block):
-        cases, nets, fault = case9_batch(4)
-        cases[0] = with_inertia(cases[0], 1, 10 ** -305.7)
-        cases[3] = with_inertia(cases[3], 1, 1e-307)
-        first, later = (blowup_step(cases[s], nets[s], fault, self.CFG) for s in (3, 0))
+        machines, nets, fault = case9_batch(4)
+        machines[0] = with_inertia(machines[0], 1, 10 ** -305.7)
+        machines[3] = with_inertia(machines[3], 1, 1e-307)
+        first, later = (blowup_step(machines[s], nets[s], fault, self.CFG) for s in (3, 0))
         assert first < later
         with blocks_of(later if same_block else first):
             with pytest.raises(NumericBlowupError) as batched:
-                simulate_batch(*stacked(cases, nets), fault, self.CFG)
+                simulate_batch(*stacked(machines, nets), fault, self.CFG)
         assert batched.value.t == later * self.CFG.dt
         assert str(batched.value).startswith("scenario 0: ")
 
@@ -428,11 +435,11 @@ class TestBatchBlocks:
         assert len(case.generators) == 10
         samples = draw_samples(ForecastSpec(n_dims=len(case.load_bus_ids()), sigma=0.1), 3, 5)
         fault = FaultSpec(faulted_bus=case.buses[3].id, t_fault=0.1, t_clear=0.2)
-        cases, nets = prepared(case, list(samples), fault)
+        machines, nets = prepared(case, list(samples), fault)
         cfg = SimulationConfig(t_end=1.0, dt=0.01, omega_s=WS)
-        batched = simulate_batch(*stacked(cases, nets), fault, cfg)
-        for c, net, got in zip(cases, nets, batched):
-            assert_same_trajectory(got, reference_simulate(c, net, fault, cfg))
+        batched = simulate_batch(*stacked(machines, nets), fault, cfg)
+        for m, net, got in zip(machines, nets, batched):
+            assert_same_trajectory(got, reference_simulate(m, net, fault, cfg))
 
     def test_traced_peak_is_the_samples_and_a_fixed_working_set(self):
         # 1000 case9 scenarios over 200 steps store 9.2 MiB of samples; the
@@ -478,9 +485,9 @@ def assert_same_preparation(case, scenarios, fault, cfg):
         assert got == (type(exc), f"scenario {k}: {exc}")
         return type(exc)
     machines, net, iterations = got
-    cases, nets, want_iterations = reference_prepare(case, build_ybus(case), scenarios, fault)
+    rows, nets, want_iterations = reference_prepare(case, build_ybus(case), scenarios, fault)
     assert iterations == want_iterations
-    want_machines, want_net = stacked(cases, nets)
+    want_machines, want_net = stacked(rows, nets)
     for name in ("e_mag", "delta0", "p_mech", "h", "d"):
         assert getattr(machines, name).tobytes() == getattr(want_machines, name).tobytes(), name
     for name in VARIANTS:
@@ -759,11 +766,11 @@ class TestAssessAndExport:
         assert again.rows == rep.rows
 
     def test_trajectory_csv_layout(self, tmp_path):
-        mcase, sol = solved(smib_case())
+        case = smib_case()
+        machines, sol = initialized(case)
         fault = FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=1e6)
-        net = reduce_network(mcase, sol, fault, build_ybus(mcase))
-        res = simulate_dynamics(mcase, net, fault,
-                                SimulationConfig(t_end=1.0, dt=0.005, omega_s=WS))
+        net = reduced(case, sol, fault)
+        res = simulate(machines, net, fault, SimulationConfig(t_end=1.0, dt=0.005, omega_s=WS))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(res, path)
         lines = path.read_text().splitlines()
@@ -774,11 +781,11 @@ class TestAssessAndExport:
         assert first[0] == 0.0 and len(first) == 5
 
     def test_result_payload_roundtrip(self):
-        mcase, sol = solved(smib_case())
+        case = smib_case()
+        machines, sol = initialized(case)
         fault = no_switch_fault()
-        net = reduce_network(mcase, sol, fault, build_ybus(mcase))
-        res = simulate_dynamics(mcase, net, fault,
-                                SimulationConfig(t_end=1.0, dt=0.005, omega_s=WS))
+        net = reduced(case, sol, fault)
+        res = simulate(machines, net, fault, SimulationConfig(t_end=1.0, dt=0.005, omega_s=WS))
         again = SimulationResult.from_payload(res.to_payload())
         assert np.array_equal(again.delta, res.delta)
         assert np.array_equal(again.times, res.times)

@@ -64,7 +64,7 @@ class TestProfileValidation:
 class TestScheduling:
     def test_zero_impairment_is_pure_serialization(self):
         em = LinkEmulator(zero_impairment_profile())
-        t = em.schedule_frame(1000, UP, now=5.0)
+        t = em.schedule_frame_ex(1000, UP, now=5.0).delivery
         assert t == pytest.approx(5.0 + 8 * 1000 / 1e12, abs=1e-15)
 
     def test_uplink_serialization_of_one_mebibyte(self):
@@ -77,22 +77,22 @@ class TestScheduling:
 
     def test_fifo_same_submission_instant(self):
         em = LinkEmulator(default_5g_sa_profile(seed=3))
-        t1 = em.schedule_frame(500, UP, now=0.0)
-        t2 = em.schedule_frame(500, UP, now=0.0)
+        t1 = em.schedule_frame_ex(500, UP, now=0.0).delivery
+        t2 = em.schedule_frame_ex(500, UP, now=0.0).delivery
         assert t2 >= t1
 
     def test_fifo_even_with_adverse_jitter(self):
         em = LinkEmulator(default_5g_sa_profile(seed=1))
         last = 0.0
         for k in range(500):
-            t = em.schedule_frame(100, DOWN, now=k * 1e-4)
+            t = em.schedule_frame_ex(100, DOWN, now=k * 1e-4).delivery
             assert t >= last
             last = t
 
     def test_directions_queue_independently(self):
         em = LinkEmulator(zero_impairment_profile())
-        big = em.schedule_frame(10**9, UP, now=0.0)
-        small = em.schedule_frame(100, DOWN, now=0.0)
+        big = em.schedule_frame_ex(10**9, UP, now=0.0).delivery
+        small = em.schedule_frame_ex(100, DOWN, now=0.0).delivery
         assert small < big
 
     def test_deterministic_given_seed(self):
@@ -101,26 +101,27 @@ class TestScheduling:
         a = LinkEmulator(default_5g_sa_profile(seed=11))
         b = LinkEmulator(default_5g_sa_profile(seed=11))
         for ln, d, now in trace:
-            assert a.schedule_frame(ln, d, now) == b.schedule_frame(ln, d, now)
+            assert (a.schedule_frame_ex(ln, d, now).delivery
+                    == b.schedule_frame_ex(ln, d, now).delivery)
 
     def test_loss_is_seeded_and_reported(self):
         profile = LinkProfile(0, 0, 0, 0, 1e9, 1e9, loss_rate=0.5, seed=2)
-        a = [LinkEmulator(profile).schedule_frame(10, UP, 0.0) for _ in range(1)]
+        a = [LinkEmulator(profile).schedule_frame_ex(10, UP, 0.0) for _ in range(1)]
         em1, em2 = LinkEmulator(profile), LinkEmulator(profile)
-        seq1 = [em1.schedule_frame(10, UP, i * 0.01) is DROPPED for i in range(200)]
-        seq2 = [em2.schedule_frame(10, UP, i * 0.01) is DROPPED for i in range(200)]
+        seq1 = [em1.schedule_frame_ex(10, UP, i * 0.01) is DROPPED for i in range(200)]
+        seq2 = [em2.schedule_frame_ex(10, UP, i * 0.01) is DROPPED for i in range(200)]
         assert seq1 == seq2
         assert 40 < sum(seq1) < 160
 
     def test_bad_frame_len(self):
         em = LinkEmulator(zero_impairment_profile())
         with pytest.raises(LinkError):
-            em.schedule_frame(0, UP, 0.0)
+            em.schedule_frame_ex(0, UP, 0.0)
 
     def test_bad_direction(self):
         em = LinkEmulator(zero_impairment_profile())
         with pytest.raises(LinkError):
-            em.schedule_frame(10, "sideways", 0.0)
+            em.schedule_frame_ex(10, "sideways", 0.0)
 
 
 class TestCalibration:

@@ -329,6 +329,14 @@ class TestUeScript:
         with pytest.raises(ValueError, match="nondecreasing"):
             load_ue_script(path)
 
+    @pytest.mark.parametrize("at_s", [float("inf"), float("nan"), -1.0])
+    def test_a_time_that_is_not_finite_and_nonnegative_is_rejected(self, at_s):
+        # an infinite time once escaped the virtual scheduler as OverflowError,
+        # and NaN or -1 sent the report at once
+        with pytest.raises(ValueError, match="at_s must be finite and >= 0"):
+            core.parse_ue_script([{"at_s": 0.0, "kind": "topology"},
+                                  {"at_s": at_s, "kind": "topology"}])
+
 
 class TestTopologyRun:
     def test_happy_path_matches_monolithic_bitwise(self, cluster, case9):

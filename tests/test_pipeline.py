@@ -2,15 +2,21 @@
 by ``edge_upload`` and computed by ``cloud_result`` give the oracle's bytes,
 and ``result_summary`` gives ``gridmesh report``'s summary lines."""
 
+import json
+import math
 import random
+import warnings
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmesh import pipeline
-from gridmesh.dynamics import SimulationConfig
+from gridmesh.dynamics import NumericBlowupError, SimulationConfig
 from gridmesh.model import CaseError, FaultSpec, load_bundled_case
 from gridmesh.pipeline import DsaParams, RunManifest
 from gridmesh.sampling import ForecastSpec
+from gridmesh.wire import canonical_json
 
 from helpers import random_connected_case
 
@@ -91,3 +97,38 @@ def test_topology_result_summaries():
     unstable = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=6)
     _, blob = pipeline.monolithic_topology(case, {9: "Open"}, unstable, CFG)
     assert pipeline.result_summary(blob) == "verdict: Unstable at t=0.48s"
+
+
+def topology_manifest(case, fault):
+    return RunManifest(run_id=RID, expected_regions=tuple(case.regions()),
+                       mode=pipeline.MODE_TOPOLOGY, fault=fault, sim_cfg=CFG)
+
+
+@pytest.mark.parametrize("through", ["monolithic_topology", "cloud_result"])
+def test_a_bad_fault_fails_before_the_power_flow(through):
+    case = load_bundled_case("case9")
+    fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=math.inf, cleared_branch=6)
+    with mock.patch.object(pipeline, "solve_power_flow",
+                           wraps=pipeline.solve_power_flow) as solve:
+        with pytest.raises(CaseError, match="finite"):
+            if through == "monolithic_topology":
+                pipeline.monolithic_topology(case, {}, fault, CFG)
+            else:
+                distributed(case, case, topology_manifest(case, fault))
+    assert solve.call_count == 0
+
+
+def test_a_huge_stamp_blows_up_without_a_numpy_warning():
+    # R1's branch 1 from-diagonal at 1e300 passes the partial's checks; the
+    # integration overflows, which simulate_batch reports as one classified
+    # error and not also as a RuntimeWarning
+    case = load_bundled_case("case9")
+    m = topology_manifest(case, FAULT)
+    blobs = {r: pipeline.edge_upload(case, r, m) for r in m.expected_regions}
+    upload = json.loads(blobs["R1"])
+    upload["partial"]["branches"][0][1] = 1e300
+    blobs["R1"] = canonical_json(upload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericBlowupError):
+            pipeline.cloud_result(case, m, blobs)

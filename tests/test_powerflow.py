@@ -2,6 +2,7 @@ import importlib
 import math
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridmesh.model import Branch, Bus, Generator, GridCase, load_bundled_case
-from gridmesh.powerflow import (PowerFlowDivergedError, PowerFlowError,
-                                SingularJacobianError, initialize_machines,
-                                solve_power_flow)
+from gridmesh.powerflow import (Loads, PowerFlowDivergedError, PowerFlowError,
+                                SingularJacobianError, solve_power_flow)
 from gridmesh.ybus import YMatrix, build_ybus
 
-from helpers import random_connected_case, reference_solve_power_flow, smib_case
+from helpers import (initialized, random_connected_case, reference_solve_power_flow,
+                     smib_case)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -157,38 +158,36 @@ class TestInitializeMachines:
     def test_zero_current_gives_terminal_voltage(self):
         # machine with zero output: E = V exactly
         case = smib_case(p_mech=0.0)
-        sol = solve_power_flow(case)
-        out = initialize_machines(case, sol)
-        g = out.generators[1]
-        i = case.bus_index()[g.bus]
-        assert g.e_mag == pytest.approx(sol.v_mag[i], abs=1e-12)
-        assert g.delta0 == pytest.approx(sol.v_ang[i], abs=1e-12)
-        assert g.p_mech == pytest.approx(0.0, abs=1e-12)
+        out, sol = initialized(case)
+        i = case.bus_index()[case.generators[1].bus]
+        assert out.e_mag[0, 1] == pytest.approx(sol.v_mag[0, i], abs=1e-12)
+        assert out.delta0[0, 1] == pytest.approx(sol.v_ang[0, i], abs=1e-12)
+        assert out.p_mech[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_smib_closed_form(self):
         # oracle: complex arithmetic by hand for P=0.8 through x_net
         case = smib_case(p_mech=0.8, x_line=0.4, xd_p=0.3)
-        sol = solve_power_flow(case)
-        out = initialize_machines(case, sol)
-        g = out.generators[1]
+        out, sol = initialized(case)
         i = case.bus_index()[2]
-        v = sol.v_mag[i] * np.exp(1j * sol.v_ang[i])
-        s = sol.injections[i]
+        v = sol.v_mag[0, i] * np.exp(1j * sol.v_ang[0, i])
+        s = sol.injections[0, i]
         i_gen = np.conj(s / v)
         e = v + 1j * 0.3 * i_gen
-        assert g.e_mag == pytest.approx(abs(e), abs=1e-12)
-        assert g.delta0 == pytest.approx(math.atan2(e.imag, e.real), abs=1e-12)
+        assert out.e_mag[0, 1] == pytest.approx(abs(e), abs=1e-12)
+        assert out.delta0[0, 1] == pytest.approx(math.atan2(e.imag, e.real), abs=1e-12)
 
     def test_idempotent_at_equilibrium(self):
         case = load_bundled_case("case9")
-        sol = solve_power_flow(case)
-        once = initialize_machines(case, sol)
-        sol2 = solve_power_flow(once)
-        twice = initialize_machines(once, sol2)
-        for a, b in zip(once.generators, twice.generators):
-            assert abs(a.e_mag - b.e_mag) < 1e-12
-            assert abs(a.delta0 - b.delta0) < 1e-12
-            assert abs(a.p_mech - b.p_mech) < 1e-10
+        once, sol = initialized(case)
+        # the second power flow starts at the first one's voltages, with the
+        # machines' initialized mechanical power
+        at_solution = replace(case, buses=tuple(
+            replace(b, v_mag=float(sol.v_mag[0, k]), v_ang=float(sol.v_ang[0, k]))
+            for k, b in enumerate(case.buses)))
+        twice, _ = initialized(at_solution, replace(Loads.of_case(case), p_mech=once.p_mech))
+        assert np.all(np.abs(once.e_mag - twice.e_mag) < 1e-12)
+        assert np.all(np.abs(once.delta0 - twice.delta0) < 1e-12)
+        assert np.all(np.abs(once.p_mech - twice.p_mech) < 1e-10)
 
     def test_generator_on_pq_bus_rejected(self):
         case = GridCase(

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from operator import setitem
 
 import pytest
@@ -241,6 +242,26 @@ class TestDsaOracle:
         with pytest.raises(pipeline.ManifestError, match="2 dims, region R1 has 1 loads"):
             oracle(load_bundled_case("case9"), {}, DsaParams(n_raw=20, k=2, seed=1),
                    FAULT, CFG, forecasts={"R1": wrong})
+
+    def test_a_region_without_loads_samples_as_its_edge_does(self, tmp_path):
+        # R4 owns bus 1 and no load: its edge samples a 0-dimension default
+        # spec and fails its compute on a 2-dimension one, and so does the oracle
+        case = load_bundled_case("case9")
+        case = replace(case, buses=tuple(replace(b, owner_region="R4") if b.id == 1 else b
+                                         for b in case.buses))
+        dsa = DsaParams(n_raw=20, k=2, seed=1)
+        manifest = replace(dsa_manifest(dsa), expected_regions=("R1", "R2", "R3", "R4"))
+        wrong = ForecastSpec(n_dims=2)
+        item = UeScriptItem(at_s=0.0, kind="forecast", forecast=wrong.to_dict())
+        outs = [run_virtual_demo(case, manifest, FileStore(tmp_path / f"store{i}"),
+                                 tmp_path / f"logs{i}", zero_impairment_profile(), scripts)
+                for i, scripts in enumerate(({}, {"ue-4": ("R4", [item])}))]
+        assert [out.exit_code for out in outs] == [0, 3]
+        _, expected = pipeline.monolithic_dsa(case, {}, dsa, FAULT, CFG)
+        assert outs[0].result_blob == expected
+        for oracle in (pipeline.monolithic_dsa, pipeline.dsa_bruteforce_probability):
+            with pytest.raises(pipeline.ManifestError, match="2 dims, region R4 has 0 loads"):
+                oracle(case, {}, dsa, FAULT, CFG, forecasts={"R4": wrong})
 
 
 def _events(log_dir, node):
