@@ -344,7 +344,6 @@ def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
 
     damp = machines.d
     pm = machines.p_mech
-    acc = 1.0 / (2.0 * machines.h)
     dt = cfg.dt
 
     k_fault = _snap_step(fault.t_fault, dt, "t_fault")
@@ -428,6 +427,9 @@ def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
             samples[:, :, -1] = held[-1]
 
     with np.errstate(all="ignore"):
+        # 1/(2h) and the E products may overflow; the states then go
+        # non-finite, which the block checks report as NumericBlowupError
+        acc = 1.0 / (2.0 * machines.h)
         ee = machines.e_mag[:, :, None] * machines.e_mag[:, None, :]
         for phase, y_red in enumerate((net.y_red_pre, net.y_red_on, net.y_red_post)):
             np.multiply(ee, y_red.real, out=gb[phase, 0])

@@ -324,6 +324,15 @@ class TestBatch:
         assert batched.value.t == alone.value.t
         assert str(batched.value).startswith("scenario 2: ")
 
+    def test_a_subnormal_inertia_blows_up_without_a_numpy_warning(self):
+        # 1 / (2 h) overflows for h = 1e-320: the blow-up is one classified
+        # error, not also a RuntimeWarning
+        machines, nets, fault = case9_batch(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericBlowupError):
+                simulate(with_inertia(machines[0], 1, 1e-320), nets[0], fault, self.CFG)
+
     def test_lowest_blown_scenario_wins_even_when_later(self):
         machines, nets, fault = case9_batch(4)
         machines[1] = with_inertia(machines[1], 1, 1e-306)
