@@ -132,8 +132,6 @@ def _build_parser() -> _Parser:
                     help="dsa only: representatives kept per region")
     sp.add_argument("--withhold-region",
                     help="do not start this region's edge (barrier demo)")
-    sp.add_argument("--skip-oracle", action="store_true",
-                    help="dsa only: skip the brute-force comparison")
     common(sp, "config", "profile")
 
     sp = sub.add_parser("report", help="stage timings and verdicts for a run")
@@ -480,15 +478,14 @@ def _cmd_demo(args) -> int:
 
     store = FileStore(out / "store")
     if rc == EXIT_OK:
-        rc = _demo_checks(which, case, manifest, deltas, store, profile, args)
+        rc = _demo_checks(which, case, manifest, deltas, store, profile)
     _print_report(out, manifest)
     print(f"demo {which}: exit {rc}")
     return rc
 
 
 def _demo_checks(which: str, case: GridCase, manifest: RunManifest,
-                 deltas: dict[int, str], store: FileStore, profile: LinkProfile,
-                 args) -> int:
+                 deltas: dict[int, str], store: FileStore, profile: LinkProfile) -> int:
     blob = store.get(result_key(manifest.run_id))
     if which == "topology":
         if profile.loss_rate == 0:
@@ -503,16 +500,15 @@ def _demo_checks(which: str, case: GridCase, manifest: RunManifest,
     report = pipeline.parse_dsa_result(blob)
     p_rep = report.insecurity_probability
     print(f"representative insecurity probability (k={manifest.dsa.k}): {p_rep:.4f}")
-    if not args.skip_oracle:
-        p_brute = pipeline.dsa_bruteforce_probability(
-            case, deltas, manifest.dsa, manifest.fault, manifest.sim_cfg)
-        print(f"brute-force insecurity probability ({manifest.dsa.n_raw} joint raw "
-              f"draws): {p_brute:.4f}")
-        se = math.sqrt(p_brute * (1 - p_brute) / manifest.dsa.n_raw)
-        within = "yes" if abs(p_rep - p_brute) <= 2 * se else "no"
-        print(f"brute-force standard error sqrt(p(1-p)/{manifest.dsa.n_raw}): {se:.4f}; "
-              f"representative within 2 SE: {within}")
-        print(f"difference: {abs(p_rep - p_brute):.4f}")
+    p_brute = pipeline.dsa_bruteforce_probability(
+        case, deltas, manifest.dsa, manifest.fault, manifest.sim_cfg)
+    print(f"brute-force insecurity probability ({manifest.dsa.n_raw} joint raw "
+          f"draws): {p_brute:.4f}")
+    se = math.sqrt(p_brute * (1 - p_brute) / manifest.dsa.n_raw)
+    within = "yes" if abs(p_rep - p_brute) <= 2 * se else "no"
+    print(f"brute-force standard error sqrt(p(1-p)/{manifest.dsa.n_raw}): {se:.4f}; "
+          f"representative within 2 SE: {within}")
+    print(f"difference: {abs(p_rep - p_brute):.4f}")
     return EXIT_OK
 
 

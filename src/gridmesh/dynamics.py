@@ -12,8 +12,8 @@ deviation (so delta'' = omega_s/(2H) * accelerating power):
 integrated with fixed-step RK4, switching the reduced matrix at the fault and
 clearing instants (both snapped to step boundaries). The run is declared
 Unstable the first time the rotor-angle spread (max pairwise |delta_i -
-delta_j|, equivalently the range about the center of inertia) exceeds the
-configured threshold.
+delta_j|, equivalently the range about the center of inertia) exceeds
+``ANGLE_THRESHOLD``.
 
 Scenarios that share a topology are prepared and integrated as one batch,
 each array carrying a leading scenario axis: ``prepare_batch`` solves every
@@ -47,6 +47,9 @@ from .powerflow import (BatchSolution, Loads, Machines, PowerFlowError, PowerFlo
 from .ybus import YMatrix, fault_variants
 
 MAX_STORED_POINTS = 5000
+
+# A run is Unstable once its rotor-angle spread exceeds this many radians.
+ANGLE_THRESHOLD = math.pi
 
 # RK4 steps whose full-resolution states simulate_batch holds before it checks
 # and samples them: a (BLOCK_STEPS + 1, scenarios, 2 * machines) float buffer.
@@ -85,25 +88,21 @@ class SimulationConfig:
     t_end: float
     dt: float = 0.005
     omega_s: float = 2 * math.pi * 60.0
-    angle_threshold: float = math.pi
 
     def __post_init__(self):
         if not (0 < self.dt <= 0.02):
             raise DynamicsError(f"dt must lie in (0, 0.02], got {self.dt}")
-        for name in ("t_end", "omega_s", "angle_threshold"):
+        for name in ("t_end", "omega_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DynamicsError(f"{name} must be finite and > 0, got {value}")
 
     def to_dict(self) -> dict:
-        return {"t_end": self.t_end, "dt": self.dt, "omega_s": self.omega_s,
-                "angle_threshold": self.angle_threshold}
+        return {"t_end": self.t_end, "dt": self.dt, "omega_s": self.omega_s}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
-        return cls(t_end=float(d["t_end"]), dt=float(d["dt"]),
-                   omega_s=float(d["omega_s"]),
-                   angle_threshold=float(d["angle_threshold"]))
+        return cls(t_end=float(d["t_end"]), dt=float(d["dt"]), omega_s=float(d["omega_s"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +326,7 @@ def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
     ran in. Every array the steps write is allocated once per call and
     written in place. The loop keeps the full-resolution states of ``BLOCK_STEPS``
     steps; after each block, one vectorized pass finds each scenario's first
-    non-finite step and first step over the angle threshold, and copies out
+    non-finite step and first step over ``ANGLE_THRESHOLD``, and copies out
     the decimated samples (at most ``MAX_STORED_POINTS`` per machine, the
     last step always among them). If any scenario goes non-finite,
     ``NumericBlowupError`` names the lowest-index one, at the time it blows
@@ -418,7 +417,7 @@ def simulate_batch(machines: Machines, net: ReducedNetwork, fault: FaultSpec,
         ``k0``, ``k0 + 1``, ... held in ``held``."""
         delta = held[:, :, :m]
         spread = np.maximum.reduce(delta, axis=2) - np.minimum.reduce(delta, axis=2)
-        _mark_first(unstable_at, spread > cfg.angle_threshold, k0)
+        _mark_first(unstable_at, spread > ANGLE_THRESHOLD, k0)
         _mark_first(blown_at, ~np.isfinite(held[1:]).all(axis=2), k0 + 1)
         first = -(-k0 // stride) * stride
         picked = held[first - k0::stride]

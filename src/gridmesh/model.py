@@ -13,7 +13,7 @@ Case file format (plain text, '#' starts a comment)::
     [branch]
     id,from_bus,to_bus,r,x,b_charge,tap,status,owner_region
     [gen]
-    id,bus,h,d,xd_p,p_mech,e_mag,delta0
+    id,bus,h,d,xd_p,p_mech
 
 Bus ``owner_region`` is optional (defaults to "R1"). A blank branch
 ``owner_region`` inherits the owning region of its from-bus.
@@ -76,8 +76,6 @@ class Generator:
     d: float                  # damping, p.u.
     xd_p: float               # transient reactance, p.u.
     p_mech: float = 0.0
-    e_mag: float = 1.0        # internal EMF magnitude, p.u.
-    delta0: float = 0.0       # rotor angle, rad
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,6 @@ class FaultSpec:
     t_fault: float
     t_clear: float
     cleared_branch: int | None = None
-    y_fault: complex = complex(0.0, -1e6)   # near-bolted three-phase shunt
 
 
 @dataclass(frozen=True)
@@ -222,8 +219,8 @@ def _validate(case: GridCase) -> None:
     for g in case.generators:
         if g.bus not in known:
             raise CaseError(f"generator {g.id} references unknown bus {g.bus}")
-        if g.h <= 0 or g.xd_p <= 0 or g.e_mag <= 0:
-            raise CaseError(f"generator {g.id} needs h, xd_p, e_mag > 0")
+        if g.h <= 0 or g.xd_p <= 0:
+            raise CaseError(f"generator {g.id} needs h, xd_p > 0")
 
     if case.buses and not _connected(case):
         raise CaseError("grid is not connected over Closed branches")
@@ -291,8 +288,7 @@ def parse_case(text: str) -> GridCase:
                 gens.append(Generator(
                     id=int(fields[0]), bus=int(fields[1]),
                     h=float(fields[2]), d=float(fields[3]), xd_p=float(fields[4]),
-                    p_mech=float(fields[5]), e_mag=float(fields[6]), delta0=float(fields[7]),
-                ))
+                    p_mech=float(fields[5])))
             else:
                 raise CaseError(f"line {lineno}: record outside any section")
         except (IndexError, ValueError) as exc:
@@ -318,8 +314,7 @@ def dump_case(case: GridCase) -> str:
                      f"{br.b_charge!r},{br.tap!r},{br.status},{br.owner_region}")
     lines.append("[gen]")
     for g in case.generators:
-        lines.append(f"{g.id},{g.bus},{g.h!r},{g.d!r},{g.xd_p!r},"
-                     f"{g.p_mech!r},{g.e_mag!r},{g.delta0!r}")
+        lines.append(f"{g.id},{g.bus},{g.h!r},{g.d!r},{g.xd_p!r},{g.p_mech!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -340,8 +335,6 @@ def validate_fault(case: GridCase, fault: FaultSpec) -> None:
         br = case.branch(fault.cleared_branch)
         if not br.closed:
             raise CaseError(f"cleared branch {br.id} is not Closed pre-fault")
-    if not (math.isfinite(fault.y_fault.real) and math.isfinite(fault.y_fault.imag)):
-        raise CaseError("y_fault must be finite")
 
 
 def fault_to_dict(fault: FaultSpec) -> dict:
@@ -350,7 +343,6 @@ def fault_to_dict(fault: FaultSpec) -> dict:
         "cleared_branch": fault.cleared_branch,
         "t_fault": fault.t_fault,
         "t_clear": fault.t_clear,
-        "y_fault": [fault.y_fault.real, fault.y_fault.imag],
     }
 
 
@@ -360,5 +352,4 @@ def fault_from_dict(d: dict) -> FaultSpec:
         cleared_branch=None if d.get("cleared_branch") is None else int(d["cleared_branch"]),
         t_fault=float(d["t_fault"]),
         t_clear=float(d["t_clear"]),
-        y_fault=complex(d["y_fault"][0], d["y_fault"][1]),
     )

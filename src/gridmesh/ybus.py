@@ -22,6 +22,7 @@ import numpy as np
 from .model import CLOSED, OPEN, Branch, Bus, CaseError, FaultSpec, GridCase, validate_fault
 
 Stamp = tuple[complex, complex, complex]      # from-diagonal, to-diagonal, off-diagonal
+Y_FAULT = complex(0.0, -1e6)                  # the fault shunt: a near-bolted three-phase fault
 
 
 class YBusError(CaseError):
@@ -222,8 +223,8 @@ def fault_variants(y: YMatrix, case: GridCase,
                    fault: FaultSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense pre-, on- and post-fault matrices for one fault specification.
 
-    Y_pre is ``y.to_dense()``. Y_on adds the fault shunt to the faulted bus's
-    diagonal, after that entry's other terms. Y_post places the same stamps
+    Y_pre is ``y.to_dense()``. Y_on adds the fault shunt ``Y_FAULT`` to the
+    faulted bus's diagonal, after that entry's other terms. Y_post places the same stamps
     without the cleared branch's, so it is bitwise a fresh build of the case
     with that branch Open; with nothing cleared, Y_post is Y_pre.
     """
@@ -231,7 +232,7 @@ def fault_variants(y: YMatrix, case: GridCase,
     f = case.bus_index()[fault.faulted_bus]
     pre = y.to_dense()
     on = pre.copy()
-    on[f, f] += fault.y_fault
+    on[f, f] += Y_FAULT
     if fault.cleared_branch is None:
         return pre, on, pre
     kept = {bid: s for bid, s in y.branches.items() if bid != fault.cleared_branch}

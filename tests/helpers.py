@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from gridmesh import dynamics
 from gridmesh.dynamics import (MAX_STORED_POINTS, STABLE, UNSTABLE, DynamicsError,
                                NumericBlowupError, ReducedNetwork, SimulationResult, SingularNetworkError,
                                _snap_step, reduce_batch)
@@ -164,7 +165,7 @@ def reference_simulate(machines: Machines, net, fault, cfg):
     def spread(delta):
         return float(np.max(delta) - np.min(delta)) if m > 1 else 0.0
 
-    if spread(state[:m]) > cfg.angle_threshold:
+    if spread(state[:m]) > dynamics.ANGLE_THRESHOLD:
         verdict, t_unstable = UNSTABLE, 0.0
 
     dt = cfg.dt
@@ -180,7 +181,7 @@ def reference_simulate(machines: Machines, net, fault, cfg):
             raise NumericBlowupError(f"non-finite state at t={t:.6f}s", t)
         deltas[k + 1] = state[:m]
         omegas[k + 1] = state[m:]
-        if verdict == STABLE and spread(state[:m]) > cfg.angle_threshold:
+        if verdict == STABLE and spread(state[:m]) > dynamics.ANGLE_THRESHOLD:
             verdict, t_unstable = UNSTABLE, t
 
     stride = max(1, math.ceil((n_steps + 1) / MAX_STORED_POINTS))

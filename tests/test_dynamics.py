@@ -213,12 +213,11 @@ class TestSimulate:
             SimulationConfig(t_end=1.0, dt=0.5)
         with pytest.raises(DynamicsError):
             SimulationConfig(t_end=-1.0)
-        # at one time each was accepted: a nan threshold read every scenario
-        # Stable, and a nan or inf t_end failed in math.floor after the power flow
+        # at one time each was accepted: a nan or inf t_end failed in
+        # math.floor after the power flow
         for bad in ({"t_end": math.nan}, {"t_end": math.inf}, {"omega_s": math.nan},
                     {"omega_s": math.inf}, {"omega_s": 0.0}, {"omega_s": -WS},
-                    {"angle_threshold": math.nan}, {"angle_threshold": math.inf},
-                    {"angle_threshold": 0.0}, {"angle_threshold": -1.0}, {"dt": math.nan}):
+                    {"dt": math.nan}):
             with pytest.raises(DynamicsError, match=next(iter(bad))):
                 SimulationConfig(**{"t_end": 1.0, **bad})
             with pytest.raises(DynamicsError):
@@ -359,16 +358,16 @@ class TestBatch:
                                8, seed)
         fault = FaultSpec(faulted_bus=rng.choice(case.buses).id, t_fault=0.1,
                           t_clear=round(0.1 + 0.01 * rng.randint(1, 20), 6))
-        cfg = SimulationConfig(t_end=1.0, dt=0.01, omega_s=WS,
-                               angle_threshold=rng.uniform(0.05, 3.2))
+        cfg = SimulationConfig(t_end=1.0, dt=0.01, omega_s=WS)
         try:
             machines, nets = prepared(case, [samples[i] for i in picks], fault)
         except (PowerFlowError, DynamicsError):
             assume(False)
-        batched = simulate_batch(*stacked(machines, nets), fault, cfg)
-        assert len(batched) == len(picks)
-        for m, net, got in zip(machines, nets, batched):
-            assert_same_trajectory(got, reference_simulate(m, net, fault, cfg))
+        with mock.patch.object(dynamics, "ANGLE_THRESHOLD", rng.uniform(0.05, 3.2)):
+            batched = simulate_batch(*stacked(machines, nets), fault, cfg)
+            assert len(batched) == len(picks)
+            for m, net, got in zip(machines, nets, batched):
+                assert_same_trajectory(got, reference_simulate(m, net, fault, cfg))
 
 
 def blowup_step(machines, net, fault, cfg):
@@ -401,10 +400,10 @@ class TestBatchBlocks:
         # stored points the sampling stride falls across the block edges
         machines, nets, fault = case9_batch(6)
         spreads = sorted(np.ptp(m.delta0[0]) for m in machines)
-        cfg = SimulationConfig(t_end=max(n_steps, 0.5) * 0.005, dt=0.005, omega_s=WS,
-                               angle_threshold=spreads[3])
+        cfg = SimulationConfig(t_end=max(n_steps, 0.5) * 0.005, dt=0.005, omega_s=WS)
         with mock.patch.object(dynamics, "MAX_STORED_POINTS", max_points), \
-                mock.patch.object(helpers, "MAX_STORED_POINTS", max_points):
+                mock.patch.object(helpers, "MAX_STORED_POINTS", max_points), \
+                mock.patch.object(dynamics, "ANGLE_THRESHOLD", spreads[3]):
             batched = simulate_batch(*stacked(machines, nets), fault, cfg)
             for m, net, got in zip(machines, nets, batched):
                 assert_same_trajectory(got, reference_simulate(m, net, fault, cfg))

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from gridmesh.model import Branch, Bus, CaseError, FaultSpec, GridCase, load_bundled_case
 from gridmesh.powerflow import PowerFlowError, solve_power_flow
 from gridmesh.wire import canonical_json
-from gridmesh.ybus import (PartialAdmittance, PartialMismatchError, PartialPayloadError,
-                           UnknownRegionError, build_partial, build_partials,
-                           build_ybus, fault_variants, merge_partials)
+from gridmesh.ybus import (Y_FAULT, PartialAdmittance, PartialMismatchError,
+                           PartialPayloadError, UnknownRegionError, build_partial,
+                           build_partials, build_ybus, fault_variants, merge_partials)
 
 from helpers import random_connected_case, reference_dense
 
@@ -320,7 +320,7 @@ class TestFaultVariants:
         fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.2)
         pre, on, _ = fault_variants(y, case, fault)
         f = case.bus_index()[7]
-        assert on[f, f] == y.to_dense()[f, f] + fault.y_fault
+        assert on[f, f] == y.to_dense()[f, f] + Y_FAULT
         on[f, f] = pre[f, f]
         assert bitwise_equal(on, pre)
 
@@ -381,7 +381,7 @@ class TestFaultVariants:
             assert bitwise_equal(pre, y.to_dense())
             assert bitwise_equal(post, build_ybus(opened).to_dense())
             f = idx[bus]
-            assert on[f, f] == pre[f, f] + fault.y_fault
+            assert on[f, f] == pre[f, f] + Y_FAULT
             on[f, f] = pre[f, f]
             assert bitwise_equal(on, pre)
         try:
