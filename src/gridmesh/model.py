@@ -181,6 +181,11 @@ class GridCase:
 
 
 def _validate(case: GridCase) -> None:
+    for rec in (case, *case.buses, *case.branches, *case.generators):
+        for name, value in vars(rec).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                what = type(rec).__name__.lower() + ("" if rec is case else f" {rec.id}")
+                raise CaseError(f"{what} {name} must be finite, got {value}")
     ids = [b.id for b in case.buses]
     if len(set(ids)) != len(ids):
         raise CaseError("duplicate bus ids")
@@ -197,11 +202,11 @@ def _validate(case: GridCase) -> None:
     bids = [br.id for br in case.branches]
     if len(set(bids)) != len(bids):
         raise CaseError("duplicate branch ids")
-    known = set(ids)
+    kinds = {b.id: b.kind for b in case.buses}
     for br in case.branches:
         if br.from_bus == br.to_bus:
             raise CaseError(f"branch {br.id} is a self-loop")
-        if br.from_bus not in known or br.to_bus not in known:
+        if br.from_bus not in kinds or br.to_bus not in kinds:
             raise CaseError(f"branch {br.id} references unknown bus")
         if br.r == 0.0 and br.x == 0.0:
             raise CaseError(f"branch {br.id} has r = x = 0")
@@ -217,8 +222,11 @@ def _validate(case: GridCase) -> None:
     if len(set(gen_buses)) != len(gen_buses):
         raise CaseError("at most one generator per bus")
     for g in case.generators:
-        if g.bus not in known:
+        if g.bus not in kinds:
             raise CaseError(f"generator {g.id} references unknown bus {g.bus}")
+        if kinds[g.bus] == PQ:
+            raise CaseError(f"generator {g.id} sits on PQ bus {g.bus}; "
+                            "generator buses must be Slack or PV")
         if g.h <= 0 or g.xd_p <= 0:
             raise CaseError(f"generator {g.id} needs h, xd_p > 0")
 

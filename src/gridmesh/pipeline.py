@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,13 +68,16 @@ class RunManifest:
     def __post_init__(self):
         if len(self.run_id) != 32 or any(c not in "0123456789abcdef" for c in self.run_id):
             raise ManifestError(f"run_id must be 32 lowercase hex chars, got {self.run_id!r}")
-        if not self.expected_regions:
-            raise ManifestError("expected_regions must be non-empty")
+        regions = self.expected_regions
+        if not (isinstance(regions, (list, tuple)) and regions
+                and all(isinstance(r, str) and r for r in regions)):
+            raise ManifestError(f"expected_regions must be a non-empty list of region ids, "
+                                f"got {regions!r}")
         object.__setattr__(self, "expected_regions", tuple(sorted(self.expected_regions)))
         if self.mode not in (MODE_TOPOLOGY, MODE_DSA):
             raise ManifestError(f"mode must be Topology or DSA, got {self.mode!r}")
-        if self.deadline_s <= 0:
-            raise ManifestError("deadline_s must be > 0")
+        if not (math.isfinite(self.deadline_s) and self.deadline_s > 0):
+            raise ManifestError(f"deadline_s must be finite and > 0, got {self.deadline_s}")
         if (self.mode == MODE_DSA) != (self.dsa is not None):
             raise ManifestError("dsa params required exactly when mode is DSA")
 
@@ -97,7 +101,7 @@ class RunManifest:
     def from_payload(cls, d: dict) -> "RunManifest":
         return cls(
             run_id=d["run_id"],
-            expected_regions=tuple(d["expected_regions"]),
+            expected_regions=d["expected_regions"],
             mode=d["mode"],
             fault=fault_from_dict(d["fault"]),
             sim_cfg=SimulationConfig.from_dict(d["sim_cfg"]),

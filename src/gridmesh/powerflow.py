@@ -9,7 +9,8 @@ point, and the scenarios still iterating step together: one stacked product
 with the dense Y, one ``(active, m, m)`` Jacobian array and one
 ``np.linalg.solve`` per Newton step. A scenario freezes once its own mismatch
 passes ``tol``, so its iteration count and bytes are those it gets alone.
-Generators must sit at Slack or PV buses; reactive limits are not enforced.
+Generators sit at Slack or PV buses (``GridCase`` enforces it); reactive
+limits are not enforced.
 
 The Jacobian is MATPOWER's ``dSbus_dV`` (Zimmerman, Murillo-Sanchez and
 Thomas, IEEE Trans. Power Systems, 2011). MATPOWER writes it with diagonal
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CaseError, GridCase, PQ, PV
+from .model import GridCase, PQ, PV
 from .ybus import YMatrix, build_ybus
 
 
@@ -113,12 +114,8 @@ class BatchSolution:
 
 
 def generator_bus_rows(case: GridCase) -> np.ndarray:
-    """Each generator's bus index; generator buses must be Slack or PV."""
+    """Each generator's bus index."""
     idx = case.bus_index()
-    for g in case.generators:
-        if case.bus(g.bus).kind == PQ:
-            raise CaseError(f"generator {g.id} sits on PQ bus {g.bus}; "
-                            "generator buses must be Slack or PV")
     return np.array([idx[g.bus] for g in case.generators], dtype=int)
 
 

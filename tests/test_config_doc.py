@@ -1,13 +1,17 @@
 """CONFIG.md names exactly the fields ``pipeline`` writes in an upload, its
-``partial`` and its ``scenario_set``, so a retired field cannot linger in the
-docs, nor a new one go undocumented."""
+``partial`` and its ``scenario_set``; and README, the ``model`` docstring and
+the bundled case files list exactly the columns of the case model. So a
+retired field cannot linger in the docs, nor a new one go undocumented."""
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
-from gridmesh import pipeline
-from gridmesh.model import load_bundled_case
+import pytest
+
+from gridmesh import model, pipeline
+from gridmesh.model import Branch, Bus, Generator, bundled_case_path, load_bundled_case
 from gridmesh.pipeline import DsaParams
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +39,30 @@ def test_prose_names_no_field_outside_the_table():
     fields = set().union(*written().values())
     named = set(re.findall(r"`([a-z_]+)`", SECTION))
     assert named - fields <= {"upload", "result", "cloud"}
+
+
+CASE_COLUMNS = {"meta": ["base_mva", "freq_hz"],
+                **{name: [f.name for f in fields(cls)]
+                   for name, cls in (("bus", Bus), ("branch", Branch), ("gen", Generator))}}
+
+
+def column_lists(text: str) -> dict[str, list[str]]:
+    """Each ``[section]`` header of a case-format listing and the column list
+    on the line under it, which may be a ``#`` comment."""
+    return {name: cols.split(",") for name, cols in re.findall(
+        r"^[ \t]*\[(\w+)\]\n[ \t]*(?:#[ \t]*)?([a-z_]+(?:,[a-z_]+)+)[ \t]*$", text, re.M)}
+
+
+README_FORMAT = column_lists(
+    (ROOT / "README.md").read_text().split("## Case file format", 1)[1].split("```")[1])
+
+
+def test_readme_case_format_lists_the_model_columns():
+    assert README_FORMAT == CASE_COLUMNS
+
+
+@pytest.mark.parametrize("where", ["model docstring"] + sorted(
+    path.stem for path in bundled_case_path("case9").parent.glob("*.txt")))
+def test_case_format_is_listed_as_in_readme(where):
+    text = model.__doc__ if where == "model docstring" else bundled_case_path(where).read_text()
+    assert column_lists(text) == README_FORMAT

@@ -53,6 +53,23 @@ class TestValidation:
             tiny_case(generators=(Generator(id=1, bus=1, h=1, d=0, xd_p=0.1),
                                   Generator(id=2, bus=1, h=1, d=0, xd_p=0.1)))
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_inertia_rejected(self, h):
+        # a nan inertia once failed only inside RK4, and an infinite one gave a verdict
+        with pytest.raises(CaseError, match="generator 1 h must be finite"):
+            tiny_case(generators=(Generator(id=1, bus=1, h=h, d=0, xd_p=0.1),))
+
+    def test_every_number_must_be_finite(self):
+        with pytest.raises(CaseError, match="gridcase freq_hz must be finite"):
+            tiny_case(freq_hz=math.inf)
+        with pytest.raises(CaseError, match="branch 1 b_charge must be finite"):
+            tiny_case(branches=(Branch(id=1, from_bus=1, to_bus=2, r=0, x=0.1,
+                                       b_charge=-math.inf),))
+        case = load_bundled_case("case9")
+        with pytest.raises(CaseError, match="bus 5 q_load must be finite"):
+            case.with_bus_loads({5: (1.25, math.nan)})
+        assert case.with_bus_loads({5: (-1.25, -0.5)}).bus(5).p_load == -1.25
+
     def test_buses_sorted_by_id(self):
         case = tiny_case(buses=(Bus(id=2, kind="PQ"), Bus(id=1, kind="Slack")))
         assert [b.id for b in case.buses] == [1, 2]
@@ -89,6 +106,19 @@ class TestCaseFile:
 """
         case = parse_case(text)
         assert case.branch_partition() == {1: "RB"}
+
+    def test_nan_load_rejected(self):
+        text = dump_case(load_bundled_case("case9"))
+        assert "\n5,PQ,1.0,0.0,1.25," in text
+        with pytest.raises(CaseError, match="bus 5 p_load must be finite, got nan"):
+            parse_case(text.replace("\n5,PQ,1.0,0.0,1.25,", "\n5,PQ,1.0,0.0,nan,"))
+
+    def test_trailing_columns_ignored(self):
+        # [gen] records once carried two more columns, e_mag and delta0
+        case = load_bundled_case("case3")
+        head, gens = dump_case(case).split("[gen]\n")
+        old = head + "[gen]\n" + "".join(f"{line},1.0,0.0\n" for line in gens.splitlines())
+        assert parse_case(old) == case
 
     def test_bad_section(self):
         with pytest.raises(CaseError, match="unknown section"):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from gridmesh import pipeline
 from gridmesh.dynamics import NumericBlowupError, SimulationConfig
 from gridmesh.model import CaseError, FaultSpec, load_bundled_case
-from gridmesh.pipeline import DsaParams, RunManifest
+from gridmesh.pipeline import DsaParams, ManifestError, RunManifest
 from gridmesh.sampling import ForecastSpec
 from gridmesh.wire import canonical_json
 
@@ -132,3 +132,31 @@ def test_a_huge_stamp_blows_up_without_a_numpy_warning():
         warnings.simplefilter("error")
         with pytest.raises(NumericBlowupError):
             pipeline.cloud_result(case, m, blobs)
+
+
+def manifest_payload(**changes):
+    case = load_bundled_case("case9")
+    return {**topology_manifest(case, FAULT).to_payload(), **changes}
+
+
+def test_a_manifest_reads_back_and_ignores_its_retired_keys():
+    payload = manifest_payload()
+    assert RunManifest.from_payload(payload).to_payload() == payload
+    # manifests once carried the fault shunt and the angle threshold
+    old = dict(payload, fault=dict(payload["fault"], y_fault=[0.0, -1e6]),
+               sim_cfg=dict(payload["sim_cfg"], angle_threshold=math.pi))
+    assert RunManifest.from_payload(old) == RunManifest.from_payload(payload)
+
+
+@pytest.mark.parametrize("regions", ["R1", [], ["R1", ""], ["R1", 2], [None]])
+def test_bad_expected_regions_are_refused(regions):
+    # "R1" was once read as the regions ('1', 'R')
+    with pytest.raises(ManifestError, match="expected_regions must be a non-empty list"):
+        RunManifest.from_payload(manifest_payload(expected_regions=regions))
+
+
+@pytest.mark.parametrize("deadline", [math.nan, math.inf, 0.0, -1.0])
+def test_a_deadline_that_is_not_finite_and_positive_is_refused(deadline):
+    # a nan deadline was once accepted, and the first barrier poll aborted the run
+    with pytest.raises(ManifestError, match="deadline_s must be finite and > 0"):
+        RunManifest.from_payload(manifest_payload(deadline_s=deadline))

@@ -6,7 +6,7 @@ from operator import setitem
 import pytest
 
 from gridmesh import pipeline, virtualdemo, wire
-from gridmesh.core import ACK_TIMEOUT_S, UPLINK, EdgeCore, Send, UeCore
+from gridmesh.core import ACK_TIMEOUT_S, UPLINK, CloudCore, EdgeCore, Send, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import EventLog, read_events
 from gridmesh.linkem import default_5g_sa_profile, zero_impairment_profile
@@ -15,7 +15,7 @@ from gridmesh.nodes import UeScriptItem
 from gridmesh.pipeline import DsaParams, RunManifest
 from gridmesh.reports import emit_report
 from gridmesh.sampling import ForecastSpec, combine_region_sets
-from gridmesh.store import FileStore, upload_key
+from gridmesh.store import FileStore, result_key, upload_key
 from gridmesh.virtualdemo import run_virtual_demo
 from gridmesh.wire import canonical_json
 from gridmesh.ybus import build_partials, build_ybus
@@ -410,6 +410,21 @@ class TestVirtualBadInput:
         _, expected = pipeline.monolithic_topology(case, {}, FAULT, CFG)
         assert out.result_blob == expected
 
+    def test_a_non_finite_bus_load_is_rejected_before_its_ack(self, tmp_path):
+        # R1's edge once acked a nan load on its own bus 5
+        case = load_bundled_case("case9")
+        logs = tmp_path / "logs"
+        script = [UeScriptItem(at_s=0.0, kind="topology",
+                               buses=({"id": 5, "p_load": float("nan"), "q_load": 0.5},))]
+        out = run_virtual_demo(case, topo_manifest(), FileStore(tmp_path / "store"), logs,
+                               zero_impairment_profile(), {"ue-1": ("R1", script)})
+        assert out.exit_code == 0
+        assert _events(logs, "ue-1")[-1] == \
+            ("ue_done", {"delivered": "0", "failed": "0", "rejected": "1"})
+        assert ("edge_reject", {"reason": "CaseError"}) in _events(logs, "edge-R1")
+        _, expected = pipeline.monolithic_topology(case, {}, FAULT, CFG)
+        assert out.result_blob == expected
+
     def test_a_rejection_names_the_frames_seq_when_it_parsed(self, tmp_path):
         edge = EdgeCore("R1", load_bundled_case("case9"), FileStore(tmp_path / "store"))
         frames = [("unexpected_kind", 4, wire.make_envelope(wire.MessageKind.RUN_OPEN,
@@ -506,6 +521,41 @@ class TestVirtualUe:
         core.start(0.0)
         [log] = core.handle(0.1, UPLINK, wire.make_envelope(wire.MessageKind.ACK, {}))
         assert (log.event, log.fields) == ("ue_reject", {"reason": "KeyError"})
+
+
+class TestCloudHello:
+    def test_an_edge_that_says_hello_after_the_run_opens_gets_its_run_open(self, tmp_path):
+        # nodes run by hand: the cloud opens its run at start, the edges join later
+        case = load_bundled_case("case9")
+        store = FileStore(tmp_path / "store")
+        sched = virtualdemo.Scheduler()
+        zero = zero_impairment_profile()
+        cloud = virtualdemo.CoreNode("cloud", sched, zero, _log(tmp_path, "cloud"),
+                                     CloudCore(case, store))
+        sched.at(0.0, cloud.call, cloud.core.open_run, topo_manifest())
+        for i, r in enumerate(("R1", "R2", "R3")):
+            edge = virtualdemo.CoreNode(f"edge-{r}", sched, zero, _log(tmp_path, f"edge-{r}"),
+                                        EdgeCore(r, case, store), cloud)
+            sched.at(0.5 + i, edge.perform, edge.core.hello())
+        sched.run()
+        assert cloud.exit_code == 0
+        assert store.get(result_key(RID)) == \
+            pipeline.monolithic_topology(case, {}, FAULT, CFG)[1]
+        # the run opened before any edge had said Hello
+        assert [ev for ev, _ in _events(tmp_path, "cloud")][:2] == ["run_open", "hello"]
+        for r in ("R1", "R2", "R3"):
+            assert [ev for ev, _ in _events(tmp_path, f"edge-{r}")][:2] == \
+                ["run_open_recv", "edge_compute_done"]
+
+    @pytest.mark.parametrize("hello", [{"role": "ue", "region": "R1"}, {"role": "edge"},
+                                       {"role": "edge", "region": ""}])
+    def test_a_hello_without_role_edge_and_a_region_is_refused(self, hello, tmp_path):
+        cloud = CloudCore(load_bundled_case("case9"), FileStore(tmp_path / "store"))
+        cloud.open_run(0.0, topo_manifest())
+        [reply] = cloud.handle(0.1, "peer", wire.make_envelope(wire.MessageKind.HELLO, hello))
+        assert isinstance(reply, Send) and reply.peer == "peer"
+        assert reply.env.obj()["code"] == "bad_hello"
+        assert cloud.edges == {}
 
 
 class TestReports:
