@@ -73,7 +73,7 @@ class RunManifest:
                 and all(isinstance(r, str) and r for r in regions)):
             raise ManifestError(f"expected_regions must be a non-empty list of region ids, "
                                 f"got {regions!r}")
-        object.__setattr__(self, "expected_regions", tuple(sorted(self.expected_regions)))
+        object.__setattr__(self, "expected_regions", tuple(sorted(regions)))
         if self.mode not in (MODE_TOPOLOGY, MODE_DSA):
             raise ManifestError(f"mode must be Topology or DSA, got {self.mode!r}")
         if not (math.isfinite(self.deadline_s) and self.deadline_s > 0):

@@ -224,9 +224,9 @@ def fault_variants(y: YMatrix, case: GridCase,
     """Dense pre-, on- and post-fault matrices for one fault specification.
 
     Y_pre is ``y.to_dense()``. Y_on adds the fault shunt ``Y_FAULT`` to the
-    faulted bus's diagonal, after that entry's other terms. Y_post places the same stamps
-    without the cleared branch's, so it is bitwise a fresh build of the case
-    with that branch Open; with nothing cleared, Y_post is Y_pre.
+    faulted bus's diagonal, after that entry's other terms. Y_post places the
+    same stamps without the cleared branch's, so it is bitwise a fresh build
+    of the case with that branch Open; with nothing cleared, Y_post is Y_pre.
     """
     validate_fault(case, fault)
     f = case.bus_index()[fault.faulted_bus]
