@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 SLACK = "Slack"
@@ -181,11 +183,13 @@ class GridCase:
 
 
 def _validate(case: GridCase) -> None:
-    for rec in (case, *case.buses, *case.branches, *case.generators):
-        for name, value in vars(rec).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                what = type(rec).__name__.lower() + ("" if rec is case else f" {rec.id}")
-                raise CaseError(f"{what} {name} must be finite, got {value}")
+    for cls, recs in ((GridCase, (case,)), (Bus, case.buses), (Branch, case.branches),
+                      (Generator, case.generators)):
+        names = [n for n, t in cls.__annotations__.items() if t == "float"]  # annotations are str
+        if not all(map(math.isfinite, chain.from_iterable(map(attrgetter(*names), recs)))):
+            rec, name = next((r, n) for r in recs for n in names if not math.isfinite(getattr(r, n)))
+            what = cls.__name__.lower() + ("" if rec is case else f" {rec.id}")
+            raise CaseError(f"{what} {name} must be finite, got {getattr(rec, name)}")
     ids = [b.id for b in case.buses]
     if len(set(ids)) != len(ids):
         raise CaseError("duplicate bus ids")

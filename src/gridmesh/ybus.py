@@ -22,7 +22,7 @@ import numpy as np
 from .model import CLOSED, OPEN, Branch, Bus, CaseError, FaultSpec, GridCase, validate_fault
 
 Stamp = tuple[complex, complex, complex]      # from-diagonal, to-diagonal, off-diagonal
-Y_FAULT = complex(0.0, -1e6)                  # the fault shunt: a near-bolted three-phase fault
+Y_FAULT = complex(0.0, -1e6)                  # fault shunt: a near-bolted three-phase fault
 
 
 class YBusError(CaseError):
