@@ -70,9 +70,9 @@ class RunManifest:
             raise ManifestError(f"run_id must be 32 lowercase hex chars, got {self.run_id!r}")
         regions = self.expected_regions
         if not (isinstance(regions, (list, tuple)) and regions
-                and all(isinstance(r, str) and r for r in regions)):
-            raise ManifestError(f"expected_regions must be a non-empty list of region ids, "
-                                f"got {regions!r}")
+                and all(isinstance(r, str) and r for r in regions)
+                and len(set(regions)) == len(regions)):
+            raise ManifestError(f"expected_regions must list distinct region ids, got {regions!r}")
         object.__setattr__(self, "expected_regions", tuple(sorted(regions)))
         if self.mode not in (MODE_TOPOLOGY, MODE_DSA):
             raise ManifestError(f"mode must be Topology or DSA, got {self.mode!r}")

@@ -148,10 +148,11 @@ def test_a_manifest_reads_back_and_ignores_its_retired_keys():
     assert RunManifest.from_payload(old) == RunManifest.from_payload(payload)
 
 
-@pytest.mark.parametrize("regions", ["R1", [], ["R1", ""], ["R1", 2], [None]])
+@pytest.mark.parametrize("regions", ["R1", [], ["R1", ""], ["R1", 2], [None], ["R1", "R1"]])
 def test_bad_expected_regions_are_refused(regions):
-    # "R1" was once read as the regions ('1', 'R')
-    with pytest.raises(ManifestError, match="expected_regions must be a non-empty list"):
+    # "R1" was once read as the regions ('1', 'R'), and a repeated region
+    # was sent the run's RunOpen and RunResult twice
+    with pytest.raises(ManifestError, match="expected_regions must list distinct region ids"):
         RunManifest.from_payload(manifest_payload(expected_regions=regions))
 
 
