@@ -360,6 +360,7 @@ class CloudCore:
         self.manifest: RunManifest | None = None
         self._phase = DONE
         self._deadline = 0.0
+        self._unfound: list[str] = []                       # expected uploads not yet seen
         self._run_open_sent: set[str] = set()
         self._unacked: dict[int, str] = {}                  # RunResult seq -> region
         self._seq = itertools.count(1)
@@ -368,6 +369,7 @@ class CloudCore:
         self.manifest = manifest
         self._phase = BARRIER
         self._deadline = now + manifest.deadline_s
+        self._unfound = list(manifest.expected_regions)
         self._run_open_sent = {r for r in manifest.expected_regions if r in self.edges}
         return ([Log("run_open", run=manifest.run_id, mode=manifest.mode,
                      regions=",".join(manifest.expected_regions)),
@@ -472,8 +474,11 @@ class CloudCore:
         return out + [Timer(RESULT_ACK_TIMEOUT_S, RESULT_ACK, rid)]
 
     def _missing(self) -> list[str]:
-        m = self.manifest
-        return [r for r in m.expected_regions if not self.store.exists(upload_key(m.run_id, r))]
+        """The expected regions whose upload is not stored; a stored key is
+        immutable, so only the ones not found before are checked."""
+        rid = self.manifest.run_id
+        self._unfound = [r for r in self._unfound if not self.store.exists(upload_key(rid, r))]
+        return self._unfound
 
     def _barrier(self) -> list:
         """barrier_done and the compute once every expected upload is stored."""

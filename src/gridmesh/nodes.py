@@ -34,6 +34,7 @@ from .virtualdemo import CoreNode, Scheduler
 from .wire import StreamDecoder
 
 RECV_CHUNK = 65536
+SELECT_GRAIN_S = 0.001       # epoll rounds each wait up to a whole millisecond
 
 
 def parse_addr(text: str) -> tuple[str, int]:
@@ -99,11 +100,16 @@ class _Loop(Scheduler):
         self.running = False
 
     def run(self) -> None:
-        """Serve readable sockets and due calls until ``stop``, then close."""
+        """Serve readable sockets and due calls until ``stop``, then close. The
+        selector waits until less than ``SELECT_GRAIN_S`` is left before the
+        next call; a sleep waits out that rest, so no call fires a grain late."""
         self.running = True
         try:
             while self.running:
-                timeout = max(0.0, self._heap[0][0] - time.time()) if self._heap else None
+                delay = self._heap[0][0] - time.time() if self._heap else None
+                if delay is not None and 0.0 < delay < SELECT_GRAIN_S:
+                    time.sleep(delay)
+                timeout = None if delay is None else max(0.0, delay - SELECT_GRAIN_S)
                 for key, _ in self.selector.select(timeout):
                     key.data()
                 while self.running and self._heap and self._heap[0][0] <= time.time():

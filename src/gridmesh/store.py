@@ -17,7 +17,7 @@ from pathlib import Path
 
 ARTIFACTS = ("upload", "result")
 MAX_KEY_LEN = 512
-POLL_INTERVAL_S = 0.02
+POLL_INTERVAL_S = 0.002
 
 RESULT_REGION = "cloud"
 

@@ -1,7 +1,10 @@
 import contextlib
 import copy
 import json
+import random
+import selectors
 import socket
+import statistics
 import threading
 import time
 from dataclasses import replace
@@ -312,6 +315,53 @@ class TestEventLoop:
             assert ue_agent("ue-after", [], addr, profile=ZERO).clean
             assert time.monotonic() - start < ACK_TIMEOUT_S
             reader.join()
+
+
+    def test_timed_calls_fire_on_time(self):
+        # as in a node, each call sets the next one 0.3-14.3 ms after its own
+        # now; a selector wait rounded up to whole milliseconds fires it ~0.7 ms late
+        loop = nodes._Loop()
+        rng = random.Random(3)
+        late = []
+
+        def fire(due):
+            now = time.time()
+            late.append(now - due)
+            if len(late) == 20:
+                loop.stop()
+            else:
+                due = now + 0.0003 + 0.001 * rng.randrange(15)
+                loop.at(due, fire, due)
+
+        fire(time.time())
+        loop.run()
+        late = late[1:]
+        assert len(late) == 19 and min(late) >= 0.0
+        assert statistics.median(late) < 0.0005
+
+    def test_a_read_is_served_while_a_call_is_far_off(self):
+        loop = nodes._Loop()
+        ours, theirs = socket.socketpair()
+        served = []
+        loop.selector.register(ours, selectors.EVENT_READ,
+                               lambda: served.append((time.time(), ours.recv(1))))
+        sent = []
+
+        def write():
+            time.sleep(0.01)
+            sent.append(time.time())
+            theirs.send(b"x")
+
+        writer = threading.Thread(target=write)
+        loop.at(time.time() + 0.05, loop.stop)
+        writer.start()
+        try:
+            loop.run()
+        finally:
+            writer.join()
+            theirs.close()
+        (at, data), = served
+        assert data == b"x" and at - sent[0] < 0.005
 
 
 class TestUeScript:

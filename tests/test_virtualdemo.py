@@ -5,7 +5,7 @@ from operator import setitem
 
 import pytest
 
-from gridmesh import pipeline, virtualdemo, wire
+from gridmesh import pipeline, store as store_mod, virtualdemo, wire
 from gridmesh.core import ACK_TIMEOUT_S, UPLINK, CloudCore, EdgeCore, Send, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import EventLog, read_events
@@ -25,6 +25,8 @@ from helpers import reference_first_error
 FAULT = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.3, cleared_branch=6)
 CFG = SimulationConfig(t_end=2.0, dt=0.005)
 RID = "cd" * 16
+LINK_100MS = replace(zero_impairment_profile(), delay_min_ms=100.0,
+                     delay_max_ms=100.0)                      # fixed, no jitter
 
 
 def topo_manifest(deadline_s=30.0):
@@ -152,6 +154,34 @@ class TestVirtualTopology:
         report = emit_report(RID, store, out.log_paths)
         assert report.outcome == "TimedOut"
         assert report.missing_regions == ("R3",)
+
+    def test_the_store_poll_completes_the_barrier_before_any_ready(self, tmp_path):
+        # each upload is stored 100 ms before its UploadReady arrives, so a poll
+        # finds the last one within POLL_INTERVAL_S (log stamps carry microseconds)
+        out = run_virtual_demo(load_bundled_case("case9"), topo_manifest(),
+                               FileStore(tmp_path / "store"), tmp_path / "logs",
+                               LINK_100MS, SCRIPTS)
+        assert out.exit_code == 0
+        at = {}
+        for path in out.log_paths:
+            for ts, _, ev, _ in read_events(path):
+                at.setdefault(ev, []).append(ts)
+        last_put = max(at["store_put_done"])
+        (barrier,) = at["barrier_done"]
+        assert last_put <= barrier <= last_put + store_mod.POLL_INTERVAL_S + 1e-6
+        assert barrier < min(at["ready_recv"])
+
+    def test_a_found_upload_is_not_checked_again(self, tmp_path, monkeypatch):
+        checks = Counter()
+        exists = FileStore.exists
+        monkeypatch.setattr(FileStore, "exists",
+                            lambda self, key: checks.update([key]) or exists(self, key))
+        out = run_virtual_demo(load_bundled_case("case9"), topo_manifest(deadline_s=3.0),
+                               FileStore(tmp_path / "store"), tmp_path / "logs",
+                               zero_impairment_profile(), SCRIPTS, withhold_regions={"R3"})
+        assert out.exit_code == 3
+        assert max(checks[upload_key(RID, r)] for r in ("R1", "R2")) <= 3
+        assert checks[upload_key(RID, "R3")] > 1000
 
 
 def dsa_manifest(dsa, deadline_s=30.0):
