@@ -15,6 +15,7 @@ import contextlib
 import functools
 import heapq
 import json
+import math
 import selectors
 import socket
 import threading
@@ -71,6 +72,20 @@ class ShapedConnection:
             return False
 
 
+def _select_timeout(delay: float | None) -> float | None:
+    """A selector timeout for a call due in ``delay`` s: a wait of whole
+    milliseconds that ends before the call, less than ``SELECT_GRAIN_S``
+    before it unless a second wait is needed. ``selectors`` rounds a timeout
+    up to k ms and passes k * 1e-3 s to epoll, which for some k (9, 13, 18,
+    ...) is a hair over k ms and waits k + 1."""
+    if delay is None:
+        return None
+    k = math.ceil((delay - SELECT_GRAIN_S) * 1e3)
+    if k * 1e-3 > k / 1e3:
+        k -= 1
+    return max(0.0, (k - 0.5) * 1e-3)            # selectors' ceil lands on k
+
+
 class _Loop(Scheduler):
     """The scheduler on the real clock. Between due calls it waits in a selector
     whose keys carry the call that serves each readable socket."""
@@ -109,8 +124,7 @@ class _Loop(Scheduler):
                 delay = self._heap[0][0] - time.time() if self._heap else None
                 if delay is not None and 0.0 < delay < SELECT_GRAIN_S:
                     time.sleep(delay)
-                timeout = None if delay is None else max(0.0, delay - SELECT_GRAIN_S)
-                for key, _ in self.selector.select(timeout):
+                for key, _ in self.selector.select(_select_timeout(delay)):
                     key.data()
                 while self.running and self._heap and self._heap[0][0] <= time.time():
                     _, _, fn, args = heapq.heappop(self._heap)

@@ -319,7 +319,8 @@ class TestEventLoop:
 
     def test_timed_calls_fire_on_time(self):
         # as in a node, each call sets the next one 0.3-14.3 ms after its own
-        # now; a selector wait rounded up to whole milliseconds fires it ~0.7 ms late
+        # now. A selector wait rounded up to whole milliseconds fires it ~0.7 ms
+        # late, and 1.7 ms for the waits that epoll stretches (9.3 and 13.3 ms)
         loop = nodes._Loop()
         rng = random.Random(3)
         late = []
@@ -338,6 +339,7 @@ class TestEventLoop:
         late = late[1:]
         assert len(late) == 19 and min(late) >= 0.0
         assert statistics.median(late) < 0.0005
+        assert sum(t > 0.0005 for t in late) <= 2
 
     def test_a_read_is_served_while_a_call_is_far_off(self):
         loop = nodes._Loop()
