@@ -316,11 +316,10 @@ class TestEventLoop:
             assert time.monotonic() - start < ACK_TIMEOUT_S
             reader.join()
 
-
     def test_timed_calls_fire_on_time(self):
         # as in a node, each call sets the next one 0.3-14.3 ms after its own
-        # now. A selector wait rounded up to whole milliseconds fires it ~0.7 ms
-        # late, and 1.7 ms for the waits that epoll stretches (9.3 and 13.3 ms)
+        # now. Waits in whole milliseconds fire each call ~0.7 ms late, or
+        # ~1.7 ms where epoll stretches the wait by one (9 and 13 ms among these)
         loop = nodes._Loop()
         rng = random.Random(3)
         late = []

@@ -5,7 +5,7 @@ from operator import setitem
 
 import pytest
 
-from gridmesh import pipeline, store as store_mod, virtualdemo, wire
+from gridmesh import pipeline, virtualdemo, wire
 from gridmesh.core import ACK_TIMEOUT_S, UPLINK, CloudCore, EdgeCore, Send, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import EventLog, read_events
@@ -15,7 +15,7 @@ from gridmesh.nodes import UeScriptItem
 from gridmesh.pipeline import DsaParams, RunManifest
 from gridmesh.reports import emit_report
 from gridmesh.sampling import ForecastSpec, combine_region_sets
-from gridmesh.store import FileStore, result_key, upload_key
+from gridmesh.store import POLL_INTERVAL_S, FileStore, result_key, upload_key
 from gridmesh.virtualdemo import run_virtual_demo
 from gridmesh.wire import canonical_json
 from gridmesh.ybus import build_partials, build_ybus
@@ -168,7 +168,7 @@ class TestVirtualTopology:
                 at.setdefault(ev, []).append(ts)
         last_put = max(at["store_put_done"])
         (barrier,) = at["barrier_done"]
-        assert last_put <= barrier <= last_put + store_mod.POLL_INTERVAL_S + 1e-6
+        assert last_put <= barrier <= last_put + POLL_INTERVAL_S + 1e-6
         assert barrier < min(at["ready_recv"])
 
     def test_a_found_upload_is_not_checked_again(self, tmp_path, monkeypatch):
