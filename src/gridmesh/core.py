@@ -25,8 +25,8 @@ UE an error line, to the actions decided before the fault. An edge or the
 cloud answers a frame kind it does not take with ``unexpected_kind`` and
 one reject log line, and changes no state. No frame goes to a
 receiver that ignores it: a UE's frames and RunResults are acked, but not an
-edge's Hello or Ready, since the cloud's barrier reads the store. An edge
-uploads once per run (one store put, one Ready), and its rejection of a UE
+edge's Hello. An edge's upload is its one store put per run, which no frame
+announces: the cloud's barrier reads the store. An edge's rejection of a UE
 frame names that frame's seq, so the UE stops waiting for it.
 """
 
@@ -247,8 +247,8 @@ def _apply_topology(view: GridCase, region: str, obj: dict) -> GridCase:
 
 class EdgeCore:
     """One region's aggregation point: folds UE reports into the region view
-    and, for each run the cloud opens, computes, stores and announces the
-    region's one upload: its partial admittance, plus in DSA its reduced
+    and, for each run the cloud opens, computes and stores the region's one
+    upload: its partial admittance, plus in DSA its reduced
     scenario set."""
 
     def __init__(self, region: str, base: GridCase, store: FileStore):
@@ -322,7 +322,7 @@ class EdgeCore:
             out += _unexpected(UPLINK, env, "edge_reject")
 
     def run_compute(self, now: float, step: Compute) -> list:
-        """Compute the region's upload, or store and announce the computed one."""
+        """Compute the region's upload, or store the computed one."""
         m = step.manifest
         rid = m.run_id
         key = upload_key(rid, self.region)
@@ -337,26 +337,23 @@ class EdgeCore:
         except Exception as exc:
             return [Send(UPLINK, wire.error_msg("compute_failure", str(exc), m.run_id_bytes)),
                     Log("compute_failure", run=rid, detail=str(exc))]
-        return [Log("store_put_done", run=rid, key=key),
-                Send(UPLINK, wire.upload_ready(self.region, key, m.run_id_bytes))]
+        return [Log("store_put_done", run=rid, key=key)]
 
 
 class CloudCore:
     """Registers edges, opens runs, enforces the upload barrier, merges,
     simulates and fans the result out.
 
-    Barrier rule: the run's expected uploads are checked in the store when
-    the run opens, on each accepted Ready, and every ``POLL_INTERVAL_S`` until
-    the deadline, so a dropped Ready still completes the run. A Ready counts
-    once per ``(run, region)``, and only from the link that region's Hello
-    came on.
+    Barrier rule: the store is the only signal. The run's expected uploads
+    are checked in it when the run opens and then every ``POLL_INTERVAL_S``
+    until the deadline; its immutable keys make each region's first upload
+    win.
     """
 
     def __init__(self, base: GridCase, store: FileStore):
         self.base = base
         self.store = store
         self.edges: dict[str, object] = {}                  # region -> peer
-        self.received: set[tuple[str, str]] = set()         # (run, region)
         self.manifest: RunManifest | None = None
         self._phase = DONE
         self._deadline = 0.0
@@ -399,21 +396,6 @@ class CloudCore:
             if m and region in m.expected_regions and region not in self._run_open_sent:
                 self._run_open_sent.add(region)
                 out.append(Send(peer, wire.run_open(m.to_payload(), m.run_id_bytes)))
-        elif env.msg_type == MessageKind.UPLOAD_READY:
-            region = obj["region"]
-            rid = env.run_id.hex()
-            if self.edges.get(region, peer) is not peer:
-                raise ValueError(f"region {region} said Hello on another link")
-            if (rid, region) in self.received:
-                out += [Send(peer, wire.error_msg(
-                            "duplicate_upload",
-                            f"upload for region {region} already received", env.run_id)),
-                        Log("duplicate_upload", run=rid, region=region)]
-                return
-            self.received.add((rid, region))
-            out.append(Log("ready_recv", run=rid, region=region, key=obj["store_key"]))
-            if self._phase == BARRIER and rid == self.manifest.run_id:
-                out += self._barrier()
         elif env.msg_type == MessageKind.ACK:
             if (self._unacked.pop(int(obj["of"]), None) is not None
                     and not self._unacked and self._phase == FANOUT):

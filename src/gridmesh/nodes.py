@@ -35,7 +35,7 @@ from .virtualdemo import CoreNode, Scheduler
 from .wire import StreamDecoder
 
 RECV_CHUNK = 65536
-SELECT_GRAIN_S = 0.001       # epoll rounds each wait up to a whole millisecond
+SELECT_GRAIN_S = 0.001       # poll waits whole milliseconds
 
 
 def parse_addr(text: str) -> tuple[str, int]:
@@ -75,14 +75,10 @@ class ShapedConnection:
 def _select_timeout(delay: float | None) -> float | None:
     """A selector timeout for a call due in ``delay`` s: a wait of whole
     milliseconds that ends before the call, less than ``SELECT_GRAIN_S``
-    before it unless a second wait is needed. ``selectors`` rounds a timeout
-    up to k ms and passes k * 1e-3 s to epoll, which for some k (9, 13, 18,
-    ...) is a hair over k ms and waits k + 1."""
+    before it unless a second wait is needed."""
     if delay is None:
         return None
     k = math.ceil((delay - SELECT_GRAIN_S) * 1e3)
-    if k * 1e-3 > k / 1e3:
-        k -= 1
     return max(0.0, (k - 0.5) * 1e-3)            # selectors' ceil lands on k
 
 
@@ -94,7 +90,7 @@ class _Loop(Scheduler):
 
     def __init__(self):
         super().__init__()
-        self.selector = selectors.DefaultSelector()
+        self.selector = selectors.PollSelector()
         self.running = False
         self._calls: collections.deque = collections.deque()
         self._wake_r, self._wake_w = socket.socketpair()

@@ -66,7 +66,8 @@ class RunManifest:
     dsa: DsaParams | None = None
 
     def __post_init__(self):
-        if len(self.run_id) != 32 or any(c not in "0123456789abcdef" for c in self.run_id):
+        if not (isinstance(self.run_id, str) and len(self.run_id) == 32
+                and all(c in "0123456789abcdef" for c in self.run_id)):
             raise ManifestError(f"run_id must be 32 lowercase hex chars, got {self.run_id!r}")
         regions = self.expected_regions
         if not (isinstance(regions, (list, tuple)) and regions
@@ -99,15 +100,23 @@ class RunManifest:
 
     @classmethod
     def from_payload(cls, d: dict) -> "RunManifest":
-        return cls(
-            run_id=d["run_id"],
-            expected_regions=d["expected_regions"],
-            mode=d["mode"],
-            fault=fault_from_dict(d["fault"]),
-            sim_cfg=SimulationConfig.from_dict(d["sim_cfg"]),
-            deadline_s=float(d["deadline_s"]),
-            dsa=DsaParams.from_dict(d["dsa"]) if d.get("dsa") else None,
-        )
+        """A missing key, a section of the wrong JSON type or an unparsable
+        number raises ManifestError naming the field; ``dsa`` may be absent."""
+        if not isinstance(d, dict):
+            raise ManifestError(f"manifest must be a JSON object, got {type(d).__name__}")
+        d = {"dsa": None, **d}
+
+        def field(name, parse=lambda v: v):
+            try:
+                return parse(d[name])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ManifestError(f"manifest field {name!r}: {exc!r}") from None
+
+        return cls(run_id=field("run_id"), expected_regions=field("expected_regions"),
+                   mode=field("mode"), fault=field("fault", fault_from_dict),
+                   sim_cfg=field("sim_cfg", SimulationConfig.from_dict),
+                   deadline_s=field("deadline_s", float),
+                   dsa=field("dsa", lambda v: DsaParams.from_dict(v) if v else None))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(canonical_json(self.to_payload()))

@@ -60,7 +60,6 @@ class MessageKind(enum.IntEnum):
     TOPOLOGY_REPORT = 0x02
     FORECAST_REPORT = 0x03
     ACK = 0x04
-    UPLOAD_READY = 0x05
     RUN_RESULT = 0x07
     ERROR = 0x08
     RUN_OPEN = 0x09
@@ -187,11 +186,6 @@ def forecast_report(spec: dict, seq: int) -> Envelope:
 
 def ack(of: int) -> Envelope:
     return make_envelope(MessageKind.ACK, {"of": of})
-
-
-def upload_ready(region: str, store_key: str, run_id: bytes) -> Envelope:
-    return make_envelope(MessageKind.UPLOAD_READY,
-                         {"region": region, "store_key": store_key}, run_id)
 
 
 def run_result(store_key: str, verdict_summary: str, seq: int, run_id: bytes) -> Envelope:

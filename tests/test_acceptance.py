@@ -27,7 +27,7 @@ from gridmesh.linkem import LinkEmulator, UP, default_5g_sa_profile, \
 from gridmesh.model import Bus, FaultSpec, GridCase, load_bundled_case
 from gridmesh.nodes import CloudNode, EdgeNode
 from gridmesh.powerflow import PowerFlowDivergedError, solve_power_flow
-from gridmesh.store import FileStore, result_key, upload_key
+from gridmesh.store import AlreadyExistsError, FileStore, result_key, upload_key
 from gridmesh.wire import StreamDecoder, decode, encode
 from gridmesh.ybus import build_partials, build_ybus, merge_partials
 
@@ -252,7 +252,8 @@ def test_09_use_case_two_end_to_end(tmp_path):
 
 def test_10_barrier_robustness(tmp_path):
     with criterion(10, "withheld region: exit 3 and the error names exactly it; "
-                       "duplicate upload rejected without disturbing the run"):
+                       "an upload completes the run with no frame, and a second "
+                       "put of it is refused"):
         proc = _run_demo(["topology", "--profile", "zero", "--withhold-region", "R3",
                           "--deadline-s", "1", "--out-dir", str(tmp_path / "w")],
                          timeout=120)
@@ -267,7 +268,8 @@ def test_10_barrier_robustness(tmp_path):
             [l.split("missing_regions:_")[1] for l in edge_logs.splitlines()
              if "missing_regions:_" in l][0]
 
-        # duplicate upload: a second UploadReady for the same (run, region) bounces
+        # a hand-rolled R3 says only Hello: its stored upload alone completes
+        # the run, and a second put to its key is refused, so the first wins
         case = load_bundled_case("case9")
         store = FileStore(tmp_path / "dup" / "store")
         zero = zero_impairment_profile()
@@ -304,8 +306,6 @@ def test_10_barrier_robustness(tmp_path):
             time.sleep(0.01)
         key = upload_key(m.run_id, "R3")
         store.put(key, pipeline.edge_topology_blob(case, "R3"))
-        for _ in range(2):
-            sock.sendall(encode(wire.upload_ready("R3", key, m.run_id_bytes)))
         code = cloud.execute_run(m)
         time.sleep(0.2)
         for e in edges:
@@ -314,8 +314,9 @@ def test_10_barrier_robustness(tmp_path):
         reader.join(timeout=5)          # the cloud hung up, so the reader ends
         sock.close()
         assert code == 0
-        assert any(e.msg_type == wire.MessageKind.ERROR
-                   and e.obj()["code"] == "duplicate_upload" for e in inbox)
+        assert not [e for e in inbox if e.msg_type == wire.MessageKind.ERROR]
+        with pytest.raises(AlreadyExistsError):
+            store.put(key, b"second")
         _, expected = pipeline.monolithic_topology(
             case, {}, m.fault, m.sim_cfg)
         assert store.get(result_key(m.run_id)) == expected

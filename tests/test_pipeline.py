@@ -161,3 +161,25 @@ def test_a_deadline_that_is_not_finite_and_positive_is_refused(deadline):
     # a nan deadline was once accepted, and the first barrier poll aborted the run
     with pytest.raises(ManifestError, match="deadline_s must be finite and > 0"):
         RunManifest.from_payload(manifest_payload(deadline_s=deadline))
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mode", MISSING), ("fault", "x"), ("fault", {"faulted_bus": 7}), ("sim_cfg", None),
+    ("deadline_s", "soon"), ("dsa", [1]), ("run_id", 5),
+])
+def test_a_malformed_field_is_refused_by_name(field, value):
+    # each of these once raised a builtin: KeyError, TypeError or ValueError
+    payload = manifest_payload(**{field: value})
+    if value is MISSING:
+        del payload[field]
+    with pytest.raises(ManifestError, match=f"^(manifest field '{field}'|{field} must)"):
+        RunManifest.from_payload(payload)
+
+
+@pytest.mark.parametrize("payload", [[], "manifest", None, 3])
+def test_a_payload_that_is_not_an_object_is_refused(payload):
+    with pytest.raises(ManifestError, match="manifest must be a JSON object"):
+        RunManifest.from_payload(payload)

@@ -89,7 +89,7 @@ class TestVirtualTopology:
     @pytest.mark.parametrize("mode", ["Topology", "DSA"])
     def test_every_frame_sent_has_a_reader(self, mode, tmp_path, monkeypatch):
         # the cloud sends an edge its RunOpen and RunResult only: an edge's
-        # Hello and its one Ready go unacked, since the barrier reads the store
+        # Hello goes unacked, and its upload is a store put, not a frame
         sent = Counter()
         send = virtualdemo.CoreNode.send
 
@@ -108,9 +108,8 @@ class TestVirtualTopology:
         expected = Counter({("cloud", "RUN_OPEN"): 3, ("cloud", "RUN_RESULT"): 3,
                             ("ue-2", "TOPOLOGY_REPORT"): 1, ("edge-R2", "ACK"): 1})
         for ue, (region, _) in SCRIPTS.items():
-            # a UE's Hello; its edge's Hello, Ready and acks of that Hello and of RunResult
+            # a UE's Hello; its edge's Hello and acks of that Hello and of RunResult
             expected.update({(ue, "HELLO"): 1, (f"edge-{region}", "HELLO"): 1,
-                             (f"edge-{region}", "UPLOAD_READY"): 1,
                              (f"edge-{region}", "ACK"): 2})
         assert sent == expected
 
@@ -156,8 +155,9 @@ class TestVirtualTopology:
         assert report.missing_regions == ("R3",)
 
     def test_the_store_poll_completes_the_barrier_before_any_ready(self, tmp_path):
-        # each upload is stored 100 ms before its UploadReady arrives, so a poll
-        # finds the last one within POLL_INTERVAL_S (log stamps carry microseconds)
+        # no frame announces an upload: a poll finds the last one stored within
+        # POLL_INTERVAL_S, on a link whose frames take 100 ms (log stamps carry
+        # microseconds)
         out = run_virtual_demo(load_bundled_case("case9"), topo_manifest(),
                                FileStore(tmp_path / "store"), tmp_path / "logs",
                                LINK_100MS, SCRIPTS)
@@ -169,7 +169,6 @@ class TestVirtualTopology:
         last_put = max(at["store_put_done"])
         (barrier,) = at["barrier_done"]
         assert last_put <= barrier <= last_put + POLL_INTERVAL_S + 1e-6
-        assert barrier < min(at["ready_recv"])
 
     def test_a_found_upload_is_not_checked_again(self, tmp_path, monkeypatch):
         checks = Counter()

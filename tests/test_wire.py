@@ -89,8 +89,8 @@ class TestDecodeErrors:
                 decode(bytes(raw))
 
     def test_unknown_msg_type(self):
-        # 0x06 (ScenarioReady) and 0x0A (RunClose) are retired kinds
-        for kind in (0x06, 0x0A, 0x77):
+        # 0x05 (UploadReady), 0x06 (ScenarioReady) and 0x0A (RunClose) are retired kinds
+        for kind in (0x05, 0x06, 0x0A, 0x77):
             raw = bytearray(bytes.fromhex(GOLDEN_ACK_HEX))
             raw[3] = kind
             with pytest.raises(UnknownMessageTypeError):
