@@ -248,8 +248,7 @@ def _apply_topology(view: GridCase, region: str, obj: dict) -> GridCase:
 class EdgeCore:
     """One region's aggregation point: folds UE reports into the region view
     and, for each run the cloud opens, computes and stores the region's one
-    upload: its partial admittance, plus in DSA its reduced
-    scenario set."""
+    upload: its partial admittance, plus in DSA its reduced scenario set."""
 
     def __init__(self, region: str, base: GridCase, store: FileStore):
         self.region = region
