@@ -26,8 +26,10 @@ cloud answers a frame kind it does not take with ``unexpected_kind`` and
 one reject log line, and changes no state. No frame goes to a
 receiver that ignores it: a UE's frames and RunResults are acked, but not an
 edge's Hello. An edge's upload is its one store put per run, which no frame
-announces: the cloud's barrier reads the store. An edge's rejection of a UE
-frame names that frame's seq, so the UE stops waiting for it.
+announces: the cloud's barrier reads the store. The store's immutable keys are
+a run's only record, kept by no core: a RunResult names its run, whose result
+is ``result_key(run_id)``. An edge's rejection of a UE frame names that
+frame's seq, so the UE stops waiting for it.
 """
 
 from __future__ import annotations
@@ -247,15 +249,16 @@ def _apply_topology(view: GridCase, region: str, obj: dict) -> GridCase:
 
 class EdgeCore:
     """One region's aggregation point: folds UE reports into the region view
-    and, for each run the cloud opens, computes and stores the region's one
-    upload: its partial admittance, plus in DSA its reduced scenario set."""
+    and, for each RunOpen, computes and stores the region's upload: its partial
+    admittance, plus in DSA its reduced scenario set. A repeated RunOpen
+    computes again; its put fails on the stored key and is answered with
+    ``upload_conflict``, so a region's first upload stands."""
 
     def __init__(self, region: str, base: GridCase, store: FileStore):
         self.region = region
         self.view = base
         self.store = store
         self.forecast: ForecastSpec | None = None
-        self.runs: set[str] = set()             # ids of the runs opened here
 
     def hello(self) -> list:
         return [Send(UPLINK, wire.hello(f"edge-{self.region}", "edge", 1, region=self.region))]
@@ -300,17 +303,10 @@ class EdgeCore:
     def _from_cloud(self, env: Envelope, out: list) -> None:
         if env.msg_type == MessageKind.RUN_OPEN:
             m = RunManifest.from_payload(env.obj())
-            if m.run_id in self.runs:
-                out += [Send(UPLINK, wire.error_msg(
-                            "duplicate_run", f"run {m.run_id} already processed",
-                            env.run_id)),
-                        Log("run_open_duplicate", run=m.run_id)]
-                return
-            self.runs.add(m.run_id)
             out += [Log("run_open_recv", run=m.run_id, mode=m.mode), Compute(m)]
         elif env.msg_type == MessageKind.RUN_RESULT:
             obj = env.obj()
-            blob = self.store.get(obj["store_key"])
+            blob = self.store.get(result_key(env.run_id.hex()))
             out += [Log("result_recv", run=env.run_id.hex(),
                         verdict=obj.get("verdict_summary", "?"), bytes=len(blob)),
                     Send(UPLINK, wire.ack(int(obj.get("seq", 0))))]
@@ -346,7 +342,8 @@ class CloudCore:
     Barrier rule: the store is the only signal. The run's expected uploads
     are checked in it when the run opens and then every ``POLL_INTERVAL_S``
     until the deadline; its immutable keys make each region's first upload
-    win.
+    win. An edge's Hello, on any link, gets the open run's RunOpen exactly
+    while the barrier still waits for that region's upload.
     """
 
     def __init__(self, base: GridCase, store: FileStore):
@@ -357,7 +354,6 @@ class CloudCore:
         self._phase = DONE
         self._deadline = 0.0
         self._unfound: list[str] = []                       # expected uploads not yet seen
-        self._run_open_sent: set[str] = set()
         self._unacked: dict[int, str] = {}                  # RunResult seq -> region
         self._seq = itertools.count(1)
 
@@ -366,7 +362,6 @@ class CloudCore:
         self._phase = BARRIER
         self._deadline = now + manifest.deadline_s
         self._unfound = list(manifest.expected_regions)
-        self._run_open_sent = {r for r in manifest.expected_regions if r in self.edges}
         return ([Log("run_open", run=manifest.run_id, mode=manifest.mode,
                      regions=",".join(manifest.expected_regions)),
                  *self._to_edges(wire.run_open(manifest.to_payload(), manifest.run_id_bytes))]
@@ -391,9 +386,8 @@ class CloudCore:
                 return
             self.edges[region] = peer
             out.append(Log("hello", region=region))
-            m = self.manifest
-            if m and region in m.expected_regions and region not in self._run_open_sent:
-                self._run_open_sent.add(region)
+            if self._phase == BARRIER and region in self._unfound:
+                m = self.manifest
                 out.append(Send(peer, wire.run_open(m.to_payload(), m.run_id_bytes)))
         elif env.msg_type == MessageKind.ACK:
             if (self._unacked.pop(int(obj["of"]), None) is not None
@@ -447,7 +441,7 @@ class CloudCore:
             if r in self.edges:
                 n = next(self._seq)
                 self._unacked[n] = r
-                out += [Send(self.edges[r], wire.run_result(key, summary, n, m.run_id_bytes)),
+                out += [Send(self.edges[r], wire.run_result(summary, n, m.run_id_bytes)),
                         Log("result_sent", run=rid, region=r)]
         self._phase = FANOUT
         if not self._unacked:

@@ -15,7 +15,6 @@ import contextlib
 import functools
 import heapq
 import json
-import math
 import selectors
 import socket
 import threading
@@ -72,16 +71,6 @@ class ShapedConnection:
             return False
 
 
-def _select_timeout(delay: float | None) -> float | None:
-    """A selector timeout for a call due in ``delay`` s: a wait of whole
-    milliseconds that ends before the call, less than ``SELECT_GRAIN_S``
-    before it unless a second wait is needed."""
-    if delay is None:
-        return None
-    k = math.ceil((delay - SELECT_GRAIN_S) * 1e3)
-    return max(0.0, (k - 0.5) * 1e-3)            # selectors' ceil lands on k
-
-
 class _Loop(Scheduler):
     """The scheduler on the real clock. Between due calls it waits in a selector
     whose keys carry the call that serves each readable socket."""
@@ -120,7 +109,8 @@ class _Loop(Scheduler):
                 delay = self._heap[0][0] - time.time() if self._heap else None
                 if delay is not None and 0.0 < delay < SELECT_GRAIN_S:
                     time.sleep(delay)
-                for key, _ in self.selector.select(_select_timeout(delay)):
+                wait = None if delay is None else delay - SELECT_GRAIN_S   # poll rounds it up
+                for key, _ in self.selector.select(wait):
                     key.data()
                 while self.running and self._heap and self._heap[0][0] <= time.time():
                     _, _, fn, args = heapq.heappop(self._heap)

@@ -1,7 +1,8 @@
 """CONFIG.md names exactly the fields ``pipeline`` writes in an upload, its
-``partial`` and its ``scenario_set``; and README, the ``model`` docstring and
-the bundled case files list exactly the columns of the case model. So a
-retired field cannot linger in the docs, nor a new one go undocumented."""
+``partial`` and its ``scenario_set``, and exactly the CLI flags that read a
+config key; and README, the ``model`` docstring and the bundled case files
+list exactly the columns of the case model. So a retired field or flag cannot
+linger in the docs, nor a new one go undocumented."""
 
 import json
 import re
@@ -39,6 +40,14 @@ def test_prose_names_no_field_outside_the_table():
     fields = set().union(*written().values())
     named = set(re.findall(r"`([a-z_]+)`", SECTION))
     assert named - fields <= {"upload", "result", "cloud"}
+
+
+def test_flag_list_names_the_flags_that_read_a_config_key():
+    listed = (ROOT / "CONFIG.md").read_text().split("CLI flags that map onto these keys:", 1)[1]
+    listed = set(re.findall(r"`--([a-z-]+)`", listed.split("\n\n", 1)[0])) - {"config"}
+    cli = (ROOT / "src" / "gridmesh" / "cli.py").read_text()
+    reading = re.findall(r'resolve\(\s*(?:args\.(\w+)|getattr\(args, "(\w+)")', cli)
+    assert listed == {(a or b).replace("_", "-") for a, b in reading}
 
 
 CASE_COLUMNS = {"meta": ["base_mva", "freq_hz"],

@@ -419,16 +419,23 @@ class TestTopologyRun:
         m = manifest()
         assert cloud.execute_run(m) == 0
         edge = edges["R1"]
-        # replay the same RunOpen at one edge's core
+        upload = store.get(upload_key(m.run_id, "R1"))
+        # replay the same RunOpen at one edge's core: it computes again, and
+        # the stored key refuses the second put
         actions = edge.core.handle(0.0, UPLINK,
                                    wire.run_open(m.to_payload(), m.run_id_bytes))
-        assert not any(isinstance(a, Compute) for a in actions)    # no second upload
-        assert [a.env.obj()["code"] for a in actions if isinstance(a, Send)] == \
-            ["duplicate_run"]
-        assert m.run_id in edge.core.runs               # state unchanged
+        [step] = [a for a in actions if isinstance(a, Compute)]
+        computed = edge.core.run_compute(0.0, step)
+        [step] = [a for a in computed if isinstance(a, Compute)]
+        stored = edge.core.run_compute(0.0, step)
+        events = [a.event for a in actions + computed + stored if isinstance(a, core.Log)]
+        assert events.count("upload_conflict") == 1 and "store_put_done" not in events
+        assert [a.env.obj()["code"] for a in stored if isinstance(a, Send)] == \
+            ["upload_conflict"]
+        assert store.get(upload_key(m.run_id, "R1")) == upload
 
     def test_rerun_of_a_stored_run_fails_with_exit_2(self, cluster):
-        # the edges refuse the repeated RunOpen and the result key is taken
+        # the edges' puts and the cloud's put of the result fail on their stored keys
         cloud, _, store = cluster
         m = manifest()
         assert cloud.execute_run(m) == 0
@@ -600,7 +607,7 @@ class TestUnexpectedKinds:
     @pytest.mark.parametrize("env", [
         wire.topology_report([{"id": 9, "status": "Open"}], 2),
         wire.forecast_report(ForecastSpec(n_dims=1).to_dict(), 3),
-        wire.run_result("runs/x/result", "verdict: Stable", 1, RID),
+        wire.run_result("verdict: Stable", 1, RID),
         wire.run_open(manifest().to_payload(), RID),
     ], ids=lambda env: env.msg_type.name)
     def test_cloud_rejects_a_kind_edges_do_not_send(self, env, case9, tmp_path):

@@ -552,29 +552,68 @@ class TestVirtualUe:
         assert (log.event, log.fields) == ("ue_reject", {"reason": "KeyError"})
 
 
+def _topology_result() -> bytes:
+    return pipeline.monolithic_topology(load_bundled_case("case9"), {}, FAULT, CFG)[1]
+
+
+def _hello_run(tmp_path, hellos, deadline_s=30.0):
+    """Nodes run by hand: the cloud opens a run at 0.1 s, and each ``(t, region,
+    node class)`` of ``hellos`` is an edge on its own link that says Hello at
+    ``t``. A region's first edge logs as ``edge-<region>``, a later one as
+    ``edge-<region>-2``. Returns the cloud, the edge nodes and the store."""
+    case = load_bundled_case("case9")
+    store = FileStore(tmp_path / "store")
+    sched = virtualdemo.Scheduler()
+    zero = zero_impairment_profile()
+    cloud = virtualdemo.CoreNode("cloud", sched, zero, _log(tmp_path, "cloud"),
+                                 CloudCore(case, store))
+    sched.at(0.1, cloud.call, cloud.core.open_run, topo_manifest(deadline_s))
+    edges, seen = [], Counter()
+    for t, r, cls in hellos:
+        seen[r] += 1
+        name = f"edge-{r}" + (f"-{seen[r]}" if seen[r] > 1 else "")
+        edge = cls(name, sched, zero, _log(tmp_path, name), EdgeCore(r, case, store), cloud)
+        sched.at(t, edge.perform, edge.core.hello())
+        edges.append(edge)
+    sched.run()
+    return cloud, edges, store
+
+
 class TestCloudHello:
     def test_an_edge_that_says_hello_after_the_run_opens_gets_its_run_open(self, tmp_path):
-        # nodes run by hand: the cloud opens its run at start, the edges join later
-        case = load_bundled_case("case9")
-        store = FileStore(tmp_path / "store")
-        sched = virtualdemo.Scheduler()
-        zero = zero_impairment_profile()
-        cloud = virtualdemo.CoreNode("cloud", sched, zero, _log(tmp_path, "cloud"),
-                                     CloudCore(case, store))
-        sched.at(0.0, cloud.call, cloud.core.open_run, topo_manifest())
-        for i, r in enumerate(("R1", "R2", "R3")):
-            edge = virtualdemo.CoreNode(f"edge-{r}", sched, zero, _log(tmp_path, f"edge-{r}"),
-                                        EdgeCore(r, case, store), cloud)
-            sched.at(0.5 + i, edge.perform, edge.core.hello())
-        sched.run()
+        node = virtualdemo.CoreNode
+        cloud, _, store = _hello_run(tmp_path, [(0.5, "R1", node), (1.5, "R2", node),
+                                                (2.5, "R3", node)])
         assert cloud.exit_code == 0
-        assert store.get(result_key(RID)) == \
-            pipeline.monolithic_topology(case, {}, FAULT, CFG)[1]
+        assert store.get(result_key(RID)) == _topology_result()
         # the run opened before any edge had said Hello
         assert [ev for ev, _ in _events(tmp_path, "cloud")][:2] == ["run_open", "hello"]
         for r in ("R1", "R2", "R3"):
             assert [ev for ev, _ in _events(tmp_path, f"edge-{r}")][:2] == \
                 ["run_open_recv", "edge_compute_done"]
+
+    def test_an_edge_restarted_during_the_barrier_gets_the_run_open_again(self, tmp_path):
+        # R3's first link says Hello, takes the RunOpen and goes silent; R3
+        # then says Hello on a new link before the barrier's deadline
+        node = virtualdemo.CoreNode
+        cloud, [*_, again], store = _hello_run(
+            tmp_path, [(0.0, "R1", node), (0.0, "R2", node), (0.0, "R3", _Silent),
+                       (0.5, "R3", node)], deadline_s=1.0)
+        assert cloud.exit_code == 0
+        assert store.get(result_key(RID)) == _topology_result()
+        assert cloud.core.edges["R3"] is again
+        assert [ev for ev, _ in _events(tmp_path, "edge-R3-2")][:2] == \
+            ["run_open_recv", "edge_compute_done"]
+
+    def test_a_hello_after_the_barrier_timeout_gets_no_run_open(self, tmp_path):
+        node = virtualdemo.CoreNode
+        cloud, [*_, late], store = _hello_run(
+            tmp_path, [(0.0, "R1", node), (0.0, "R2", node), (3.0, "R3", _Watched)],
+            deadline_s=1.0)
+        assert cloud.exit_code == 3
+        assert [ev for ev, _ in _events(tmp_path, "cloud")][-2:] == ["run_aborted", "hello"]
+        assert late.arrivals == []
+        assert not store.exists(upload_key(RID, "R3"))
 
     @pytest.mark.parametrize("hello", [{"role": "ue", "region": "R1"}, {"role": "edge"},
                                        {"role": "edge", "region": ""}])
