@@ -178,17 +178,23 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
+def _kv_value(kv: dict[str, str], key: str, parse, default=None):
+    """``kv[key]`` read by ``parse`` (``default`` when absent); a value that
+    ``parse`` refuses is a usage error naming the key."""
+    try:
+        return parse(kv[key]) if key in kv else default
+    except ValueError:
+        raise _UsageError(f"{key} must be {parse.__name__}, got {kv[key]!r}") from None
+
+
 def _parse_fault(text: str) -> FaultSpec:
     kv = _parse_kv(text)
-    try:
-        return FaultSpec(
-            faulted_bus=int(kv["bus"]),
-            t_fault=float(kv.get("t_fault", 0.1)),
-            t_clear=float(kv.get("t_clear", 0.3)),
-            cleared_branch=int(kv["branch"]) if "branch" in kv else None,
-        )
-    except KeyError as exc:
-        raise _UsageError(f"fault spec needs {exc.args[0]}") from None
+    if "bus" not in kv:
+        raise _UsageError("fault spec needs bus")
+    return FaultSpec(faulted_bus=_kv_value(kv, "bus", int),
+                     t_fault=_kv_value(kv, "t_fault", float, 0.1),
+                     t_clear=_kv_value(kv, "t_clear", float, 0.3),
+                     cleared_branch=_kv_value(kv, "branch", int))
 
 
 # ----------------------------------------------------------------------
@@ -225,11 +231,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_sample(args) -> int:
     kv = _parse_kv(args.spec)
     spec = ForecastSpec(
-        n_dims=int(kv.get("dims", 1)),
+        n_dims=_kv_value(kv, "dims", int, 1),
         dist=kv.get("dist", ForecastSpec.dist),
-        sigma=float(kv.get("sigma", ForecastSpec.sigma)),
-        half_width=float(kv.get("half_width", ForecastSpec.half_width)),
-        trunc_sigmas=float(kv.get("trunc_sigmas", ForecastSpec.trunc_sigmas)),
+        sigma=_kv_value(kv, "sigma", float, ForecastSpec.sigma),
+        half_width=_kv_value(kv, "half_width", float, ForecastSpec.half_width),
+        trunc_sigmas=_kv_value(kv, "trunc_sigmas", float, ForecastSpec.trunc_sigmas),
     )
     samples = draw_samples(spec, args.n_raw, args.seed)
     sset = reduce_scenarios(samples, args.k, args.seed)

@@ -52,5 +52,5 @@ def get_float(cfg: dict[str, str], key: str, default: float) -> float:
 def get_int(cfg: dict[str, str], key: str, default: int) -> int:
     try:
         return int(float(cfg.get(key, default)))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:     # int(float("inf")) overflows
         raise ConfigError(f"{key} is not an integer: {cfg[key]!r}") from exc

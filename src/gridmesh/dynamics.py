@@ -16,22 +16,22 @@ delta_j|, equivalently the range about the center of inertia) exceeds
 ``ANGLE_THRESHOLD``.
 
 Scenarios that share a topology are prepared and integrated as one batch,
-each array carrying a leading scenario axis: ``prepare_batch`` solves every
-scenario's power flow (``powerflow.solve_batch``, where a scenario freezes
-once its own mismatch passes the tolerance), initializes its machines,
-builds the fault variants of the one dense matrix once and reduces all
-scenarios of each variant in one stacked Kron elimination;
-``simulate_batch`` then steps them all in one RK4 loop over buffers
-allocated once per call, and checks and samples their states once per block
-of ``BLOCK_STEPS`` steps rather than at every step. Every scenario gets
-the bytes it gets alone, and a Topology run's ``reduce_network`` and
-``simulate_dynamics`` are ``reduce_batch`` and ``simulate_batch`` for a
-batch of one. The stacked Jacobians and augmented matrices grow with
-scenarios x buses^2, so ``prepare_batch`` takes the scenarios in
-consecutive chunks whose working arrays fit in ``PREPARE_BUDGET_BYTES``; on
-a small case one chunk holds them all. A stage raises the first error it
-meets; a chunk that fails is prepared again in two halves, lower half
-first, down to the one scenario that fails.
+each array carrying a leading scenario axis, over one ``YMatrix`` and the
+view that is its ``case``: ``prepare_batch`` solves every scenario's power
+flow (``powerflow.solve_batch``, where a scenario freezes once its own
+mismatch passes the tolerance), initializes its machines, builds the fault
+variants of the one dense matrix once and reduces all scenarios of each
+variant in one stacked Kron elimination; ``simulate_batch`` then steps them
+all in one RK4 loop over buffers allocated once per call, and checks and
+samples their states once per block of ``BLOCK_STEPS`` steps rather than at
+every step. Every scenario gets the bytes it gets alone, and a Topology
+run's ``reduce_network`` and ``simulate_dynamics`` are ``reduce_batch`` and
+``simulate_batch`` for a batch of one. The stacked Jacobians and augmented
+matrices grow with scenarios x buses^2, so ``prepare_batch`` takes the
+scenarios in consecutive chunks whose working arrays fit in
+``PREPARE_BUDGET_BYTES``; on a small case one chunk holds them all. A stage
+raises the first error it meets; a chunk that fails is prepared again in two
+halves, lower half first, down to the one scenario that fails.
 """
 
 from __future__ import annotations
@@ -215,13 +215,12 @@ def kron_reduce(y: np.ndarray, case: GridCase, sol: BatchSolution, loads: Loads)
     return kron_eliminate(aug, nodes)
 
 
-def reduce_network(case: GridCase, sol: PowerFlowSolution, fault: FaultSpec,
-                   y: YMatrix) -> ReducedNetwork:
+def reduce_network(y: YMatrix, sol: PowerFlowSolution, fault: FaultSpec) -> ReducedNetwork:
     """Pre/on/post-fault reduced matrices for one fault at one solved
-    operating point with the case's own loads: ``reduce_batch`` for a batch
-    of one, each matrix a stack of one."""
-    return reduce_batch(case, BatchSolution.of(sol), Loads.of_case(case),
-                        fault_variants(y, case, fault))
+    operating point with the loads of ``y.case``: ``reduce_batch`` for a
+    batch of one, each matrix a stack of one."""
+    return reduce_batch(y.case, BatchSolution.of(sol), Loads.of_case(y.case),
+                        fault_variants(y, fault))
 
 
 def reduce_batch(case: GridCase, sol: BatchSolution, loads: Loads,
@@ -245,10 +244,10 @@ def chunk_rows(case: GridCase) -> int:
     return max(1, PREPARE_BUDGET_BYTES // row_bytes)
 
 
-def prepare_batch(case: GridCase, y: YMatrix, loads: Loads,
+def prepare_batch(y: YMatrix, loads: Loads,
                   fault: FaultSpec) -> tuple[Machines, ReducedNetwork]:
-    """Every scenario's initialized machines and reduced network, over one
-    dense matrix and one set of fault variants.
+    """Every scenario of ``y.case`` in ``loads``: its initialized machines and
+    reduced network, over one dense matrix and one set of fault variants.
 
     The scenarios go through in consecutive chunks of ``chunk_rows``; each
     row is computed as it is alone, so the chunking changes no byte. A chunk
@@ -261,7 +260,7 @@ def prepare_batch(case: GridCase, y: YMatrix, loads: Loads,
     always goes first, that is the error the loop meets first, and no later
     scenario is prepared.
     """
-    dense = y.to_dense()
+    case, dense = y.case, y.to_dense()
     variants = None
 
     def prepare(first: int, chunk: Loads) -> list[tuple[Machines, ReducedNetwork]]:
@@ -270,7 +269,7 @@ def prepare_batch(case: GridCase, y: YMatrix, loads: Loads,
             sol = solve_batch(case, dense, chunk)
             machines = initialize_batch(case, sol, chunk)
             if variants is None:
-                variants = fault_variants(y, case, fault)
+                variants = fault_variants(y, fault)
             return [(machines, reduce_batch(case, sol, chunk, variants))]
         except (PowerFlowError, DynamicsError) as exc:
             if len(chunk) == 1:

@@ -13,7 +13,8 @@ TCP stream they model); jitter is additive and never reorders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +50,12 @@ class LinkProfile:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise LinkError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise LinkError(f"seed must be >= 0, got {self.seed}")
         if self.delay_min_ms < 0 or self.delay_max_ms < self.delay_min_ms:
             raise LinkError("need 0 <= delay_min_ms <= delay_max_ms")
         if self.jitter_mean_ms < 0 or self.jitter_cap_ms < 0:

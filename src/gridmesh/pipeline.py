@@ -217,33 +217,32 @@ def cloud_result(base: GridCase, manifest: RunManifest,
     """The run's result blob and its one-line summary, computed in the
     manifest's mode from each region's upload, parsed once."""
     uploads = {r: parse_upload(blob) for r, blob in blobs.items()}
-    view, y = cloud_merge(base, uploads)
+    y = cloud_merge(base, uploads)
     fault, cfg = manifest.fault, manifest.sim_cfg
     if manifest.mode == MODE_TOPOLOGY:
-        result = topology_compute(view, y, fault, cfg)
+        result = topology_compute(y, fault, cfg)
         return topology_result_blob(result), result.verdict
     region_sets = {r: (u["scenario_set"], u["load_bus_ids"]) for r, u in uploads.items()}
-    report = dsa_compute(view, y, region_sets, fault, cfg)
+    report = dsa_compute(y, region_sets, fault, cfg)
     return (dsa_result_blob(report),
             f"insecurity_probability={report.insecurity_probability!r}")
 
 
-def cloud_merge(base: GridCase, uploads: dict[str, dict]) -> tuple[GridCase, YMatrix]:
-    """The topology view and full matrix that the parsed region uploads state."""
+def cloud_merge(base: GridCase, uploads: dict[str, dict]) -> YMatrix:
+    """The full matrix that the parsed region uploads state, of their view."""
     return merge_partials(base, {r: u["partial"] for r, u in uploads.items()})
 
 
-def topology_compute(view: GridCase, y: YMatrix, fault: FaultSpec,
-                     cfg: SimulationConfig) -> SimulationResult:
+def topology_compute(y: YMatrix, fault: FaultSpec, cfg: SimulationConfig) -> SimulationResult:
     """Power flow, machine initialization, reduction and simulation over one
-    matrix, each a batch of one, after the fault is checked against the view."""
-    validate_fault(view, fault)
+    matrix, each a batch of one, after the fault is checked against ``y.case``."""
+    validate_fault(y.case, fault)
     # each stage is its own call, looked up by name, because the benchmark's
     # tracer times solve_power_flow, initialize_machines and simulate_dynamics
     # here, and reduce_network's fault_variants and kron_reduce in dynamics
-    sol = solve_power_flow(view, y=y)
-    machines = initialize_machines(view, sol)
-    net = reduce_network(view, sol, fault, y)
+    sol = solve_power_flow(y)
+    machines = initialize_machines(y.case, sol)
+    net = reduce_network(y, sol, fault)
     return simulate_dynamics(machines, net, fault, cfg)
 
 
@@ -251,23 +250,22 @@ def topology_result_blob(result: SimulationResult) -> bytes:
     return canonical_json({"mode": MODE_TOPOLOGY, "result": result.to_payload()})
 
 
-def simulate_scenarios(view: GridCase, y: YMatrix, multipliers: np.ndarray,
-                       fault: FaultSpec, cfg: SimulationConfig) -> list[SimulationResult]:
+def simulate_scenarios(y: YMatrix, multipliers: np.ndarray, fault: FaultSpec,
+                       cfg: SimulationConfig) -> list[SimulationResult]:
     """Every multiplier row's operating point and reduced network, prepared in
     one batch over the run's one matrix, then one batched integration of them all."""
-    machines, net = prepare_batch(view, y, scenario_loads(view, multipliers), fault)
+    machines, net = prepare_batch(y, scenario_loads(y.case, multipliers), fault)
     return simulate_batch(machines, net, fault, cfg)
 
 
-def dsa_compute(view: GridCase, y: YMatrix,
-                region_sets: dict[str, tuple[ScenarioSet, list[int]]],
+def dsa_compute(y: YMatrix, region_sets: dict[str, tuple[ScenarioSet, list[int]]],
                 fault: FaultSpec, cfg: SimulationConfig) -> SecurityReport:
     """Simulate every joint representative scenario in one batch and aggregate."""
     multipliers, weights, bus_ids = combine_region_sets(region_sets)
-    if bus_ids != view.load_bus_ids():
+    if bus_ids != y.case.load_bus_ids():
         raise ManifestError(
-            f"scenario load buses {bus_ids} do not match case loads {view.load_bus_ids()}")
-    sims = simulate_scenarios(view, y, multipliers, fault, cfg)
+            f"scenario load buses {bus_ids} do not match case loads {y.case.load_bus_ids()}")
+    sims = simulate_scenarios(y, multipliers, fault, cfg)
     return assess_run(list(zip(weights.tolist(), sims)))
 
 
@@ -300,9 +298,7 @@ def result_summary(blob: bytes) -> str:
 
 def monolithic_topology(base: GridCase, deltas: dict[int, str], fault: FaultSpec,
                         cfg: SimulationConfig) -> tuple[SimulationResult, bytes]:
-    view = base.with_branch_status(deltas)
-    y = build_ybus(view)
-    result = topology_compute(view, y, fault, cfg)
+    result = topology_compute(build_ybus(base.with_branch_status(deltas)), fault, cfg)
     return result, topology_result_blob(result)
 
 
@@ -314,13 +310,10 @@ def monolithic_dsa(base: GridCase, deltas: dict[int, str], dsa: DsaParams,
     that is missing samples with its default spec. Every region samples, as
     every edge does, so a spec that does not fit its region raises."""
     forecasts = forecasts or {}
-    view = base.with_branch_status(deltas)
-    y = build_ybus(view)
-    region_sets = {}
-    for r in view.regions():
-        sset, load_ids, _, _ = region_scenarios(view, r, dsa, forecasts.get(r))
-        region_sets[r] = (sset, load_ids)
-    report = dsa_compute(view, y, region_sets, fault, cfg)
+    y = build_ybus(base.with_branch_status(deltas))
+    region_sets = {r: region_scenarios(y.case, r, dsa, forecasts.get(r))[:2]
+                   for r in y.case.regions()}
+    report = dsa_compute(y, region_sets, fault, cfg)
     return report, dsa_result_blob(report)
 
 
@@ -337,5 +330,5 @@ def dsa_bruteforce_probability(base: GridCase, deltas: dict[int, str], dsa: DsaP
     for r in view.regions():
         draws, ids = region_samples(view, r, dsa, forecasts.get(r))[:2]
         joint[:, [col[b] for b in ids]] = draws
-    sims = simulate_scenarios(view, build_ybus(view), joint, fault, cfg)
+    sims = simulate_scenarios(build_ybus(view), joint, fault, cfg)
     return assess_run([(1.0, r) for r in sims]).insecurity_probability

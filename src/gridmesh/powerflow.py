@@ -3,14 +3,14 @@ initialization, for a batch of load scenarios over one topology.
 
 ``Loads`` carries each scenario's loads and mechanical power as arrays with a
 leading scenario axis; scenario s is row s of every batched result, and the
-single-case ``solve_power_flow`` and ``initialize_machines`` are batches of
-one. The solver warm-starts every scenario from the case's stored operating
-point, and the scenarios still iterating step together: one stacked product
-with the dense Y, one ``(active, m, m)`` Jacobian array and one
-``np.linalg.solve`` per Newton step. A scenario freezes once its own mismatch
-passes ``tol``, so its iteration count and bytes are those it gets alone.
-Generators sit at Slack or PV buses (``GridCase`` enforces it); reactive
-limits are not enforced.
+single-case ``solve_power_flow`` (of a ``YMatrix``, for its case's loads) and
+``initialize_machines`` are batches of one. The solver warm-starts every
+scenario from the case's stored operating point, and the scenarios still
+iterating step together: one stacked product with the dense Y, one
+``(active, m, m)`` Jacobian array and one ``np.linalg.solve`` per Newton
+step. A scenario freezes once its own mismatch passes ``tol``, so its
+iteration count and bytes are those it gets alone. Generators sit at Slack or
+PV buses (``GridCase`` enforces it); reactive limits are not enforced.
 
 The Jacobian is MATPOWER's ``dSbus_dV`` (Zimmerman, Murillo-Sanchez and
 Thomas, IEEE Trans. Power Systems, 2011). MATPOWER writes it with diagonal
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GridCase, PQ, PV
-from .ybus import YMatrix, build_ybus
+from .ybus import YMatrix
 
 
 class PowerFlowError(Exception):
@@ -217,16 +217,10 @@ def solve_batch(case: GridCase, ybus: np.ndarray, loads: Loads,
     return out
 
 
-def solve_power_flow(case: GridCase, tol: float = 1e-8, max_iter: int = 20,
-                     y: YMatrix | None = None) -> PowerFlowSolution:
-    """Newton-Raphson for the case's own loads: ``solve_batch`` for a batch of one.
-
-    ``y`` lets a caller supply a prebuilt (e.g. merged) admittance matrix;
-    by default the matrix is built from the case.
-    """
-    if y is None:
-        y = build_ybus(case)
-    return solve_batch(case, y.to_dense(), Loads.of_case(case), tol, max_iter).row(0)
+def solve_power_flow(y: YMatrix, tol: float = 1e-8, max_iter: int = 20) -> PowerFlowSolution:
+    """Newton-Raphson for the loads of ``y.case`` over ``y``: ``solve_batch``
+    for a batch of one."""
+    return solve_batch(y.case, y.to_dense(), Loads.of_case(y.case), tol, max_iter).row(0)
 
 
 @dataclass(frozen=True, eq=False)

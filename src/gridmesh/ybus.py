@@ -4,12 +4,13 @@ A region partial carries stamp values, not matrix positions: the three
 admittance terms of each Closed branch its region owns and the nonzero shunt
 of each bus its region owns. The same two helpers compute those values for a
 whole build and a region partial. A ``YMatrix`` is its stamps and shunts and
-the case whose bus indices place them; one helper adds every term into a
-zeroed dense array in canonical order (branches by ascending id, then shunts
-by ascending bus id), so merged region partials place bit-for-bit as the
-whole build. The merge reads each branch's status from its owner's partial: a
-branch is Closed exactly when that partial stamps it. ``fault_variants``
-places the same stamps without the cleared branch for the post-fault matrix.
+the case whose bus indices place them, the one statement of its view: the
+compute path takes the matrix alone. One helper adds every term into a zeroed
+dense array in canonical order (branches by ascending id, then shunts by
+ascending bus id), so merged region partials place bit-for-bit as the whole
+build. The merged matrix's case closes a branch exactly when its owner's
+partial stamps it. ``fault_variants`` places the same stamps without the
+cleared branch for the post-fault matrix.
 """
 
 from __future__ import annotations
@@ -185,9 +186,8 @@ def build_partials(case: GridCase) -> dict[str, PartialAdmittance]:
     return {r: build_partial(case, r) for r in case.regions()}
 
 
-def merge_partials(base: GridCase, parts: dict[str, PartialAdmittance],
-                   ) -> tuple[GridCase, YMatrix]:
-    """The view the region partials state, and its matrix.
+def merge_partials(base: GridCase, parts: dict[str, PartialAdmittance]) -> YMatrix:
+    """The matrix the region partials state; its ``case`` is their view.
 
     ``parts`` holds one partial for each region of ``base``. Each may stamp
     only branches its region owns, and must carry exactly the nonzero shunts
@@ -215,21 +215,20 @@ def merge_partials(base: GridCase, parts: dict[str, PartialAdmittance],
     stamps = {bid: s for part in parts.values() for bid, s in part.branches.items()}
     view = base.with_branch_status({br.id: CLOSED if br.id in stamps else OPEN
                                     for br in base.branches if br.closed != (br.id in stamps)})
-    return view, YMatrix(view, stamps,
-                         {bus_id: v for part in parts.values() for bus_id, v in part.shunts.items()})
+    return YMatrix(view, stamps,
+                   {bus_id: v for part in parts.values() for bus_id, v in part.shunts.items()})
 
 
-def fault_variants(y: YMatrix, case: GridCase,
-                   fault: FaultSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fault_variants(y: YMatrix, fault: FaultSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense pre-, on- and post-fault matrices for one fault specification.
 
     Y_pre is ``y.to_dense()``. Y_on adds the fault shunt ``Y_FAULT`` to the
     faulted bus's diagonal, after that entry's other terms. Y_post places the
     same stamps without the cleared branch's, so it is bitwise a fresh build
-    of the case with that branch Open; with nothing cleared, Y_post is Y_pre.
+    of ``y.case`` with that branch Open; with nothing cleared, Y_post is Y_pre.
     """
-    validate_fault(case, fault)
-    f = case.bus_index()[fault.faulted_bus]
+    validate_fault(y.case, fault)
+    f = y.case.bus_index()[fault.faulted_bus]
     pre = y.to_dense()
     on = pre.copy()
     on[f, f] += Y_FAULT

@@ -51,7 +51,7 @@ def initialized(case: GridCase, loads: Loads | None = None) -> tuple[Machines, B
 def reduced(case: GridCase, sol: BatchSolution, fault) -> ReducedNetwork:
     """The case's reduced networks for ``fault`` at the solved operating point."""
     return reduce_batch(case, sol, Loads.of_case(case),
-                        fault_variants(build_ybus(case), case, fault))
+                        fault_variants(build_ybus(case), fault))
 
 
 def perturb_machine(machines: Machines, machine_idx: int, d_delta: float) -> Machines:
@@ -416,7 +416,7 @@ def reference_prepare(case: GridCase, y, multipliers, fault):
         scase = reference_apply_scenario(case, row)
         sol = reference_newton_raphson(scase, y)
         machines.append(reference_initialize_machines(scase, sol))
-        variants = fault_variants(y, scase, fault)
+        variants = fault_variants(y, fault)
         nets.append(ReducedNetwork(*(reference_kron_reduce(v, scase, sol)[None]
                                      for v in variants)))
         iterations.append(sol.iterations)

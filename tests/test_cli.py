@@ -80,6 +80,14 @@ class TestSimulate:
     def test_fault_spec_needs_bus(self):
         assert main(["simulate", CASE9, "t_fault=0.1,t_clear=0.2"]) == EXIT_USAGE
 
+    def test_fault_spec_value_that_does_not_parse_is_a_usage_error(self, capsys):
+        assert main(["simulate", CASE9, "bus=x"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "bus must be int, got 'x'\n"
+
+    def test_sample_spec_value_that_does_not_parse_is_a_usage_error(self, capsys):
+        assert main(["sample", "dims=x"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "dims must be int, got 'x'\n"
+
     def test_parse_fault(self):
         f = _parse_fault("bus=7,t_fault=0.1,t_clear=0.3,branch=6")
         assert (f.faulted_bus, f.cleared_branch) == (7, 6)

@@ -1,7 +1,8 @@
 """CONFIG.md names exactly the fields ``pipeline`` writes in an upload, its
 ``partial`` and its ``scenario_set``, and exactly the CLI flags that read a
 config key; and README, the ``model`` docstring and the bundled case files
-list exactly the columns of the case model. So a retired field or flag cannot
+list exactly the columns of the case model; and README's package layout lists
+exactly the package's modules. So a retired field, flag or module cannot
 linger in the docs, nor a new one go undocumented."""
 
 import json
@@ -75,3 +76,10 @@ def test_readme_case_format_lists_the_model_columns():
 def test_case_format_is_listed_as_in_readme(where):
     text = model.__doc__ if where == "model docstring" else bundled_case_path(where).read_text()
     assert column_lists(text) == README_FORMAT
+
+
+def test_package_layout_lists_every_module_and_no_other():
+    layout = (ROOT / "README.md").read_text().split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `gridmesh\.(\w+)` \|", layout, re.M)
+    modules = {path.stem for path in (ROOT / "src" / "gridmesh").glob("*.py")}
+    assert sorted(listed) == sorted(modules - {"__init__", "__main__"})

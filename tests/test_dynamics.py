@@ -456,7 +456,7 @@ class TestBatchBlocks:
         case = load_bundled_case("case9")
         fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.27, cleared_branch=6)
         samples = draw_samples(ForecastSpec(n_dims=3, sigma=0.05), 1000, 1)
-        machines, net = prepare_batch(case, build_ybus(case), scenario_loads(case, samples),
+        machines, net = prepare_batch(build_ybus(case), scenario_loads(case, samples),
                                       fault)
         cfg = SimulationConfig(t_end=1.0, omega_s=WS)
         tracemalloc.start()
@@ -475,7 +475,7 @@ def preparation_outcome(case, scenarios, fault):
     y = build_ybus(case)
     loads = scenario_loads(case, scenarios)
     try:
-        machines, net = prepare_batch(case, y, loads, fault)
+        machines, net = prepare_batch(y, loads, fault)
     except (PowerFlowError, DynamicsError) as exc:
         return type(exc), str(exc)
     iterations = solve_batch(case, y.to_dense(), loads).iterations
@@ -623,7 +623,7 @@ class TestPrepareBatch:
             reference_prepare(case, y, uniform(1.0, 3.0), fault)
         with chunks_of(case, rows):
             with pytest.raises(CaseError, match="not Closed"):
-                prepare_batch(case, y, scenario_loads(case, uniform(1.0, 3.0)), fault)
+                prepare_batch(y, scenario_loads(case, uniform(1.0, 3.0)), fault)
             assert (preparation_outcome(case, uniform(3.0, 1.0), fault)[0]
                     is PowerFlowDivergedError)
 
@@ -636,12 +636,12 @@ class TestPrepareBatch:
         loads = Loads(*(np.repeat(a, 4, axis=0) for a in (one.p_load, one.q_load, one.p_mech)))
         loads.p_load[2, case.bus_index()[10]] = 0.0
         with chunks_of(case, rows), pytest.raises(SingularNetworkError) as info:
-            prepare_batch(case, y, loads, RADIAL_FAULT)
+            prepare_batch(y, loads, RADIAL_FAULT)
         assert str(info.value) == "scenario 2: eliminated block is singular"
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
         head = Loads(loads.p_load[:2], loads.q_load[:2], loads.p_mech[:2])
-        _, net = prepare_batch(case, y, head, RADIAL_FAULT)
-        _, alone = prepare_batch(case, y, one, RADIAL_FAULT)
+        _, net = prepare_batch(y, head, RADIAL_FAULT)
+        _, alone = prepare_batch(y, one, RADIAL_FAULT)
         for name in VARIANTS:
             assert getattr(net, name)[1].tobytes() == getattr(alone, name)[0].tobytes()
 
@@ -661,7 +661,7 @@ class TestPrepareBatch:
 
         with chunks_of(case, 64), mock.patch.object(dynamics, "solve_batch", counting), \
                 pytest.raises(SingularNetworkError) as info:
-            prepare_batch(case, build_ybus(case), loads, RADIAL_FAULT)
+            prepare_batch(build_ybus(case), loads, RADIAL_FAULT)
         assert str(info.value) == "scenario 63: eliminated block is singular"
         assert len(calls) <= 2 * math.ceil(math.log2(64)) + 1
         assert calls == [64, 32, 32, 16, 16, 8, 8, 4, 4, 2, 2, 1, 1]
@@ -679,7 +679,7 @@ class TestPrepareBatch:
         y = YMatrix(case, {1: full.branches[1]}, full.shunts)
         with pytest.raises(SingularJacobianError,
                            match="^scenario 0: singular Jacobian at iteration 0$") as info:
-            prepare_batch(case, y, scenario_loads(case, uniform(1.0, 1.1, dims=2)),
+            prepare_batch(y, scenario_loads(case, uniform(1.0, 1.1, dims=2)),
                           FaultSpec(faulted_bus=2, t_fault=0.1, t_clear=0.2))
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
@@ -725,7 +725,7 @@ class TestPrepareChunks:
             with chunks_of(case, rows):
                 tracemalloc.start()
                 try:
-                    got = prepare_batch(case, y, loads, fault)
+                    got = prepare_batch(y, loads, fault)
                     return tracemalloc.get_traced_memory()[1], got
                 finally:
                     tracemalloc.stop()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,29 @@ class TestProfileValidation:
 
     def test_config_defaults_to_stock_profile(self):
         assert profile_from_config({}) == default_5g_sa_profile()
+
+    @pytest.mark.parametrize("field", ["delay_min_ms", "delay_max_ms", "jitter_mean_ms",
+                                       "jitter_cap_ms", "bw_up_bps", "bw_down_bps",
+                                       "loss_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_names_its_field(self, field, value):
+        with pytest.raises(LinkError, match=f"^{field} must be finite"):
+            replace(default_5g_sa_profile(), **{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(LinkError, match="^seed must be >= 0"):
+            default_5g_sa_profile(seed=-1)
+
+    @pytest.mark.parametrize("key, field", [("link.delay_max_ms", "delay_max_ms"),
+                                            ("link.bw_up_mbps", "bw_up_bps"),
+                                            ("link.jitter_mean_ms", "jitter_mean_ms")])
+    def test_nan_config_value_names_its_field(self, key, field):
+        with pytest.raises(LinkError, match=f"^{field} must be finite"):
+            profile_from_config({key: "nan"})
+
+    def test_infinite_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="link.seed"):
+            profile_from_config({"link.seed": "inf"})
 
     @pytest.mark.parametrize("key", ["link.delay_max_ms", "link.bw_up_mbps", "link.seed"])
     def test_bad_config_value_names_its_key(self, key):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gridmesh.model import Branch, Bus, CaseError, Generator, GridCase, load_bundled_case
 from gridmesh.powerflow import (Loads, PowerFlowDivergedError, PowerFlowError,
                                 SingularJacobianError, solve_batch, solve_power_flow)
-from gridmesh.ybus import YMatrix, build_ybus
+from gridmesh.ybus import YMatrix, build_partials, build_ybus, merge_partials
 
 from helpers import (initialized, random_connected_case, reference_solve_power_flow,
                      smib_case)
@@ -65,7 +65,7 @@ def brute_force_two_bus(p, q, v_span=(0.5, 1.2), t_span=(-0.8, 0.2)):
 
 class TestSolvePowerFlow:
     def test_no_load_flat_start_zero_iterations(self):
-        sol = solve_power_flow(two_bus_loaded(0.0, 0.0))
+        sol = solve_power_flow(build_ybus(two_bus_loaded(0.0, 0.0)))
         assert sol.iterations <= 1
         assert np.allclose(sol.v_mag, 1.0) and np.allclose(sol.v_ang, 0.0)
         assert sol.max_mismatch < 1e-8
@@ -75,18 +75,18 @@ class TestSolvePowerFlow:
         assert residual < 1e-9
         assert v2 == pytest.approx(ORACLE_2BUS_V2, abs=1e-9)
         assert th2 == pytest.approx(ORACLE_2BUS_TH2, abs=1e-9)
-        sol = solve_power_flow(two_bus_loaded(1.0, 0.0))
+        sol = solve_power_flow(build_ybus(two_bus_loaded(1.0, 0.0)))
         assert sol.v_mag[1] == pytest.approx(ORACLE_2BUS_V2, abs=1e-6)
         assert sol.v_ang[1] == pytest.approx(ORACLE_2BUS_TH2, abs=1e-6)
 
     def test_far_infeasible_load_diverges(self):
         # continuation: the 2-bus nose point is p = 1/(4x) * ... ~ 2.5; 100x beyond
         with pytest.raises(PowerFlowDivergedError):
-            solve_power_flow(two_bus_loaded(250.0, 0.0))
+            solve_power_flow(build_ybus(two_bus_loaded(250.0, 0.0)))
 
     def test_divergence_error_carries_last_mismatch(self):
         try:
-            solve_power_flow(two_bus_loaded(250.0, 0.0))
+            solve_power_flow(build_ybus(two_bus_loaded(250.0, 0.0)))
         except PowerFlowDivergedError as exc:
             assert exc.max_mismatch > 0
         else:
@@ -105,7 +105,7 @@ class TestSolvePowerFlow:
 
     def test_injections_are_the_final_mismatch_evaluation(self):
         case = load_bundled_case("case9")
-        sol = solve_power_flow(case)
+        sol = solve_power_flow(build_ybus(case))
         v = sol.voltage()
         want = v * np.conj(build_ybus(case).to_dense() @ v)
         assert sol.injections.tobytes() == want.tobytes()
@@ -113,12 +113,12 @@ class TestSolvePowerFlow:
 
     def test_mismatch_below_tol_at_every_bus(self):
         case = load_bundled_case("case9")
-        sol = solve_power_flow(case, tol=1e-10)
+        sol = solve_power_flow(build_ybus(case), tol=1e-10)
         assert sol.max_mismatch < 1e-10
 
     def test_nine_bus_matches_reference_operating_point(self):
         # well-known solved state of this test system
-        sol = solve_power_flow(load_bundled_case("case9"))
+        sol = solve_power_flow(build_ybus(load_bundled_case("case9")))
         assert sol.v_mag[4] == pytest.approx(0.9956, abs=2e-4)    # bus 5
         assert sol.v_mag[6] == pytest.approx(1.0258, abs=2e-4)    # bus 7
         assert math.degrees(sol.v_ang[1]) == pytest.approx(9.28, abs=0.05)
@@ -146,16 +146,16 @@ class TestSolvePowerFlow:
                                      owner_region=b.owner_region))
             seeded = GridCase(buses=tuple(buses), branches=case.branches,
                               generators=())
-            sol = solve_power_flow(seeded, tol=1e-10)
+            sol = solve_power_flow(build_ybus(seeded), tol=1e-10)
             assert np.max(np.abs(sol.v_mag - vm)) < 1e-6
             assert np.max(np.abs(sol.v_ang - va)) < 1e-6
 
-    def test_accepts_prebuilt_matrix(self):
+    def test_merged_partials_solve_as_the_whole_build(self):
         case = load_bundled_case("case9")
-        y = build_ybus(case)
-        a = solve_power_flow(case)
-        b = solve_power_flow(case, y=y)
-        assert np.array_equal(a.v_mag, b.v_mag) and np.array_equal(a.v_ang, b.v_ang)
+        a = solve_power_flow(build_ybus(case))
+        b = solve_power_flow(merge_partials(case, build_partials(case)))
+        for name in ("v_mag", "v_ang", "injections"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 class TestInitializeMachines:
@@ -231,7 +231,7 @@ def capped_mismatch(solve, max_iter):
 
 def assert_matches_reference(case, y, **opts):
     def new(**over):
-        return solve_power_flow(case, y=y, **{**opts, **over})
+        return solve_power_flow(y, **{**opts, **over})
 
     def ref(**over):
         return reference_solve_power_flow(case, y, **{**opts, **over})
@@ -295,7 +295,7 @@ class TestSingularJacobian:
         full = build_ybus(case)
         y = YMatrix(case, {1: full.branches[1]}, full.shunts)
         with pytest.raises(SingularJacobianError, match="at iteration 0") as info:
-            solve_power_flow(case, y=y)
+            solve_power_flow(y)
         assert not isinstance(info.value, np.linalg.LinAlgError)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
         assert outcome(lambda: reference_solve_power_flow(case, y)) == \

@@ -82,7 +82,7 @@ class TestVirtualTopology:
         upload = pipeline.parse_upload(store.get(upload_key(RID, "R2")))
         assert upload["partial"].branches == {} and upload["partial"].shunts == {}
         parts = {r: pipeline.parse_upload(store.get(upload_key(RID, r))) for r in ("R1", "R2")}
-        assert pipeline.cloud_merge(case, parts)[0] == case.with_branch_status({3: "Open"})
+        assert pipeline.cloud_merge(case, parts).case == case.with_branch_status({3: "Open"})
         _, expected = pipeline.monolithic_topology(case, {3: "Open"}, fault, CFG)
         assert out.result_blob == expected
 

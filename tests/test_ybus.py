@@ -104,7 +104,7 @@ class TestBuildPartial:
         case = with_owners(load_bundled_case("case9"), "R1")
         parts = build_partials(case)
         assert set(parts["R1"].branches) == {br.id for br in case.branches if br.closed}
-        assert bitwise_equal(merge_partials(case, parts)[1].to_dense(),
+        assert bitwise_equal(merge_partials(case, parts).to_dense(),
                              build_ybus(case).to_dense())
 
     def test_triangle_split_sums_to_full(self):
@@ -112,7 +112,7 @@ class TestBuildPartial:
                            buses={2: "R2"})
         p1, p2 = build_partial(case, "R1"), build_partial(case, "R2")
         assert (set(p1.branches), set(p2.branches)) == ({1, 2}, {3})
-        assert bitwise_equal(merge_partials(case, {"R1": p1, "R2": p2})[1].to_dense(),
+        assert bitwise_equal(merge_partials(case, {"R1": p1, "R2": p2}).to_dense(),
                              build_ybus(case).to_dense())
 
     def test_stamp_values_and_payload(self):
@@ -208,19 +208,20 @@ class TestMergePartials:
         for _ in range(25):
             case = random_connected_case(rng, rng.randint(5, 30), rng.randint(1, 5))
             y = build_ybus(case)
-            _, merged = merge_partials(case, shipped_partials(case))
+            merged = merge_partials(case, shipped_partials(case))
             assert (merged.branches, merged.shunts) == (y.branches, y.shunts)
             assert bitwise_equal(merged.to_dense(), y.to_dense())
 
     def test_merge_survives_payload_roundtrip(self):
         case = load_bundled_case("case9")
-        view, y = merge_partials(case, shipped_partials(case))
+        y = merge_partials(case, shipped_partials(case))
+        view = y.case
         assert view == case
         assert bitwise_equal(y.to_dense(), build_ybus(case).to_dense())
 
     def test_single_part_identity(self):
         case = with_owners(load_bundled_case("case9"), "R1")
-        _, merged = merge_partials(case, build_partials(case))
+        merged = merge_partials(case, build_partials(case))
         whole = build_ybus(case)
         assert (merged.branches, merged.shunts) == (whole.branches, whole.shunts)
 
@@ -232,7 +233,8 @@ class TestMergePartials:
         rng = random.Random(seed)
         base = random_connected_case(rng, n_buses, n_regions)
         view = flipped_view(base, rng)
-        merged, y = merge_partials(base, shipped_partials(view))
+        y = merge_partials(base, shipped_partials(view))
+        merged = y.case
         assert merged == view
         assert bitwise_equal(y.to_dense(), build_ybus(view).to_dense())
         assert bitwise_equal(y.to_dense(), reference_dense(y))
@@ -310,15 +312,14 @@ class TestFaultVariants:
     def test_pre_is_input_unchanged(self):
         case = load_bundled_case("case9")
         y = build_ybus(case)
-        pre, _, _ = fault_variants(y, case, FaultSpec(faulted_bus=7, t_fault=0.1,
-                                                      t_clear=0.2))
+        pre, _, _ = fault_variants(y, FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.2))
         assert bitwise_equal(pre, y.to_dense())
 
     def test_on_adds_fault_shunt_only(self):
         case = load_bundled_case("case9")
         y = build_ybus(case)
         fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.2)
-        pre, on, _ = fault_variants(y, case, fault)
+        pre, on, _ = fault_variants(y, fault)
         f = case.bus_index()[7]
         assert on[f, f] == y.to_dense()[f, f] + Y_FAULT
         on[f, f] = pre[f, f]
@@ -328,23 +329,22 @@ class TestFaultVariants:
         case = load_bundled_case("case9")
         y = build_ybus(case)
         fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.2, cleared_branch=6)
-        _, _, post = fault_variants(y, case, fault)
+        _, _, post = fault_variants(y, fault)
         rebuilt = build_ybus(case.with_branch_status({6: "Open"}))
         assert bitwise_equal(post, rebuilt.to_dense())
 
     def test_no_cleared_branch_post_is_pre(self):
         case = load_bundled_case("case9")
         y = build_ybus(case)
-        pre, _, post = fault_variants(y, case, FaultSpec(faulted_bus=5, t_fault=0.0,
-                                                         t_clear=0.5))
+        pre, _, post = fault_variants(y, FaultSpec(faulted_bus=5, t_fault=0.0, t_clear=0.5))
         assert post is pre
 
     def test_pure_function(self):
         case = load_bundled_case("case9")
         y = build_ybus(case)
         fault = FaultSpec(faulted_bus=7, t_fault=0.1, t_clear=0.2, cleared_branch=6)
-        a = fault_variants(y, case, fault)
-        b = fault_variants(y, case, fault)
+        a = fault_variants(y, fault)
+        b = fault_variants(y, fault)
         for ya, yb in zip(a, b):
             assert bitwise_equal(ya, yb)
         fresh = build_ybus(case)
@@ -354,7 +354,7 @@ class TestFaultVariants:
         case = load_bundled_case("case9")
         y = build_ybus(case)
         with pytest.raises(Exception, match="unknown bus"):
-            fault_variants(y, case, FaultSpec(faulted_bus=42, t_fault=0.1, t_clear=0.2))
+            fault_variants(y, FaultSpec(faulted_bus=42, t_fault=0.1, t_clear=0.2))
 
     @given(seed=st.integers(0, 2**32 - 1), n_buses=st.integers(2, 14),
            n_regions=st.integers(1, 3))
@@ -365,7 +365,8 @@ class TestFaultVariants:
         a cleared branch's off-diagonal entries keep another branch's term."""
         rng = random.Random(seed)
         base = random_connected_case(rng, n_buses, n_regions)
-        case, y = merge_partials(base, shipped_partials(flipped_view(base, rng)))
+        y = merge_partials(base, shipped_partials(flipped_view(base, rng)))
+        case = y.case
         idx = case.bus_index()
         for br in case.branches:
             if not br.closed:
@@ -377,7 +378,7 @@ class TestFaultVariants:
             bus = rng.choice((br.from_bus, br.to_bus))
             fault = FaultSpec(faulted_bus=bus, t_fault=0.1, t_clear=0.2,
                               cleared_branch=br.id)
-            pre, on, post = fault_variants(y, case, fault)
+            pre, on, post = fault_variants(y, fault)
             assert bitwise_equal(pre, y.to_dense())
             assert bitwise_equal(post, build_ybus(opened).to_dense())
             f = idx[bus]
@@ -385,7 +386,7 @@ class TestFaultVariants:
             on[f, f] = pre[f, f]
             assert bitwise_equal(on, pre)
         try:
-            sol = solve_power_flow(case, y=y)
+            sol = solve_power_flow(y)
         except PowerFlowError:
             return
         v = sol.voltage()
