@@ -166,15 +166,18 @@ def _resolve_case(args, cfg: dict) -> GridCase:
     return load_case(path)
 
 
-def _parse_kv(text: str) -> dict[str, str]:
+def _parse_kv(text: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """``key=value`` pairs; a key not in ``keys`` is a usage error naming it."""
     out = {}
     for part in text.split(","):
         if not part.strip():
             continue
         if "=" not in part:
             raise _UsageError(f"expected key=value, got {part!r}")
-        k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (s.strip() for s in part.split("=", 1))
+        if k not in keys:
+            raise _UsageError(f"unknown key {k!r}; expected one of: {', '.join(keys)}")
+        out[k] = v
     return out
 
 
@@ -188,7 +191,7 @@ def _kv_value(kv: dict[str, str], key: str, parse, default=None):
 
 
 def _parse_fault(text: str) -> FaultSpec:
-    kv = _parse_kv(text)
+    kv = _parse_kv(text, ("bus", "t_fault", "t_clear", "branch"))
     if "bus" not in kv:
         raise _UsageError("fault spec needs bus")
     return FaultSpec(faulted_bus=_kv_value(kv, "bus", int),
@@ -229,7 +232,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    kv = _parse_kv(args.spec)
+    kv = _parse_kv(args.spec, ("dims", "dist", "sigma", "half_width", "trunc_sigmas"))
     spec = ForecastSpec(
         n_dims=_kv_value(kv, "dims", int, 1),
         dist=kv.get("dist", ForecastSpec.dist),
@@ -379,7 +382,6 @@ def _run_demo_processes(out: Path, case_path: Path, manifest: RunManifest,
     exe = [sys.executable, "-m", "gridmesh"]
     store_root = str(out / "store")
     procs: list[subprocess.Popen] = []
-    edges: list[subprocess.Popen] = []
     try:
         cloud = _spawn(exe + ["cloud", "--case", str(case_path),
                               "--store-root", store_root,
@@ -404,7 +406,6 @@ def _run_demo_processes(out: Path, case_path: Path, manifest: RunManifest,
                               "--log", str(out / "logs" / f"edge-{region}.log")]
                        + _node_args(args))
             procs.append(e)
-            edges.append(e)
         for region in manifest.expected_regions:
             if region not in withhold:
                 edge_addrs[region] = _wait_file(out / f"edge-{region}.addr",
@@ -441,8 +442,7 @@ def _run_demo_processes(out: Path, case_path: Path, manifest: RunManifest,
         _terminate(procs)
 
 
-def _print_report(out: Path, manifest: RunManifest) -> None:
-    store = FileStore(out / "store")
+def _print_report(out: Path, manifest: RunManifest, store: FileStore) -> None:
     log_paths = sorted((out / "logs").glob("*.log"))
     try:
         report = reports.emit_report(manifest.run_id, store, log_paths)
@@ -472,8 +472,8 @@ def _cmd_demo(args) -> int:
                for i in range(3)}
 
     print(f"demo {which}: run {manifest.run_id} -> {out}")
+    store = FileStore(out / "store")
     if args.virtual_time:
-        store = FileStore(out / "store")
         scripts = {name: (region, parse_ue_script(items))
                    for name, (region, items) in ue_plan.items()}
         outcome = run_virtual_demo(case, manifest, store, out / "logs", profile,
@@ -481,11 +481,9 @@ def _cmd_demo(args) -> int:
         rc = outcome.exit_code
     else:
         rc = _run_demo_processes(out, case_path, manifest, ue_plan, withhold, args)
-
-    store = FileStore(out / "store")
     if rc == EXIT_OK:
         rc = _demo_checks(which, case, manifest, deltas, store, profile)
-    _print_report(out, manifest)
+    _print_report(out, manifest, store)
     print(f"demo {which}: exit {rc}")
     return rc
 

@@ -23,13 +23,13 @@ It performs the actions in list order, by one rule:
 ``handle`` never raises on malformed input: it adds an error reply, or for a
 UE an error line, to the actions decided before the fault. An edge or the
 cloud answers a frame kind it does not take with ``unexpected_kind`` and
-one reject log line, and changes no state. No frame goes to a
-receiver that ignores it: a UE's frames and RunResults are acked, but not an
-edge's Hello. An edge's upload is its one store put per run, which no frame
-announces: the cloud's barrier reads the store. The store's immutable keys are
-a run's only record, kept by no core: a RunResult names its run, whose result
-is ``result_key(run_id)``. An edge's rejection of a UE frame names that
-frame's seq, so the UE stops waiting for it.
+one reject log line, and changes no state. No frame goes to a receiver that
+ignores it: a UE's reports and RunResults are acked, but no Hello, a UE's or
+an edge's. An edge's upload is its one store put per run, which no frame
+announces: the cloud's barrier reads the store. The store's immutable keys
+are a run's only record, kept by no core: a RunResult names its run, whose
+result is ``result_key(run_id)``. An edge's rejection of a UE frame names
+that frame's seq, so the UE stops waiting for it.
 """
 
 from __future__ import annotations
@@ -93,9 +93,11 @@ class UeScriptItem:
 
     def __post_init__(self):
         if self.kind not in ("topology", "forecast"):
-            raise ValueError(f"unknown script item kind {self.kind!r}")
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if isinstance(self.at_s, bool) or not isinstance(self.at_s, (int, float)):
+            raise ValueError(f"at_s must be a number, got {self.at_s!r}")
         if not (math.isfinite(self.at_s) and self.at_s >= 0):
-            raise ValueError(f"script item at_s must be finite and >= 0, got {self.at_s}")
+            raise ValueError(f"at_s must be finite and >= 0, got {self.at_s}")
 
     def envelope(self, seq: int) -> Envelope:
         if self.kind == "topology":
@@ -104,12 +106,23 @@ class UeScriptItem:
 
 
 def parse_ue_script(objs: list[dict]) -> list[UeScriptItem]:
-    """Script items from their JSON objects; ``at_s`` must not decrease."""
-    items = [UeScriptItem(at_s=float(obj["at_s"]), kind=obj["kind"],
-                          branches=tuple(obj.get("branches", ())),
-                          buses=tuple(obj.get("buses", ())),
-                          forecast=obj.get("forecast"))
-             for obj in objs]
+    """Script items from a JSON list of objects; ``at_s`` must not decrease.
+    A malformed item is a ValueError that names the item and its field."""
+    if not isinstance(objs, list):
+        raise ValueError(f"script must be a list of items, got {type(objs).__name__}")
+    items = []
+    for i, obj in enumerate(objs):
+        try:
+            if not isinstance(obj, dict):
+                raise ValueError(f"must be an object, got {type(obj).__name__}")
+            items.append(UeScriptItem(at_s=obj["at_s"], kind=obj["kind"],
+                                      branches=tuple(obj.get("branches", ())),
+                                      buses=tuple(obj.get("buses", ())),
+                                      forecast=obj.get("forecast")))
+        except KeyError as exc:
+            raise ValueError(f"script item {i}: missing {exc.args[0]}") from None
+        except ValueError as exc:
+            raise ValueError(f"script item {i}: {exc}") from None
     if any(b.at_s < a.at_s for a, b in zip(items, items[1:])):
         raise ValueError("script timestamps must be nondecreasing")
     return items
@@ -131,26 +144,28 @@ class UeReport:
 class UeCore:
     """A 5G device playing a timed report script to its edge, the ``UPLINK``.
 
-    The Hello goes first, as seq 1; each item then leaves ``at_s`` after the
-    Hello's Ack, and never before the previous frame is acked or given up. A
-    frame unacked after ``ACK_TIMEOUT_S`` is resent once with the same seq
-    (reports are absolute, so a repeat is harmless), then counted failed. A
-    frame the edge rejects (an ErrorMsg whose ``of`` is its seq) is given up
-    at once and counted rejected.
+    The Hello goes first, as seq 1, and unacked, as an edge's does. Each item
+    then leaves ``at_s`` after the UE starts (an ``at_s=0`` item with the
+    Hello), and never before the previous item is acked or given up. An item
+    unacked after ``ACK_TIMEOUT_S`` is resent once with the same seq (reports
+    are absolute, so a repeat is harmless), then counted failed. An item the
+    edge rejects (an ErrorMsg whose ``of`` is its seq) is given up at once and
+    counted rejected.
     """
 
     def __init__(self, node_id: str, script: list[UeScriptItem]):
         self.node_id = node_id
         self.script = script
         self.report = UeReport(node_id)
-        self._seq = itertools.count(1)
         self._next = 0                               # index of the next item
-        self._t0: float | None = None                # when the Hello was acked
+        self._t0 = 0.0                               # when the UE started
         self._pending: tuple | None = None           # (seq, attempt, env) awaiting an Ack
 
     def start(self, now: float) -> list:
-        seq = next(self._seq)
-        return self._send(seq, wire.hello(self.node_id, "ue", seq), 0)
+        self._t0 = now
+        hello = wire.hello(self.node_id, "ue", 1)
+        return [Log("ue_send", seq=1, kind=int(hello.msg_type)), Send(UPLINK, hello),
+                *self._next_item(now)]
 
     def handle(self, now: float, peer, env: Envelope) -> list:
         try:
@@ -158,11 +173,12 @@ class UeCore:
             if env.msg_type == MessageKind.ERROR:
                 out = [Log("edge_error", code=obj.get("code", "?"))]
                 if self._pending and obj.get("of") == self._pending[0]:
-                    out += self._give_up(now, self.report.rejected, "ue_rejected")
+                    out += self._settle(now, self.report.rejected, "ue_rejected")
                 return out
-            if (env.msg_type == MessageKind.ACK and self._pending
-                    and int(obj["of"]) == self._pending[0]):
-                return self._acked(now)
+            if env.msg_type == MessageKind.ACK:
+                of = int(obj["of"])              # parsed whatever is pending
+                if self._pending and of == self._pending[0]:
+                    return self._settle(now, self.report.delivered)
         except Exception as exc:             # malformed input must not kill the node
             return [Log("ue_reject", reason=type(exc).__name__)]
         return []
@@ -175,32 +191,20 @@ class UeCore:
         seq, attempt, env = self._pending
         if attempt == 0:
             return self._send(seq, env, 1)
-        return self._give_up(now, self.report.failed, "ue_unacked")
+        return self._settle(now, self.report.failed, "ue_unacked")
 
-    def _give_up(self, now: float, tally: list[int], event: str) -> list:
-        """Stop waiting for the pending frame; a given-up Hello ends the script."""
+    def _settle(self, now: float, tally: list[int], *event: str) -> list:
+        """Stop waiting for the pending item; count its seq in ``tally``, log ``event``."""
         seq = self._pending[0]
         self._pending = None
-        if self._t0 is None:
-            self.report.error = "hello not acknowledged"
-            return [Log("ue_error", reason=self.report.error), Done(2)]
         tally.append(seq)
-        return [Log(event, seq=seq), *self._next_item(now)]
+        return [*(Log(e, seq=seq) for e in event), *self._next_item(now)]
 
     def _send(self, seq: int, env: Envelope, attempt: int) -> list:
         self._pending = (seq, attempt, env)
         log = (Log("ue_send", seq=seq, kind=int(env.msg_type)) if attempt == 0
                else Log("ue_retry", seq=seq))
         return [log, Send(UPLINK, env), Timer(ACK_TIMEOUT_S, ACK, (seq, attempt))]
-
-    def _acked(self, now: float) -> list:
-        seq = self._pending[0]
-        self._pending = None
-        if self._t0 is None:
-            self._t0 = now
-        else:
-            self.report.delivered.append(seq)
-        return self._next_item(now)
 
     def _next_item(self, now: float) -> list:
         """Send the next item if it is due, else wait for it; end after the last."""
@@ -215,9 +219,8 @@ class UeCore:
         return self._send_item()
 
     def _send_item(self) -> list:
-        item = self.script[self._next]
+        item, seq = self.script[self._next], self._next + 2     # the Hello is seq 1
         self._next += 1
-        seq = next(self._seq)
         return self._send(seq, item.envelope(seq), 0)
 
 
@@ -281,10 +284,9 @@ class EdgeCore:
         try:
             obj = env.obj()
             seq = int(obj.get("seq", 0))
-            if env.msg_type == MessageKind.HELLO:
-                out.append(Log("edge_recv", kind="hello", seq=seq,
-                               node=obj.get("node_id", "?")))
-            elif env.msg_type == MessageKind.TOPOLOGY_REPORT:
+            if env.msg_type == MessageKind.HELLO:            # unacked, as an edge's
+                return [Log("edge_recv", kind="hello", seq=seq, node=obj.get("node_id", "?"))]
+            if env.msg_type == MessageKind.TOPOLOGY_REPORT:
                 out.append(Log("edge_recv", kind="topology", seq=seq))
                 self.view = _apply_topology(self.view, self.region, obj)
                 out += [Log("delta_applied", branch=int(br["id"]), status=br["status"])

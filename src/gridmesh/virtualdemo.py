@@ -8,8 +8,8 @@ produces real wire frames, passes through the sender's link emulator and
 decodes on arrival, so two runs with the same seeds give identical verdicts
 and stage timings. Compute is instantaneous in virtual time (timings describe
 the transport). A UE waits for each ack as it does over sockets: its reports
-are timed from the Hello's Ack, and an unacked report is resent once, then
-counted failed.
+are timed from its start, behind an unacked Hello, and an unacked report is
+resent once, then counted failed.
 """
 
 from __future__ import annotations

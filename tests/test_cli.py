@@ -80,6 +80,17 @@ class TestSimulate:
     def test_fault_spec_needs_bus(self):
         assert main(["simulate", CASE9, "t_fault=0.1,t_clear=0.2"]) == EXIT_USAGE
 
+    def test_an_unknown_fault_spec_key_is_a_usage_error(self, capsys):
+        # a misspelt key once simulated the default t_clear and exited 0
+        assert main(["simulate", CASE9, "bus=7,tclear=5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "unknown key 'tclear'; expected one of: bus, t_fault, t_clear, branch\n"
+
+    def test_an_unknown_sample_spec_key_is_a_usage_error(self, capsys):
+        assert main(["sample", "dims=2,sigmaa=9"]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("unknown key 'sigmaa'; expected one of: "
+                                           "dims, dist, sigma, half_width, trunc_sigmas\n")
+
     def test_fault_spec_value_that_does_not_parse_is_a_usage_error(self, capsys):
         assert main(["simulate", CASE9, "bus=x"]) == EXIT_USAGE
         assert capsys.readouterr().err == "bus must be int, got 'x'\n"
@@ -230,3 +241,24 @@ class TestUeCommand:
                      "--profile", "zero"])
         assert code == EXIT_RUNTIME
         assert "delivered=0 failed=0 rejected=0 error=connect" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("script, error", [
+        ({"at_s": 0.0, "kind": "topology"}, "script must be a list of items, got dict"),
+        (["topology"], "script item 0: must be an object, got str"),
+        ([{"at_s": 0.0}], "script item 0: missing kind"),
+        ([{"at_s": 0.0, "kind": "topology"}, {"kind": "topology"}],
+         "script item 1: missing at_s"),
+        ([{"at_s": "x", "kind": "topology"}], "script item 0: at_s must be a number, got 'x'"),
+        ([{"at_s": True, "kind": "topology"}], "script item 0: at_s must be a number, got True"),
+        ([{"at_s": None, "kind": "topology"}], "script item 0: at_s must be a number, got None"),
+    ], ids=["object", "item-not-object", "no-kind", "no-at_s", "at_s-string", "at_s-bool",
+            "at_s-null"])
+    def test_a_malformed_script_is_refused_before_connecting(self, script, error, tmp_path,
+                                                             capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ue_agent", lambda *a, **k: pytest.fail("the UE connected"))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(script))
+        code = main(["ue", "--edge-addr", "127.0.0.1:9", "--script", str(path),
+                     "--profile", "zero"])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: ValueError: {error}\n"

@@ -148,16 +148,18 @@ def test_concurrent_reports_under_fast_thread_switching(tmp_path):
 
 
 def test_a_dropped_frame_is_logged_by_its_sender_in_both_drivers(tmp_path, monkeypatch):
-    # at loss 0.5, link seed 8 drops a UE's first frame (its Hello) and passes
-    # the second (the resend); the edge's link is lossless
+    # at loss 0.5, link seed 1 passes a UE's first frame (its unacked Hello),
+    # drops the second (its report) and passes the third (the report's
+    # resend); the edge's link is lossless
     monkeypatch.setattr(core, "ACK_TIMEOUT_S", 0.5)
-    lossy = replace(ZERO, loss_rate=0.5, seed=8)
+    lossy = replace(ZERO, loss_rate=0.5, seed=1)
+    script = [UeScriptItem(at_s=0.0, kind="topology")]
     case = load_bundled_case("case9")
     store = FileStore(tmp_path / "socket" / "store")
     cloud = CloudNode(case, store, profile=ZERO)
     edge = EdgeNode("R1", case, store, cloud.start(), profile=ZERO)
     try:
-        report = ue_agent("ue-1", [], edge.start(), profile=lossy,
+        report = ue_agent("ue-1", script, edge.start(), profile=lossy,
                           log=EventLog("ue-1", path=tmp_path / "socket" / "ue-1.log"))
     finally:
         edge.close()
@@ -169,15 +171,17 @@ def test_a_dropped_frame_is_logged_by_its_sender_in_both_drivers(tmp_path, monke
                                  EventLog("edge-R1", path=logs / "edge-R1.log"),
                                  EdgeCore("R1", case, FileStore(logs / "store")))
     ue = virtualdemo.CoreNode("ue-1", sched, lossy, EventLog("ue-1", path=logs / "ue-1.log"),
-                              UeCore("ue-1", []), vedge)
+                              UeCore("ue-1", script), vedge)
     sched.at(0.0, ue.call, ue.core.start)
     sched.run()
 
-    assert report.clean and ue.exit_code == 0
+    assert report.clean and report.delivered == ue.core.report.delivered == [2]
+    assert ue.exit_code == 0
     expected = [("ue_send", {"seq": "1", "kind": "1"}),
-                ("frame_dropped", {"direction": "up", "kind": "1"}),
-                ("ue_retry", {"seq": "1"}),
-                ("ue_done", {"delivered": "0", "failed": "0", "rejected": "0"})]
+                ("ue_send", {"seq": "2", "kind": "2"}),
+                ("frame_dropped", {"direction": "up", "kind": "2"}),
+                ("ue_retry", {"seq": "2"}),
+                ("ue_done", {"delivered": "1", "failed": "0", "rejected": "0"})]
     for driver in ("socket", "virtual"):
         events = read_events(tmp_path / driver / "ue-1.log")
         assert [(ev, f) for _, _, ev, f in events] == expected, driver

@@ -164,15 +164,16 @@ class TestLinks:
 
     def test_a_failed_write_is_not_logged_as_a_drop(self, tmp_path, monkeypatch):
         # only the link emulator drops frames: a peer that hangs up at once
-        # fails the UE's resend of its Hello, and the UE gives up unacked
+        # fails the UE's resend of its report, and the UE counts it failed
         monkeypatch.setattr(core, "ACK_TIMEOUT_S", 0.1)
+        item = UeScriptItem(at_s=0.0, kind="topology")
         with socket.create_server(("127.0.0.1", 0)) as server:
             threading.Thread(target=lambda: server.accept()[0].close()).start()
-            report = ue_agent("ue-w", [], server.getsockname(), profile=ZERO,
+            report = ue_agent("ue-w", [item], server.getsockname(), profile=ZERO,
                               log=EventLog("ue-w", path=tmp_path / "ue-w.log"))
-        assert report.error == "hello not acknowledged"
+        assert (report.delivered, report.failed, report.error) == ([], [2], None)
         assert [ev for _, _, ev, _ in read_events(tmp_path / "ue-w.log")] == \
-            ["ue_send", "ue_retry", "ue_error"]
+            ["ue_send", "ue_send", "ue_retry", "ue_unacked", "ue_done"]
 
     def test_junk_bytes_end_that_link_alone(self, case9, tmp_path, monkeypatch):
         uncaught = []

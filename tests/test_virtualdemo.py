@@ -88,8 +88,8 @@ class TestVirtualTopology:
 
     @pytest.mark.parametrize("mode", ["Topology", "DSA"])
     def test_every_frame_sent_has_a_reader(self, mode, tmp_path, monkeypatch):
-        # the cloud sends an edge its RunOpen and RunResult only: an edge's
-        # Hello goes unacked, and its upload is a store put, not a frame
+        # the cloud sends an edge its RunOpen and RunResult only: no Hello is
+        # acked, a UE's or an edge's, and an upload is a store put, not a frame
         sent = Counter()
         send = virtualdemo.CoreNode.send
 
@@ -108,9 +108,9 @@ class TestVirtualTopology:
         expected = Counter({("cloud", "RUN_OPEN"): 3, ("cloud", "RUN_RESULT"): 3,
                             ("ue-2", "TOPOLOGY_REPORT"): 1, ("edge-R2", "ACK"): 1})
         for ue, (region, _) in SCRIPTS.items():
-            # a UE's Hello; its edge's Hello and acks of that Hello and of RunResult
+            # a UE's Hello; its edge's Hello and ack of RunResult
             expected.update({(ue, "HELLO"): 1, (f"edge-{region}", "HELLO"): 1,
-                             (f"edge-{region}", "ACK"): 2})
+                             (f"edge-{region}", "ACK"): 1})
         assert sent == expected
 
     def test_deterministic_timings_and_verdicts(self, tmp_path):
@@ -510,21 +510,27 @@ class _Silent(virtualdemo.CoreNode):
 
 class TestVirtualUe:
     def test_unacked_hello_gives_up_after_two_timeouts(self, tmp_path):
+        # the Hello goes once, unacked; the report goes with it, is resent
+        # once and is then counted failed
         sched = virtualdemo.Scheduler()
         zero = zero_impairment_profile()
         edge = _Silent("edge-R1", sched, zero, _log(tmp_path, "edge-R1"))
+        item = UeScriptItem(at_s=0.0, kind="topology")
         ue = virtualdemo.CoreNode("ue-1", sched, zero, _log(tmp_path, "ue-1"),
-                                  UeCore("ue-1", []), edge)
+                                  UeCore("ue-1", [item]), edge)
         sched.at(0.0, ue.call, ue.core.start)
         sched.run()
         assert ue.exit_code == 2
-        assert ue.core.report.error == "hello not acknowledged"
+        report = ue.core.report
+        assert (report.delivered, report.failed, report.error) == ([], [2], None)
         events = read_events(tmp_path / "ue-1.log")
         assert [(ev, f.get("seq")) for _, _, ev, f in events] == [
-            ("ue_send", "1"), ("ue_retry", "1"), ("ue_error", None)]
+            ("ue_send", "1"), ("ue_send", "2"), ("ue_retry", "2"), ("ue_unacked", "2"),
+            ("ue_done", None)]
+        assert events[0][0] == events[1][0] == 0.0          # at_s=0 leaves with the Hello
         assert events[-1][0] == pytest.approx(2 * ACK_TIMEOUT_S)
 
-    def test_item_leaves_at_s_after_the_hello_ack(self, tmp_path):
+    def test_item_leaves_at_s_after_the_ue_starts(self, tmp_path):
         case = load_bundled_case("case9")
         store = FileStore(tmp_path / "store")
         prof = default_5g_sa_profile(seed=6)
@@ -538,18 +544,33 @@ class TestVirtualUe:
         sched.at(0.0, ue.call, ue.core.start)
         sched.run()
         assert ue.exit_code == 0 and ue.core.report.delivered == [2]
-        (t_ack, ack), _ = ue.arrivals
-        assert ack.msg_type == wire.MessageKind.ACK and ack.obj()["of"] == 1
-        assert t_ack > 0.0                                  # the link delays it
-        sent = [ts for ts, _, ev, f in read_events(tmp_path / "ue-2.log")
-                if ev == "ue_send" and f["seq"] == "2"]
-        assert sent == [pytest.approx(t_ack + 0.5, abs=1e-6)]
+        # the edge acks the report alone, not the Hello
+        [(_, ack)] = ue.arrivals
+        assert ack.msg_type == wire.MessageKind.ACK and ack.obj()["of"] == 2
+        sent = [(ts, f["seq"]) for ts, _, ev, f in read_events(tmp_path / "ue-2.log")
+                if ev == "ue_send"]
+        assert sent == [(0.0, "1"), (0.5, "2")]
 
     def test_malformed_ack_is_logged_not_raised(self):
         core = UeCore("ue-1", [])
         core.start(0.0)
         [log] = core.handle(0.1, UPLINK, wire.make_envelope(wire.MessageKind.ACK, {}))
         assert (log.event, log.fields) == ("ue_reject", {"reason": "KeyError"})
+
+    def test_a_malformed_ack_is_logged_while_a_report_is_pending(self):
+        core = UeCore("ue-1", [UeScriptItem(at_s=0.0, kind="topology")])
+        core.start(0.0)
+        for payload, reason in (({}, "KeyError"), ({"of": "x"}, "ValueError")):
+            [log] = core.handle(0.1, UPLINK, wire.make_envelope(wire.MessageKind.ACK, payload))
+            assert (log.event, log.fields) == ("ue_reject", {"reason": reason})
+        # the report stayed pending, so its Ack still ends the script
+        assert core.handle(0.2, UPLINK, wire.ack(2))[-1].code == 0
+
+    def test_an_edge_logs_a_ue_hello_and_sends_no_ack(self, tmp_path):
+        edge = EdgeCore("R1", load_bundled_case("case9"), FileStore(tmp_path / "store"))
+        [log] = edge.handle(0.0, "ue-link", wire.hello("ue-1", "ue", 1))
+        assert (log.event, log.fields) == ("edge_recv", {"kind": "hello", "seq": 1,
+                                                         "node": "ue-1"})
 
 
 def _topology_result() -> bytes:
