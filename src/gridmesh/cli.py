@@ -320,12 +320,14 @@ def _spawn(cmd: list[str]) -> subprocess.Popen:
     return subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
 
 
-def _wait_file(path: Path, timeout: float = 15.0, what: str = "file") -> str:
+def _wait_file(path: Path, timeout: float = 15.0, what: str = "file",
+               holding: str = "") -> str:
+    """The file's text, once it is not empty and holds ``holding``."""
     deadline = time.time() + timeout
     while time.time() < deadline:
         if path.exists():
             text = path.read_text().strip()
-            if text:
+            if text and holding in text:
                 return text
         time.sleep(0.05)
     raise RuntimeError(f"timed out waiting for {what}: {path}")
@@ -437,6 +439,14 @@ def _run_demo_processes(out: Path, case_path: Path, manifest: RunManifest,
         if rc not in (EXIT_OK, EXIT_BARRIER):
             print(f"cloud failed: {cloud.stderr.read().decode()[-800:]}",
                   file=sys.stderr)
+        if rc == EXIT_OK:
+            # RunResult is unacked, so the cloud may exit before an edge reads it
+            for region in edge_addrs:
+                try:
+                    _wait_file(out / "logs" / f"edge-{region}.log", what=f"edge {region} result",
+                               holding=f" result_recv run={manifest.run_id} ")
+                except RuntimeError as exc:
+                    print(exc, file=sys.stderr)
         return rc
     finally:
         _terminate(procs)

@@ -18,23 +18,24 @@ It performs the actions in list order, by one rule:
 - ``Timer(delay, name, key)``: call ``on_timer`` with it ``delay`` s later.
 - ``Compute``: call ``run_compute`` with it inline, then perform what it
   returns. A core lists its replies before a Compute, so none waits for it.
-- ``Done(code)``: record the UE's or the run's exit code once every sent frame is delivered.
+- ``Done(code)``: once every sent frame is delivered, perform the actions
+  listed after it and record the UE's or the run's exit code.
 
 ``handle`` never raises on malformed input: it adds an error reply, or for a
 UE an error line, to the actions decided before the fault. An edge or the
 cloud answers a frame kind it does not take with ``unexpected_kind`` and
 one reject log line, and changes no state. No frame goes to a receiver that
-ignores it: a UE's reports and RunResults are acked, but no Hello, a UE's or
-an edge's. An edge's upload is its one store put per run, which no frame
-announces: the cloud's barrier reads the store. The store's immutable keys
-are a run's only record, kept by no core: a RunResult names its run, whose
-result is ``result_key(run_id)``. An edge's rejection of a UE frame names
-that frame's seq, so the UE stops waiting for it.
+ignores it: a UE's reports are acked, but no Hello, a UE's or an edge's, and
+no RunResult, whose sender has nothing left to do. An edge's upload is its
+one store put per run, which no frame announces: the cloud's barrier reads
+the store. The store's immutable keys are a run's only record, kept by no
+core: a RunResult names its run, whose result is ``result_key(run_id)``. An
+edge's rejection of a UE frame names that frame's seq, so the UE stops
+waiting for it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -46,10 +47,8 @@ from .store import AlreadyExistsError, FileStore, POLL_INTERVAL_S, result_key, u
 from .wire import Envelope, MessageKind
 
 ACK_TIMEOUT_S = 2.0
-RESULT_ACK_TIMEOUT_S = 15.0
 UPLINK = "uplink"                # the peer a node's link toward the cloud is known by
-POLL, RESULT_ACK, ACK, SEND = "poll", "result_ack", "ack", "send"
-BARRIER, FANOUT, DONE = "barrier", "fanout", "done"
+POLL, ACK, SEND = "poll", "ack", "send"
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class Log:
 @dataclass(frozen=True)
 class Timer:
     delay: float
-    name: str                    # POLL | RESULT_ACK (cloud), ACK | SEND (UE)
+    name: str                    # POLL (cloud), ACK | SEND (UE)
     key: object                  # the cloud's run id; a UE's (seq, attempt) or item index
 
 
@@ -105,9 +104,22 @@ class UeScriptItem:
         return wire.forecast_report(self.forecast or {}, seq)
 
 
+def _rows(obj: dict, name: str, keys: tuple[str, ...]) -> tuple[dict, ...]:
+    """``obj[name]`` (absent: none), a list of objects that each have ``keys``."""
+    rows = obj.get(name, [])
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError(f"{name} must be a list of objects")
+    for j, row in enumerate(rows):
+        for k in keys:
+            if k not in row:
+                raise ValueError(f"missing {name}[{j}].{k}")
+    return tuple(rows)
+
+
 def parse_ue_script(objs: list[dict]) -> list[UeScriptItem]:
     """Script items from a JSON list of objects; ``at_s`` must not decrease.
-    A malformed item is a ValueError that names the item and its field."""
+    A malformed item is a ValueError that names the item and its field. The
+    values' finiteness and ownership are the edge's to check."""
     if not isinstance(objs, list):
         raise ValueError(f"script must be a list of items, got {type(objs).__name__}")
     items = []
@@ -115,10 +127,13 @@ def parse_ue_script(objs: list[dict]) -> list[UeScriptItem]:
         try:
             if not isinstance(obj, dict):
                 raise ValueError(f"must be an object, got {type(obj).__name__}")
+            forecast = obj.get("forecast")
+            if forecast is not None and not isinstance(forecast, dict):
+                raise ValueError(f"forecast must be an object, got {type(forecast).__name__}")
             items.append(UeScriptItem(at_s=obj["at_s"], kind=obj["kind"],
-                                      branches=tuple(obj.get("branches", ())),
-                                      buses=tuple(obj.get("buses", ())),
-                                      forecast=obj.get("forecast")))
+                                      branches=_rows(obj, "branches", ("id", "status")),
+                                      buses=_rows(obj, "buses", ("id", "p_load", "q_load")),
+                                      forecast=forecast))
         except KeyError as exc:
             raise ValueError(f"script item {i}: missing {exc.args[0]}") from None
         except ValueError as exc:
@@ -306,12 +321,10 @@ class EdgeCore:
         if env.msg_type == MessageKind.RUN_OPEN:
             m = RunManifest.from_payload(env.obj())
             out += [Log("run_open_recv", run=m.run_id, mode=m.mode), Compute(m)]
-        elif env.msg_type == MessageKind.RUN_RESULT:
-            obj = env.obj()
+        elif env.msg_type == MessageKind.RUN_RESULT:              # unacked
             blob = self.store.get(result_key(env.run_id.hex()))
-            out += [Log("result_recv", run=env.run_id.hex(),
-                        verdict=obj.get("verdict_summary", "?"), bytes=len(blob)),
-                    Send(UPLINK, wire.ack(int(obj.get("seq", 0))))]
+            out.append(Log("result_recv", run=env.run_id.hex(),
+                           verdict=env.obj().get("verdict_summary", "?"), bytes=len(blob)))
         elif env.msg_type == MessageKind.ERROR:
             obj = env.obj()
             out.append(Log("cloud_error", code=obj.get("code", "?"), text=obj.get("text", "")))
@@ -339,7 +352,9 @@ class EdgeCore:
 
 class CloudCore:
     """Registers edges, opens runs, enforces the upload barrier, merges,
-    simulates and fans the result out.
+    simulates and fans the result out: one unacked RunResult to each expected
+    edge it knows. Its Done and ``run_complete`` wait for those frames'
+    delivery, so a run completes when its last RunResult arrives.
 
     Barrier rule: the store is the only signal. The run's expected uploads
     are checked in it when the run opens and then every ``POLL_INTERVAL_S``
@@ -353,15 +368,11 @@ class CloudCore:
         self.store = store
         self.edges: dict[str, object] = {}                  # region -> peer
         self.manifest: RunManifest | None = None
-        self._phase = DONE
         self._deadline = 0.0
-        self._unfound: list[str] = []                       # expected uploads not yet seen
-        self._unacked: dict[int, str] = {}                  # RunResult seq -> region
-        self._seq = itertools.count(1)
+        self._unfound: list[str] = []     # expected uploads not yet seen; the barrier's wait
 
     def open_run(self, now: float, manifest: RunManifest) -> list:
         self.manifest = manifest
-        self._phase = BARRIER
         self._deadline = now + manifest.deadline_s
         self._unfound = list(manifest.expected_regions)
         return ([Log("run_open", run=manifest.run_id, mode=manifest.mode,
@@ -388,13 +399,9 @@ class CloudCore:
                 return
             self.edges[region] = peer
             out.append(Log("hello", region=region))
-            if self._phase == BARRIER and region in self._unfound:
+            if region in self._unfound:
                 m = self.manifest
                 out.append(Send(peer, wire.run_open(m.to_payload(), m.run_id_bytes)))
-        elif env.msg_type == MessageKind.ACK:
-            if (self._unacked.pop(int(obj["of"]), None) is not None
-                    and not self._unacked and self._phase == FANOUT):
-                out += self._complete()
         elif env.msg_type == MessageKind.ERROR:
             out.append(Log("edge_error_recv", code=obj.get("code", "?"),
                            text=obj.get("text", "")))
@@ -402,28 +409,23 @@ class CloudCore:
             out += _unexpected(peer, env, "cloud_reject")
 
     def on_timer(self, now: float, timer: Timer) -> list:
+        """The barrier's poll: check the store again, or abort at the deadline."""
         m = self.manifest
-        if m is None or timer.key != m.run_id:
+        if not self._unfound or timer.key != m.run_id:
             return []
-        if timer.name == POLL and self._phase == BARRIER:
-            out = self._barrier()
-            if out or now < self._deadline:
-                return out or [timer]
-            missing = ",".join(self._missing())
-            self._phase = DONE
-            return [Log("run_aborted", run=m.run_id, missing=missing),
-                    *self._to_edges(wire.error_msg("barrier_timeout",
-                                                   f"missing regions: {missing}",
-                                                   m.run_id_bytes)),
-                    Done(3)]
-        if timer.name == RESULT_ACK and self._phase == FANOUT:
-            return ([Log("result_unacked", run=m.run_id, region=r)
-                     for r in self._unacked.values()] + self._complete())
-        return []
+        out = self._barrier()
+        if out or now < self._deadline:
+            return out or [timer]
+        missing = ",".join(self._missing())
+        self._unfound = []                                  # the barrier has ended
+        return [Log("run_aborted", run=m.run_id, missing=missing),
+                *self._to_edges(wire.error_msg("barrier_timeout",
+                                               f"missing regions: {missing}", m.run_id_bytes)),
+                Done(3)]
 
     def run_compute(self, now: float, step: Compute) -> list:
-        """Merge the uploads, simulate, store the result and send it to every
-        expected edge; the run completes when each has acked it."""
+        """Merge the uploads, simulate, store the result and send it, unacked, to
+        every expected edge; the run completes once those frames are delivered."""
         m = step.manifest
         rid = m.run_id
         try:
@@ -432,23 +434,16 @@ class CloudCore:
             key = result_key(rid)
             self.store.put(key, blob)
         except Exception as exc:
-            self._phase = DONE
             return [Log("run_failed", run=rid, reason=type(exc).__name__, detail=str(exc)),
                     *self._to_edges(wire.error_msg("compute_failure", str(exc),
                                                    m.run_id_bytes)),
                     Done(2)]
         out = [Log("sim_done", run=rid), Log("result_put", run=rid, key=key, summary=summary)]
-        self._unacked = {}
         for r in m.expected_regions:
             if r in self.edges:
-                n = next(self._seq)
-                self._unacked[n] = r
-                out += [Send(self.edges[r], wire.run_result(summary, n, m.run_id_bytes)),
+                out += [Send(self.edges[r], wire.run_result(summary, m.run_id_bytes)),
                         Log("result_sent", run=rid, region=r)]
-        self._phase = FANOUT
-        if not self._unacked:
-            return out + self._complete()
-        return out + [Timer(RESULT_ACK_TIMEOUT_S, RESULT_ACK, rid)]
+        return out + [Done(0), Log("run_complete", run=rid)]
 
     def _missing(self) -> list[str]:
         """The expected regions whose upload is not stored; a stored key is
@@ -462,10 +457,6 @@ class CloudCore:
         if self._missing():
             return []
         return [Log("barrier_done", run=self.manifest.run_id), Compute(self.manifest)]
-
-    def _complete(self) -> list:
-        self._phase = DONE
-        return [Log("run_complete", run=self.manifest.run_id), Done(0)]
 
     def _to_edges(self, env: Envelope) -> list:
         return [Send(self.edges[r], env) for r in self.manifest.expected_regions

@@ -142,9 +142,9 @@ class _SocketNode(CoreNode):
         if not conn.send(frame):
             self._drop(conn)
 
-    def finish(self, code: int) -> None:
+    def finish(self, code: int, after: list) -> None:
         """A Done ends a UE's loop, or the cloud's run in flight."""
-        super().finish(code)
+        super().finish(code, after)
         if self._run is None:
             self.sched.stop()
         else:

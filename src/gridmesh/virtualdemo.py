@@ -59,7 +59,8 @@ class CoreNode:
     """A UE, an edge or the cloud: performs its core's actions on ``sched``'s
     clock. ``uplink`` is the peer ``UPLINK`` stands for (a UE's edge, an edge's
     cloud). A frame reaches ``transmit`` at its emulated delivery instant; a
-    Done takes effect once every frame scheduled before it is delivered."""
+    Done, and the actions listed after it, take effect once every frame
+    scheduled before it is delivered."""
 
     def __init__(self, name: str, sched: Scheduler, profile: LinkProfile, log: EventLog,
                  core=None, uplink=None):
@@ -92,7 +93,7 @@ class CoreNode:
         self.call(self.core.handle, UPLINK if src is self.uplink else src, env)
 
     def perform(self, actions: list) -> None:
-        for a in actions:
+        for i, a in enumerate(actions):
             if isinstance(a, Send):
                 dst, direction = (self.uplink, UP) if a.peer is UPLINK else (a.peer, DOWN)
                 self.send(dst, a.env, direction)
@@ -103,9 +104,11 @@ class CoreNode:
             elif isinstance(a, Compute):
                 self.call(self.core.run_compute, a)
             else:
-                self.sched.at(self._delivered_by, self.finish, a.code)
+                self.sched.at(self._delivered_by, self.finish, a.code, actions[i + 1:])
+                return
 
-    def finish(self, code: int) -> None:
+    def finish(self, code: int, after: list) -> None:
+        self.perform(after)
         self.exit_code = code
 
 

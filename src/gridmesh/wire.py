@@ -188,9 +188,8 @@ def ack(of: int) -> Envelope:
     return make_envelope(MessageKind.ACK, {"of": of})
 
 
-def run_result(verdict_summary: str, seq: int, run_id: bytes) -> Envelope:
-    return make_envelope(MessageKind.RUN_RESULT,
-                         {"verdict_summary": verdict_summary, "seq": seq}, run_id)
+def run_result(verdict_summary: str, run_id: bytes) -> Envelope:
+    return make_envelope(MessageKind.RUN_RESULT, {"verdict_summary": verdict_summary}, run_id)
 
 
 def error_msg(code: str, text: str, run_id: bytes = ZERO_RUN_ID,

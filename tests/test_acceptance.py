@@ -210,6 +210,10 @@ def test_08_use_case_one_end_to_end(tmp_path):
         five_g = _run_demo(["topology", "--out-dir", str(tmp_path / "g")], timeout=120)
         assert five_g.returncode == 0, five_g.stdout + five_g.stderr
         assert "Complete" in five_g.stdout
+        # the demo waits for each edge to read its unacked RunResult
+        stages = (tmp_path / "g" / "report.csv").read_text().splitlines()
+        assert sorted(row.split(",")[2] for row in stages if ",result_recv," in row) == \
+            ["edge-R1", "edge-R2", "edge-R3"]
 
         zero = _run_demo(["topology", "--profile", "zero",
                           "--out-dir", str(tmp_path / "z")], timeout=120)
@@ -289,14 +293,10 @@ def test_10_barrier_robustness(tmp_path):
         inbox = []
 
         def r3_reader():
-            # ack each RunResult, so the run ends at the last ack rather than
-            # after the result-ack timeout
+            # keep every frame and answer none: RunResult is unacked
             decoder = StreamDecoder()
             while data := sock.recv(65536):
-                for env in decoder.feed(data):
-                    inbox.append(env)
-                    if env.msg_type == wire.MessageKind.RUN_RESULT:
-                        sock.sendall(encode(wire.ack(int(env.obj()["seq"]))))
+                inbox.extend(decoder.feed(data))
 
         reader = threading.Thread(target=r3_reader, daemon=True)
         reader.start()
@@ -314,7 +314,8 @@ def test_10_barrier_robustness(tmp_path):
         reader.join(timeout=5)          # the cloud hung up, so the reader ends
         sock.close()
         assert code == 0
-        assert not [e for e in inbox if e.msg_type == wire.MessageKind.ERROR]
+        assert [e.msg_type for e in inbox] == [wire.MessageKind.RUN_OPEN,
+                                               wire.MessageKind.RUN_RESULT]
         with pytest.raises(AlreadyExistsError):
             store.put(key, b"second")
         _, expected = pipeline.monolithic_topology(

@@ -251,8 +251,21 @@ class TestUeCommand:
         ([{"at_s": "x", "kind": "topology"}], "script item 0: at_s must be a number, got 'x'"),
         ([{"at_s": True, "kind": "topology"}], "script item 0: at_s must be a number, got True"),
         ([{"at_s": None, "kind": "topology"}], "script item 0: at_s must be a number, got None"),
+        ([{"at_s": 0, "kind": "topology", "branches": 5}],
+         "script item 0: branches must be a list of objects"),
+        ([{"at_s": 0, "kind": "topology", "branches": [5]}],
+         "script item 0: branches must be a list of objects"),
+        ([{"at_s": 0, "kind": "topology", "branches": [{"id": 9}]}],
+         "script item 0: missing branches[0].status"),
+        ([{"at_s": 0, "kind": "topology", "buses": [{"id": 5}]}],
+         "script item 0: missing buses[0].p_load"),
+        ([{"at_s": 0, "kind": "topology", "buses": {"id": 5}}],
+         "script item 0: buses must be a list of objects"),
+        ([{"at_s": 0, "kind": "forecast", "forecast": 3}],
+         "script item 0: forecast must be an object, got int"),
     ], ids=["object", "item-not-object", "no-kind", "no-at_s", "at_s-string", "at_s-bool",
-            "at_s-null"])
+            "at_s-null", "branches-int", "branch-int", "branch-no-status", "bus-no-p_load",
+            "buses-object", "forecast-int"])
     def test_a_malformed_script_is_refused_before_connecting(self, script, error, tmp_path,
                                                              capsys, monkeypatch):
         monkeypatch.setattr(cli, "ue_agent", lambda *a, **k: pytest.fail("the UE connected"))

@@ -13,8 +13,7 @@ import pytest
 
 import gridmesh.wire as wire
 from gridmesh import core, nodes, pipeline, virtualdemo
-from gridmesh.core import ACK_TIMEOUT_S, RESULT_ACK_TIMEOUT_S, UPLINK, CloudCore, Compute, \
-    EdgeCore, Send
+from gridmesh.core import ACK_TIMEOUT_S, UPLINK, CloudCore, Compute, EdgeCore, Send
 from gridmesh.eventlog import EventLog, read_events
 from gridmesh.linkem import UP, default_5g_sa_profile, zero_impairment_profile
 from gridmesh.model import load_bundled_case
@@ -72,6 +71,18 @@ def cluster(case9, tmp_path):
     cloud, edges, store = start_cluster(case9, tmp_path)
     yield cloud, edges, store
     close_cluster(cloud, edges)
+
+
+def await_result_recv(root, regions, run_id, timeout=5.0):
+    """Wait until each region's edge has logged ``result_recv`` for the run: a
+    run ends when its unacked RunResults are delivered, not when they are read."""
+    deadline = time.time() + timeout
+    for r in regions:
+        path = root / "logs" / f"edge-{r}.log"
+        while not any(ev == "result_recv" and f["run"] == run_id
+                      for _, _, ev, f in read_events(path)):
+            assert time.time() < deadline, f"edge-{r} logged no result_recv"
+            time.sleep(0.01)
 
 
 def manifest(mode="Topology", regions=("R1", "R2", "R3"), deadline_s=15.0, dsa=None):
@@ -244,6 +255,7 @@ class TestEventLoop:
         try:
             m = manifest()
             assert cloud.execute_run(m) == 0
+            await_result_recv(tmp_path, edges, m.run_id)
         finally:
             close_cluster(cloud, edges)
         for event in ("run_open_recv", "result_recv"):
@@ -407,6 +419,7 @@ class TestTopologyRun:
         cloud, edges, store = cluster
         m = manifest()
         assert cloud.execute_run(m) == 0
+        await_result_recv(tmp_path, edges, m.run_id)
         # every edge fetched the result and logged the cloud's verdict once
         result, _ = pipeline.monolithic_topology(case9, {}, FAULT, WS_CFG)
         size = str(len(store.get(result_key(m.run_id))))
@@ -548,9 +561,9 @@ class _Recorder(virtualdemo.CoreNode):
 class TestDuplicateUpload:
     @pytest.mark.parametrize("mode", ["Topology", "DSA"])
     def test_second_ready_rejected_first_wins(self, mode, case9, tmp_path):
-        # R1 and R2 are virtual edges; a hand-rolled R3 says only Hello, puts
-        # its upload in the store, where a second put is refused, and never
-        # acks RunResult, so the result-ack timer fires, in virtual time
+        # R1 and R2 are virtual edges; a hand-rolled R3 says only Hello and puts
+        # its upload in the store, where a second put is refused; no edge acks
+        # its RunResult, and none needs to, in virtual time
         logs = tmp_path / "logs"
         store = FileStore(tmp_path / "store")
         sched = virtualdemo.Scheduler()
@@ -574,15 +587,17 @@ class TestDuplicateUpload:
         sched.run()
 
         assert cloud.exit_code == 0                       # run unaffected
-        assert not [e for e in r3.inbox if e.msg_type == wire.MessageKind.ERROR]
+        assert [e.msg_type for e in r3.inbox] == [wire.MessageKind.RUN_OPEN,
+                                                  wire.MessageKind.RUN_RESULT]
         _, expected = (pipeline.monolithic_dsa(case9, {}, dsa, FAULT, WS_CFG) if dsa
                        else pipeline.monolithic_topology(case9, {}, FAULT, WS_CFG))
         assert store.get(result_key(m.run_id)) == expected
+        # the run completes as the last RunResult arrives, with no wait for acks
         events = read_events(logs / "cloud.log")
-        assert [f["region"] for _, _, ev, f in events if ev == "result_unacked"] == ["R3"]
-        assert [ev for _, _, ev, _ in events[-2:]] == ["result_unacked", "run_complete"]
-        sent = max(ts for ts, _, ev, _ in events if ev == "result_sent")
-        assert events[-1][0] - sent == pytest.approx(RESULT_ACK_TIMEOUT_S)
+        assert [(ev, f.get("region")) for _, _, ev, f in events[-4:]] == [
+            ("result_sent", "R1"), ("result_sent", "R2"), ("result_sent", "R3"),
+            ("run_complete", None)]
+        assert events[-1][0] - events[-2][0] < 1e-3                # a zero link
 
     def test_store_rejects_second_artifact_write(self, case9, tmp_path):
         store = FileStore(tmp_path / "store")
@@ -594,9 +609,9 @@ class TestDuplicateUpload:
 
 
 def core_state(c) -> dict:
-    """A core's attributes, its containers copied and its seq counter left out."""
+    """A core's attributes, its containers copied."""
     return {k: copy.copy(v) if isinstance(v, (dict, set, list)) else v
-            for k, v in vars(c).items() if k != "_seq"}
+            for k, v in vars(c).items()}
 
 
 class TestUnexpectedKinds:
@@ -608,7 +623,8 @@ class TestUnexpectedKinds:
     @pytest.mark.parametrize("env", [
         wire.topology_report([{"id": 9, "status": "Open"}], 2),
         wire.forecast_report(ForecastSpec(n_dims=1).to_dict(), 3),
-        wire.run_result("verdict: Stable", 1, RID),
+        wire.ack(1),
+        wire.run_result("verdict: Stable", RID),
         wire.run_open(manifest().to_payload(), RID),
     ], ids=lambda env: env.msg_type.name)
     def test_cloud_rejects_a_kind_edges_do_not_send(self, env, case9, tmp_path):

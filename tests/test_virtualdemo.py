@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from dataclasses import replace
@@ -9,7 +10,7 @@ from gridmesh import pipeline, virtualdemo, wire
 from gridmesh.core import ACK_TIMEOUT_S, UPLINK, CloudCore, EdgeCore, Send, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import EventLog, read_events
-from gridmesh.linkem import default_5g_sa_profile, zero_impairment_profile
+from gridmesh.linkem import UP, default_5g_sa_profile, zero_impairment_profile
 from gridmesh.model import Branch, Bus, FaultSpec, Generator, GridCase, load_bundled_case
 from gridmesh.nodes import UeScriptItem
 from gridmesh.pipeline import DsaParams, RunManifest
@@ -88,8 +89,8 @@ class TestVirtualTopology:
 
     @pytest.mark.parametrize("mode", ["Topology", "DSA"])
     def test_every_frame_sent_has_a_reader(self, mode, tmp_path, monkeypatch):
-        # the cloud sends an edge its RunOpen and RunResult only: no Hello is
-        # acked, a UE's or an edge's, and an upload is a store put, not a frame
+        # the cloud sends an edge its RunOpen and RunResult only: no Hello and
+        # no RunResult is acked, and an upload is a store put, not a frame
         sent = Counter()
         send = virtualdemo.CoreNode.send
 
@@ -108,10 +109,42 @@ class TestVirtualTopology:
         expected = Counter({("cloud", "RUN_OPEN"): 3, ("cloud", "RUN_RESULT"): 3,
                             ("ue-2", "TOPOLOGY_REPORT"): 1, ("edge-R2", "ACK"): 1})
         for ue, (region, _) in SCRIPTS.items():
-            # a UE's Hello; its edge's Hello and ack of RunResult
-            expected.update({(ue, "HELLO"): 1, (f"edge-{region}", "HELLO"): 1,
-                             (f"edge-{region}", "ACK"): 1})
+            # a UE's Hello and its edge's
+            expected.update({(ue, "HELLO"): 1, (f"edge-{region}", "HELLO"): 1})
         assert sent == expected
+
+    @pytest.mark.parametrize("mode", ["Topology", "DSA"])
+    def test_a_run_completes_as_its_last_result_arrives(self, mode, tmp_path, monkeypatch):
+        # RunResult is unacked: over 5G, the cloud's run_complete is the
+        # instant the last edge logs result_recv, and no edge acks its cloud
+        uplinks = Counter()
+        send = virtualdemo.CoreNode.send
+
+        def counting(node, dst, env, direction):
+            if node.name.startswith("edge-") and direction == UP:
+                uplinks[env.msg_type.name] += 1
+            send(node, dst, env, direction)
+
+        monkeypatch.setattr(virtualdemo.CoreNode, "send", counting)
+        case = load_bundled_case("case9")
+        dsa = DsaParams(n_raw=20, k=2, seed=1) if mode == "DSA" else None
+        manifest = dsa_manifest(dsa) if dsa else topo_manifest()
+        store = FileStore(tmp_path / "store")
+        logs = tmp_path / "logs"
+        out = run_virtual_demo(case, manifest, store, logs, default_5g_sa_profile(seed=29),
+                               SCRIPTS)
+        assert out.exit_code == 0
+        [complete] = [ts for ts, _, ev, _ in read_events(logs / "cloud.log")
+                      if ev == "run_complete"]
+        received = [ts for r in ("R1", "R2", "R3")
+                    for ts, _, ev, _ in read_events(logs / f"edge-{r}.log")
+                    if ev == "result_recv"]
+        assert len(received) == 3 and complete == max(received)
+        assert uplinks == Counter({"HELLO": 3})
+        _, expected = (pipeline.monolithic_dsa(case, {9: "Open"}, dsa, FAULT, CFG) if dsa
+                       else pipeline.monolithic_topology(case, {9: "Open"}, FAULT, CFG))
+        digest = hashlib.sha256(store.get(result_key(RID))).hexdigest()
+        assert digest == hashlib.sha256(expected).hexdigest()
 
     def test_deterministic_timings_and_verdicts(self, tmp_path):
         case = load_bundled_case("case9")
