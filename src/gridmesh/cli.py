@@ -492,23 +492,26 @@ def _cmd_demo(args) -> int:
     else:
         rc = _run_demo_processes(out, case_path, manifest, ue_plan, withhold, args)
     if rc == EXIT_OK:
-        rc = _demo_checks(which, case, manifest, deltas, store, profile)
+        rc = _demo_checks(which, case, manifest, deltas, store)
     _print_report(out, manifest, store)
     print(f"demo {which}: exit {rc}")
     return rc
 
 
 def _demo_checks(which: str, case: GridCase, manifest: RunManifest,
-                 deltas: dict[int, str], store: FileStore, profile: LinkProfile) -> int:
+                 deltas: dict[int, str], store: FileStore) -> int:
     blob = store.get(result_key(manifest.run_id))
     if which == "topology":
-        if profile.loss_rate == 0:
-            _, expected = pipeline.monolithic_topology(case, deltas, manifest.fault,
-                                                       manifest.sim_cfg)
-            ok = blob == expected
-            print(f"monolithic equivalence: {'PASS (bitwise)' if ok else 'FAIL'}")
-            if not ok:
-                return EXIT_RUNTIME
+        _, expected = pipeline.monolithic_topology(case, deltas, manifest.fault,
+                                                   manifest.sim_cfg)
+    else:
+        _, expected = pipeline.monolithic_dsa(case, deltas, manifest.dsa, manifest.fault,
+                                              manifest.sim_cfg)
+    ok = blob == expected
+    print(f"monolithic equivalence: {'PASS (bitwise)' if ok else 'FAIL'}")
+    if not ok:
+        return EXIT_RUNTIME
+    if which == "topology":
         return EXIT_OK
 
     report = pipeline.parse_dsa_result(blob)

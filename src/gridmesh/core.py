@@ -10,10 +10,9 @@ mode, since ``pipeline`` builds, parses and computes every upload and result.
 Cores are not thread-safe: each node calls its core from one event loop.
 It performs the actions in list order, by one rule:
 
-- ``Send(peer, env)``: transmit; if the link drops the frame, log
-  ``frame_dropped`` with its direction and kind. A node's link toward the
-  cloud (a UE's edge, an edge's cloud) is the peer ``UPLINK``; any other peer
-  is the handle the driver passed in with the frame.
+- ``Send(peer, env)``: transmit. A node's link toward the cloud (a UE's
+  edge, an edge's cloud) is the peer ``UPLINK``; any other peer is the
+  handle the driver passed in with the frame.
 - ``Log(event, **fields)``: write one event-log line, stamped by the driver.
 - ``Timer(delay, name, key)``: call ``on_timer`` with it ``delay`` s later.
 - ``Compute``: call ``run_compute`` with it inline, then perform what it
@@ -67,7 +66,7 @@ class Log:
 class Timer:
     delay: float
     name: str                    # POLL (cloud), ACK | SEND (UE)
-    key: object                  # the cloud's run id; a UE's (seq, attempt) or item index
+    key: object                  # the cloud's run id; a UE's awaited seq or item index
 
 
 @dataclass(frozen=True)
@@ -162,10 +161,10 @@ class UeCore:
     The Hello goes first, as seq 1, and unacked, as an edge's does. Each item
     then leaves ``at_s`` after the UE starts (an ``at_s=0`` item with the
     Hello), and never before the previous item is acked or given up. An item
-    unacked after ``ACK_TIMEOUT_S`` is resent once with the same seq (reports
-    are absolute, so a repeat is harmless), then counted failed. An item the
-    edge rejects (an ErrorMsg whose ``of`` is its seq) is given up at once and
-    counted rejected.
+    unacked after ``ACK_TIMEOUT_S`` is counted failed, not resent: its link
+    loses no frame, so only a silent or dead edge leaves it unacked. An item
+    the edge rejects (an ErrorMsg whose ``of`` is its seq) is given up at once
+    and counted rejected.
     """
 
     def __init__(self, node_id: str, script: list[UeScriptItem]):
@@ -174,7 +173,7 @@ class UeCore:
         self.report = UeReport(node_id)
         self._next = 0                               # index of the next item
         self._t0 = 0.0                               # when the UE started
-        self._pending: tuple | None = None           # (seq, attempt, env) awaiting an Ack
+        self._pending: int | None = None             # the seq awaiting an Ack
 
     def start(self, now: float) -> list:
         self._t0 = now
@@ -187,12 +186,12 @@ class UeCore:
             obj = env.obj()
             if env.msg_type == MessageKind.ERROR:
                 out = [Log("edge_error", code=obj.get("code", "?"))]
-                if self._pending and obj.get("of") == self._pending[0]:
+                if self._pending and obj.get("of") == self._pending:
                     out += self._settle(now, self.report.rejected, "ue_rejected")
                 return out
             if env.msg_type == MessageKind.ACK:
                 of = int(obj["of"])              # parsed whatever is pending
-                if self._pending and of == self._pending[0]:
+                if of == self._pending:
                     return self._settle(now, self.report.delivered)
         except Exception as exc:             # malformed input must not kill the node
             return [Log("ue_reject", reason=type(exc).__name__)]
@@ -201,25 +200,15 @@ class UeCore:
     def on_timer(self, now: float, timer: Timer) -> list:
         if timer.name == SEND:
             return self._send_item()
-        if self._pending is None or timer.key != self._pending[:2]:
-            return []                        # that frame was acked meanwhile
-        seq, attempt, env = self._pending
-        if attempt == 0:
-            return self._send(seq, env, 1)
+        if timer.key != self._pending:
+            return []                        # that frame was settled meanwhile
         return self._settle(now, self.report.failed, "ue_unacked")
 
     def _settle(self, now: float, tally: list[int], *event: str) -> list:
         """Stop waiting for the pending item; count its seq in ``tally``, log ``event``."""
-        seq = self._pending[0]
-        self._pending = None
+        seq, self._pending = self._pending, None
         tally.append(seq)
         return [*(Log(e, seq=seq) for e in event), *self._next_item(now)]
-
-    def _send(self, seq: int, env: Envelope, attempt: int) -> list:
-        self._pending = (seq, attempt, env)
-        log = (Log("ue_send", seq=seq, kind=int(env.msg_type)) if attempt == 0
-               else Log("ue_retry", seq=seq))
-        return [log, Send(UPLINK, env), Timer(ACK_TIMEOUT_S, ACK, (seq, attempt))]
 
     def _next_item(self, now: float) -> list:
         """Send the next item if it is due, else wait for it; end after the last."""
@@ -234,9 +223,11 @@ class UeCore:
         return self._send_item()
 
     def _send_item(self) -> list:
-        item, seq = self.script[self._next], self._next + 2     # the Hello is seq 1
+        seq = self._pending = self._next + 2                     # the Hello is seq 1
+        env = self.script[self._next].envelope(seq)
         self._next += 1
-        return self._send(seq, item.envelope(seq), 0)
+        return [Log("ue_send", seq=seq, kind=int(env.msg_type)), Send(UPLINK, env),
+                Timer(ACK_TIMEOUT_S, ACK, seq)]
 
 
 def _unexpected(peer, env: Envelope, reject: str, of: int | None = None) -> list:

@@ -1,4 +1,4 @@
-"""Link impairment emulator: per-frame delay, jitter, serialization and loss.
+"""Link impairment emulator: per-frame delay, jitter and serialization.
 
 Reproduces measured cellular transport characteristics without radio
 hardware. The stock profile models a standalone 5G link: one-way delay
@@ -7,8 +7,8 @@ exponential with 5 ms mean capped at 18.31 ms, 306.01 Mbps down / 52.43 Mbps
 up. Latencies were measured as round trips; the one-way figures assume a
 symmetric split.
 
-Frames on one direction share a single serialization queue (FIFO, like the
-TCP stream they model); jitter is additive and never reorders.
+Frames on one direction share a single serialization queue, FIFO and lossless
+like the TCP stream they model; jitter is additive and never reorders.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import get_float, get_int
+from .config import ConfigError, get_float, get_int
 
 UP = "up"
 DOWN = "down"
@@ -31,7 +31,12 @@ class _Dropped:
         return "Dropped"
 
 
+# returned by nothing, since no frame is lost; bench/tracing.py still counts it
 DROPPED = _Dropped()
+
+# every link.* key a profile accepts; link.profile names the base profile
+CONFIG_KEYS = ("link.profile", "link.delay_min_ms", "link.delay_max_ms", "link.jitter_mean_ms",
+               "link.jitter_cap_ms", "link.bw_up_mbps", "link.bw_down_mbps", "link.seed")
 
 
 class LinkError(ValueError):
@@ -46,7 +51,6 @@ class LinkProfile:
     jitter_cap_ms: float
     bw_up_bps: float
     bw_down_bps: float
-    loss_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -62,8 +66,6 @@ class LinkProfile:
             raise LinkError("jitter parameters must be >= 0")
         if self.bw_up_bps <= 0 or self.bw_down_bps <= 0:
             raise LinkError("bandwidths must be > 0")
-        if not (0 <= self.loss_rate < 1):
-            raise LinkError("loss_rate must lie in [0, 1)")
 
     def bandwidth(self, direction: str) -> float:
         if direction == UP:
@@ -76,21 +78,24 @@ class LinkProfile:
 def default_5g_sa_profile(seed: int = 0) -> LinkProfile:
     return LinkProfile(delay_min_ms=7.5, delay_max_ms=18.5,
                        jitter_mean_ms=5.0, jitter_cap_ms=18.31,
-                       bw_up_bps=52.43e6, bw_down_bps=306.01e6,
-                       loss_rate=0.0, seed=seed)
+                       bw_up_bps=52.43e6, bw_down_bps=306.01e6, seed=seed)
 
 
 def zero_impairment_profile(seed: int = 0) -> LinkProfile:
     """Loopback baseline: no delay, no jitter, effectively unlimited bandwidth."""
     return LinkProfile(delay_min_ms=0.0, delay_max_ms=0.0,
                        jitter_mean_ms=0.0, jitter_cap_ms=0.0,
-                       bw_up_bps=1e12, bw_down_bps=1e12,
-                       loss_rate=0.0, seed=seed)
+                       bw_up_bps=1e12, bw_down_bps=1e12, seed=seed)
 
 
 def profile_from_config(cfg: dict, base: LinkProfile | None = None) -> LinkProfile:
     """Build a profile from flat config keys ``link.*``; a key that is absent
-    keeps its value in ``base`` (default: stock 5G SA)."""
+    keeps its value in ``base`` (default: stock 5G SA). A ``link.*`` key not
+    in ``CONFIG_KEYS`` is a ConfigError naming it."""
+    unknown = sorted(k for k in cfg if k.startswith("link.") and k not in CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(unknown)}; "
+                          f"expected one of: {', '.join(CONFIG_KEYS)}")
     base = base or default_5g_sa_profile()
     return LinkProfile(
         delay_min_ms=get_float(cfg, "link.delay_min_ms", base.delay_min_ms),
@@ -99,7 +104,6 @@ def profile_from_config(cfg: dict, base: LinkProfile | None = None) -> LinkProfi
         jitter_cap_ms=get_float(cfg, "link.jitter_cap_ms", base.jitter_cap_ms),
         bw_up_bps=get_float(cfg, "link.bw_up_mbps", base.bw_up_bps / 1e6) * 1e6,
         bw_down_bps=get_float(cfg, "link.bw_down_mbps", base.bw_down_bps / 1e6) * 1e6,
-        loss_rate=get_float(cfg, "link.loss", base.loss_rate),
         seed=get_int(cfg, "link.seed", base.seed),
     )
 
@@ -116,9 +120,8 @@ class FrameSchedule:
 class LinkEmulator:
     """Stateful frame scheduler, one per node: all of a node's links share its
     per-direction queue and FIFO order. Deterministic given the profile seed
-    and the submission trace. Draw order per frame: loss, then delay, then
-    jitter (loss consumes no further draws). Not thread-safe: each node calls
-    its emulator from its one event loop.
+    and the submission trace. Draw order per frame: delay, then jitter. Not
+    thread-safe: each node calls its emulator from its one event loop.
     """
 
     def __init__(self, profile: LinkProfile):
@@ -128,12 +131,10 @@ class LinkEmulator:
         self._last_delivery = {UP: 0.0, DOWN: 0.0}
 
     def schedule_frame_ex(self, frame_len: int, direction: str, now: float):
-        """Full schedule record for one frame, or DROPPED."""
+        """Full schedule record for one frame."""
         if frame_len <= 0:
             raise LinkError("frame_len must be > 0")
         bw = self.profile.bandwidth(direction)
-        if self.profile.loss_rate > 0 and self._rng.random() < self.profile.loss_rate:
-            return DROPPED
         delay_ms = float(self._rng.uniform(self.profile.delay_min_ms,
                                            self.profile.delay_max_ms))
         jitter_ms = 0.0

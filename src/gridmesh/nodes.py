@@ -64,7 +64,7 @@ class ShapedConnection:
 
     def send(self, frame: bytes) -> bool:
         """Write one frame without waiting. False if the link is dead or cannot
-        take the whole frame at once (its peer has stopped reading): no drop."""
+        take the whole frame at once (its peer has stopped reading)."""
         try:
             return self.sock.send(frame, socket.MSG_DONTWAIT) == len(frame)
         except OSError:

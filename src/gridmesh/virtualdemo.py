@@ -8,8 +8,8 @@ produces real wire frames, passes through the sender's link emulator and
 decodes on arrival, so two runs with the same seeds give identical verdicts
 and stage timings. Compute is instantaneous in virtual time (timings describe
 the transport). A UE waits for each ack as it does over sockets: its reports
-are timed from its start, behind an unacked Hello, and an unacked report is
-resent once, then counted failed.
+are timed from its start, behind an unacked Hello, and a report unacked after
+one ``ACK_TIMEOUT_S`` is counted failed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import wire
 from .core import UPLINK, CloudCore, Compute, EdgeCore, Log, Send, Timer, UeCore, \
     UeScriptItem
 from .eventlog import EventLog
-from .linkem import DOWN, DROPPED, LinkEmulator, LinkProfile, UP
+from .linkem import DOWN, LinkEmulator, LinkProfile, UP
 from .model import GridCase
 from .pipeline import RunManifest
 from .store import FileStore, result_key
@@ -76,10 +76,6 @@ class CoreNode:
     def send(self, dst, env: Envelope, direction: str) -> None:
         frame = wire.encode(env)
         slot = self.emulator.schedule_frame_ex(len(frame), direction, self.sched.now)
-        if slot is DROPPED:
-            self.log.log("frame_dropped", ts=self.sched.now, direction=direction,
-                         kind=int(env.msg_type))
-            return
         self._delivered_by = max(self._delivered_by, slot.delivery)
         self.sched.at(slot.delivery, self.transmit, dst, frame)
 

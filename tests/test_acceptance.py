@@ -231,12 +231,14 @@ def test_08_use_case_one_end_to_end(tmp_path):
 
 
 def test_09_use_case_two_end_to_end(tmp_path):
-    with criterion(9, "DSA demo: representative probability within 0.10 of the "
-                      "brute force over 200 joint draws; <3min"):
+    with criterion(9, "DSA demo: bitwise the monolithic result; representative "
+                      "probability within 0.10 of the brute force over 200 joint "
+                      "draws; <3min"):
         t0 = time.perf_counter()
         proc = _run_demo(["dsa", "--out-dir", str(tmp_path / "d"), "--profile", "zero"],
                          timeout=170)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "monolithic equivalence: PASS (bitwise)" in proc.stdout
         run_id = re.search(r"run ([0-9a-f]{32})", proc.stdout).group(1)
         store = FileStore(tmp_path / "d" / "store")
         report = pipeline.parse_dsa_result(store.get(result_key(run_id)))

@@ -152,21 +152,31 @@ class TestConfigPrecedence:
             profile = None
 
         prof = tmp_path / "slow.cfg"
-        prof.write_text("link.delay_min_ms = 40\nlink.delay_max_ms = 60\nlink.loss = 0.1\n")
+        prof.write_text("link.delay_min_ms = 40\nlink.delay_max_ms = 60\nlink.seed = 1\n")
         cases = [
             ("default5g", {}, default_5g_sa_profile()),
             ("zero", {}, zero_impairment_profile()),
-            ("zero", {"link.seed": "3", "link.loss": "0.2"},
-             replace(zero_impairment_profile(), seed=3, loss_rate=0.2)),
+            ("zero", {"link.seed": "3", "link.jitter_mean_ms": "2"},
+             replace(zero_impairment_profile(), seed=3, jitter_mean_ms=2.0)),
             ("default5g", {"link.bw_up_mbps": "10"},
              replace(default_5g_sa_profile(), bw_up_bps=10e6)),
-            (str(prof), {"link.loss": "0.3"},
+            (str(prof), {"link.seed": "3"},
              replace(default_5g_sa_profile(), delay_min_ms=40.0, delay_max_ms=60.0,
-                     loss_rate=0.3)),
+                     seed=3)),
         ]
         for name, cfg, expected in cases:
             Args.profile = name
             assert _resolve_profile(Args(), cfg) == expected, (name, cfg)
+
+    @pytest.mark.parametrize("flag", ["--profile", "--config"])
+    def test_an_unknown_link_key_fails_by_name(self, flag, tmp_path, capsys):
+        # a key no profile reads, such as the retired link.loss, is not ignored
+        cfg = tmp_path / "link.cfg"
+        cfg.write_text("link.delay_min_ms = 1\nlink.loss = 0.1\n")
+        code = main(["demo", "topology", "--virtual-time", flag, str(cfg),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        assert "error: ConfigError: unknown key link.loss;" in capsys.readouterr().err
 
     def test_resolve_chain(self):
         assert resolve("flag", {"k.x": "file"}, "k.x", "default") == "flag"
@@ -178,7 +188,8 @@ class TestDemoChecks:
     @pytest.mark.parametrize("which,expected", [
         (["topology"], ["monolithic equivalence: PASS (bitwise)"]),
         (["dsa", "--n-raw", "20", "--k", "2"],
-         ["brute-force insecurity probability (20 joint raw draws): ",
+         ["monolithic equivalence: PASS (bitwise)",
+          "brute-force insecurity probability (20 joint raw draws): ",
           "brute-force standard error sqrt(p(1-p)/20): ", "representative within 2 SE: ",
           "difference: "]),
     ])
@@ -193,9 +204,9 @@ class TestDemoChecks:
 
 class TestDemoNodes:
     def test_config_and_profile_reach_every_node(self, tmp_path, monkeypatch):
-        # the demo's checks read the config's link.* keys, so its nodes must too
+        # the demo resolves its link from the config's link.* keys, and so must its nodes
         cfg = tmp_path / "demo.cfg"
-        cfg.write_text("link.loss = 0.2\n")
+        cfg.write_text("link.seed = 3\n")
         spawned = []
 
         class Exited:

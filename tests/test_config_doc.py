@@ -1,6 +1,6 @@
 """CONFIG.md names exactly the fields ``pipeline`` writes in an upload, its
-``partial`` and its ``scenario_set``, and exactly the CLI flags that read a
-config key; and README, the ``model`` docstring and the bundled case files
+``partial`` and its ``scenario_set``, exactly the ``link.*`` keys a link
+profile accepts, and exactly the CLI flags that read a config key; and README, the ``model`` docstring and the bundled case files
 list exactly the columns of the case model; and README's package layout lists
 exactly the package's modules. So a retired field, flag or module cannot
 linger in the docs, nor a new one go undocumented."""
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from gridmesh import model, pipeline
+from gridmesh.linkem import CONFIG_KEYS
 from gridmesh.model import Branch, Bus, Generator, bundled_case_path, load_bundled_case
 from gridmesh.pipeline import DsaParams
 
@@ -41,6 +42,11 @@ def test_prose_names_no_field_outside_the_table():
     fields = set().union(*written().values())
     named = set(re.findall(r"`([a-z_]+)`", SECTION))
     assert named - fields <= {"upload", "result", "cloud"}
+
+
+def test_link_table_lists_the_keys_a_profile_accepts():
+    table = (ROOT / "CONFIG.md").read_text().split("## link.*", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `(link\.\w+)` \|", table, re.M) == list(CONFIG_KEYS)
 
 
 def test_flag_list_names_the_flags_that_read_a_config_key():

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from gridmesh import core, virtualdemo
+from gridmesh import virtualdemo
 from gridmesh.core import EdgeCore, UeCore
 from gridmesh.dynamics import SimulationConfig
 from gridmesh.eventlog import EventLog, read_events
@@ -147,19 +147,18 @@ def test_concurrent_reports_under_fast_thread_switching(tmp_path):
     assert code == 0
 
 
-def test_a_dropped_frame_is_logged_by_its_sender_in_both_drivers(tmp_path, monkeypatch):
-    # at loss 0.5, link seed 1 passes a UE's first frame (its unacked Hello),
-    # drops the second (its report) and passes the third (the report's
-    # resend); the edge's link is lossless
-    monkeypatch.setattr(core, "ACK_TIMEOUT_S", 0.5)
-    lossy = replace(ZERO, loss_rate=0.5, seed=1)
-    script = [UeScriptItem(at_s=0.0, kind="topology")]
+def test_a_ue_logs_the_same_events_in_both_drivers(tmp_path):
+    # on the stock 5G link, the UE's unacked Hello, an acked report and a
+    # report the edge rejects (branch 99 is not R1's)
+    link = default_5g_sa_profile(seed=1)
+    script = [UeScriptItem(at_s=0.0, kind="topology"),
+              UeScriptItem(at_s=0.0, kind="topology", branches=({"id": 99, "status": "Open"},))]
     case = load_bundled_case("case9")
     store = FileStore(tmp_path / "socket" / "store")
     cloud = CloudNode(case, store, profile=ZERO)
     edge = EdgeNode("R1", case, store, cloud.start(), profile=ZERO)
     try:
-        report = ue_agent("ue-1", script, edge.start(), profile=lossy,
+        report = ue_agent("ue-1", script, edge.start(), profile=link,
                           log=EventLog("ue-1", path=tmp_path / "socket" / "ue-1.log"))
     finally:
         edge.close()
@@ -170,18 +169,20 @@ def test_a_dropped_frame_is_logged_by_its_sender_in_both_drivers(tmp_path, monke
     vedge = virtualdemo.CoreNode("edge-R1", sched, ZERO,
                                  EventLog("edge-R1", path=logs / "edge-R1.log"),
                                  EdgeCore("R1", case, FileStore(logs / "store")))
-    ue = virtualdemo.CoreNode("ue-1", sched, lossy, EventLog("ue-1", path=logs / "ue-1.log"),
+    ue = virtualdemo.CoreNode("ue-1", sched, link, EventLog("ue-1", path=logs / "ue-1.log"),
                               UeCore("ue-1", script), vedge)
     sched.at(0.0, ue.call, ue.core.start)
     sched.run()
 
-    assert report.clean and report.delivered == ue.core.report.delivered == [2]
-    assert ue.exit_code == 0
+    assert report == ue.core.report
+    assert (report.delivered, report.failed, report.rejected) == ([2], [], [3])
+    assert ue.exit_code == 2
     expected = [("ue_send", {"seq": "1", "kind": "1"}),
                 ("ue_send", {"seq": "2", "kind": "2"}),
-                ("frame_dropped", {"direction": "up", "kind": "2"}),
-                ("ue_retry", {"seq": "2"}),
-                ("ue_done", {"delivered": "1", "failed": "0", "rejected": "0"})]
+                ("ue_send", {"seq": "3", "kind": "2"}),
+                ("edge_error", {"code": "bad_report"}),
+                ("ue_rejected", {"seq": "3"}),
+                ("ue_done", {"delivered": "1", "failed": "0", "rejected": "1"})]
     for driver in ("socket", "virtual"):
         events = read_events(tmp_path / driver / "ue-1.log")
         assert [(ev, f) for _, _, ev, f in events] == expected, driver

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridmesh.config import ConfigError
-from gridmesh.linkem import (DOWN, DROPPED, FrameSchedule, LinkEmulator, LinkError,
+from gridmesh.linkem import (DOWN, FrameSchedule, LinkEmulator, LinkError,
                              LinkProfile, UP, default_5g_sa_profile,
                              profile_from_config, zero_impairment_profile)
 
@@ -24,9 +24,6 @@ class TestDefaultProfile:
         p = default_5g_sa_profile()
         assert p.jitter_mean_ms == 5.0 and p.jitter_cap_ms == 18.31
 
-    def test_no_loss_by_default(self):
-        assert default_5g_sa_profile().loss_rate == 0.0
-
 
 class TestProfileValidation:
     def test_negative_delay_rejected(self):
@@ -37,10 +34,6 @@ class TestProfileValidation:
         with pytest.raises(LinkError):
             LinkProfile(5, 2, 0, 0, 1e6, 1e6)
 
-    def test_loss_range(self):
-        with pytest.raises(LinkError):
-            LinkProfile(0, 0, 0, 0, 1e6, 1e6, loss_rate=1.0)
-
     def test_bandwidth_positive(self):
         with pytest.raises(LinkError):
             LinkProfile(0, 0, 0, 0, 0.0, 1e6)
@@ -49,17 +42,23 @@ class TestProfileValidation:
         cfg = {"link.delay_min_ms": "1", "link.delay_max_ms": "2",
                "link.jitter_mean_ms": "0", "link.jitter_cap_ms": "0",
                "link.bw_up_mbps": "10", "link.bw_down_mbps": "100",
-               "link.loss": "0.05", "link.seed": "9"}
+               "link.seed": "9"}
         p = profile_from_config(cfg)
-        assert p.bw_up_bps == 10e6 and p.bw_down_bps == 100e6
-        assert p.loss_rate == 0.05 and p.seed == 9
+        assert p == LinkProfile(1.0, 2.0, 0.0, 0.0, 10e6, 100e6, seed=9)
+
+    def test_an_unknown_link_key_is_a_config_error_naming_it(self):
+        with pytest.raises(ConfigError, match="unknown key link.loss;"):
+            profile_from_config({"link.loss": "0", "link.seed": "9"})
+
+    def test_the_profile_name_and_other_sections_are_accepted(self):
+        cfg = {"link.profile": "zero", "store.root": "/tmp/s", "node.anything": "1"}
+        assert profile_from_config(cfg) == default_5g_sa_profile()
 
     def test_config_defaults_to_stock_profile(self):
         assert profile_from_config({}) == default_5g_sa_profile()
 
     @pytest.mark.parametrize("field", ["delay_min_ms", "delay_max_ms", "jitter_mean_ms",
-                                       "jitter_cap_ms", "bw_up_bps", "bw_down_bps",
-                                       "loss_rate"])
+                                       "jitter_cap_ms", "bw_up_bps", "bw_down_bps"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value_names_its_field(self, field, value):
         with pytest.raises(LinkError, match=f"^{field} must be finite"):
@@ -128,15 +127,6 @@ class TestScheduling:
         for ln, d, now in trace:
             assert (a.schedule_frame_ex(ln, d, now).delivery
                     == b.schedule_frame_ex(ln, d, now).delivery)
-
-    def test_loss_is_seeded_and_reported(self):
-        profile = LinkProfile(0, 0, 0, 0, 1e9, 1e9, loss_rate=0.5, seed=2)
-        a = [LinkEmulator(profile).schedule_frame_ex(10, UP, 0.0) for _ in range(1)]
-        em1, em2 = LinkEmulator(profile), LinkEmulator(profile)
-        seq1 = [em1.schedule_frame_ex(10, UP, i * 0.01) is DROPPED for i in range(200)]
-        seq2 = [em2.schedule_frame_ex(10, UP, i * 0.01) is DROPPED for i in range(200)]
-        assert seq1 == seq2
-        assert 40 < sum(seq1) < 160
 
     def test_bad_frame_len(self):
         em = LinkEmulator(zero_impairment_profile())

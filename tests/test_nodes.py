@@ -137,7 +137,7 @@ class TestUeAgent:
                             branches=({"id": 999, "status": "Open"},))
         start = time.monotonic()
         report = ue_agent("ue-bad", [item], edges["R3"].bound_addr, profile=ZERO)
-        # the edge's error names seq 2: the UE stops waiting, without a resend
+        # the edge's error names seq 2: the UE stops waiting at once
         assert time.monotonic() - start < ACK_TIMEOUT_S
         assert report.rejected == [2] and report.failed == [] and not report.clean
         assert edges["R3"].core.view == before
@@ -173,9 +173,10 @@ class TestLinks:
             ue.shutdown(socket.SHUT_WR)
             assert ue.recv(1024) == b""              # the edge closed its end too
 
-    def test_a_failed_write_is_not_logged_as_a_drop(self, tmp_path, monkeypatch):
-        # only the link emulator drops frames: a peer that hangs up at once
-        # fails the UE's resend of its report, and the UE counts it failed
+    def test_a_report_to_a_peer_that_hung_up_fails_after_one_timeout(self, tmp_path,
+                                                                     monkeypatch):
+        # a dead link answers nothing: the UE counts its report failed once
+        # the ack timeout passes, with no resend
         monkeypatch.setattr(core, "ACK_TIMEOUT_S", 0.1)
         item = UeScriptItem(at_s=0.0, kind="topology")
         with socket.create_server(("127.0.0.1", 0)) as server:
@@ -184,7 +185,7 @@ class TestLinks:
                               log=EventLog("ue-w", path=tmp_path / "ue-w.log"))
         assert (report.delivered, report.failed, report.error) == ([], [2], None)
         assert [ev for _, _, ev, _ in read_events(tmp_path / "ue-w.log")] == \
-            ["ue_send", "ue_send", "ue_retry", "ue_unacked", "ue_done"]
+            ["ue_send", "ue_send", "ue_unacked", "ue_done"]
 
     def test_junk_bytes_end_that_link_alone(self, case9, tmp_path, monkeypatch):
         uncaught = []
